@@ -13,9 +13,8 @@ Exit codes: 0 success (witness found / obstruction certified / document
 verified), 1 certified negative or inconclusive, 2 parse error,
 3 invariant violation, 4 unsupported input (e.g. indefinite form).
 
-The env var SUPERLAT_THREADS caps the factorize worker count; output is
-byte-identical for any value (candidate lists are merged in provenance
-order).
+The env var SUPERLAT_THREADS is accepted for compatibility and ignored:
+the search runs on one thread, so output is the same for any value.
 """
 
 from __future__ import annotations
@@ -53,14 +52,6 @@ EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_UNSUPPORTED = 4
-
-
-def _threads() -> int:
-    raw = os.environ.get("SUPERLAT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _parse_vector(text: str, n: int, label: str) -> Vec:
@@ -160,8 +151,6 @@ def cmd_factorize(args) -> int:
         problem,
         all_solutions=args.all,
         integral_only=args.integral_only,
-        cs_prune=args.cs_prune,
-        threads=_threads(),
     )
     elapsed = time.perf_counter() - start
     stats = result.stats
@@ -294,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--all", action="store_true", help="enumerate the complete solution set")
     mode.add_argument("--first", action="store_true", help="stop at the first integral witness (default)")
     p.add_argument("--integral-only", action="store_true", help="report only integral candidates")
-    p.add_argument("--cs-prune", action="store_true", help="enable the Cauchy-Schwarz cross-pruning")
+    p.add_argument("--cs-prune", action="store_true", help="accepted for compatibility; no effect on the search")
     p.add_argument("--json", metavar="OUT", help="write the result document to OUT")
     p.set_defaults(func=cmd_factorize)
 

@@ -1,21 +1,27 @@
 """Exact integer solutions of positive definite norm equations.
 
 The enumeration follows the Fincke-Pohst recursion on an exact rational
-LDL^T factorization: with y = L^T x the form reads sum_j d_j y_j^2, so
-coordinate ranges are rational intervals whose integer endpoints are
-computed with `math.isqrt` (never floating point).  Also houses the
-classical two- and three-squares representability predicates used as
-factorization obstructions.
+LDL^T factorization: with y = L^T x the form reads sum_j d_j y_j^2.  The
+denominators of L and of the pivots are cleared once per form, so the
+recursion carries only integers: the budget, the scaled coordinates
+Y_j = dl * y_j and the scaled pivots P_j, with coordinate ranges from
+`math.isqrt` (never floating point).  Also houses the classical two- and
+three-squares representability predicates used as factorization
+obstructions.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
+from math import isqrt, lcm
 
 from .errors import InvalidForm, NegativeTarget, NotPositiveDefinite
 from .linalg import Mat, Vec
+
+
+ScaledLDL = namedtuple("ScaledLDL", "dl scale pivots low")
 
 
 class PosDefForm:
@@ -31,6 +37,7 @@ class PosDefForm:
             raise InvalidForm("Gram matrix must be symmetric")
         self.gram = gram
         self._diag, self._lower = _ldl(gram)
+        self._scaled: ScaledLDL | None = None
 
     @property
     def dim(self) -> int:
@@ -59,6 +66,29 @@ class PosDefForm:
                 (row[j] * entries[j] for j in range(n)), Fraction(0)
             )
         return acc
+
+    def scaled_ldl(self) -> "ScaledLDL":
+        """The LDL^T factorization with its denominators cleared, cached.
+
+        With dl and dq the lcms of the denominators of L and of the
+        pivots d_j, P_j = dq d_j and Y_j = dl x_j + sum l x_i over the
+        pairs (i, l) = (i, dl L_ij) in low[j], the identity
+        scale * x^T G x = sum_j P_j Y_j^2 holds in integers, scale = dl^2 dq.
+        """
+        if self._scaled is None:
+            d, low, n = self._diag, self._lower, self.dim
+            dl = lcm(1, *(low[i][j].denominator for i in range(n) for j in range(i)))
+            dq = lcm(*(x.denominator for x in d))
+            self._scaled = ScaledLDL(
+                dl,
+                dl * dl * dq,
+                tuple(int(x * dq) for x in d),
+                tuple(
+                    tuple((i, int(low[i][j] * dl)) for i in range(j + 1, n) if low[i][j])
+                    for j in range(n)
+                ),
+            )
+        return self._scaled
 
 
 def _ldl(gram: Mat) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
@@ -116,65 +146,68 @@ def _sign_canonical(v: tuple[int, ...]) -> bool:
     return True
 
 
-def _floor_sqrt(f: Fraction) -> int:
-    """floor(sqrt(f)) for f >= 0, exactly."""
-    return isqrt(f.numerator * f.denominator) // f.denominator
-
-
-def _floor_plus_sqrt(c: Fraction, f: Fraction) -> int:
-    """floor(c + sqrt(f)) for rational c and f >= 0, exactly."""
-    k = floor(c) + _floor_sqrt(f) + 2
-    while True:
-        g = k - c
-        if g <= 0 or g * g <= f:
-            return k
-        k -= 1
-
-
-def _exact_sqrt(f: Fraction) -> Fraction | None:
-    """sqrt(f) when f >= 0 is a perfect rational square, else None."""
-    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def vectors_of_norm(q: PosDefForm, c: int, canonical: bool = False) -> NormSolutionSet:
     """Complete set {v in Z^d : v^T Q v = c}, exact and deterministic.
 
-    Coordinates are chosen from the last to the first; at each level the
-    admissible range is the exact rational interval allowed by the
-    remaining budget.  The first coordinate is solved directly.  With
-    canonical=True only one of each +-v pair is kept.
+    Coordinates are chosen from the last to the first.  The remaining
+    budget R = rem * dl^2 * dq is an integer, and level j admits the
+    scaled coordinates |Y_j| <= isqrt(R // P_j); the first coordinate is
+    an exact divisibility and perfect-square test.  With canonical=True
+    only one of each +-v pair is kept.
     """
     if c < 0:
         raise NegativeTarget(f"norm target {c} is negative")
     n = q.dim
-    diag, lower = q._diag, q._lower
+    lf = q.scaled_ldl()
+    dl, pivots, low = lf.dl, lf.pivots, lf.low
+    p0 = pivots[0]
     sols: list[tuple[int, ...]] = []
     x = [0] * n
 
-    def rec(j: int, rem: Fraction) -> None:
-        shift = sum((lower[i][j] * x[i] for i in range(j + 1, n)), Fraction(0))
-        if j == 0:
-            root = _exact_sqrt(rem / diag[0])
-            if root is None:
-                return
-            for cand in {-shift + root, -shift - root}:
-                if cand.denominator == 1:
-                    x[0] = int(cand)
-                    sols.append(tuple(x))
-            return
-        ratio = rem / diag[j]
-        hi = _floor_plus_sqrt(-shift, ratio)
-        lo = -_floor_plus_sqrt(shift, ratio)
-        for v in range(lo, hi + 1):
-            x[j] = v
-            y = v + shift
-            rec(j - 1, rem - diag[j] * y * y)
+    def first(root: int) -> None:
+        # Level 0 with P_0 Y_0^2 = rem already solved: Y_0 = +-root.
+        shift = 0
+        for i, l in low[0]:
+            shift += l * x[i]
+        for y in (root, -root) if root else (0,):
+            v, r = divmod(y - shift, dl)
+            if not r:
+                x[0] = v
+                sols.append(tuple(x))
+
+    def rec(j: int, rem: int) -> None:
+        shift = 0
+        for i, l in low[j]:
+            shift += l * x[i]
+        p = pivots[j]
+        root = isqrt(rem // p)
+        lo, hi = -((root + shift) // dl), (root - shift) // dl + 1
+        if j == 1:
+            # Level 0 inline: what is left must be P_0 times a square.
+            for v in range(lo, hi):
+                y = dl * v + shift
+                sq, r = divmod(rem - p * y * y, p0)
+                if not r:
+                    root = isqrt(sq)
+                    if root * root == sq:
+                        x[1] = v
+                        first(root)
+        else:
+            for v in range(lo, hi):
+                x[j] = v
+                y = dl * v + shift
+                rec(j - 1, rem - p * y * y)
         x[j] = 0
 
-    rec(n - 1, Fraction(c))
+    budget = Fraction(c) * lf.scale
+    # A non-integral scaled budget is never a value of sum_j P_j Y_j^2.
+    if budget.denominator == 1:
+        if n > 1:
+            rec(n - 1, int(budget))
+        else:
+            sq, r = divmod(int(budget), p0)
+            if not r and isqrt(sq) ** 2 == sq:
+                first(isqrt(sq))
     result = NormSolutionSet(c, tuple(sorted(sols)), False)
     return result.canonical() if canonical else result
 

@@ -23,10 +23,11 @@ pipeline at desk scale.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
 from .diophantine import (
     PosDefForm,
@@ -44,8 +45,13 @@ from .errors import (
     NotPositiveDefinite,
     ZeroVector,
 )
-from .forms import GramForm, dual_membership
+# dual_membership is not called here (reconstruct tests dual membership
+# in integers); it is imported so that perfbench/spans.py can wrap
+# isometry.dual_membership.
+from .forms import GramForm, dual_membership  # noqa: F401
 from .linalg import Mat, Vec, integer_kernel_basis
+
+_ReconTables = namedtuple("_ReconTables", "w betas adj_cols db den dp pair")
 
 VERDICTS = (
     "IsometricWitness",
@@ -134,11 +140,8 @@ class IsometryProblem:
             tuple(nint * nint * int(target.evaluate(zi, zj)) for zj in self.zhat)
             for zi in self.zhat
         )
-        basis_cols = Mat.from_cols([w] + self.probes)
-        self._basis_inv = basis_cols.inverse()
-        # Pairing rows against B: solving for atilde from its products
-        # with w (zero) and the probes (the t_i).
-        self._pairing_inv = (basis_cols.transpose() @ source.gram).inverse()
+        self._recon: _ReconTables | None = None
+        self._grams: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -152,13 +155,59 @@ class IsometryProblem:
             self._kpdf = PosDefForm(self.kernel_gram)
         return self._kpdf
 
+    def _recon_tables(self) -> _ReconTables:
+        """Integer tables for reconstruct, built on first use.
+
+        With P = (w | z0_1 ...), db the lcm of the denominators of P^-1
+        and adj = db P^-1 (kept by columns), a candidate is M = C adj / den
+        for den = N^2 db, where C has the integer columns N (s w + btilde)
+        and c_i + t_i w + B(z0_i, w)(s w + btilde).  atilde solves
+        P^T B atilde = (0, t), so it lies in the dual lattice iff
+        B atilde = P^-T (0, t) is integral, i.e. iff db divides
+        adj^T (0, t); then atilde = pair (0, t) / dp.
+        """
+        if self._recon is None:
+            w, basis = self.w, Mat.from_cols([self.w] + self.probes)
+            db, adj = _cleared(basis.inverse())
+            dp, pair = _cleared((basis.transpose() @ self.source.gram).inverse())
+            betas = tuple(int(self.source.evaluate(z0, w)) for z0 in self.probes)
+            self._recon = _ReconTables(
+                w.to_ints(), betas, tuple(zip(*adj)), db, self.wnorm**2 * db, dp, pair
+            )
+        return self._recon
+
+    def is_isometry(self, m: Mat) -> bool:
+        """Exact test of M^T B M = B', run in integers on the numerator of
+        M over the lcm of its denominators."""
+        if m.nrows != self.dim or m.ncols != self.dim:
+            return False
+        den, num = _cleared(m)
+        return self.pulls_back(num, den)
+
+    def pulls_back(self, num, den: int) -> bool:
+        """Whether num^T B num = den^2 B' for integer n x n rows num, i.e.
+        whether M = num / den solves M^T B M = B'."""
+        if self._grams is None:
+            self._grams = (_cleared(self.source.gram)[1], _cleared(self.target.gram)[1])
+        gram, target = self._grams
+        cols = list(zip(*num))
+        gcols = [tuple(_dot(grow, col) for grow in gram) for col in cols]
+        d2 = den * den
+        for i, (ci, trow) in enumerate(zip(cols, target)):
+            for j in range(i, len(cols)):
+                if _dot(ci, gcols[j]) != d2 * trow[j]:
+                    return False
+        return True
+
     def from_kernel_coords(self, coords: tuple[int, ...]) -> Vec:
         """Map K-coordinates back to an ambient integer vector."""
-        n = self.dim
-        return Vec(
-            sum(coords[a] * self._k_rows[a][i] for a in range(len(coords)))
-            for i in range(n)
-        )
+        return Vec([_dot(coords, col) for col in zip(*self._k_rows)])
+
+
+def _cleared(m: Mat) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d * m) with d the lcm of the denominators of m."""
+    d = lcm(*(x.denominator for row in m.rows for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m.rows)
 
 
 @dataclass(frozen=True)
@@ -223,12 +272,9 @@ class SearchResult:
     certificate: Certificate
     stats: SearchStats
 
-    def __iter__(self):
-        return iter((self.candidates, self.certificate))
-
 
 def _dot(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def _canonical_sign(seq) -> bool:
@@ -295,24 +341,16 @@ def filter_eq2(
     """Keep per-probe candidates compatible with eq2 for the given eq1
     solution: N^2 B'(w, zhat_i) = N s t + B(btilde, c).
 
-    With cs_prune the exact pairing is only computed when the
-    Cauchy-Schwarz bound |B(btilde,c)|^2 <= B(btilde,btilde) B(c,c)
-    leaves eq2 satisfiable; the surviving set is provably identical.
+    cs_prune is accepted for compatibility and has no effect: a
+    Cauchy-Schwarz pre-test keeps the same set and measured slower than
+    the exact pairing alone.
     """
-    n_int, s, xb = problem.wnorm, e1.s, e1.coords
-    bnorm = problem.eq1_target - n_int * s * s
-    out: list[list[Eq3Solution]] = []
-    for i, cands in enumerate(per_probe):
-        e2 = problem.eq2_targets[i]
-        kept = []
-        for cand in cands:
-            gap = e2 - n_int * s * cand.t
-            if cs_prune and gap * gap > bnorm * cand.cnorm:
-                continue
-            if _dot(xb, cand.gcoords) == gap:
-                kept.append(cand)
-        out.append(kept)
-    return out
+    ns, xb = problem.wnorm * e1.s, e1.coords
+    # _dot inlined: this is the innermost loop of the search.
+    return [
+        [c for c in cands if sum(map(mul, xb, c.gcoords)) + ns * c.t == e2]
+        for e2, cands in zip(problem.eq2_targets, per_probe)
+    ]
 
 
 def _assemble(
@@ -355,29 +393,39 @@ def reconstruct(
     B(atilde, z0_i) = t_i, and must lie in the dual lattice; the matrix
     is assembled columnwise from phi(w) = (s w + btilde)/N and
     phi(z_i) = (c_i + t_i w)/N^2, then verified exactly against the
-    target form before emission.
+    target form before emission.  All of this runs in integers over one
+    common denominator (see IsometryProblem._recon_tables); Fractions are
+    built only for a candidate that passes.
     """
-    n_frac = Fraction(problem.wnorm)
-    atilde = problem._pairing_inv @ Vec([0] + [cand.t for cand in picks])
-    if not dual_membership(problem.source, atilde):
+    tab = problem._recon_tables()
+    ts = [0] + [cand.t for cand in picks]
+    db = tab.db
+    for col in tab.adj_cols:
+        if _dot(col, ts) % db:
+            return None
+    s, w = e1.s, tab.w
+    # btilde and c_i are integer vectors, so their numerators are them.
+    sb = [s * x + b.numerator for x, b in zip(w, e1.btilde.entries)]
+    ccols = [[problem.wnorm * x for x in sb]]
+    for beta, cand in zip(tab.betas, picks):
+        t = cand.t
+        ccols.append(
+            [c.numerator + t * x + beta * y for c, x, y in zip(cand.c.entries, w, sb)]
+        )
+    den = tab.den
+    num = [[_dot(row, col) for col in tab.adj_cols] for row in zip(*ccols)]
+    if not problem.pulls_back(num, den):
         return None
-    phi_w = (Fraction(e1.s) / n_frac) * problem.w + (1 / n_frac) * e1.btilde
-    cols = [phi_w]
-    nsq = n_frac * n_frac
-    for z0, cand in zip(problem.probes, picks):
-        phi_z = (1 / nsq) * cand.c + (Fraction(cand.t) / nsq) * problem.w
-        shift = problem.source.evaluate(z0, problem.w) / n_frac
-        cols.append(phi_z + shift * phi_w)
-    matrix = Mat.from_cols(cols) @ problem._basis_inv
-    if matrix.transpose() @ problem.source.gram @ matrix != problem.target.gram:
-        return None
+    matrix = Mat([Fraction(x, den) for x in row] for row in num)
+    atilde = tuple(Fraction(_dot(row, ts), tab.dp) for row in tab.pair)
     provenance = (
         e1.s,
         e1.btilde.to_ints(),
-        tuple(atilde.entries),
+        atilde,
         tuple(cand.c.to_ints() for cand in picks),
     )
-    return CandidateIsometry(matrix, matrix.is_integral(), provenance)
+    integral = all(x % den == 0 for row in num for x in row)
+    return CandidateIsometry(matrix, integral, provenance)
 
 
 def _joint_signature(e1: Eq1Solution, picks: tuple[Eq3Solution, ...]):
@@ -403,9 +451,10 @@ def find_isometries(
     eq1 has no solutions, IsometricWitness when an integral candidate
     exists, NoIntegralIsometry otherwise.  With all_solutions=False the
     scan stops at the first integral witness (stats are then partial).
-    Eq1 branches are independent; with threads > 1 they run on a pool
-    and results merge in branch order, so output is identical for any
-    thread count.
+    cs_prune and threads are accepted for compatibility and have no
+    effect: the search runs on one thread (a thread pool over the eq1
+    branches is bound by the interpreter lock and measured no faster),
+    and filter_eq2 has no pre-test.
     """
     if problem.det_mismatch:
         cert = Certificate(
@@ -433,35 +482,20 @@ def find_isometries(
     per_probe = [solve_eq3_per_z0(problem, z0) for z0 in problem.probes]
     eq3_counts = tuple(len(c) for c in per_probe)
 
-    def branch(e1: Eq1Solution):
-        filtered = filter_eq2(problem, e1, per_probe, cs_prune)
-        raw = canon = 0
-        found: list[CandidateIsometry] = []
-        for picks in _assemble(problem, filtered):
-            raw += 1
-            if _canonical_sign(_joint_signature(e1, picks)):
-                canon += 1
-            cand = reconstruct(problem, e1, picks)
-            if cand is not None:
-                found.append(cand)
-        return raw, canon, found
-
     candidates: list[CandidateIsometry] = []
     joint_raw = joint_canonical = 0
-    if all_solutions and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(branch, e1s))
-    else:
-        results = []
-        for e1 in e1s:
-            res = branch(e1)
-            results.append(res)
-            if not all_solutions and any(c.integral for c in res[2]):
-                break
-    for raw, canon, found in results:
-        joint_raw += raw
-        joint_canonical += canon
-        candidates.extend(found)
+    for e1 in e1s:
+        has_integral = False
+        for picks in _assemble(problem, filter_eq2(problem, e1, per_probe)):
+            joint_raw += 1
+            if _canonical_sign(_joint_signature(e1, picks)):
+                joint_canonical += 1
+            cand = reconstruct(problem, e1, picks)
+            if cand is not None:
+                candidates.append(cand)
+                has_integral = has_integral or cand.integral
+        if has_integral and not all_solutions:
+            break
     if all_solutions:
         candidates.sort(key=lambda c: c.provenance)
     integral = [c for c in candidates if c.integral]
@@ -694,18 +728,13 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
         if problem is None or cert.witness is None:
             return False
         m = cert.witness.matrix
-        return (
-            m.is_unimodular()
-            and m.transpose() @ problem.source.gram @ m == problem.target.gram
-        )
+        return problem.is_isometry(m) and m.is_unimodular()
     if verdict == "NoIntegralIsometry":
         if problem is None:
             return False
         for rows in cert.detail.get("candidates", []):
             m = Mat([[Fraction(x) for x in row] for row in rows])
-            if m.transpose() @ problem.source.gram @ m != problem.target.gram:
-                return False
-            if m.is_integral():
+            if m.is_integral() or not problem.is_isometry(m):
                 return False
         return True
     if verdict == "ObstructionEq1":

@@ -339,10 +339,9 @@ def verify_document(doc: dict) -> bool:
             return False
 
         if problem is not None:
-            source, target = problem.source.gram, problem.target.gram
             for entry in doc.get("candidates", []):
                 m = _parse_matrix_rows(entry["matrix"], "candidates")
-                if m.transpose() @ source @ m != target:
+                if not problem.is_isometry(m):
                     return False
                 if bool(entry["integral"]) != m.is_integral():
                     return False
