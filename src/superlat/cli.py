@@ -20,6 +20,7 @@ the search runs on one thread, so output is the same for any value.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -178,8 +179,11 @@ def cmd_factorize(args) -> int:
             "cs_prune": args.cs_prune,
         }
         doc = result_document(problem, result, options=options, elapsed=elapsed)
+        # Streamed: the same bytes as document_json(doc), without holding
+        # the whole text of a large document in memory.
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(document_json(doc))
+            json.dump(doc, fh, sort_keys=True, indent=2)
+            fh.write("\n")
         print(f"result written to {args.json}")
 
     return EXIT_OK if result.certificate.verdict == "IsometricWitness" else EXIT_NEGATIVE

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from math import isqrt, lcm
 from operator import mul
 
@@ -142,6 +143,7 @@ class IsometryProblem:
         )
         self._recon: _ReconTables | None = None
         self._grams: tuple | None = None
+        self._eq2_table: _Eq2Table | None = None
 
     @property
     def dim(self) -> int:
@@ -168,8 +170,8 @@ class IsometryProblem:
         """
         if self._recon is None:
             w, basis = self.w, Mat.from_cols([self.w] + self.probes)
-            db, adj = _cleared(basis.inverse())
-            dp, pair = _cleared((basis.transpose() @ self.source.gram).inverse())
+            db, adj = _cleared(basis.inverse().rows)
+            dp, pair = _cleared((basis.transpose() @ self.source.gram).inverse().rows)
             betas = tuple(int(self.source.evaluate(z0, w)) for z0 in self.probes)
             self._recon = _ReconTables(
                 w.to_ints(), betas, tuple(zip(*adj)), db, self.wnorm**2 * db, dp, pair
@@ -181,14 +183,14 @@ class IsometryProblem:
         M over the lcm of its denominators."""
         if m.nrows != self.dim or m.ncols != self.dim:
             return False
-        den, num = _cleared(m)
+        den, num = _cleared(m.rows)
         return self.pulls_back(num, den)
 
     def pulls_back(self, num, den: int) -> bool:
         """Whether num^T B num = den^2 B' for integer n x n rows num, i.e.
         whether M = num / den solves M^T B M = B'."""
         if self._grams is None:
-            self._grams = (_cleared(self.source.gram)[1], _cleared(self.target.gram)[1])
+            self._grams = (_cleared(self.source.gram.rows)[1], _cleared(self.target.gram.rows)[1])
         gram, target = self._grams
         cols = list(zip(*num))
         gcols = [tuple(_dot(grow, col) for grow in gram) for col in cols]
@@ -204,10 +206,11 @@ class IsometryProblem:
         return Vec([_dot(coords, col) for col in zip(*self._k_rows)])
 
 
-def _cleared(m: Mat) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(d, d * m) with d the lcm of the denominators of m."""
-    d = lcm(*(x.denominator for row in m.rows for x in row))
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m.rows)
+def _cleared(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d * rows) with d the lcm of the denominators of the Fraction
+    rows."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -332,6 +335,79 @@ def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> list[Eq3Solution]:
     return out
 
 
+def _slot_width(bound: int) -> int:
+    """The smallest multiple W of 8 with bound < 2^(W-1)."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+class _Eq2Table:
+    """Every probe's eq3 solutions packed into one integer per column.
+
+    Solution number k of the concatenated per-probe lists owns the bits
+    [kW, (k+1)W) of each packed integer: `t` holds its t, `g[j]` the
+    j-th coordinate of G c, and `base` holds 2^(W-1) - e2 of its probe.
+    The width W is set by the first call that packs the table and only
+    grows.  The table keeps the `per_probe` object it was built from and
+    a copy of its lists, so filter_eq2 rebuilds it for any other object
+    and for lists changed in place.
+    """
+
+    __slots__ = (
+        "per_probe", "snapshot", "where", "ts", "gcols", "e2s",
+        "colmax", "tmax", "gmax", "e2max", "width", "base", "t", "g",
+    )
+
+    def __init__(self, per_probe, eq2_targets):
+        self.per_probe = per_probe
+        self.snapshot = [list(cands) for cands in per_probe]
+        pairs = list(zip(eq2_targets, self.snapshot))
+        flat = [c for _, cands in pairs for c in cands]
+        self.where = [(i, j) for i, (_, cands) in enumerate(pairs) for j in range(len(cands))]
+        self.e2s = [e2 for e2, cands in pairs for _ in cands]
+        self.ts = [c.t for c in flat]
+        # zip_longest pads short gcoords with 0, which is what the pairing
+        # sum(map(mul, xb, gcoords)) makes of missing entries.
+        self.gcols = list(zip_longest(*(c.gcoords for c in flat), fillvalue=0))
+        self.tmax = max(map(abs, self.ts), default=0)
+        self.gmax = [max(map(abs, col)) for col in self.gcols]
+        self.e2max = max(map(abs, self.e2s), default=0)
+        self.colmax = max([self.tmax, *self.gmax])
+        self.width = 0
+
+    def pack(self, width: int) -> None:
+        """(Re)build the packed integers with width-bit slots."""
+        nbytes, off = width // 8, 1 << (width - 1)
+        ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * len(self.ts), "little")
+
+        def packed(values) -> int:
+            # sum_k v_k 2^(kW), built from the offset values v_k + 2^(W-1),
+            # which lie in [0, 2^W) because every |v_k| < 2^(W-1).
+            raw = b"".join((v + off).to_bytes(nbytes, "little") for v in values)
+            return int.from_bytes(raw, "little") - off * ones
+
+        self.width = width
+        self.base = off * ones - packed(self.e2s)
+        self.t = packed(self.ts)
+        self.g = [packed(col) for col in self.gcols]
+
+
+def _centred_slots(total: int, count: int, nbytes: int) -> list[int]:
+    """The indices k < count, ascending, of the nbytes-byte slots of total
+    that hold exactly 2^(8 nbytes - 1)."""
+    raw = total.to_bytes(count * nbytes, "little")
+    centre = bytes(nbytes - 1) + b"\x80"
+    out = []
+    i = raw.find(centre)
+    while i >= 0:
+        if i % nbytes:
+            # A match that straddles two slots.
+            i = raw.find(centre, i + 1)
+        else:
+            out.append(i // nbytes)
+            i = raw.find(centre, i + nbytes)
+    return out
+
+
 def filter_eq2(
     problem: IsometryProblem,
     e1: Eq1Solution,
@@ -341,16 +417,39 @@ def filter_eq2(
     """Keep per-probe candidates compatible with eq2 for the given eq1
     solution: N^2 B'(w, zhat_i) = N s t + B(btilde, c).
 
+    All pairings of e1 are evaluated at once on integers packed with one
+    W-bit slot per eq3 solution (see _Eq2Table): the sum
+    base + N s T + sum_j x_j G_j holds N s t + B(btilde, c) - e2 + 2^(W-1)
+    in every slot, and the survivors are the slots equal to 2^(W-1),
+    found as aligned matches in the sum's bytes.  W is a multiple of 8
+    with 2^(W-1) above a bound on |N s t + B(btilde, c) - e2| and on the
+    packed entries for the arguments given, so no slot carries into the
+    next; when a call needs wider slots than the table has, the table is
+    repacked at that width.  The table is built on the first call for a
+    per_probe list and cached on the problem.  The result keeps the eq3
+    order and the objects of per_probe.
+
     cs_prune is accepted for compatibility and has no effect: a
     Cauchy-Schwarz pre-test keeps the same set and measured slower than
     the exact pairing alone.
     """
+    table = problem._eq2_table
+    if table is None or table.per_probe is not per_probe or table.snapshot != per_probe:
+        table = problem._eq2_table = _Eq2Table(per_probe, problem.eq2_targets)
+    out: list[list[Eq3Solution]] = [[] for _ in zip(problem.eq2_targets, per_probe)]
+    if not table.ts:
+        return out
     ns, xb = problem.wnorm * e1.s, e1.coords
-    # _dot inlined: this is the innermost loop of the search.
-    return [
-        [c for c in cands if sum(map(mul, xb, c.gcoords)) + ns * c.t == e2]
-        for e2, cands in zip(problem.eq2_targets, per_probe)
-    ]
+    bound = abs(ns) * table.tmax + _dot(map(abs, xb), table.gmax) + table.e2max
+    width = _slot_width(max(bound, table.colmax))
+    if width > table.width:
+        table.pack(width)
+    total = table.base + ns * table.t + _dot(xb, table.g)
+    where = table.where
+    for k in _centred_slots(total, len(table.ts), table.width // 8):
+        i, j = where[k]
+        out[i].append(per_probe[i][j])
+    return out
 
 
 def _assemble(
@@ -446,7 +545,10 @@ def find_isometries(
     """Run the full pipeline and certify the outcome.
 
     Composes solve_eq1, solve_eq3_per_z0 (once per probe), filter_eq2,
-    cross-probe assembly and reconstruct.  The certificate is
+    cross-probe assembly and reconstruct.  Every filter_eq2 call gets the
+    same per_probe list, so the eq3 solutions are packed once per search
+    and each eq1 solution costs a few big-integer operations for all of
+    its eq2 pairings (see filter_eq2).  The certificate is
     ObstructionDeterminant on determinant mismatch, ObstructionEq1 when
     eq1 has no solutions, IsometricWitness when an integral candidate
     exists, NoIntegralIsometry otherwise.  With all_solutions=False the

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ParseError
 from .forms import GramForm
@@ -43,6 +44,7 @@ from .isometry import (
     Certificate,
     IsometryProblem,
     SearchResult,
+    _cleared,
 )
 from .linalg import Mat, Vec
 
@@ -320,9 +322,10 @@ def verify_document(doc: dict) -> bool:
     """Re-check a result document from its own contents alone.
 
     The certificate is re-verified against the echoed inputs, and every
-    recorded candidate matrix is re-multiplied; integrality flags must
-    match.  Any discrepancy — including contents too damaged to rebuild
-    the problem — returns False.
+    recorded candidate matrix is re-multiplied (in integers, each entry
+    read through Fraction); integrality flags must match.  Any
+    discrepancy — including contents too damaged to rebuild the problem —
+    returns False.
     """
     from .errors import SuperlatError
     from .isometry import verify_certificate
@@ -339,12 +342,20 @@ def verify_document(doc: dict) -> bool:
             return False
 
         if problem is not None:
+            # Candidates repeat a few distinct entries many times: parse
+            # each one once, and check each matrix as integer numerators
+            # over the lcm of its denominators.
+            parse = lru_cache(maxsize=None)(Fraction)
+            n = problem.dim
             for entry in doc.get("candidates", []):
-                m = _parse_matrix_rows(entry["matrix"], "candidates")
-                if not problem.is_isometry(m):
+                rows = [[parse(x) for x in row] for row in entry["matrix"]]
+                if len(rows) != n or any(len(row) != n for row in rows):
                     return False
-                if bool(entry["integral"]) != m.is_integral():
+                den, num = _cleared(rows)
+                if not problem.pulls_back(num, den):
+                    return False
+                if bool(entry["integral"]) != (den == 1):
                     return False
         return True
-    except (KeyError, TypeError, ValueError, SuperlatError):
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, SuperlatError):
         return False

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 from superlat.linalg import Mat, Vec
 
@@ -275,3 +276,13 @@ def rand_pullback_problem(
             continue
         w = Vec.unit(n, rng.choice([i for i, v in enumerate(norms) if v == best]))
         return gram, target, w, phi
+
+
+def reference_filter_eq2(problem, e1, per_probe):
+    """The eq2 filter as one dot product per (eq1, eq3) pair: the scan that
+    isometry.filter_eq2 replaced, kept as its reference."""
+    ns, xb = problem.wnorm * e1.s, e1.coords
+    return [
+        [c for c in cands if sum(map(mul, xb, c.gcoords)) + ns * c.t == e2]
+        for e2, cands in zip(problem.eq2_targets, per_probe)
+    ]

@@ -1,0 +1,202 @@
+"""The packed eq2 filter against the one-dot-product-per-pair scan.
+
+isometry.filter_eq2 evaluates every eq2 pairing of an eq1 solution at once
+on integers with one fixed-width slot per eq3 solution.  Each test requires
+the same lists as helpers.reference_filter_eq2: the same objects, in the
+same order.
+"""
+
+from __future__ import annotations
+
+import random
+from types import SimpleNamespace
+
+from helpers import WILSON, rand_pullback_problem, reference_filter_eq2
+from superlat.forms import GramForm
+from superlat.isometry import (
+    Eq1Solution,
+    Eq3Solution,
+    IsometryProblem,
+    filter_eq2,
+    solve_eq1,
+    solve_eq3_per_z0,
+)
+from superlat.linalg import Mat, Vec
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        assert all(a is b for a, b in zip(g, w))
+
+
+def _check_all(problem, e1s, per_probe):
+    for e1 in e1s:
+        _assert_same(filter_eq2(problem, e1, per_probe), reference_filter_eq2(problem, e1, per_probe))
+
+
+def _search_data(problem):
+    return solve_eq1(problem), [solve_eq3_per_z0(problem, z0) for z0 in problem.probes]
+
+
+def test_wilson_anchor_ones_every_eq1_solution():
+    problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1]))
+    e1s, per_probe = _search_data(problem)
+    assert len(e1s) == 3456
+    assert [len(c) for c in per_probe] == [576, 576, 768]
+    _check_all(problem, e1s, per_probe)
+
+
+def test_seeded_random_problems_n2_to_n5():
+    rng = random.Random(41)
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            gram, target, w, _phi = rand_pullback_problem(rng, sizes=(n,))
+            problem = IsometryProblem(GramForm(gram), GramForm(target), w)
+            e1s, per_probe = _search_data(problem)
+            assert e1s and all(per_probe)
+            if n == 5:
+                # n = 5 eq3 sets reach about 10^4 solutions: keep the
+                # reference scan affordable with a seeded sample of eq1.
+                e1s = rng.sample(e1s, min(len(e1s), 30))
+            _check_all(problem, e1s, per_probe)
+
+
+def _fake_problem(wnorm: int, eq2_targets: tuple[int, ...]):
+    """The attributes filter_eq2 reads, with free eq2 targets."""
+    return SimpleNamespace(wnorm=wnorm, eq2_targets=eq2_targets, _eq2_table=None)
+
+
+def _eq3(t: int, gcoords: tuple[int, ...]) -> Eq3Solution:
+    k = len(gcoords)
+    return Eq3Solution(t, Vec.zero(k + 1), (0,) * k, 0, gcoords)
+
+
+def _synthetic(rng: random.Random, bits: int, k: int, count: int, e1: Eq1Solution, wnorm: int, e2: int):
+    """count eq3 solutions with entries below 2^bits in absolute value;
+    about a third solve eq2 for e1 exactly (planted through the first
+    coordinate, whose e1 coefficient is +-1)."""
+    ns, xb = wnorm * e1.s, e1.coords
+    out = []
+    for _ in range(count):
+        t = rng.randint(-(2**bits), 2**bits)
+        g = [rng.randint(-(2**bits), 2**bits) for _ in range(k)]
+        if rng.random() < 0.35:
+            rest = e2 - ns * t - sum(x * y for x, y in zip(xb[1:], g[1:]))
+            g[0] = rest * xb[0]
+            # Off by one from a survivor: must not survive.
+            if rng.random() < 0.3:
+                g[0] += rng.choice((-1, 1))
+        out.append(_eq3(t, tuple(g)))
+    return out
+
+
+def test_synthetic_entries_negative_and_around_2_to_70():
+    rng = random.Random(7)
+    k = 3
+    for bits in (3, 20, 63, 64, 69, 70, 71, 130):
+        wnorm = rng.randint(1, 2**bits)
+        e2s = tuple(rng.randint(-(2**bits), 2**bits) for _ in range(3))
+        problem = _fake_problem(wnorm, e2s)
+        lead = rng.choice((-1, 1))
+        # Eq1 solutions that satisfy no norm equation, entries of both signs.
+        e1s = [
+            Eq1Solution(rng.randint(-(2**bits), 2**bits), Vec.zero(k + 1),
+                        (lead, *(rng.randint(-(2**bits), 2**bits) for _ in range(k - 1))))
+            for _ in range(4)
+        ]
+        per_probe = [_synthetic(rng, bits, k, 40, e1s[0], wnorm, e2) for e2 in e2s]
+        _check_all(problem, e1s, per_probe)
+        kept = filter_eq2(problem, e1s[0], per_probe)
+        assert any(kept), "the planted survivors must be found"
+        assert problem._eq2_table.width >= bits
+
+
+def test_slot_width_grows_between_calls():
+    rng = random.Random(11)
+    k = 3
+    problem = _fake_problem(2, (5, -7, 0))
+    small = Eq1Solution(1, Vec.zero(k + 1), (1, -2, 3))
+    per_probe = [_synthetic(rng, 4, k, 30, small, 2, e2) for e2 in problem.eq2_targets]
+    _check_all(problem, [small], per_probe)
+    width = problem._eq2_table.width
+    huge = Eq1Solution(-(2**75) + 3, Vec.zero(k + 1), (-1, 2**70, -(2**71)))
+    _check_all(problem, [huge], per_probe)
+    assert problem._eq2_table.width > width
+    # A wider table still serves the small solution.
+    _check_all(problem, [small, huge, small], per_probe)
+
+
+def test_extreme_slot_values_do_not_carry():
+    # Pairings at the bound |N s t + B(btilde, c) - e2| = 2^15 - 1 of a
+    # 16-bit slot, of both signs, next to exact survivors.
+    k = 2
+    problem = _fake_problem(1, (0,))
+    e1 = Eq1Solution(1, Vec.zero(k + 1), (1, 1))
+    m = (2**15 - 1) // 3
+    cands = [
+        _eq3(m + 1, (m, m)), _eq3(0, (0, 0)), _eq3(-m - 1, (-m, -m)),
+        _eq3(m, (-m, 0)), _eq3(-m, (m, m)), _eq3(1, (-1, 0)),
+    ]
+    got = filter_eq2(problem, e1, [cands])
+    _assert_same(got, reference_filter_eq2(problem, e1, [cands]))
+    assert got == [[cands[1], cands[3], cands[5]]]
+    assert problem._eq2_table.width == 16
+
+
+def test_pattern_straddling_two_slots_is_no_survivor():
+    # Slot values 68 = 0x0044 and 0x8080 (little-endian 44 00 | 80 80)
+    # contain the survivor pattern 00 80 across the slot boundary.
+    k = 2
+    problem = _fake_problem(1, (0,))
+    e1 = Eq1Solution(1, Vec.zero(k + 1), (1, 1))
+    cands = [_eq3(-10900, (-10900, -10900)), _eq3(128, (0, 0)), _eq3(5, (-5, 0))]
+    got = filter_eq2(problem, e1, [cands])
+    assert problem._eq2_table.width == 16
+    _assert_same(got, reference_filter_eq2(problem, e1, [cands]))
+    assert got == [[cands[2]]]
+
+
+def test_eq2_target_far_above_the_entries():
+    k = 3
+    e1 = Eq1Solution(-2, Vec.zero(k + 1), (1, -1, 2))
+    rng = random.Random(5)
+    cands = [_eq3(rng.randint(-9, 9), tuple(rng.randint(-9, 9) for _ in range(k))) for _ in range(50)]
+    cands.append(_eq3(1, (6, 0, 0)))  # -6 t + g0 - g1 + 2 g2 = 0
+    for e2 in (2**100, -(2**100), 2**63 - 1, -(2**64)):
+        problem = _fake_problem(3, (e2, 0))
+        per_probe = [cands, cands[::-1]]
+        got = filter_eq2(problem, e1, per_probe)
+        _assert_same(got, reference_filter_eq2(problem, e1, per_probe))
+        assert got[0] == [] and got[1]
+
+
+def test_empty_probe_lists():
+    problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1]))
+    e1s, per_probe = _search_data(problem)
+    for lists in ([[], [], []], [per_probe[0], [], per_probe[2]], [[], per_probe[1], []], []):
+        _check_all(problem, e1s[:50], lists)
+
+
+def test_table_follows_the_lists_it_was_built_from():
+    problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1]))
+    e1s, per_probe = _search_data(problem)
+    sample = e1s[::97]
+    _check_all(problem, sample, per_probe)
+    # A copy is another object; the result holds the copy's elements.
+    copy = [list(c) for c in per_probe]
+    _check_all(problem, sample, copy)
+    # Lists changed in place: reordered, shortened, and an element swapped
+    # for an equal object (which the result must hold) or another value.
+    copy[0].reverse()
+    del copy[1][::2]
+    e1 = next(e for e in e1s if reference_filter_eq2(problem, e, per_probe)[2])
+    survivor = reference_filter_eq2(problem, e1, per_probe)[2][0]
+    twin = Eq3Solution(survivor.t, survivor.c, survivor.coords, survivor.cnorm, survivor.gcoords)
+    copy[2][copy[2].index(survivor)] = twin
+    _check_all(problem, [e1, *sample], copy)
+    assert any(c is twin for c in filter_eq2(problem, e1, copy)[2])
+    copy[2][-1] = survivor
+    _check_all(problem, [e1, *sample], copy)
+    _check_all(problem, [e1, *sample], per_probe)
