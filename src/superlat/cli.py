@@ -42,6 +42,7 @@ from .problem_io import (
     load_document,
     load_matrix,
     load_problem,
+    matrix_rows,
     obstruction_document,
     result_document,
     scalar_str,
@@ -83,19 +84,19 @@ def _require_target(pf: ProblemFile) -> Mat:
     return pf.target
 
 
-def _fmt_row(row) -> str:
-    return " ".join(scalar_str(x) for x in row)
-
-
-def _print_matrix(m: Mat, indent: str = "  ") -> None:
-    cells = [[scalar_str(x) for x in row] for row in m.rows]
+def _print_cells(cells, indent: str = "  ") -> None:
+    """Print rows of entry texts right-aligned to the widest entry."""
     width = max(len(c) for row in cells for c in row)
     for row in cells:
         print(indent + " ".join(c.rjust(width) for c in row))
 
 
+def _fmt_cells_inline(cells) -> str:
+    return " | ".join(" ".join(row) for row in cells)
+
+
 def _fmt_matrix_inline(m: Mat) -> str:
-    return " | ".join(_fmt_row(row) for row in m.rows)
+    return _fmt_cells_inline(matrix_rows(m))
 
 
 def _fmt_vec(v: Vec) -> str:
@@ -112,7 +113,7 @@ def cmd_decompose(args) -> int:
     dec = full_decomposition(ctx, phi)
     print(f"wt = {scalar_str(dec.wt)}")
     print("phi0 =")
-    _print_matrix(dec.phi0)
+    _print_cells(matrix_rows(dec.phi0))
     print(f"a = {_fmt_vec(dec.a)}")
     print(f"b = {_fmt_vec(dec.b)}")
     residual = phi - dec.reassemble(ctx)
@@ -167,10 +168,10 @@ def cmd_factorize(args) -> int:
     if args.all and integral:
         print(f"integral matrices ({len(integral)}):")
         for cand in integral:
-            print(f"  {_fmt_matrix_inline(cand.matrix)}")
+            print(f"  {_fmt_cells_inline(cand.entry_strings)}")
     elif result.certificate.witness is not None:
         print("witness M =")
-        _print_matrix(result.certificate.witness.matrix)
+        _print_cells(result.certificate.witness.entry_strings)
 
     if args.json:
         options = {

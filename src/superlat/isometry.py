@@ -26,8 +26,9 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
-from math import isqrt, lcm
+from functools import cached_property, lru_cache
+from itertools import chain, zip_longest
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .diophantine import (
@@ -125,14 +126,13 @@ class IsometryProblem:
 
         # Integer caches for the filtering hot loops.
         nint = self.wnorm
-        self._k_rows = tuple(k.to_ints() for k in self.kernel_basis)
+        # Column i holds the i-th entries of the basis vectors, so an
+        # ambient vector is (_dot(coords, col) for col in _k_cols).
+        self._k_cols = tuple(zip(*(k.to_ints() for k in self.kernel_basis)))
         self._gk_rows = tuple(
             tuple(int(x) for x in r) for r in self.kernel_gram.rows
         )
-        self.zhat = [nint * z0 - source.evaluate(z0, w) * w for z0 in self.probes]
-        for zh in self.zhat:
-            if zh.is_zero():
-                raise DegenerateProbe("probe lies on the anchor line")
+        self.zhat = [self._zhat(z0) for z0 in self.probes]
         self.eq1_target = nint * nint * int(target.norm(w))
         self.eq2_targets = tuple(
             nint * nint * int(target.evaluate(w, zh)) for zh in self.zhat
@@ -201,9 +201,19 @@ class IsometryProblem:
                     return False
         return True
 
+    def _zhat(self, z0: Vec) -> Vec:
+        """N z0 - B(z0, w) w, the scaled component of z0 orthogonal to w."""
+        zh = self.wnorm * z0 - self.source.evaluate(z0, self.w) * self.w
+        if zh.is_zero():
+            raise DegenerateProbe("probe lies on the anchor line")
+        return zh
+
     def from_kernel_coords(self, coords: tuple[int, ...]) -> Vec:
         """Map K-coordinates back to an ambient integer vector."""
-        return Vec([_dot(coords, col) for col in zip(*self._k_rows)])
+        return Vec(self._ambient(coords))
+
+    def _ambient(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([_dot(coords, col) for col in self._k_cols])
 
 
 def _cleared(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -213,36 +223,131 @@ def _cleared(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
 
 
+def isometry_denominators(problem: IsometryProblem, matrices):
+    """Check matrices given as rows of entries that Fraction reads: yield,
+    for each, the lcm den of its entry denominators when its rows form
+    an n x n matrix M with M^T B M = B' (checked in integers on den M),
+    None otherwise.  M is integral iff den == 1.  Candidates repeat a
+    few distinct entries many times, so each one is parsed once."""
+    parse = lru_cache(maxsize=None)(Fraction)
+    n, pulls_back = problem.dim, problem.pulls_back
+    for rows in matrices:
+        values = [[parse(x) for x in row] for row in rows]
+        if len(values) != n or any(len(row) != n for row in values):
+            yield None
+            continue
+        den, num = _cleared(values)
+        yield den if pulls_back(num, den) else None
+
+
+def _ints(v) -> tuple[int, ...]:
+    """A Vec with integer entries, or a sequence of integers, as ints."""
+    return v.to_ints() if isinstance(v, Vec) else tuple(map(int, v))
+
+
 @dataclass(frozen=True)
 class Eq1Solution:
-    """One solution of eq1: the anchor pairing s and the vector btilde
-    (given both ambiently and in kernel coordinates)."""
+    """One solution of eq1: the anchor pairing s and the vector btilde,
+    kept ambiently as ints (b_ints) and in kernel coordinates.  The
+    second argument may be a Vec or any sequence of integers; .btilde is
+    the Vec."""
 
     s: int
-    btilde: Vec
+    b_ints: tuple[int, ...]
     coords: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "b_ints", _ints(self.b_ints))
+
+    @property
+    def btilde(self) -> Vec:
+        return Vec(self.b_ints)
 
 
 @dataclass(frozen=True)
 class Eq3Solution:
     """One per-probe solution of eq3: the dual pairing t and the kernel
-    vector c, with cached Gram products for the filtering loops."""
+    vector c (kept ambiently as ints, c_ints, and in kernel coordinates),
+    with cached Gram products for the filtering loops.  The second
+    argument may be a Vec or any sequence of integers; .c is the Vec."""
 
     t: int
-    c: Vec
+    c_ints: tuple[int, ...]
     coords: tuple[int, ...]
     cnorm: int
     gcoords: tuple[int, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "c_ints", _ints(self.c_ints))
 
-@dataclass(frozen=True)
+    @property
+    def c(self) -> Vec:
+        return Vec(self.c_ints)
+
+
+@dataclass(frozen=True, init=False)
 class CandidateIsometry:
-    """A matrix passing the exact verification M^T B M = B', together
-    with the solution tuple it was reconstructed from."""
+    """A matrix M = num / den passing the exact verification M^T B M = B',
+    together with the solution tuple it was reconstructed from.
 
-    matrix: Mat
-    integral: bool
+    num holds the integer rows of den M, and den > 0 is the lcm of the
+    denominators of the entries of M, so M is integral iff den == 1.
+    CandidateIsometry(matrix, integral, provenance) builds one from a Mat;
+    an integral flag that contradicts the matrix raises ValueError.
+    reconstruct builds one from integer numerators (from_numerators).
+    .matrix is the Mat and .entry_strings the texts of the entries, both
+    derived from (num, den).
+    """
+
+    num: tuple[tuple[int, ...], ...]
+    den: int
     provenance: tuple
+
+    def __init__(self, matrix: Mat, integral: bool | None = None, provenance: tuple = ()):
+        den, num = _cleared(matrix.rows)
+        if integral is not None and bool(integral) != (den == 1):
+            raise ValueError("integral flag contradicts the matrix")
+        self._fill(num, den, provenance)
+
+    @classmethod
+    def from_numerators(cls, num, den: int, provenance: tuple) -> "CandidateIsometry":
+        """M = num / den for integer rows num and den > 0, in lowest terms."""
+        g = gcd(den, *chain.from_iterable(num)) if den > 1 else 1
+        self = cls.__new__(cls)
+        self._fill(tuple(tuple(x // g for x in row) for row in num), den // g, provenance)
+        return self
+
+    def _fill(self, num, den: int, provenance: tuple) -> None:
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "provenance", provenance)
+
+    @property
+    def integral(self) -> bool:
+        return self.den == 1
+
+    @property
+    def matrix(self) -> Mat:
+        den = self.den
+        return Mat([Fraction(x, den) for x in row] for row in self.num)
+
+    @cached_property
+    def entry_strings(self) -> tuple[tuple[str, ...], ...]:
+        """The rows of M as the texts str(Fraction(x, den)) of its entries,
+        built once per candidate."""
+        den = self.den
+        if den == 1:
+            return tuple(tuple(map(str, row)) for row in self.num)
+
+        def text(x: int) -> str:
+            g = gcd(x, den)
+            return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+        return tuple(tuple(map(text, row)) for row in self.num)
+
+    def string_rows(self) -> list[list[str]]:
+        """Fresh lists of the entry texts, as documents hold them."""
+        return [list(row) for row in self.entry_strings]
 
 
 @dataclass(frozen=True)
@@ -301,7 +406,7 @@ def solve_eq1(problem: IsometryProblem) -> list[Eq1Solution]:
     for s in range(-smax, smax + 1):
         target = e1 - n_int * s * s
         for coords in vectors_of_norm(qk, target):
-            out.append(Eq1Solution(s, problem.from_kernel_coords(coords), coords))
+            out.append(Eq1Solution(s, problem._ambient(coords), coords))
     return out
 
 
@@ -313,10 +418,7 @@ def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> list[Eq3Solution]:
         raise InvalidProblem("probe must be an integer vector")
     qk = problem.kernel_posdef()
     n_int = problem.wnorm
-    zhat = n_int * z0 - problem.source.evaluate(z0, problem.w) * problem.w
-    if zhat.is_zero():
-        raise DegenerateProbe("probe lies on the anchor line")
-    bpzz = int(problem.target.norm(zhat))
+    bpzz = int(problem.target.norm(problem._zhat(z0)))
     r = n_int * n_int * bpzz
     if r < 0:
         return []
@@ -327,11 +429,7 @@ def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> list[Eq3Solution]:
         target = r - n_int * t * t
         for coords in vectors_of_norm(qk, target):
             gcoords = tuple(_dot(row, coords) for row in gk)
-            out.append(
-                Eq3Solution(
-                    t, problem.from_kernel_coords(coords), coords, target, gcoords
-                )
-            )
+            out.append(Eq3Solution(t, problem._ambient(coords), coords, target, gcoords))
     return out
 
 
@@ -494,37 +592,30 @@ def reconstruct(
     phi(z_i) = (c_i + t_i w)/N^2, then verified exactly against the
     target form before emission.  All of this runs in integers over one
     common denominator (see IsometryProblem._recon_tables); Fractions are
-    built only for a candidate that passes.
+    built only for the provenance of a candidate that passes.  When
+    P^-1 is integral (db = 1, e.g. for the default unit-vector probes)
+    every atilde lies in the dual lattice and the test is skipped.
     """
     tab = problem._recon_tables()
     ts = [0] + [cand.t for cand in picks]
     db = tab.db
-    for col in tab.adj_cols:
-        if _dot(col, ts) % db:
-            return None
+    if db != 1:
+        for col in tab.adj_cols:
+            if _dot(col, ts) % db:
+                return None
     s, w = e1.s, tab.w
-    # btilde and c_i are integer vectors, so their numerators are them.
-    sb = [s * x + b.numerator for x, b in zip(w, e1.btilde.entries)]
+    sb = [s * x + b for x, b in zip(w, e1.b_ints)]
     ccols = [[problem.wnorm * x for x in sb]]
     for beta, cand in zip(tab.betas, picks):
         t = cand.t
-        ccols.append(
-            [c.numerator + t * x + beta * y for c, x, y in zip(cand.c.entries, w, sb)]
-        )
+        ccols.append([c + t * x + beta * y for c, x, y in zip(cand.c_ints, w, sb)])
     den = tab.den
     num = [[_dot(row, col) for col in tab.adj_cols] for row in zip(*ccols)]
     if not problem.pulls_back(num, den):
         return None
-    matrix = Mat([Fraction(x, den) for x in row] for row in num)
     atilde = tuple(Fraction(_dot(row, ts), tab.dp) for row in tab.pair)
-    provenance = (
-        e1.s,
-        e1.btilde.to_ints(),
-        atilde,
-        tuple(cand.c.to_ints() for cand in picks),
-    )
-    integral = all(x % den == 0 for row in num for x in row)
-    return CandidateIsometry(matrix, integral, provenance)
+    provenance = (e1.s, e1.b_ints, atilde, tuple(cand.c_ints for cand in picks))
+    return CandidateIsometry.from_numerators(num, den, provenance)
 
 
 def _joint_signature(e1: Eq1Solution, picks: tuple[Eq3Solution, ...]):
@@ -615,7 +706,7 @@ def find_isometries(
         cert = Certificate(
             "NoIntegralIsometry",
             detail={
-                "candidates": [_matrix_strings(c.matrix) for c in candidates],
+                "candidates": [c.string_rows() for c in candidates],
                 "joint_survivors": joint_raw,
             },
         )
@@ -631,10 +722,6 @@ def find_isometries(
     if integral_only:
         candidates = [c for c in candidates if c.integral]
     return SearchResult(candidates, cert, stats)
-
-
-def _matrix_strings(m: Mat) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.rows]
 
 
 def family_obstruction(kind: str, **params) -> Certificate:
@@ -795,7 +882,7 @@ def brute_force_isometries(
                 for i in range(n)
                 for j in range(i + 1, n)
             ):
-                out.append(Mat.from_cols([Vec(c) for c in cols]))
+                out.append(Mat(zip(*cols)))
         return out
 
     chosen: list[tuple[int, ...]] = []
@@ -803,7 +890,7 @@ def brute_force_isometries(
 
     def rec(j: int):
         if j == n:
-            out.append(Mat.from_cols([Vec(c) for c in chosen]))
+            out.append(Mat(zip(*chosen)))
             return
         for v in col_sets[j]:
             if all(_dot(v, gchosen[i]) == bp[i][j] for i in range(j)):
@@ -823,7 +910,8 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     Witnesses are re-multiplied; ObstructionEq1 re-runs only the eq1
     enumeration; squares obstructions re-evaluate the representability
     predicate on the stated constant; NoIntegralIsometry re-verifies the
-    recorded candidates and that none is integral.
+    recorded candidates (in integers, each distinct entry parsed once)
+    and that none is integral.
     """
     verdict = cert.verdict
     if verdict == "IsometricWitness":
@@ -834,11 +922,8 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     if verdict == "NoIntegralIsometry":
         if problem is None:
             return False
-        for rows in cert.detail.get("candidates", []):
-            m = Mat([[Fraction(x) for x in row] for row in rows])
-            if m.is_integral() or not problem.is_isometry(m):
-                return False
-        return True
+        dens = isometry_denominators(problem, cert.detail.get("candidates", []))
+        return all(den not in (None, 1) for den in dens)
     if verdict == "ObstructionEq1":
         if problem is None:
             return False

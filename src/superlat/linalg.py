@@ -1,10 +1,14 @@
 """Exact rational vectors/matrices and integer-lattice primitives.
 
-Scalars are `fractions.Fraction` throughout, which keeps every value in
-canonical form (positive denominator, gcd(num, den) = 1) for free.  Nothing
-in this module ever rounds; determinants, inverses and kernel bases are all
-computed with exact elimination.  Sizes are small (n <= 8 in practice), so
-everything is dense.
+`Vec` and `Mat` hold `fractions.Fraction` scalars, which keeps every value
+in canonical form (positive denominator, gcd(num, den) = 1) for free.
+They are the API type: problems, forms and results are given and returned
+as `Vec`/`Mat`, and the one-off setup (inverses, kernel bases) runs on
+them.  The search itself does not: it works on integer tuples over cleared
+denominators (see `isometry`).  Nothing in this module ever rounds;
+determinants, inverses and kernel bases are all computed with exact
+elimination.  Sizes are small (n <= 8 in practice), so everything is
+dense.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from operator import itemgetter
 
 from .errors import ParseError
 from .forms import GramForm
@@ -44,7 +44,7 @@ from .isometry import (
     Certificate,
     IsometryProblem,
     SearchResult,
-    _cleared,
+    isometry_denominators,
 )
 from .linalg import Mat, Vec
 
@@ -190,6 +190,10 @@ def load_matrix(path: str) -> Mat:
 
 
 def scalar_str(x) -> str:
+    """The text of str(Fraction(x)); an int or a Fraction is printed as
+    it is (a bool still prints as 0 or 1)."""
+    if type(x) is int or type(x) is Fraction:
+        return str(x)
     return str(Fraction(x))
 
 
@@ -200,7 +204,7 @@ def matrix_rows(m: Mat) -> list[list[str]]:
 def _parse_matrix_rows(rows, where: str) -> Mat:
     try:
         return Mat([[Fraction(x) for x in row] for row in rows])
-    except (ValueError, ZeroDivisionError, TypeError):
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         raise ParseError(f"{where}: bad matrix payload")
 
 
@@ -224,7 +228,7 @@ def certificate_payload(cert: Certificate) -> dict:
     payload: dict = {"verdict": cert.verdict, "detail": _jsonable(cert.detail)}
     if cert.witness is not None:
         payload["witness"] = {
-            "matrix": matrix_rows(cert.witness.matrix),
+            "matrix": cert.witness.string_rows(),
             "integral": cert.witness.integral,
             "provenance": _jsonable(cert.witness.provenance),
         }
@@ -289,7 +293,7 @@ def result_document(
             "integral": stats.integral,
         },
         "candidates": [
-            {"matrix": matrix_rows(c.matrix), "integral": c.integral}
+            {"matrix": c.string_rows(), "integral": c.integral}
             for c in result.candidates
         ],
         "certificate": certificate_payload(result.certificate),
@@ -323,9 +327,9 @@ def verify_document(doc: dict) -> bool:
 
     The certificate is re-verified against the echoed inputs, and every
     recorded candidate matrix is re-multiplied (in integers, each entry
-    read through Fraction); integrality flags must match.  Any
-    discrepancy — including contents too damaged to rebuild the problem —
-    returns False.
+    read through Fraction); integrality flags must match, the witness's
+    included.  Any discrepancy — including contents too damaged to
+    rebuild the problem — returns False.
     """
     from .errors import SuperlatError
     from .isometry import verify_certificate
@@ -342,20 +346,11 @@ def verify_document(doc: dict) -> bool:
             return False
 
         if problem is not None:
-            # Candidates repeat a few distinct entries many times: parse
-            # each one once, and check each matrix as integer numerators
-            # over the lcm of its denominators.
-            parse = lru_cache(maxsize=None)(Fraction)
-            n = problem.dim
-            for entry in doc.get("candidates", []):
-                rows = [[parse(x) for x in row] for row in entry["matrix"]]
-                if len(rows) != n or any(len(row) != n for row in rows):
-                    return False
-                den, num = _cleared(rows)
-                if not problem.pulls_back(num, den):
-                    return False
-                if bool(entry["integral"]) != (den == 1):
+            entries = doc.get("candidates", [])
+            dens = isometry_denominators(problem, map(itemgetter("matrix"), entries))
+            for entry, den in zip(entries, dens):
+                if den is None or bool(entry["integral"]) != (den == 1):
                     return False
         return True
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, SuperlatError):
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, SuperlatError):
         return False

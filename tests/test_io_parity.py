@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from superlat import cli
-from superlat.problem_io import document_json, verify_document
+from superlat.errors import ParseError
+from superlat.problem_io import _parse_matrix_rows, document_json, verify_document
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -118,3 +119,79 @@ def _decimal(x: str) -> str:
 def test_verify_accepts_what_fraction_accepts(fmt, which, wilson_doc, quaternary_doc):
     doc = wilson_doc if which == "wilson" else quaternary_doc
     assert verify_document(_rewrite_entries(doc, fmt)) is True
+
+
+def _set_path(*path):
+    """An edit that sets doc[path[0]]...[path[-2]][path[-1]] to a value."""
+    def edit(doc, value):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+NON_FINITE_PLACES = {
+    "candidate": ("wilson", _set_path("candidates", 3, "matrix", 1, 2)),
+    "inputs.B": ("wilson", _set_path("inputs", "B", 0, 0)),
+    "inputs.Bprime": ("wilson", _set_path("inputs", "Bprime", 2, 1)),
+    "inputs.w": ("wilson", _set_path("inputs", "w", 0)),
+    "witness": ("wilson", _set_path("certificate", "witness", "matrix", 0, 1)),
+    "certificate-candidate": ("quaternary", _set_path("certificate", "detail", "candidates", 5, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("place", sorted(NON_FINITE_PLACES))
+def test_verify_rejects_non_finite_entries(place, value, wilson_doc, quaternary_doc, tmp_path, capsys):
+    # json.load reads the JSON tokens Infinity, -Infinity and NaN as floats;
+    # such an entry fails verification like "1/0" does, with exit 1.
+    which, edit = NON_FINITE_PLACES[place]
+    doc = copy.deepcopy(wilson_doc if which == "wilson" else quaternary_doc)
+    edit(doc, value)
+    assert verify_document(doc) is False
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == "verification FAILED\n"
+
+
+def test_verify_rejects_flipped_witness_flag(wilson_doc):
+    # A witness whose integral flag contradicts its matrix cannot be
+    # rebuilt, so the document does not verify.
+    doc = copy.deepcopy(wilson_doc)
+    doc["certificate"]["witness"]["integral"] = False
+    assert verify_document(doc) is False
+
+
+def test_parse_matrix_rows_rejects_non_finite_entries():
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ParseError):
+            _parse_matrix_rows([["1", value], ["0", "1"]], "witness")
+
+
+def test_verify_rejects_integral_isometry_listed_as_non_integral(wilson_doc):
+    # A NoIntegralIsometry certificate whose own list holds an integral
+    # isometry contradicts itself.
+    doc = copy.deepcopy(wilson_doc)
+    doc["certificate"] = {
+        "verdict": "NoIntegralIsometry",
+        "witness": None,
+        "detail": {"candidates": [doc["candidates"][0]["matrix"]], "joint_survivors": 1},
+    }
+    doc["candidates"] = []
+    assert verify_document(doc) is False
+
+
+@pytest.mark.parametrize("which", ["wilson", "quaternary"])
+def test_verify_rejects_extra_row(which, wilson_doc, quaternary_doc):
+    doc = copy.deepcopy(wilson_doc if which == "wilson" else quaternary_doc)
+    doc["candidates"][0]["matrix"].append(["0"] * len(doc["candidates"][0]["matrix"]))
+    assert verify_document(doc) is False
+
+
+def test_verify_rejects_extra_row_in_certificate_list(quaternary_doc):
+    doc = copy.deepcopy(quaternary_doc)
+    rows = doc["certificate"]["detail"]["candidates"][0]
+    rows.append(["0"] * len(rows))
+    assert verify_document(doc) is False
