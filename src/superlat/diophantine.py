@@ -146,14 +146,13 @@ def _sign_canonical(v: tuple[int, ...]) -> bool:
     return True
 
 
-def vectors_of_norm(q: PosDefForm, c: int, canonical: bool = False) -> NormSolutionSet:
+def vectors_of_norm(q: PosDefForm, c: int) -> NormSolutionSet:
     """Complete set {v in Z^d : v^T Q v = c}, exact and deterministic.
 
     Coordinates are chosen from the last to the first.  The remaining
     budget R = rem * dl^2 * dq is an integer, and level j admits the
     scaled coordinates |Y_j| <= isqrt(R // P_j); the first coordinate is
-    an exact divisibility and perfect-square test.  With canonical=True
-    only one of each +-v pair is kept.
+    an exact divisibility and perfect-square test.
     """
     if c < 0:
         raise NegativeTarget(f"norm target {c} is negative")
@@ -208,8 +207,7 @@ def vectors_of_norm(q: PosDefForm, c: int, canonical: bool = False) -> NormSolut
             sq, r = divmod(int(budget), p0)
             if not r and isqrt(sq) ** 2 == sq:
                 first(isqrt(sq))
-    result = NormSolutionSet(c, tuple(sorted(sols)), False)
-    return result.canonical() if canonical else result
+    return NormSolutionSet(c, tuple(sorted(sols)), False)
 
 
 def two_squares_representable(n: int) -> bool:

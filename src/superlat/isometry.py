@@ -11,10 +11,12 @@ and c_i in K (one pair per probe vector), any isometry must satisfy
     eq3:  N^2 B'(zhat_i, zhat_i) = B(c_i, c_i) + N t_i^2
 
 where zhat_i = N z0_i - B(z0_i, w) w is the (scaled) component of the i-th
-probe orthogonal to w.  For positive definite B each equation is a norm
-equation in K with finitely many solutions; surviving tuples are filtered
-by eq2 and by the polarized version of eq3 across probe pairs, then turned
-back into explicit candidate matrices and verified exactly.
+probe orthogonal to w.  Since w is orthogonal to K, N u^2 + B(k, k) is the
+norm of u w + k in L0 = Zw + K, whose Gram matrix is diag(N, G_K): eq1 and
+eq3 each ask for one norm shell of L0, and for positive definite B each
+shell is finite.  Surviving tuples are filtered by eq2 and by the
+polarized version of eq3 across probe pairs, then turned back into
+explicit candidate matrices and verified exactly.
 
 The module also houses the infinite-family obstructions (two- and
 three-squares) and an independent brute-force oracle used to validate the
@@ -28,11 +30,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, zip_longest
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 
 from .diophantine import (
     PosDefForm,
+    _sign_canonical,
     three_squares_representable,
     two_squares_representable,
     vectors_of_norm,
@@ -122,7 +125,6 @@ class IsometryProblem:
             tuple(source.evaluate(ki, kj) for kj in self.kernel_basis)
             for ki in self.kernel_basis
         )
-        self._kpdf: PosDefForm | None = None
 
         # Integer caches for the filtering hot loops.
         nint = self.wnorm
@@ -149,13 +151,15 @@ class IsometryProblem:
     def dim(self) -> int:
         return self.source.dim
 
-    def kernel_posdef(self) -> PosDefForm:
-        """Positive definite form on K; requires a definite source form."""
-        if self._kpdf is None:
-            if not self.source.is_positive_definite:
-                raise NotPositiveDefinite("search requires positive definite B")
-            self._kpdf = PosDefForm(self.kernel_gram)
-        return self._kpdf
+    @cached_property
+    def l0_form(self) -> PosDefForm:
+        """The form diag(N, G_K) of L0 = Zw + K in the coordinates
+        (u, kernel coordinates) of u w + k; requires a definite source
+        form."""
+        if not self.source.is_positive_definite:
+            raise NotPositiveDefinite("search requires positive definite B")
+        zeros = [0] * len(self._gk_rows)
+        return PosDefForm(Mat([[self.wnorm, *zeros], *([0, *row] for row in self._gk_rows)]))
 
     def _recon_tables(self) -> _ReconTables:
         """Integer tables for reconstruct, built on first use.
@@ -274,7 +278,6 @@ class Eq3Solution:
     t: int
     c_ints: tuple[int, ...]
     coords: tuple[int, ...]
-    cnorm: int
     gcoords: tuple[int, ...]
 
     def __post_init__(self):
@@ -385,51 +388,36 @@ def _dot(x: tuple[int, ...], y: tuple[int, ...]) -> int:
     return sum(map(mul, x, y))
 
 
-def _canonical_sign(seq) -> bool:
-    for x in seq:
-        if x:
-            return x > 0
-    return True
-
-
 def solve_eq1(problem: IsometryProblem) -> list[Eq1Solution]:
     """All integer pairs (s, btilde) with
-    N^2 B'(w,w) = N s^2 + B(btilde, btilde), sign-complete, ordered by s
-    then lexicographically by kernel coordinates."""
-    qk = problem.kernel_posdef()
-    n_int = problem.wnorm
+    N^2 B'(w,w) = N s^2 + B(btilde, btilde): the vectors s w + btilde of
+    norm N^2 B'(w,w) in L0 = Zw + K, sign-complete, ordered by s then
+    lexicographically by kernel coordinates."""
+    form = problem.l0_form
     e1 = problem.eq1_target
     if e1 < 0:
         return []
-    smax = isqrt(e1 // n_int)
-    out: list[Eq1Solution] = []
-    for s in range(-smax, smax + 1):
-        target = e1 - n_int * s * s
-        for coords in vectors_of_norm(qk, target):
-            out.append(Eq1Solution(s, problem._ambient(coords), coords))
-    return out
+    ambient = problem._ambient
+    return [Eq1Solution(v[0], ambient(v[1:]), v[1:]) for v in vectors_of_norm(form, e1)]
 
 
 def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> list[Eq3Solution]:
     """All integer pairs (t, c) with
-    N^2 B'(zhat, zhat) = B(c, c) + N t^2 for the probe z0, ordered by t
-    then lexicographically by kernel coordinates."""
+    N^2 B'(zhat, zhat) = B(c, c) + N t^2 for the probe z0: the vectors
+    t w + c of norm N^2 B'(zhat, zhat) in L0 = Zw + K, ordered by t then
+    lexicographically by kernel coordinates."""
     if not z0.is_integral():
         raise InvalidProblem("probe must be an integer vector")
-    qk = problem.kernel_posdef()
-    n_int = problem.wnorm
-    bpzz = int(problem.target.norm(problem._zhat(z0)))
-    r = n_int * n_int * bpzz
+    form = problem.l0_form
+    r = problem.wnorm**2 * int(problem.target.norm(problem._zhat(z0)))
     if r < 0:
         return []
-    gk = problem._gk_rows
-    tmax = isqrt(r // n_int)
+    ambient, gk = problem._ambient, problem._gk_rows
     out: list[Eq3Solution] = []
-    for t in range(-tmax, tmax + 1):
-        target = r - n_int * t * t
-        for coords in vectors_of_norm(qk, target):
-            gcoords = tuple(_dot(row, coords) for row in gk)
-            out.append(Eq3Solution(t, problem._ambient(coords), coords, target, gcoords))
+    for v in vectors_of_norm(form, r):
+        coords = v[1:]
+        gcoords = tuple(_dot(row, coords) for row in gk)
+        out.append(Eq3Solution(v[0], ambient(coords), coords, gcoords))
     return out
 
 
@@ -510,7 +498,6 @@ def filter_eq2(
     problem: IsometryProblem,
     e1: Eq1Solution,
     per_probe: list[list[Eq3Solution]],
-    cs_prune: bool = False,
 ) -> list[list[Eq3Solution]]:
     """Keep per-probe candidates compatible with eq2 for the given eq1
     solution: N^2 B'(w, zhat_i) = N s t + B(btilde, c).
@@ -526,10 +513,6 @@ def filter_eq2(
     repacked at that width.  The table is built on the first call for a
     per_probe list and cached on the problem.  The result keeps the eq3
     order and the objects of per_probe.
-
-    cs_prune is accepted for compatibility and has no effect: a
-    Cauchy-Schwarz pre-test keeps the same set and measured slower than
-    the exact pairing alone.
     """
     table = problem._eq2_table
     if table is None or table.per_probe is not per_probe or table.snapshot != per_probe:
@@ -630,8 +613,6 @@ def find_isometries(
     problem: IsometryProblem,
     all_solutions: bool = True,
     integral_only: bool = False,
-    cs_prune: bool = False,
-    threads: int = 1,
 ) -> SearchResult:
     """Run the full pipeline and certify the outcome.
 
@@ -644,10 +625,6 @@ def find_isometries(
     eq1 has no solutions, IsometricWitness when an integral candidate
     exists, NoIntegralIsometry otherwise.  With all_solutions=False the
     scan stops at the first integral witness (stats are then partial).
-    cs_prune and threads are accepted for compatibility and have no
-    effect: the search runs on one thread (a thread pool over the eq1
-    branches is bound by the interpreter lock and measured no faster),
-    and filter_eq2 has no pre-test.
     """
     if problem.det_mismatch:
         cert = Certificate(
@@ -659,7 +636,7 @@ def find_isometries(
         )
         return SearchResult([], cert, SearchStats())
     e1s = solve_eq1(problem)
-    eq1_canonical = sum(_canonical_sign((e.s, *e.coords)) for e in e1s)
+    eq1_canonical = sum(_sign_canonical((e.s, *e.coords)) for e in e1s)
     if not e1s:
         cert = Certificate(
             "ObstructionEq1",
@@ -681,7 +658,7 @@ def find_isometries(
         has_integral = False
         for picks in _assemble(problem, filter_eq2(problem, e1, per_probe)):
             joint_raw += 1
-            if _canonical_sign(_joint_signature(e1, picks)):
+            if _sign_canonical(_joint_signature(e1, picks)):
                 joint_canonical += 1
             cand = reconstruct(problem, e1, picks)
             if cand is not None:
@@ -749,8 +726,6 @@ def family_obstruction(kind: str, **params) -> Certificate:
         if alpha * gamma - beta * beta != (m * n) ** 2:
             raise BadFamilyParams("need alpha*gamma - beta^2 = (m*n)^2")
         constant = alpha * m**4
-        representable = constant >= 0 and two_squares_representable(constant)
-        verdict = "Inconclusive" if representable else "ObstructionTwoSquares"
         detail = {
             "kind": kind,
             "m": m,
@@ -761,7 +736,7 @@ def family_obstruction(kind: str, **params) -> Certificate:
             "constant": constant,
             "squares": 2,
         }
-        return Certificate(verdict, detail=detail)
+        return Certificate(squares_verdict(constant, 2), detail=detail)
     if kind == "three_squares_rank3":
         m = params["m"]
         if m == 0:
@@ -775,8 +750,6 @@ def family_obstruction(kind: str, **params) -> Certificate:
             raise BadFamilyParams("need alpha*gamma - beta^2 = 4*m^4")
         reduced = alpha + 2 * beta + gamma + 1
         constant = 16 * m**4 * reduced
-        representable = constant >= 0 and three_squares_representable(constant)
-        verdict = "Inconclusive" if representable else "ObstructionThreeSquares"
         detail = {
             "kind": kind,
             "m": m,
@@ -787,8 +760,21 @@ def family_obstruction(kind: str, **params) -> Certificate:
             "reduced": reduced,
             "squares": 3,
         }
-        return Certificate(verdict, detail=detail)
+        return Certificate(squares_verdict(constant, 3), detail=detail)
     raise BadFamilyParams(f"unknown family kind {kind!r}")
+
+
+def squares_verdict(constant: int, squares: int) -> str:
+    """Inconclusive when the constant is a sum of `squares` (2 or 3)
+    integer squares, ObstructionTwoSquares or ObstructionThreeSquares
+    when it is not."""
+    if squares == 2:
+        pred, obstruction = two_squares_representable, "ObstructionTwoSquares"
+    elif squares == 3:
+        pred, obstruction = three_squares_representable, "ObstructionThreeSquares"
+    else:
+        raise BadFamilyParams("squares must be 2 or 3")
+    return "Inconclusive" if constant >= 0 and pred(constant) else obstruction
 
 
 def squares_certificate(constant: int, squares: int) -> Certificate:
@@ -797,14 +783,7 @@ def squares_certificate(constant: int, squares: int) -> Certificate:
     Obstruction verdict when the constant is not a sum of `squares`
     integer squares, Inconclusive when it is.
     """
-    if squares == 2:
-        representable = constant >= 0 and two_squares_representable(constant)
-        verdict = "Inconclusive" if representable else "ObstructionTwoSquares"
-    elif squares == 3:
-        representable = constant >= 0 and three_squares_representable(constant)
-        verdict = "Inconclusive" if representable else "ObstructionThreeSquares"
-    else:
-        raise BadFamilyParams("squares must be 2 or 3")
+    verdict = squares_verdict(constant, squares)
     return Certificate(verdict, detail={"constant": constant, "squares": squares})
 
 
@@ -908,8 +887,9 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     """Re-check a certificate against its problem without re-searching.
 
     Witnesses are re-multiplied; ObstructionEq1 re-runs only the eq1
-    enumeration; squares obstructions re-evaluate the representability
-    predicate on the stated constant; NoIntegralIsometry re-verifies the
+    enumeration; squares obstructions and Inconclusive re-derive the
+    verdict from the stated constant and squares, and hold only when it
+    equals the recorded one; NoIntegralIsometry re-verifies the
     recorded candidates (in integers, each distinct entry parsed once)
     and that none is integral.
     """
@@ -937,11 +917,5 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
         squares = cert.detail.get("squares")
         if constant is None or squares not in (2, 3):
             return False
-        pred = (
-            two_squares_representable if squares == 2 else three_squares_representable
-        )
-        representable = constant >= 0 and pred(constant)
-        if verdict == "Inconclusive":
-            return representable
-        return not representable
+        return verdict == squares_verdict(constant, squares)
     return False

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 from operator import mul
 
+from superlat.diophantine import PosDefForm, vectors_of_norm
+from superlat.isometry import Eq1Solution, Eq3Solution
 from superlat.linalg import Mat, Vec
 
 # Wilson's classic symmetric unimodular test matrix and one known integral
@@ -285,4 +288,43 @@ def reference_filter_eq2(problem, e1, per_probe):
     return [
         [c for c in cands if sum(map(mul, xb, c.gcoords)) + ns * c.t == e2]
         for e2, cands in zip(problem.eq2_targets, per_probe)
+    ]
+
+
+def reference_solve_eq1(problem):
+    """eq1 as one norm equation in K per value of s: the loop that
+    isometry.solve_eq1 replaced with one norm shell of L0 = Zw + K, kept
+    as its reference."""
+    qk = PosDefForm(problem.kernel_gram)
+    n, e1 = problem.wnorm, problem.eq1_target
+    if e1 < 0:
+        return []
+    smax = isqrt(e1 // n)
+    return [
+        Eq1Solution(s, problem.from_kernel_coords(coords), coords)
+        for s in range(-smax, smax + 1)
+        for coords in vectors_of_norm(qk, e1 - n * s * s)
+    ]
+
+
+def reference_solve_eq3(problem, z0):
+    """eq3 for the probe z0 as one norm equation in K per value of t: the
+    loop that isometry.solve_eq3_per_z0 replaced with one norm shell of
+    L0 = Zw + K, kept as its reference."""
+    qk = PosDefForm(problem.kernel_gram)
+    n = problem.wnorm
+    zhat = n * z0 - problem.source.evaluate(z0, problem.w) * problem.w
+    r = n * n * int(problem.target.norm(zhat))
+    if r < 0:
+        return []
+    tmax = isqrt(r // n)
+    return [
+        Eq3Solution(
+            t,
+            problem.from_kernel_coords(coords),
+            coords,
+            tuple(int(x) for x in problem.kernel_gram @ Vec(coords)),
+        )
+        for t in range(-tmax, tmax + 1)
+        for coords in vectors_of_norm(qk, r - n * t * t)
     ]

@@ -103,7 +103,7 @@ def test_complete_unimodular_factorization():
         GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 0, 0, 0])
     )
     start = time.perf_counter()
-    result = find_isometries(problem, all_solutions=True, threads=1)
+    result = find_isometries(problem, all_solutions=True)
     elapsed = time.perf_counter() - start
     integral = [c.matrix for c in result.candidates if c.integral]
     eye = Mat.identity(4)

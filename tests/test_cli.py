@@ -249,6 +249,21 @@ class TestObstruct:
         Path(out).write_text(json.dumps(doc))
         assert main(["verify", out]) == 1
 
+    @pytest.mark.parametrize(
+        "constant, squares, forged",
+        [("3", "2", "ObstructionThreeSquares"), ("7", "3", "ObstructionTwoSquares")],
+    )
+    def test_obstruction_of_the_other_kind_fails(self, tmp_path, capsys, constant, squares, forged):
+        # The constant is not a sum of `squares` squares, so the document's
+        # own verdict is an obstruction; the other kind is not what it shows.
+        out = str(tmp_path / "cert.json")
+        assert main(["obstruct", "--N", constant, "--squares", squares, "--json", out]) == 0
+        capsys.readouterr()
+        doc = json.loads(Path(out).read_text())
+        doc["certificate"]["verdict"] = forged
+        Path(out).write_text(json.dumps(doc))
+        assert main(["verify", out]) == 1
+
 
 class TestOracle:
     def test_identity_automorphisms(self, tmp_path, capsys):

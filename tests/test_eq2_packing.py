@@ -70,7 +70,7 @@ def _fake_problem(wnorm: int, eq2_targets: tuple[int, ...]):
 
 def _eq3(t: int, gcoords: tuple[int, ...]) -> Eq3Solution:
     k = len(gcoords)
-    return Eq3Solution(t, Vec.zero(k + 1), (0,) * k, 0, gcoords)
+    return Eq3Solution(t, Vec.zero(k + 1), (0,) * k, gcoords)
 
 
 def _synthetic(rng: random.Random, bits: int, k: int, count: int, e1: Eq1Solution, wnorm: int, e2: int):
@@ -193,7 +193,7 @@ def test_table_follows_the_lists_it_was_built_from():
     del copy[1][::2]
     e1 = next(e for e in e1s if reference_filter_eq2(problem, e, per_probe)[2])
     survivor = reference_filter_eq2(problem, e1, per_probe)[2][0]
-    twin = Eq3Solution(survivor.t, survivor.c, survivor.coords, survivor.cnorm, survivor.gcoords)
+    twin = Eq3Solution(survivor.t, survivor.c, survivor.coords, survivor.gcoords)
     copy[2][copy[2].index(survivor)] = twin
     _check_all(problem, [e1, *sample], copy)
     assert any(c is twin for c in filter_eq2(problem, e1, copy)[2])

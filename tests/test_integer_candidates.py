@@ -163,7 +163,7 @@ def test_positional_constructors_normalise_to_ints():
     e1 = Eq1Solution(2, Vec([1, 0, -3]), (1, -3))
     assert e1 == Eq1Solution(2, (1, 0, -3), (1, -3)) == Eq1Solution(2, [1, 0, -3], (1, -3))
     assert e1.b_ints == (1, 0, -3) and e1.btilde == Vec([1, 0, -3])
-    e3 = Eq3Solution(-1, Vec([0, 2]), (2,), 4, (8,))
+    e3 = Eq3Solution(-1, Vec([0, 2]), (2,), (8,))
     assert e3.c_ints == (0, 2) and e3.c == Vec([0, 2])
     with pytest.raises(ValueError):
         Eq1Solution(0, Vec([Fraction(1, 2), 0]), (1,))

@@ -167,7 +167,7 @@ def _reference_reconstruct(problem: IsometryProblem, inverses, e1, picks):
 def _eq3(t: int, coords: tuple[int, ...], problem: IsometryProblem) -> Eq3Solution:
     """A hand-made per-probe pick; it need not solve eq3."""
     c = problem.from_kernel_coords(coords)
-    return Eq3Solution(t, c, coords, int(problem.source.norm(c)), ())
+    return Eq3Solution(t, c, coords, ())
 
 
 def test_reconstruct_rejects_tuple_outside_dual_lattice():

@@ -166,24 +166,6 @@ class TestOptionsAndDeterminism:
         assert result.candidates == []
         assert result.stats.candidates == 224
 
-    def test_cauchy_schwarz_pruning_is_lossless(self):
-        for make in (even24_problem, wilson_problem):
-            plain = find_isometries(make())
-            pruned = find_isometries(make(), cs_prune=True)
-            assert [c.matrix for c in plain.candidates] == [
-                c.matrix for c in pruned.candidates
-            ]
-            assert plain.stats == pruned.stats
-
-    def test_thread_count_does_not_change_output(self):
-        base = find_isometries(even24_problem(), threads=1)
-        for threads in (2, 5):
-            other = find_isometries(even24_problem(), threads=threads)
-            assert [c.matrix for c in base.candidates] == [
-                c.matrix for c in other.candidates
-            ]
-            assert base.stats == other.stats
-
     def test_candidates_sorted_by_provenance(self):
         result = find_isometries(even24_problem())
         provs = [c.provenance for c in result.candidates]
@@ -317,7 +299,7 @@ class TestNecessity:
         problem = wilson_problem()
         k = len(problem.kernel_basis)
         zero_e1 = Eq1Solution(0, Vec.zero(problem.dim), (0,) * k)
-        zero_e3 = Eq3Solution(0, Vec.zero(problem.dim), (0,) * k, 0, (0,) * k)
+        zero_e3 = Eq3Solution(0, Vec.zero(problem.dim), (0,) * k, (0,) * k)
         filtered = filter_eq2(problem, zero_e1, [[zero_e3]] * len(problem.probes))
         assert all(problem.eq2_targets[i] != 0 for i in range(3))
         assert filtered == [[], [], []]

@@ -1,0 +1,129 @@
+"""solve_eq1 and solve_eq3_per_z0 each enumerate one norm shell of
+L0 = Zw + K, whose Gram matrix is diag(N, G_K).  They must return the
+lists of the per-s and per-t loops over norm equations in K that they
+replaced (kept in helpers.py), equal in every field and in order."""
+
+from __future__ import annotations
+
+import random
+from pathlib import Path
+
+import pytest
+
+from helpers import (
+    WILSON,
+    rand_pullback_problem,
+    reference_solve_eq1,
+    reference_solve_eq3,
+)
+from superlat import isometry
+from superlat.cli import main
+from superlat.errors import NotPositiveDefinite
+from superlat.forms import GramForm
+from superlat.isometry import (
+    IsometryProblem,
+    find_isometries,
+    solve_eq1,
+    solve_eq3_per_z0,
+    verify_certificate,
+)
+from superlat.linalg import Mat, Vec
+from superlat.problem_io import load_problem
+from test_integer_candidates import _kneser_neighbour
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def _assert_matches_reference(problem: IsometryProblem) -> int:
+    """Check every equation against its reference; return the number of
+    solutions seen."""
+    e1s = solve_eq1(problem)
+    assert e1s == reference_solve_eq1(problem)
+    total = len(e1s)
+    for z0 in problem.probes:
+        sols = solve_eq3_per_z0(problem, z0)
+        assert sols == reference_solve_eq3(problem, z0)
+        total += len(sols)
+    return total
+
+
+@pytest.mark.parametrize(
+    "filename",
+    sorted(p.name for p in PROBLEMS.glob("*.txt") if load_problem(str(p)).target is not None),
+)
+def test_example_problems(filename):
+    pf = load_problem(str(PROBLEMS / filename))
+    _assert_matches_reference(IsometryProblem(GramForm(pf.gram), GramForm(pf.target), pf.w))
+
+
+def test_wilson_at_anchor_1111():
+    problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1]))
+    assert _assert_matches_reference(problem) == 3456 + 576 + 576 + 768
+
+
+def test_seeded_random_pullbacks():
+    # The per-t reference loops take seconds on an n = 5 shell of a few
+    # thousand vectors; this seed's draws (anchor norms 1 and 2) keep them
+    # to about 3 s.
+    rng = random.Random(33)
+    total = 0
+    for n in (2, 3, 4, 5, 5):
+        gram, target, w, _phi = rand_pullback_problem(rng, sizes=(n,))
+        total += _assert_matches_reference(IsometryProblem(GramForm(gram), GramForm(target), w))
+    assert total > 0
+
+
+def test_seeded_random_kneser_neighbours():
+    rng = random.Random(37)
+    total = 0
+    for n in (2, 2, 3, 3, 4, 4, 5, 5):
+        gram, target = _kneser_neighbour(rng, n)
+        k = min(range(n), key=lambda i: (gram.rows[i][i], i))
+        problem = IsometryProblem(GramForm(gram), GramForm(target), Vec.unit(n, k))
+        total += _assert_matches_reference(problem)
+    assert total > 0
+
+
+def test_one_enumeration_per_equation(monkeypatch):
+    calls = []
+    real = isometry.vectors_of_norm
+    monkeypatch.setattr(isometry, "vectors_of_norm", lambda *a: calls.append(a) or real(*a))
+    problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 0, 0, 0]))
+    solve_eq1(problem)
+    assert len(calls) == 1
+    for z0 in problem.probes:
+        solve_eq3_per_z0(problem, z0)
+    assert len(calls) == 1 + len(problem.probes)
+
+
+def test_negative_target_has_no_solutions():
+    # B'(w, w) < 0 and B'(zhat, zhat) < 0: every shell target is negative.
+    problem = IsometryProblem(
+        GramForm(Mat.identity(2)), GramForm(Mat.diagonal([-1, -1])), Vec([1, 0])
+    )
+    assert problem.eq1_target < 0
+    assert solve_eq1(problem) == [] == reference_solve_eq1(problem)
+    assert solve_eq3_per_z0(problem, problem.probes[0]) == []
+    result = find_isometries(problem)
+    assert result.certificate.verdict == "ObstructionEq1"
+    assert verify_certificate(result.certificate, problem)
+
+
+@pytest.mark.parametrize("bprime", ["1 0\n0 -1", "-1 0\n0 1"])
+def test_indefinite_source_is_unsupported(tmp_path, capsys, bprime):
+    # The second target also makes the eq1 target negative: definiteness
+    # is still checked first.
+    text = f"n 2\nB\n1 0\n0 -1\nBprime\n{bprime}\nw 1 0\n"
+    path = tmp_path / "indef.txt"
+    path.write_text(text)
+    for flags in ([], ["--all"]):
+        assert main(["factorize", str(path), *flags]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "unsupported: search requires positive definite B\n"
+        assert captured.out == ""
+    pf = load_problem(str(path))
+    problem = IsometryProblem(GramForm(pf.gram), GramForm(pf.target), pf.w)
+    with pytest.raises(NotPositiveDefinite, match="^search requires positive definite B$"):
+        solve_eq1(problem)
+    with pytest.raises(NotPositiveDefinite, match="^search requires positive definite B$"):
+        solve_eq3_per_z0(problem, problem.probes[0])
