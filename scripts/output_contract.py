@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Fingerprint the output contract of the superlat command line.
+
+For every example problem in ``problems/``, Wilson's matrix anchored at
+(1,1,1,1), and the problem files of the three benchmark workloads written
+by ``perfbench/gen.py`` with probe seeds 1 and 5, the script runs in one
+process, through ``superlat.cli.main``:
+
+* ``factorize FILE --json FIRST`` (first witness),
+* ``factorize FILE --all --json ALL``,
+* ``verify FIRST`` and ``verify ALL``,
+* ``oracle FILE``.
+
+It prints one JSON object that maps each case to its exit code, the sha256
+of its standard output and, for the two factorize runs, the sha256 of the
+document up to its ``"timing"`` key.  Temporary paths are replaced by a
+placeholder before hashing, so two checkouts whose command line behaves
+the same print the same object.  Usage, from the root of a checkout::
+
+    PYTHONPATH=src python3 scripts/output_contract.py > contract.json
+
+The perfbench files are only read (its generator is imported), never
+changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402
+
+from superlat.cli import main  # noqa: E402
+
+# Problems per workload, as the benchmark draws them (perfbench/run.py).
+WORKLOAD_COUNTS = {"wilson": 7, "pullback": 5, "neighbour": 10}
+PROBE_SEEDS = (1, 5)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _run(argv: list[str], tmp: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue().replace(tmp, "<tmp>")
+
+
+def _document(path: Path) -> str | None:
+    if not path.exists():
+        return None
+    text = path.read_text(encoding="utf-8")
+    return _sha(text[: text.find('"timing"')])
+
+
+def _cases(tmp: Path) -> list[tuple[str, list[str]]]:
+    """(case name, factorize arguments after the file name's position)."""
+    cases = [(f"problems/{p.name}", [str(p)]) for p in sorted(PROBLEMS.glob("*.txt"))]
+    cases.append(("problems/wilson.txt --w 1,1,1,1", [str(PROBLEMS / "wilson.txt"), "--w", "1,1,1,1"]))
+    for workload, count in WORKLOAD_COUNTS.items():
+        for seed in PROBE_SEEDS:
+            directory = tmp / f"{workload}-{seed}"
+            for path in gen.write_workload(workload, seed, count, directory, PROBLEMS):
+                cases.append((f"{workload}/seed{seed}/{path.name}", [str(path)]))
+    return cases
+
+
+def contract() -> dict:
+    out: dict = {}
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for k, (case, args) in enumerate(_cases(tmp)):
+            for mode, extra in (("factorize", []), ("factorize --all", ["--all"])):
+                doc = tmp / f"doc{k}-{len(extra)}.json"
+                code, stdout = _run(["factorize", *args, *extra, "--json", str(doc)], name)
+                out[f"{case} {mode}"] = {"exit": code, "stdout": _sha(stdout), "document": _document(doc)}
+                if doc.exists():
+                    code, stdout = _run(["verify", str(doc)], name)
+                    out[f"{case} {mode} | verify"] = {"exit": code, "stdout": _sha(stdout)}
+            code, stdout = _run(["oracle", args[0]], name)
+            out[f"{case} oracle"] = {"exit": code, "stdout": _sha(stdout)}
+    return out
+
+
+if __name__ == "__main__":
+    json.dump(contract(), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

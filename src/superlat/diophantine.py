@@ -153,6 +153,14 @@ def vectors_of_norm(q: PosDefForm, c: int) -> NormSolutionSet:
     budget R = rem * dl^2 * dq is an integer, and level j admits the
     scaled coordinates |Y_j| <= isqrt(R // P_j); the first coordinate is
     an exact divisibility and perfect-square test.
+
+    The shell is closed under v -> -v, so only half of it is searched:
+    while every coordinate above level j is 0, x_j >= 0, and at level 0
+    in that state only Y_0 = +root is kept.  That finds the vectors whose
+    last nonzero coordinate is positive (and 0 when c = 0); their
+    negations complete the shell, which is then sorted once.  Negation
+    reverses the lexicographic order, so the sorted solutions satisfy
+    v[L-1-j] = -v[j] for L = len(shell).
     """
     if c < 0:
         raise NegativeTarget(f"norm target {c} is negative")
@@ -163,24 +171,27 @@ def vectors_of_norm(q: PosDefForm, c: int) -> NormSolutionSet:
     sols: list[tuple[int, ...]] = []
     x = [0] * n
 
-    def first(root: int) -> None:
-        # Level 0 with P_0 Y_0^2 = rem already solved: Y_0 = +-root.
+    def first(root: int, signs) -> None:
+        # Level 0 with P_0 Y_0^2 = rem already solved: Y_0 = sign * root.
         shift = 0
         for i, l in low[0]:
             shift += l * x[i]
-        for y in (root, -root) if root else (0,):
-            v, r = divmod(y - shift, dl)
+        for sign in signs if root else (1,):
+            v, r = divmod(sign * root - shift, dl)
             if not r:
                 x[0] = v
                 sols.append(tuple(x))
 
-    def rec(j: int, rem: int) -> None:
+    def rec(j: int, rem: int, top: bool) -> None:
+        # top: every coordinate above level j is 0, so x_j >= 0.
         shift = 0
         for i, l in low[j]:
             shift += l * x[i]
         p = pivots[j]
         root = isqrt(rem // p)
         lo, hi = -((root + shift) // dl), (root - shift) // dl + 1
+        if top:
+            lo = 0
         if j == 1:
             # Level 0 inline: what is left must be P_0 times a square.
             for v in range(lo, hi):
@@ -190,24 +201,26 @@ def vectors_of_norm(q: PosDefForm, c: int) -> NormSolutionSet:
                     root = isqrt(sq)
                     if root * root == sq:
                         x[1] = v
-                        first(root)
+                        first(root, (1,) if top and not v else (1, -1))
         else:
             for v in range(lo, hi):
                 x[j] = v
                 y = dl * v + shift
-                rec(j - 1, rem - p * y * y)
+                rec(j - 1, rem - p * y * y, top and not v)
         x[j] = 0
 
     budget = Fraction(c) * lf.scale
     # A non-integral scaled budget is never a value of sum_j P_j Y_j^2.
     if budget.denominator == 1:
         if n > 1:
-            rec(n - 1, int(budget))
+            rec(n - 1, int(budget), True)
         else:
             sq, r = divmod(int(budget), p0)
             if not r and isqrt(sq) ** 2 == sq:
-                first(isqrt(sq))
-    return NormSolutionSet(c, tuple(sorted(sols)), False)
+                first(isqrt(sq), (1,))
+    sols += [tuple([-a for a in v]) for v in sols if any(v)]
+    sols.sort()
+    return NormSolutionSet(c, tuple(sols), False)
 
 
 def two_squares_representable(n: int) -> bool:

@@ -77,8 +77,8 @@ class IsometryProblem:
     The default probes are the standard basis vectors with the coordinate
     of largest |w_i| dropped (first such index on ties), which always
     yields a basis.  The constructor precomputes the kernel sublattice
-    K = Z^n cap {w}^perp, its Gram matrix, and the integer constants of
-    the three equations.
+    K = Z^n cap {w}^perp, its integer Gram rows kernel_gram (no rows when
+    n = 1), and the integer constants of the three equations.
     """
 
     def __init__(
@@ -121,8 +121,8 @@ class IsometryProblem:
             raise DegenerateProbe("anchor and probes do not form a basis")
 
         self.kernel_basis = integer_kernel_basis(source.gram @ w)
-        self.kernel_gram = Mat(
-            tuple(source.evaluate(ki, kj) for kj in self.kernel_basis)
+        self.kernel_gram = tuple(
+            tuple(int(source.evaluate(ki, kj)) for kj in self.kernel_basis)
             for ki in self.kernel_basis
         )
 
@@ -130,10 +130,8 @@ class IsometryProblem:
         nint = self.wnorm
         # Column i holds the i-th entries of the basis vectors, so an
         # ambient vector is (_dot(coords, col) for col in _k_cols).
-        self._k_cols = tuple(zip(*(k.to_ints() for k in self.kernel_basis)))
-        self._gk_rows = tuple(
-            tuple(int(x) for x in r) for r in self.kernel_gram.rows
-        )
+        kints = [k.to_ints() for k in self.kernel_basis]
+        self._k_cols = tuple(tuple(k[i] for k in kints) for i in range(n))
         self.zhat = [self._zhat(z0) for z0 in self.probes]
         self.eq1_target = nint * nint * int(target.norm(w))
         self.eq2_targets = tuple(
@@ -158,8 +156,8 @@ class IsometryProblem:
         form."""
         if not self.source.is_positive_definite:
             raise NotPositiveDefinite("search requires positive definite B")
-        zeros = [0] * len(self._gk_rows)
-        return PosDefForm(Mat([[self.wnorm, *zeros], *([0, *row] for row in self._gk_rows)]))
+        zeros = [0] * len(self.kernel_gram)
+        return PosDefForm(Mat([[self.wnorm, *zeros], *([0, *row] for row in self.kernel_gram)]))
 
     def _recon_tables(self) -> _ReconTables:
         """Integer tables for reconstruct, built on first use.
@@ -249,6 +247,10 @@ def _ints(v) -> tuple[int, ...]:
     return v.to_ints() if isinstance(v, Vec) else tuple(map(int, v))
 
 
+def _neg(v) -> tuple:
+    return tuple([-x for x in v])
+
+
 @dataclass(frozen=True)
 class Eq1Solution:
     """One solution of eq1: the anchor pairing s and the vector btilde,
@@ -262,6 +264,9 @@ class Eq1Solution:
 
     def __post_init__(self):
         object.__setattr__(self, "b_ints", _ints(self.b_ints))
+
+    def __neg__(self) -> "Eq1Solution":
+        return Eq1Solution(-self.s, _neg(self.b_ints), _neg(self.coords))
 
     @property
     def btilde(self) -> Vec:
@@ -282,6 +287,9 @@ class Eq3Solution:
 
     def __post_init__(self):
         object.__setattr__(self, "c_ints", _ints(self.c_ints))
+
+    def __neg__(self) -> "Eq3Solution":
+        return Eq3Solution(-self.t, _neg(self.c_ints), _neg(self.coords), _neg(self.gcoords))
 
     @property
     def c(self) -> Vec:
@@ -324,6 +332,19 @@ class CandidateIsometry:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "provenance", provenance)
+
+    def __neg__(self) -> "CandidateIsometry":
+        """-M for a candidate built by reconstruct: what reconstruct gives
+        for the negated tuple, with every provenance field negated and den
+        unchanged (still in lowest terms)."""
+        s, b, atilde, cs = self.provenance
+        other = CandidateIsometry.__new__(CandidateIsometry)
+        other._fill(
+            tuple(map(_neg, self.num)),
+            self.den,
+            (-s, _neg(b), _neg(atilde), tuple(map(_neg, cs))),
+        )
+        return other
 
     @property
     def integral(self) -> bool:
@@ -388,37 +409,49 @@ def _dot(x: tuple[int, ...], y: tuple[int, ...]) -> int:
     return sum(map(mul, x, y))
 
 
+def _mirrored(half: list, length: int) -> list:
+    """The sorted sign-complete list of the given length whose first
+    ceil(length / 2) entries are `half`: entry length-1-j is -entry j."""
+    return half + [-x for x in reversed(half[: length // 2])]
+
+
 def solve_eq1(problem: IsometryProblem) -> list[Eq1Solution]:
     """All integer pairs (s, btilde) with
     N^2 B'(w,w) = N s^2 + B(btilde, btilde): the vectors s w + btilde of
     norm N^2 B'(w,w) in L0 = Zw + K, sign-complete, ordered by s then
-    lexicographically by kernel coordinates."""
+    lexicographically by kernel coordinates.  Solution L-1-j is the
+    negation of solution j; only the first half is built from the
+    shell."""
     form = problem.l0_form
     e1 = problem.eq1_target
     if e1 < 0:
         return []
     ambient = problem._ambient
-    return [Eq1Solution(v[0], ambient(v[1:]), v[1:]) for v in vectors_of_norm(form, e1)]
+    shell = vectors_of_norm(form, e1).solutions
+    half = shell[: (len(shell) + 1) // 2]
+    return _mirrored([Eq1Solution(v[0], ambient(v[1:]), v[1:]) for v in half], len(shell))
 
 
 def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> list[Eq3Solution]:
     """All integer pairs (t, c) with
     N^2 B'(zhat, zhat) = B(c, c) + N t^2 for the probe z0: the vectors
     t w + c of norm N^2 B'(zhat, zhat) in L0 = Zw + K, ordered by t then
-    lexicographically by kernel coordinates."""
+    lexicographically by kernel coordinates.  Like solve_eq1, the list is
+    sign-complete with solution L-1-j the negation of solution j."""
     if not z0.is_integral():
         raise InvalidProblem("probe must be an integer vector")
     form = problem.l0_form
     r = problem.wnorm**2 * int(problem.target.norm(problem._zhat(z0)))
     if r < 0:
         return []
-    ambient, gk = problem._ambient, problem._gk_rows
-    out: list[Eq3Solution] = []
-    for v in vectors_of_norm(form, r):
+    ambient, gk = problem._ambient, problem.kernel_gram
+    shell = vectors_of_norm(form, r).solutions
+    half: list[Eq3Solution] = []
+    for v in shell[: (len(shell) + 1) // 2]:
         coords = v[1:]
         gcoords = tuple(_dot(row, coords) for row in gk)
-        out.append(Eq3Solution(v[0], ambient(coords), coords, gcoords))
-    return out
+        half.append(Eq3Solution(v[0], ambient(coords), coords, gcoords))
+    return _mirrored(half, len(shell))
 
 
 def _slot_width(bound: int) -> int:
@@ -620,11 +653,27 @@ def find_isometries(
     cross-probe assembly and reconstruct.  Every filter_eq2 call gets the
     same per_probe list, so the eq3 solutions are packed once per search
     and each eq1 solution costs a few big-integer operations for all of
-    its eq2 pairings (see filter_eq2).  The certificate is
-    ObstructionDeterminant on determinant mismatch, ObstructionEq1 when
-    eq1 has no solutions, IsometricWitness when an integral candidate
-    exists, NoIntegralIsometry otherwise.  With all_solutions=False the
-    scan stops at the first integral witness (stats are then partial).
+    its eq2 pairings (see filter_eq2).
+
+    The equations are homogeneous of degree 2 and the eq1 and eq3 lists
+    are sign-complete with entry L-1-j = -entry j, so only e1s[i] with
+    i <= L-1-i is filtered, assembled and reconstructed.  For i > L-1-i
+    the partner e1s[L-1-i] = -e1s[i] came earlier and its result is
+    reused: the same number of joint tuples, raw minus canonical
+    canonical ones, and its candidates negated in reverse order.  The
+    eq2 survivors of -e1 are those of e1 negated, in reverse eq3 order
+    (eq2 is bilinear); _assemble, a depth-first search in list order,
+    then meets the tuples in reverse; reconstruct is linear in the tuple
+    and its test num^T B num = den^2 B' is even in num.  The middle
+    entry of an odd-length list (e1 = 0) is processed directly.
+    Integrality is invariant under negation, so the first witness
+    always comes from a directly processed e1.
+
+    The certificate is ObstructionDeterminant on determinant mismatch,
+    ObstructionEq1 when eq1 has no solutions, IsometricWitness when an
+    integral candidate exists, NoIntegralIsometry otherwise.  With
+    all_solutions=False the scan stops at the first integral witness
+    (stats are then partial).
     """
     if problem.det_mismatch:
         cert = Certificate(
@@ -636,16 +685,13 @@ def find_isometries(
         )
         return SearchResult([], cert, SearchStats())
     e1s = solve_eq1(problem)
-    eq1_canonical = sum(_sign_canonical((e.s, *e.coords)) for e in e1s)
     if not e1s:
         cert = Certificate(
             "ObstructionEq1",
             detail={
                 "norm": problem.wnorm,
                 "target": problem.eq1_target,
-                "kernel_gram": [
-                    [int(x) for x in row] for row in problem.kernel_gram.rows
-                ],
+                "kernel_gram": [list(row) for row in problem.kernel_gram],
             },
         )
         return SearchResult([], cert, SearchStats())
@@ -654,17 +700,28 @@ def find_isometries(
 
     candidates: list[CandidateIsometry] = []
     joint_raw = joint_canonical = 0
-    for e1 in e1s:
-        has_integral = False
-        for picks in _assemble(problem, filter_eq2(problem, e1, per_probe)):
-            joint_raw += 1
-            if _sign_canonical(_joint_signature(e1, picks)):
-                joint_canonical += 1
-            cand = reconstruct(problem, e1, picks)
-            if cand is not None:
-                candidates.append(cand)
-                has_integral = has_integral or cand.integral
-        if has_integral and not all_solutions:
+    # Per directly processed e1s[i]: (raw tuples, canonical tuples, start
+    # and end of its candidates in `candidates`).
+    done: list[tuple[int, int, int, int]] = []
+    last = len(e1s) - 1
+    for i, e1 in enumerate(e1s):
+        start = len(candidates)
+        if i > last - i:
+            raw, canonical, lo, hi = done[last - i]
+            canonical = raw - canonical
+            candidates.extend(-c for c in reversed(candidates[lo:hi]))
+        else:
+            raw = canonical = 0
+            for picks in _assemble(problem, filter_eq2(problem, e1, per_probe)):
+                raw += 1
+                canonical += _sign_canonical(_joint_signature(e1, picks))
+                cand = reconstruct(problem, e1, picks)
+                if cand is not None:
+                    candidates.append(cand)
+            done.append((raw, canonical, start, len(candidates)))
+        joint_raw += raw
+        joint_canonical += canonical
+        if not all_solutions and any(c.integral for c in candidates[start:]):
             break
     if all_solutions:
         candidates.sort(key=lambda c: c.provenance)
@@ -689,7 +746,8 @@ def find_isometries(
         )
     stats = SearchStats(
         eq1_raw=len(e1s),
-        eq1_canonical=eq1_canonical,
+        # One of each +-pair, and 0 (canonical) when it is a solution.
+        eq1_canonical=(len(e1s) + 1) // 2,
         eq3_per_probe=eq3_counts,
         joint_raw=joint_raw,
         joint_canonical=joint_canonical,
@@ -781,7 +839,9 @@ def squares_certificate(constant: int, squares: int) -> Certificate:
     """Direct sum-of-squares test on a single constant.
 
     Obstruction verdict when the constant is not a sum of `squares`
-    integer squares, Inconclusive when it is.
+    integer squares, Inconclusive when it is.  The certificate states a
+    fact about its constant only: it ties the constant to no pair of
+    forms (family_obstruction does that for the two families).
     """
     verdict = squares_verdict(constant, squares)
     return Certificate(verdict, detail={"constant": constant, "squares": squares})
@@ -883,15 +943,22 @@ def brute_force_isometries(
     return out
 
 
+# Detail fields of a family certificate that family_obstruction derives
+# from the others.
+_FAMILY_DERIVED = ("kind", "constant", "reduced", "squares")
+
+
 def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bool:
     """Re-check a certificate against its problem without re-searching.
 
     Witnesses are re-multiplied; ObstructionEq1 re-runs only the eq1
-    enumeration; squares obstructions and Inconclusive re-derive the
-    verdict from the stated constant and squares, and hold only when it
-    equals the recorded one; NoIntegralIsometry re-verifies the
-    recorded candidates (in integers, each distinct entry parsed once)
-    and that none is integral.
+    enumeration; a squares obstruction or Inconclusive whose detail names
+    a family `kind` holds only when family_obstruction, run on the
+    detail's integer parameters, gives the same verdict and the same
+    detail; without a kind, the verdict is re-derived from the stated
+    constant and squares alone and must equal the recorded one;
+    NoIntegralIsometry re-verifies the recorded candidates (in integers,
+    each distinct entry parsed once) and that none is integral.
     """
     verdict = cert.verdict
     if verdict == "IsometricWitness":
@@ -913,6 +980,15 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
             return False
         return problem.source.det != problem.target.det
     if verdict in ("ObstructionTwoSquares", "ObstructionThreeSquares", "Inconclusive"):
+        if "kind" in cert.detail:
+            params = {k: v for k, v in cert.detail.items() if k not in _FAMILY_DERIVED}
+            if not all(type(v) is int for v in params.values()):
+                return False
+            try:
+                rebuilt = family_obstruction(cert.detail["kind"], **params)
+            except (BadFamilyParams, KeyError):
+                return False
+            return rebuilt.verdict == verdict and rebuilt.detail == cert.detail
         constant = cert.detail.get("constant")
         squares = cert.detail.get("squares")
         if constant is None or squares not in (2, 3):

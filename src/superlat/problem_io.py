@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .errors import ParseError
 from .forms import GramForm
@@ -328,8 +327,10 @@ def verify_document(doc: dict) -> bool:
     The certificate is re-verified against the echoed inputs, and every
     recorded candidate matrix is re-multiplied (in integers, each entry
     read through Fraction); integrality flags must match, the witness's
-    included.  Any discrepancy — including contents too damaged to
-    rebuild the problem — returns False.
+    included.  A NoIntegralIsometry certificate whose list equals the
+    top-level candidate matrices is checked on that one list.  Any
+    discrepancy — including contents too damaged to rebuild the
+    problem — returns False.
     """
     from .errors import SuperlatError
     from .isometry import verify_certificate
@@ -342,15 +343,24 @@ def verify_document(doc: dict) -> bool:
         if inputs and "B" in inputs and "Bprime" in inputs and "w" in inputs:
             problem = _problem_from_inputs(inputs)
 
-        if not verify_certificate(cert, problem):
+        if problem is None:
+            return verify_certificate(cert, None)
+        entries = doc.get("candidates", [])
+        matrices = [entry["matrix"] for entry in entries]
+        if cert.verdict == "NoIntegralIsometry" and cert.detail.get("candidates") == matrices:
+            # The certificate lists the top-level candidates: its test (each
+            # one an isometry, none integral) reads the same denominators.
+            dens = list(isometry_denominators(problem, matrices))
+            if not all(den not in (None, 1) for den in dens):
+                return False
+        elif verify_certificate(cert, problem):
+            dens = isometry_denominators(problem, matrices)
+        else:
             return False
 
-        if problem is not None:
-            entries = doc.get("candidates", [])
-            dens = isometry_denominators(problem, map(itemgetter("matrix"), entries))
-            for entry, den in zip(entries, dens):
-                if den is None or bool(entry["integral"]) != (den == 1):
-                    return False
+        for entry, den in zip(entries, dens):
+            if den is None or bool(entry["integral"]) != (den == 1):
+                return False
         return True
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, SuperlatError):
         return False

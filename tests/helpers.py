@@ -8,7 +8,20 @@ from math import isqrt
 from operator import mul
 
 from superlat.diophantine import PosDefForm, vectors_of_norm
-from superlat.isometry import Eq1Solution, Eq3Solution
+from superlat.isometry import (
+    Certificate,
+    Eq1Solution,
+    Eq3Solution,
+    SearchResult,
+    SearchStats,
+    _assemble,
+    _joint_signature,
+    _sign_canonical,
+    filter_eq2,
+    reconstruct,
+    solve_eq1,
+    solve_eq3_per_z0,
+)
 from superlat.linalg import Mat, Vec
 
 # Wilson's classic symmetric unimodular test matrix and one known integral
@@ -295,7 +308,7 @@ def reference_solve_eq1(problem):
     """eq1 as one norm equation in K per value of s: the loop that
     isometry.solve_eq1 replaced with one norm shell of L0 = Zw + K, kept
     as its reference."""
-    qk = PosDefForm(problem.kernel_gram)
+    qk = PosDefForm(Mat(problem.kernel_gram))
     n, e1 = problem.wnorm, problem.eq1_target
     if e1 < 0:
         return []
@@ -311,7 +324,7 @@ def reference_solve_eq3(problem, z0):
     """eq3 for the probe z0 as one norm equation in K per value of t: the
     loop that isometry.solve_eq3_per_z0 replaced with one norm shell of
     L0 = Zw + K, kept as its reference."""
-    qk = PosDefForm(problem.kernel_gram)
+    qk = PosDefForm(Mat(problem.kernel_gram))
     n = problem.wnorm
     zhat = n * z0 - problem.source.evaluate(z0, problem.w) * problem.w
     r = n * n * int(problem.target.norm(zhat))
@@ -323,8 +336,82 @@ def reference_solve_eq3(problem, z0):
             t,
             problem.from_kernel_coords(coords),
             coords,
-            tuple(int(x) for x in problem.kernel_gram @ Vec(coords)),
+            tuple(int(x) for x in Mat(problem.kernel_gram) @ Vec(coords)),
         )
         for t in range(-tmax, tmax + 1)
         for coords in vectors_of_norm(qk, r - n * t * t)
     ]
+
+
+def reference_find_isometries(problem, all_solutions=True):
+    """find_isometries with one pass of filter_eq2, assembly and
+    reconstruct per eq1 solution, both members of each +-pair included:
+    the loop that the +-halving of isometry.find_isometries replaced,
+    kept as its reference (integral_only is left out: it only filters
+    the returned list)."""
+    if problem.det_mismatch:
+        cert = Certificate(
+            "ObstructionDeterminant",
+            detail={
+                "det_source": str(problem.source.det),
+                "det_target": str(problem.target.det),
+            },
+        )
+        return SearchResult([], cert, SearchStats())
+    e1s = solve_eq1(problem)
+    eq1_canonical = sum(_sign_canonical((e.s, *e.coords)) for e in e1s)
+    if not e1s:
+        cert = Certificate(
+            "ObstructionEq1",
+            detail={
+                "norm": problem.wnorm,
+                "target": problem.eq1_target,
+                "kernel_gram": [list(row) for row in problem.kernel_gram],
+            },
+        )
+        return SearchResult([], cert, SearchStats())
+    per_probe = [solve_eq3_per_z0(problem, z0) for z0 in problem.probes]
+
+    candidates = []
+    joint_raw = joint_canonical = 0
+    for e1 in e1s:
+        has_integral = False
+        for picks in _assemble(problem, filter_eq2(problem, e1, per_probe)):
+            joint_raw += 1
+            if _sign_canonical(_joint_signature(e1, picks)):
+                joint_canonical += 1
+            cand = reconstruct(problem, e1, picks)
+            if cand is not None:
+                candidates.append(cand)
+                has_integral = has_integral or cand.integral
+        if has_integral and not all_solutions:
+            break
+    if all_solutions:
+        candidates.sort(key=lambda c: c.provenance)
+    integral = [c for c in candidates if c.integral]
+    if integral:
+        cert = Certificate(
+            "IsometricWitness",
+            witness=integral[0],
+            detail={"integral_count": len(integral)},
+        )
+        if not all_solutions:
+            candidates = [integral[0]]
+    else:
+        cert = Certificate(
+            "NoIntegralIsometry",
+            detail={
+                "candidates": [c.string_rows() for c in candidates],
+                "joint_survivors": joint_raw,
+            },
+        )
+    stats = SearchStats(
+        eq1_raw=len(e1s),
+        eq1_canonical=eq1_canonical,
+        eq3_per_probe=tuple(len(c) for c in per_probe),
+        joint_raw=joint_raw,
+        joint_canonical=joint_canonical,
+        candidates=len(candidates),
+        integral=len(integral),
+    )
+    return SearchResult(candidates, cert, stats)

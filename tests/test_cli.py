@@ -12,6 +12,14 @@ import pytest
 
 from superlat.cli import main
 from superlat.errors import ParseError
+from superlat.forms import GramForm
+from superlat.isometry import (
+    Certificate,
+    IsometryProblem,
+    family_obstruction,
+    find_isometries,
+    verify_certificate,
+)
 from superlat.linalg import Mat, Vec
 from superlat.problem_io import parse_problem
 
@@ -263,6 +271,73 @@ class TestObstruct:
         doc["certificate"]["verdict"] = forged
         Path(out).write_text(json.dumps(doc))
         assert main(["verify", out]) == 1
+
+    @pytest.mark.parametrize(
+        "args, forge",
+        [
+            # A rank-3 member whose constant (96) is a sum of three squares,
+            # relabelled as obstructed with a constant that is not.
+            (["--family", "rank3", "--m", "1"],
+             {"verdict": "ObstructionThreeSquares", "constant": 7}),
+            # The constant no longer matches the family parameters.
+            (["--family", "rank3", "--m", "3"], {"constant": 7 * 16}),
+            (["--family", "rank2", "--m", "3", "--n", "1", "--alpha", "3", "--beta", "3",
+              "--gamma", "6"], {"m": 1}),
+            (["--family", "rank3", "--m", "3"], {"m": "3"}),
+            (["--family", "rank3", "--m", "3"], {"kind": "four_squares"}),
+            (["--family", "rank3", "--m", "3"], {"extra": 1}),
+        ],
+        ids=["relabelled", "constant", "parameter", "string-parameter", "unknown-kind", "extra-field"],
+    )
+    def test_forged_family_document_fails(self, tmp_path, capsys, args, forge):
+        out = str(tmp_path / "cert.json")
+        main(["obstruct", *args, "--json", out])
+        capsys.readouterr()
+        doc = json.loads(Path(out).read_text())
+        assert main(["verify", out]) == 0
+        cert = doc["certificate"]
+        for key, value in forge.items():
+            (cert if key == "verdict" else cert["detail"])[key] = value
+        Path(out).write_text(json.dumps(doc))
+        assert main(["verify", out]) == 1
+
+
+@pytest.mark.parametrize("value", ["3", True, 3.0, None])
+def test_family_certificate_with_a_non_integer_parameter_fails(value):
+    cert = family_obstruction("three_squares_rank3", m=3)
+    assert verify_certificate(cert, None)
+    forged = Certificate(cert.verdict, detail={**cert.detail, "m": value})
+    assert verify_certificate(forged, None) is False
+
+
+class TestRankOne:
+    @pytest.mark.parametrize("w", ["1", "2"])
+    def test_factorize_finds_both_isometries(self, tmp_path, capsys, w):
+        path = write(tmp_path, "rank1.txt", f"n 1\nB\n2\nBprime\n2\nw {w}\n")
+        assert main(["oracle", path]) == 0
+        assert capsys.readouterr().out == "brute-force isometries: 2\n  -1\n  1\n"
+        for mode in (["--all"], []):
+            out = str(tmp_path / "doc.json")
+            assert main(["factorize", path, *mode, "--json", out]) == 0
+            capsys.readouterr()
+            doc = json.loads(Path(out).read_text())
+            cert = doc["certificate"]
+            assert cert["verdict"] == "IsometricWitness"
+            assert cert["witness"]["matrix"] == [["-1"]]
+            want = [[["-1"]], [["1"]]] if mode else [[["-1"]]]
+            assert [c["matrix"] for c in doc["candidates"]] == want
+            assert main(["verify", out]) == 0
+
+    def test_empty_kernel(self):
+        problem = IsometryProblem(GramForm(Mat([[2]])), GramForm(Mat([[2]])), Vec([1]))
+        assert problem.kernel_gram == () and problem.from_kernel_coords(()) == Vec([0])
+        # No rank-1 pair with equal determinants fails eq1; a negative eq1
+        # target stands in for one.
+        problem.eq1_target = -1
+        cert = find_isometries(problem).certificate
+        assert cert.verdict == "ObstructionEq1"
+        assert cert.detail == {"norm": 2, "target": -1, "kernel_gram": []}
+        assert verify_certificate(cert, problem)
 
 
 class TestOracle:

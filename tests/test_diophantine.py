@@ -125,6 +125,25 @@ def test_vectors_of_norm_sound(c, seed):
         assert q.evaluate(v) == c
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=30),
+    st.sampled_from([1, 2, 3]),
+)
+def test_vectors_of_norm_half_search_is_complete_and_mirrored(n, seed, c, den):
+    # Only half of each shell is searched and the other half is negated:
+    # the result must still be the whole box scan, sorted, with
+    # v[L-1-j] = -v[j].
+    g = rand_pd_gram(random.Random(seed), n, bound=2)
+    g = Mat([[Fraction(x, den) for x in row] for row in g.rows])
+    sols = vectors_of_norm(PosDefForm(g), c).solutions
+    assert list(sols) == sorted(naive_box_norm_solutions(g, c))
+    last = len(sols) - 1
+    assert all(sols[last - j] == tuple(-x for x in v) for j, v in enumerate(sols))
+
+
 def test_two_squares_known_values():
     assert two_squares_representable(0)
     assert two_squares_representable(1)

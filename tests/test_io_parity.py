@@ -12,6 +12,7 @@ import pytest
 
 from superlat import cli
 from superlat.errors import ParseError
+from superlat.isometry import IsometryProblem
 from superlat.problem_io import _parse_matrix_rows, document_json, verify_document
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -195,3 +196,50 @@ def test_verify_rejects_extra_row_in_certificate_list(quaternary_doc):
     rows = doc["certificate"]["detail"]["candidates"][0]
     rows.append(["0"] * len(rows))
     assert verify_document(doc) is False
+
+
+def test_verify_checks_a_shared_candidate_list_once(quaternary_doc, monkeypatch):
+    # The certificate of a NoIntegralIsometry document lists the same
+    # matrices as its top-level candidates; each is multiplied once.
+    assert quaternary_doc["certificate"]["detail"]["candidates"] == [
+        entry["matrix"] for entry in quaternary_doc["candidates"]
+    ]
+    calls = []
+    real = IsometryProblem.pulls_back
+
+    def counted(self, num, den):
+        calls.append(den)
+        return real(self, num, den)
+
+    monkeypatch.setattr(IsometryProblem, "pulls_back", counted)
+    assert verify_document(quaternary_doc) is True
+    assert len(calls) == len(quaternary_doc["candidates"]) == 224
+
+
+def test_verify_rejects_integral_isometries_in_a_shared_list(wilson_doc):
+    # The certificate lists exactly the top-level candidates, all of them
+    # integral isometries flagged as such: the shared check must still
+    # reject a NoIntegralIsometry verdict.
+    doc = copy.deepcopy(wilson_doc)
+    doc["certificate"] = {
+        "verdict": "NoIntegralIsometry",
+        "witness": None,
+        "detail": {"candidates": [entry["matrix"] for entry in doc["candidates"]], "joint_survivors": 384},
+    }
+    assert verify_document(doc) is False
+
+
+@pytest.mark.parametrize("where", ["top-level", "certificate"])
+def test_verify_checks_both_lists_when_they_differ(where, quaternary_doc):
+    doc = copy.deepcopy(quaternary_doc)
+    lists = {
+        "top-level": [entry["matrix"] for entry in doc["candidates"]],
+        "certificate": doc["certificate"]["detail"]["candidates"],
+    }
+    # Only one list is forged, so the two differ and each is checked.
+    lists[where][7][0][0] = "5/7"
+    assert verify_document(doc) is False
+    # Lists that differ but hold only true statements still verify.
+    doc = copy.deepcopy(quaternary_doc)
+    doc["candidates"].pop()
+    assert verify_document(doc) is True
