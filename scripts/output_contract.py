@@ -19,12 +19,20 @@ the same print the same object.  Usage, from the root of a checkout::
 
     PYTHONPATH=src python3 scripts/output_contract.py > contract.json
 
+With ``--check BEFORE.json`` it compares the object of this checkout with
+one printed before (say, by the parent commit), names every case whose
+exit code or hash differs or that only one of the two holds, and exits 1
+when there is any such case, 0 otherwise::
+
+    PYTHONPATH=src python3 scripts/output_contract.py --check contract.json
+
 The perfbench files are only read (its generator is imported), never
 changed.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -39,7 +47,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
 
-from superlat.cli import main  # noqa: E402
+from superlat.cli import main as superlat_main  # noqa: E402
 
 # Problems per workload, as the benchmark draws them (perfbench/run.py).
 WORKLOAD_COUNTS = {"wilson": 7, "pullback": 5, "neighbour": 10}
@@ -53,7 +61,7 @@ def _sha(text: str) -> str:
 def _run(argv: list[str], tmp: str) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        code = superlat_main(argv)
     return code, out.getvalue().replace(tmp, "<tmp>")
 
 
@@ -93,6 +101,31 @@ def contract() -> dict:
     return out
 
 
+def check(before: dict, now: dict) -> list[str]:
+    """One line per case whose entry differs between before and now."""
+    lines = []
+    for case in sorted(before.keys() | now.keys()):
+        if before.get(case) != now.get(case):
+            lines.append(f"differs: {case}: {before.get(case)} -> {now.get(case)}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", metavar="BEFORE.json", help="compare with a contract printed before")
+    args = parser.parse_args(argv)
+    now = contract()
+    if args.check is None:
+        json.dump(now, sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")
+        return 0
+    before = json.loads(Path(args.check).read_text(encoding="utf-8"))
+    lines = check(before, now)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {len(before.keys() | now.keys())} cases differ")
+    return 1 if lines else 0
+
+
 if __name__ == "__main__":
-    json.dump(contract(), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.exit(main())

@@ -20,7 +20,6 @@ the search runs on one thread, so output is the same for any value.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -47,6 +46,7 @@ from .problem_io import (
     result_document,
     scalar_str,
     verify_document,
+    write_document,
 )
 
 EXIT_OK = 0
@@ -180,11 +180,8 @@ def cmd_factorize(args) -> int:
             "cs_prune": args.cs_prune,
         }
         doc = result_document(problem, result, options=options, elapsed=elapsed)
-        # Streamed: the same bytes as document_json(doc), without holding
-        # the whole text of a large document in memory.
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            write_document(doc, fh)
         print(f"result written to {args.json}")
 
     return EXIT_OK if result.certificate.verdict == "IsometricWitness" else EXIT_NEGATIVE

@@ -14,9 +14,11 @@ where zhat_i = N z0_i - B(z0_i, w) w is the (scaled) component of the i-th
 probe orthogonal to w.  Since w is orthogonal to K, N u^2 + B(k, k) is the
 norm of u w + k in L0 = Zw + K, whose Gram matrix is diag(N, G_K): eq1 and
 eq3 each ask for one norm shell of L0, and for positive definite B each
-shell is finite.  Surviving tuples are filtered by eq2 and by the
-polarized version of eq3 across probe pairs, then turned back into
-explicit candidate matrices and verified exactly.
+shell is finite.  Each eq3 shell is kept as integer columns (Eq3Shell):
+eq2 is tested on the t and kernel-coordinate columns of all probes at
+once, and only its survivors become Eq3Solution objects.  Surviving
+tuples are then filtered by the polarized version of eq3 across probe
+pairs, turned back into explicit candidate matrices and verified exactly.
 
 The module also houses the infinite-family obstructions (two- and
 three-squares) and an independent brute-force oracle used to validate the
@@ -26,12 +28,13 @@ pipeline at desk scale.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, zip_longest
+from itertools import accumulate, chain
 from math import gcd, lcm
-from operator import mul
+from operator import eq, is_, mul
 
 from .diophantine import (
     PosDefForm,
@@ -114,6 +117,8 @@ class IsometryProblem:
         if len(probes) != n - 1:
             raise InvalidProblem(f"need {n - 1} probes, got {len(probes)}")
         for z0 in probes:
+            if len(z0) != n:
+                raise DimensionMismatch("probe dimension does not match forms")
             if not z0.is_integral():
                 raise InvalidProblem("probes must be integer vectors")
         self.probes = list(probes)
@@ -432,26 +437,81 @@ def solve_eq1(problem: IsometryProblem) -> list[Eq1Solution]:
     return _mirrored([Eq1Solution(v[0], ambient(v[1:]), v[1:]) for v in half], len(shell))
 
 
-def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> list[Eq3Solution]:
+class Eq3Shell(Sequence):
+    """The eq3 solutions of one probe, as integer columns.
+
+    `t` holds the t of every solution and `coords[j]` the j-th kernel
+    coordinate of every c, in the order of the rows (t, kernel
+    coordinates) the shell was built from.  The shell is a read-only
+    sequence: entry j is the Eq3Solution of row j, built when it is first
+    read and cached, so reading an entry twice gives the same object.  A
+    shell equals any list, tuple or shell of equal entries.
+    """
+
+    __slots__ = ("t", "coords", "_k_cols", "_gram", "_built")
+
+    def __init__(self, problem: IsometryProblem, rows):
+        cols = tuple(zip(*rows)) or ((),) * (len(problem.kernel_gram) + 1)
+        init = object.__setattr__
+        init(self, "t", cols[0])
+        init(self, "coords", cols[1:])
+        # The kernel basis columns, not the problem: a shell that
+        # referred to its problem would make a reference cycle through the
+        # problem's cached eq2 table, freed only by the garbage collector.
+        init(self, "_k_cols", problem._k_cols)
+        init(self, "_gram", problem.kernel_gram)
+        init(self, "_built", [None] * len(cols[0]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Eq3Shell is read-only")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, j: int) -> Eq3Solution:
+        n = len(self.t)
+        if not -n <= j < n:
+            raise IndexError("Eq3Shell index out of range")
+        return self._entries((j + n if j < 0 else j,))[0]
+
+    def _entries(self, indices) -> list[Eq3Solution]:
+        """The entries at the given indices in 0 <= j < len(self)."""
+        built = self._built
+        out = list(map(built.__getitem__, indices))
+        if not all(out):
+            for p, j in enumerate(indices):
+                if out[p] is None:
+                    coords = tuple([col[j] for col in self.coords])
+                    gcoords = tuple([_dot(row, coords) for row in self._gram])
+                    c_ints = tuple([_dot(coords, col) for col in self._k_cols])
+                    out[p] = built[j] = Eq3Solution(self.t[j], c_ints, coords, gcoords)
+        return out
+
+    def __iter__(self):
+        return iter(self._entries(range(len(self.t))))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Eq3Shell, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+
+def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> Eq3Shell:
     """All integer pairs (t, c) with
     N^2 B'(zhat, zhat) = B(c, c) + N t^2 for the probe z0: the vectors
     t w + c of norm N^2 B'(zhat, zhat) in L0 = Zw + K, ordered by t then
-    lexicographically by kernel coordinates.  Like solve_eq1, the list is
-    sign-complete with solution L-1-j the negation of solution j."""
+    lexicographically by kernel coordinates.  Like solve_eq1, the shell is
+    sign-complete with solution L-1-j the negation of solution j.  The
+    sorted shell of vectors_of_norm is turned into columns with one zip;
+    an Eq3Solution is built only for an entry that is read (see Eq3Shell).
+    """
     if not z0.is_integral():
         raise InvalidProblem("probe must be an integer vector")
     form = problem.l0_form
     r = problem.wnorm**2 * int(problem.target.norm(problem._zhat(z0)))
-    if r < 0:
-        return []
-    ambient, gk = problem._ambient, problem.kernel_gram
-    shell = vectors_of_norm(form, r).solutions
-    half: list[Eq3Solution] = []
-    for v in shell[: (len(shell) + 1) // 2]:
-        coords = v[1:]
-        gcoords = tuple(_dot(row, coords) for row in gk)
-        half.append(Eq3Solution(v[0], ambient(coords), coords, gcoords))
-    return _mirrored(half, len(shell))
+    return Eq3Shell(problem, vectors_of_norm(form, r).solutions if r >= 0 else ())
 
 
 def _slot_width(bound: int) -> int:
@@ -460,110 +520,121 @@ def _slot_width(bound: int) -> int:
 
 
 class _Eq2Table:
-    """Every probe's eq3 solutions packed into one integer per column.
+    """The eq3 shells of all probes packed into one integer per column.
 
-    Solution number k of the concatenated per-probe lists owns the bits
-    [kW, (k+1)W) of each packed integer: `t` holds its t, `g[j]` the
-    j-th coordinate of G c, and `base` holds 2^(W-1) - e2 of its probe.
-    The width W is set by the first call that packs the table and only
-    grows.  The table keeps the `per_probe` object it was built from and
-    a copy of its lists, so filter_eq2 rebuilds it for any other object
-    and for lists changed in place.
+    Solution k of the concatenated shells (shell i starts at offsets[i])
+    owns the bits [kW, (k+1)W) of each packed integer: `t` holds its t,
+    `c[j]` its j-th kernel coordinate, and `base` holds 2^(W-1) - e2 of
+    its probe.  The width W is set by the first call that packs the table
+    and only grows; packing reads the columns of the shells, so the table
+    holds no per-solution lists.  The table keeps the shells it was built
+    from, and filter_eq2 rebuilds it for any other shells.
     """
 
-    __slots__ = (
-        "per_probe", "snapshot", "where", "ts", "gcols", "e2s",
-        "colmax", "tmax", "gmax", "e2max", "width", "base", "t", "g",
-    )
+    __slots__ = ("shells", "pairs", "offsets", "tmax", "cmax", "e2max", "colmax", "width", "base", "t", "c")
 
-    def __init__(self, per_probe, eq2_targets):
-        self.per_probe = per_probe
-        self.snapshot = [list(cands) for cands in per_probe]
-        pairs = list(zip(eq2_targets, self.snapshot))
-        flat = [c for _, cands in pairs for c in cands]
-        self.where = [(i, j) for i, (_, cands) in enumerate(pairs) for j in range(len(cands))]
-        self.e2s = [e2 for e2, cands in pairs for _ in cands]
-        self.ts = [c.t for c in flat]
-        # zip_longest pads short gcoords with 0, which is what the pairing
-        # sum(map(mul, xb, gcoords)) makes of missing entries.
-        self.gcols = list(zip_longest(*(c.gcoords for c in flat), fillvalue=0))
-        self.tmax = max(map(abs, self.ts), default=0)
-        self.gmax = [max(map(abs, col)) for col in self.gcols]
-        self.e2max = max(map(abs, self.e2s), default=0)
-        self.colmax = max([self.tmax, *self.gmax])
+    def __init__(self, shells, eq2_targets):
+        self.shells = tuple(shells)
+        self.pairs = tuple(zip(eq2_targets, self.shells))
+        self.offsets = (0, *accumulate(len(shell) for _, shell in self.pairs))
+        self.tmax = max(map(abs, chain.from_iterable(shell.t for _, shell in self.pairs)), default=0)
+        self.cmax = [
+            max(map(abs, chain.from_iterable(cols)), default=0) for cols in self._coord_columns()
+        ]
+        self.e2max = max((abs(e2) for e2, _ in self.pairs), default=0)
+        self.colmax = max([self.tmax, *self.cmax])
         self.width = 0
+
+    def built_from(self, shells) -> bool:
+        return len(shells) == len(self.shells) and all(map(is_, shells, self.shells))
+
+    def _coord_columns(self):
+        """Per kernel coordinate j, the j-th coordinate column of each shell."""
+        return zip(*(shell.coords for _, shell in self.pairs))
 
     def pack(self, width: int) -> None:
         """(Re)build the packed integers with width-bit slots."""
         nbytes, off = width // 8, 1 << (width - 1)
-        ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * len(self.ts), "little")
+        ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * self.offsets[-1], "little")
 
-        def packed(values) -> int:
+        def packed(columns) -> int:
             # sum_k v_k 2^(kW), built from the offset values v_k + 2^(W-1),
             # which lie in [0, 2^W) because every |v_k| < 2^(W-1).
-            raw = b"".join((v + off).to_bytes(nbytes, "little") for v in values)
+            values = chain.from_iterable(columns)
+            raw = b"".join([(v + off).to_bytes(nbytes, "little") for v in values])
             return int.from_bytes(raw, "little") - off * ones
 
         self.width = width
-        self.base = off * ones - packed(self.e2s)
-        self.t = packed(self.ts)
-        self.g = [packed(col) for col in self.gcols]
+        # 2^(W-1) - e2 lies in (0, 2^W): one repeated slot per probe.
+        self.base = int.from_bytes(
+            b"".join([(off - e2).to_bytes(nbytes, "little") * len(shell) for e2, shell in self.pairs]),
+            "little",
+        )
+        self.t = packed(shell.t for _, shell in self.pairs)
+        self.c = [packed(cols) for cols in self._coord_columns()]
 
 
-def _centred_slots(total: int, count: int, nbytes: int) -> list[int]:
-    """The indices k < count, ascending, of the nbytes-byte slots of total
-    that hold exactly 2^(8 nbytes - 1)."""
-    raw = total.to_bytes(count * nbytes, "little")
+def _centred_slots(raw: bytes, lo: int, hi: int, nbytes: int) -> list[int]:
+    """The indices k - lo, ascending, of the slots lo <= k < hi of raw
+    (nbytes bytes each) that hold exactly 2^(8 nbytes - 1)."""
     centre = bytes(nbytes - 1) + b"\x80"
+    start, end = lo * nbytes, hi * nbytes
     out = []
-    i = raw.find(centre)
+    i = raw.find(centre, start, end)
     while i >= 0:
         if i % nbytes:
             # A match that straddles two slots.
-            i = raw.find(centre, i + 1)
+            i = raw.find(centre, i + 1, end)
         else:
-            out.append(i // nbytes)
-            i = raw.find(centre, i + nbytes)
+            out.append((i - start) // nbytes)
+            i = raw.find(centre, i + nbytes, end)
     return out
 
 
 def filter_eq2(
     problem: IsometryProblem,
     e1: Eq1Solution,
-    per_probe: list[list[Eq3Solution]],
+    per_probe: list[Eq3Shell],
 ) -> list[list[Eq3Solution]]:
     """Keep per-probe candidates compatible with eq2 for the given eq1
     solution: N^2 B'(w, zhat_i) = N s t + B(btilde, c).
 
-    All pairings of e1 are evaluated at once on integers packed with one
-    W-bit slot per eq3 solution (see _Eq2Table): the sum
-    base + N s T + sum_j x_j G_j holds N s t + B(btilde, c) - e2 + 2^(W-1)
+    G_K is symmetric, so B(btilde, c) = y . c for y = G_K x and x the
+    kernel coordinates of btilde: the test needs only the t and
+    kernel-coordinate columns of the shells, and y is computed once per
+    call.  All pairings of e1 are evaluated at once on integers packed
+    with one W-bit slot per eq3 solution (see _Eq2Table): the sum
+    base + N s T + sum_j y_j C_j holds N s t + B(btilde, c) - e2 + 2^(W-1)
     in every slot, and the survivors are the slots equal to 2^(W-1),
     found as aligned matches in the sum's bytes.  W is a multiple of 8
     with 2^(W-1) above a bound on |N s t + B(btilde, c) - e2| and on the
     packed entries for the arguments given, so no slot carries into the
     next; when a call needs wider slots than the table has, the table is
     repacked at that width.  The table is built on the first call for a
-    per_probe list and cached on the problem.  The result keeps the eq3
-    order and the objects of per_probe.
+    list of shells and cached on the problem.  The result lists the
+    survivors of each probe in eq3 order, as entries of its shell: a
+    survivor is the same object on every call.
     """
     table = problem._eq2_table
-    if table is None or table.per_probe is not per_probe or table.snapshot != per_probe:
+    if table is None or not table.built_from(per_probe):
         table = problem._eq2_table = _Eq2Table(per_probe, problem.eq2_targets)
-    out: list[list[Eq3Solution]] = [[] for _ in zip(problem.eq2_targets, per_probe)]
-    if not table.ts:
-        return out
-    ns, xb = problem.wnorm * e1.s, e1.coords
-    bound = abs(ns) * table.tmax + _dot(map(abs, xb), table.gmax) + table.e2max
+    pairs, offsets = table.pairs, table.offsets
+    count = offsets[-1]
+    if not count:
+        return [[] for _ in pairs]
+    ns = problem.wnorm * e1.s
+    y = [_dot(row, e1.coords) for row in problem.kernel_gram]
+    bound = abs(ns) * table.tmax + _dot(map(abs, y), table.cmax) + table.e2max
     width = _slot_width(max(bound, table.colmax))
     if width > table.width:
         table.pack(width)
-    total = table.base + ns * table.t + _dot(xb, table.g)
-    where = table.where
-    for k in _centred_slots(total, len(table.ts), table.width // 8):
-        i, j = where[k]
-        out[i].append(per_probe[i][j])
-    return out
+    total = table.base + ns * table.t + _dot(y, table.c)
+    nbytes = table.width // 8
+    raw = total.to_bytes(count * nbytes, "little")
+    return [
+        shell._entries(_centred_slots(raw, lo, hi, nbytes))
+        for (_, shell), lo, hi in zip(pairs, offsets, offsets[1:])
+    ]
 
 
 def _assemble(
@@ -651,9 +722,10 @@ def find_isometries(
 
     Composes solve_eq1, solve_eq3_per_z0 (once per probe), filter_eq2,
     cross-probe assembly and reconstruct.  Every filter_eq2 call gets the
-    same per_probe list, so the eq3 solutions are packed once per search
-    and each eq1 solution costs a few big-integer operations for all of
-    its eq2 pairings (see filter_eq2).
+    same shells, so the eq3 solutions are packed once per search, each
+    eq1 solution costs a few big-integer operations for all of its eq2
+    pairings (see filter_eq2), and Eq3Solution objects are built only for
+    eq2 survivors.
 
     The equations are homogeneous of degree 2 and the eq1 and eq3 lists
     are sign-complete with entry L-1-j = -entry j, so only e1s[i] with

@@ -159,9 +159,16 @@ def parse_problem(text: str) -> ProblemFile:
     return ProblemFile(n=n, gram=gram, target=target, w=w, probes=probes)
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
 def load_problem(path: str) -> ProblemFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+    return parse_problem(_read_text(path))
 
 
 def parse_matrix(text: str) -> Mat:
@@ -180,8 +187,7 @@ def parse_matrix(text: str) -> Mat:
 
 
 def load_matrix(path: str) -> Mat:
-    with open(path, encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    return parse_matrix(_read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +243,13 @@ def certificate_payload(cert: Certificate) -> dict:
 
 
 def _certificate_from_payload(payload: dict) -> Certificate:
+    """The certificate of a document; ParseError unless the payload and a
+    non-empty detail are JSON objects."""
+    if not isinstance(payload, dict):
+        raise ParseError("certificate: expected a JSON object")
+    detail = payload.get("detail") or {}
+    if not isinstance(detail, dict):
+        raise ParseError("certificate.detail: expected a JSON object")
     witness = None
     wp = payload.get("witness")
     if wp is not None:
@@ -248,7 +261,7 @@ def _certificate_from_payload(payload: dict) -> Certificate:
     return Certificate(
         verdict=payload["verdict"],
         witness=witness,
-        detail=payload.get("detail") or {},
+        detail=detail,
     )
 
 
@@ -309,14 +322,83 @@ def obstruction_document(cert: Certificate, params: dict, elapsed: float | None 
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(x, pad: str) -> str:
+    """The text of the value x as json.dumps(x, sort_keys=True, indent=2)
+    writes it at the indentation pad.  A list of strings (a row of entry
+    strings) is one join over the quoted strings.  Dict keys must be
+    strings, as in every superlat document."""
+    if isinstance(x, str):
+        return _quote(x)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        sep = f",\n{inner}"
+        try:
+            body = sep.join(map(_quote, x))
+        except TypeError:
+            # Not a list of strings.
+            body = sep.join([_json_text(v, inner) for v in x])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{_quote(key)}: {_json_text(x[key], inner)}" for key in sorted(x)]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if type(x) is int:
+        return int.__repr__(x)
+    # None, booleans and floats.
+    return json.dumps(x)
+
+
+def _write_json(x, pad: str, write) -> None:
+    """Pass the text of x (see _json_text) to write, one call per key of
+    a dict and one per entry of a list, so a document goes out one
+    candidate at a time."""
+    if isinstance(x, dict) and x:
+        inner = pad + "  "
+        sep = "{\n"
+        for key in sorted(x):
+            write(f"{sep}{inner}{_quote(key)}: ")
+            _write_json(x[key], inner, write)
+            sep = ",\n"
+        write(f"\n{pad}}}")
+    elif isinstance(x, (list, tuple)) and x:
+        inner = pad + "  "
+        sep = "[\n"
+        for item in x:
+            write(sep + inner + _json_text(item, inner))
+            sep = ",\n"
+        write(f"\n{pad}]")
+    else:
+        write(_json_text(x, pad))
+
+
+def write_document(doc: dict, fh) -> None:
+    """Write document_json(doc) to the text file fh without holding the
+    whole text in memory."""
+    _write_json(doc, "", fh.write)
+    fh.write("\n")
+
+
 def document_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """json.dumps(doc, sort_keys=True, indent=2) + "\\n", built by a writer
+    for the shapes that documents hold: one join per row of entry
+    strings and one string per candidate."""
+    parts: list[str] = []
+    _write_json(doc, "", parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def load_document(path: str) -> dict:
+    text = _read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})")
 

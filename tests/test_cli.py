@@ -181,6 +181,13 @@ class TestResultDocuments:
         path = write(tmp_path, "broken.json", "{not json")
         assert main(["verify", path]) == 2
 
+    def test_non_utf8_files_are_parse_errors(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"n 2\nB\n\xff 0\n0 1\n")
+        for argv in (["verify", str(bad)], ["factorize", str(bad)], ["decompose", TERNARY_FILE, "--phi", str(bad)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+
     def test_byte_determinism_across_thread_counts(self, tmp_path, monkeypatch, capsys):
         texts = []
         for threads in ("1", "4"):

@@ -1,9 +1,10 @@
 """The packed eq2 filter against the one-dot-product-per-pair scan.
 
 isometry.filter_eq2 evaluates every eq2 pairing of an eq1 solution at once
-on integers with one fixed-width slot per eq3 solution.  Each test requires
-the same lists as helpers.reference_filter_eq2: the same objects, in the
-same order.
+on integers with one fixed-width slot per eq3 solution, read from the
+t and kernel-coordinate columns of the eq3 shells.  Each test requires the
+same lists as helpers.reference_filter_eq2: the same objects, in the same
+order.
 """
 
 from __future__ import annotations
@@ -11,10 +12,14 @@ from __future__ import annotations
 import random
 from types import SimpleNamespace
 
+import pytest
+
 from helpers import WILSON, rand_pullback_problem, reference_filter_eq2
+from superlat import isometry
 from superlat.forms import GramForm
 from superlat.isometry import (
     Eq1Solution,
+    Eq3Shell,
     Eq3Solution,
     IsometryProblem,
     filter_eq2,
@@ -63,20 +68,30 @@ def test_seeded_random_problems_n2_to_n5():
             _check_all(problem, e1s, per_probe)
 
 
-def _fake_problem(wnorm: int, eq2_targets: tuple[int, ...]):
-    """The attributes filter_eq2 reads, with free eq2 targets."""
-    return SimpleNamespace(wnorm=wnorm, eq2_targets=eq2_targets, _eq2_table=None)
+def _fake_problem(wnorm: int, eq2_targets: tuple[int, ...], k: int):
+    """The attributes filter_eq2 and Eq3Shell read, with free eq2 targets
+    and the kernel Gram matrix I_k, so that the kernel coordinates of an
+    eq3 solution are also its G c (its gcoords)."""
+    gram = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    return SimpleNamespace(
+        wnorm=wnorm,
+        eq2_targets=eq2_targets,
+        kernel_gram=gram,
+        _k_cols=((0,) * k, *gram),
+        _eq2_table=None,
+    )
 
 
-def _eq3(t: int, gcoords: tuple[int, ...]) -> Eq3Solution:
-    k = len(gcoords)
-    return Eq3Solution(t, Vec.zero(k + 1), (0,) * k, gcoords)
+def _eq3(t: int, gcoords: tuple[int, ...]) -> tuple[int, ...]:
+    """The row (t, kernel coordinates) of an eq3 solution whose G c is
+    gcoords on a fake problem."""
+    return (t, *gcoords)
 
 
 def _synthetic(rng: random.Random, bits: int, k: int, count: int, e1: Eq1Solution, wnorm: int, e2: int):
-    """count eq3 solutions with entries below 2^bits in absolute value;
-    about a third solve eq2 for e1 exactly (planted through the first
-    coordinate, whose e1 coefficient is +-1)."""
+    """The rows of count eq3 solutions with entries below 2^bits in
+    absolute value; about a third solve eq2 for e1 exactly (planted
+    through the first coordinate, whose e1 coefficient is +-1)."""
     ns, xb = wnorm * e1.s, e1.coords
     out = []
     for _ in range(count):
@@ -98,7 +113,7 @@ def test_synthetic_entries_negative_and_around_2_to_70():
     for bits in (3, 20, 63, 64, 69, 70, 71, 130):
         wnorm = rng.randint(1, 2**bits)
         e2s = tuple(rng.randint(-(2**bits), 2**bits) for _ in range(3))
-        problem = _fake_problem(wnorm, e2s)
+        problem = _fake_problem(wnorm, e2s, k)
         lead = rng.choice((-1, 1))
         # Eq1 solutions that satisfy no norm equation, entries of both signs.
         e1s = [
@@ -106,7 +121,7 @@ def test_synthetic_entries_negative_and_around_2_to_70():
                         (lead, *(rng.randint(-(2**bits), 2**bits) for _ in range(k - 1))))
             for _ in range(4)
         ]
-        per_probe = [_synthetic(rng, bits, k, 40, e1s[0], wnorm, e2) for e2 in e2s]
+        per_probe = [Eq3Shell(problem, _synthetic(rng, bits, k, 40, e1s[0], wnorm, e2)) for e2 in e2s]
         _check_all(problem, e1s, per_probe)
         kept = filter_eq2(problem, e1s[0], per_probe)
         assert any(kept), "the planted survivors must be found"
@@ -116,9 +131,9 @@ def test_synthetic_entries_negative_and_around_2_to_70():
 def test_slot_width_grows_between_calls():
     rng = random.Random(11)
     k = 3
-    problem = _fake_problem(2, (5, -7, 0))
+    problem = _fake_problem(2, (5, -7, 0), k)
     small = Eq1Solution(1, Vec.zero(k + 1), (1, -2, 3))
-    per_probe = [_synthetic(rng, 4, k, 30, small, 2, e2) for e2 in problem.eq2_targets]
+    per_probe = [Eq3Shell(problem, _synthetic(rng, 4, k, 30, small, 2, e2)) for e2 in problem.eq2_targets]
     _check_all(problem, [small], per_probe)
     width = problem._eq2_table.width
     huge = Eq1Solution(-(2**75) + 3, Vec.zero(k + 1), (-1, 2**70, -(2**71)))
@@ -132,13 +147,13 @@ def test_extreme_slot_values_do_not_carry():
     # Pairings at the bound |N s t + B(btilde, c) - e2| = 2^15 - 1 of a
     # 16-bit slot, of both signs, next to exact survivors.
     k = 2
-    problem = _fake_problem(1, (0,))
+    problem = _fake_problem(1, (0,), k)
     e1 = Eq1Solution(1, Vec.zero(k + 1), (1, 1))
     m = (2**15 - 1) // 3
-    cands = [
+    cands = Eq3Shell(problem, [
         _eq3(m + 1, (m, m)), _eq3(0, (0, 0)), _eq3(-m - 1, (-m, -m)),
         _eq3(m, (-m, 0)), _eq3(-m, (m, m)), _eq3(1, (-1, 0)),
-    ]
+    ])
     got = filter_eq2(problem, e1, [cands])
     _assert_same(got, reference_filter_eq2(problem, e1, [cands]))
     assert got == [[cands[1], cands[3], cands[5]]]
@@ -149,9 +164,9 @@ def test_pattern_straddling_two_slots_is_no_survivor():
     # Slot values 68 = 0x0044 and 0x8080 (little-endian 44 00 | 80 80)
     # contain the survivor pattern 00 80 across the slot boundary.
     k = 2
-    problem = _fake_problem(1, (0,))
+    problem = _fake_problem(1, (0,), k)
     e1 = Eq1Solution(1, Vec.zero(k + 1), (1, 1))
-    cands = [_eq3(-10900, (-10900, -10900)), _eq3(128, (0, 0)), _eq3(5, (-5, 0))]
+    cands = Eq3Shell(problem, [_eq3(-10900, (-10900, -10900)), _eq3(128, (0, 0)), _eq3(5, (-5, 0))])
     got = filter_eq2(problem, e1, [cands])
     assert problem._eq2_table.width == 16
     _assert_same(got, reference_filter_eq2(problem, e1, [cands]))
@@ -162,11 +177,11 @@ def test_eq2_target_far_above_the_entries():
     k = 3
     e1 = Eq1Solution(-2, Vec.zero(k + 1), (1, -1, 2))
     rng = random.Random(5)
-    cands = [_eq3(rng.randint(-9, 9), tuple(rng.randint(-9, 9) for _ in range(k))) for _ in range(50)]
-    cands.append(_eq3(1, (6, 0, 0)))  # -6 t + g0 - g1 + 2 g2 = 0
+    rows = [_eq3(rng.randint(-9, 9), tuple(rng.randint(-9, 9) for _ in range(k))) for _ in range(50)]
+    rows.append(_eq3(1, (6, 0, 0)))  # -6 t + g0 - g1 + 2 g2 = 0
     for e2 in (2**100, -(2**100), 2**63 - 1, -(2**64)):
-        problem = _fake_problem(3, (e2, 0))
-        per_probe = [cands, cands[::-1]]
+        problem = _fake_problem(3, (e2, 0), k)
+        per_probe = [Eq3Shell(problem, rows), Eq3Shell(problem, rows[::-1])]
         got = filter_eq2(problem, e1, per_probe)
         _assert_same(got, reference_filter_eq2(problem, e1, per_probe))
         assert got[0] == [] and got[1]
@@ -175,8 +190,13 @@ def test_eq2_target_far_above_the_entries():
 def test_empty_probe_lists():
     problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1]))
     e1s, per_probe = _search_data(problem)
-    for lists in ([[], [], []], [per_probe[0], [], per_probe[2]], [[], per_probe[1], []], []):
+    empty = Eq3Shell(problem, ())
+    for lists in ([empty, empty, empty], [per_probe[0], empty, per_probe[2]], [empty, per_probe[1], empty], []):
         _check_all(problem, e1s[:50], lists)
+
+
+def _rows(shell):
+    return [(e.t, *e.coords) for e in shell]
 
 
 def test_table_follows_the_lists_it_was_built_from():
@@ -184,19 +204,74 @@ def test_table_follows_the_lists_it_was_built_from():
     e1s, per_probe = _search_data(problem)
     sample = e1s[::97]
     _check_all(problem, sample, per_probe)
-    # A copy is another object; the result holds the copy's elements.
-    copy = [list(c) for c in per_probe]
+    # A shell built from the same rows is another object; the result
+    # holds its entries.
+    copy = [Eq3Shell(problem, _rows(c)) for c in per_probe]
     _check_all(problem, sample, copy)
-    # Lists changed in place: reordered, shortened, and an element swapped
-    # for an equal object (which the result must hold) or another value.
-    copy[0].reverse()
-    del copy[1][::2]
+    # Shells of changed rows: reordered, shortened, and a survivor's row
+    # in a new shell (whose entry the result must hold) or replaced by
+    # another value.
+    rows = [_rows(c) for c in per_probe]
+    rows[0].reverse()
+    del rows[1][::2]
     e1 = next(e for e in e1s if reference_filter_eq2(problem, e, per_probe)[2])
     survivor = reference_filter_eq2(problem, e1, per_probe)[2][0]
-    twin = Eq3Solution(survivor.t, survivor.c, survivor.coords, survivor.gcoords)
-    copy[2][copy[2].index(survivor)] = twin
-    _check_all(problem, [e1, *sample], copy)
-    assert any(c is twin for c in filter_eq2(problem, e1, copy)[2])
-    copy[2][-1] = survivor
-    _check_all(problem, [e1, *sample], copy)
+    changed = [Eq3Shell(problem, r) for r in rows]
+    twin = changed[2][rows[2].index((survivor.t, *survivor.coords))]
+    assert twin == survivor and twin is not survivor
+    _check_all(problem, [e1, *sample], changed)
+    assert any(c is twin for c in filter_eq2(problem, e1, changed)[2])
+    rows[2][-1] = (survivor.t, *survivor.coords)
+    changed[2] = Eq3Shell(problem, rows[2])
+    _check_all(problem, [e1, *sample], changed)
     _check_all(problem, [e1, *sample], per_probe)
+
+
+def test_the_outer_list_may_change_in_place():
+    problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1]))
+    e1s, per_probe = _search_data(problem)
+    shells = list(per_probe)
+    _check_all(problem, e1s[::211], shells)
+    shells.reverse()
+    _check_all(problem, e1s[::211], shells)
+    del shells[1]
+    _check_all(problem, e1s[::211], shells)
+
+
+def test_shell_is_a_read_only_sequence():
+    problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1]))
+    shell = solve_eq3_per_z0(problem, problem.probes[0])
+    assert len(shell) == 576 == len(list(shell))
+    assert shell[0] is shell[0] is shell[-576] and shell[-1] is shell[575]
+    assert shell == list(shell) and shell == tuple(shell) and shell != list(shell)[1:]
+    for j in (576, -577):
+        with pytest.raises(IndexError):
+            shell[j]
+    with pytest.raises(AttributeError):
+        shell.t = ()
+
+
+def test_search_builds_objects_only_for_eq2_survivors(monkeypatch):
+    # Wilson at (1,1,1,1) has 576 + 576 + 768 = 1920 eq3 solutions; the
+    # search reads only the eq2 survivors of the eq1 solutions it filters,
+    # so only those become Eq3Solution objects.
+    problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1]))
+    shells = []
+    real = isometry.solve_eq3_per_z0
+    monkeypatch.setattr(isometry, "solve_eq3_per_z0", lambda *a: shells.append(real(*a)) or shells[-1])
+    built = []
+    monkeypatch.setattr(Eq3Solution, "__post_init__", lambda self: built.append(self))
+    result = isometry.find_isometries(problem)
+    assert len(result.candidates) == 1152
+    monkeypatch.undo()
+    assert [len(s) for s in shells] == [576, 576, 768]
+    e1s = solve_eq1(problem)
+    survivors = {
+        (i, e.t, e.coords)
+        for e1 in e1s[: (len(e1s) + 1) // 2]
+        for i, kept in enumerate(reference_filter_eq2(problem, e1, shells))
+        for e in kept
+    }
+    assert len(built) == len({id(e) for e in built}) == len(survivors) < 1920
+    probe_of = {id(e): i for i, s in enumerate(shells) for e in s}
+    assert {(probe_of[id(e)], e.t, e.coords) for e in built} == survivors

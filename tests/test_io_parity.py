@@ -243,3 +243,36 @@ def test_verify_checks_both_lists_when_they_differ(where, quaternary_doc):
     doc = copy.deepcopy(quaternary_doc)
     doc["candidates"].pop()
     assert verify_document(doc) is True
+
+
+LIST_SHAPED = {
+    "detail": ("quaternary", _set_path("certificate", "detail"), [1]),
+    "witness-detail": ("wilson", _set_path("certificate", "detail"), ["integral_count", 384]),
+    "certificate": ("quaternary", _set_path("certificate"), [{"verdict": "NoIntegralIsometry"}]),
+    "certificate-string": ("wilson", _set_path("certificate"), "IsometricWitness"),
+}
+
+
+@pytest.mark.parametrize("place", sorted(LIST_SHAPED))
+def test_verify_fails_on_a_certificate_that_is_not_an_object(place, wilson_doc, quaternary_doc, tmp_path, capsys):
+    which, edit, value = LIST_SHAPED[place]
+    doc = copy.deepcopy(wilson_doc if which == "wilson" else quaternary_doc)
+    edit(doc, value)
+    assert verify_document(doc) is False
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == "verification FAILED\n"
+
+
+def test_document_json_equals_json_dumps(wilson_doc, quaternary_doc):
+    docs = [wilson_doc, quaternary_doc]
+    for doc in docs:
+        assert document_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    shapes = [
+        {}, [], "x", 7, None, {"a": [], "b": {}, "c": [[]], "d": [[], ["1"]]},
+        {"z": [1, "x", None, True, False, 2.5, -0.0, float("inf"), float("nan"), 2**80]},
+        {"rows": [["é", "\"q\"\n", "€"], ("t", "u")], "deep": [[["a"], ["b", 1]], {"k": []}]},
+    ]
+    for x in shapes:
+        assert document_json(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"

@@ -294,13 +294,13 @@ class TestNecessity:
         # With btilde = 0 and t = 0 the second equation forces
         # B'(w, zhat) = 0; on a problem where that pairing is nonzero the
         # filter must drop the pair.
-        from superlat.isometry import Eq1Solution, Eq3Solution
+        from superlat.isometry import Eq1Solution, Eq3Shell
 
         problem = wilson_problem()
         k = len(problem.kernel_basis)
         zero_e1 = Eq1Solution(0, Vec.zero(problem.dim), (0,) * k)
-        zero_e3 = Eq3Solution(0, Vec.zero(problem.dim), (0,) * k, (0,) * k)
-        filtered = filter_eq2(problem, zero_e1, [[zero_e3]] * len(problem.probes))
+        zero_e3 = Eq3Shell(problem, [(0,) * (k + 1)])
+        filtered = filter_eq2(problem, zero_e1, [zero_e3] * len(problem.probes))
         assert all(problem.eq2_targets[i] != 0 for i in range(3))
         assert filtered == [[], [], []]
 
