@@ -11,9 +11,14 @@ process, through ``superlat.cli.main``:
 * ``verify FIRST`` and ``verify ALL``,
 * ``oracle FILE``.
 
+It also runs ``obstruct ... --json DOC`` on a few parameter sets of the
+rank-2 and rank-3 families (the rank-3 family with default and explicit
+alpha, beta, gamma) and on single constants with ``--squares 2`` and
+``--squares 3``, and ``verify DOC`` on every document written.
+
 It prints one JSON object that maps each case to its exit code, the sha256
-of its standard output and, for the two factorize runs, the sha256 of the
-document up to its ``"timing"`` key.  Temporary paths are replaced by a
+of its standard output and, for the factorize and obstruct runs, the
+sha256 of the document up to its ``"timing"`` key.  Temporary paths are replaced by a
 placeholder before hashing, so two checkouts whose command line behaves
 the same print the same object.  Usage, from the root of a checkout::
 
@@ -52,6 +57,23 @@ from superlat.cli import main as superlat_main  # noqa: E402
 # Problems per workload, as the benchmark draws them (perfbench/run.py).
 WORKLOAD_COUNTS = {"wilson": 7, "pullback": 5, "neighbour": 10}
 PROBE_SEEDS = (1, 5)
+
+# obstruct arguments; the last case of each family has bad parameters.
+OBSTRUCT_CASES = (
+    "--family rank2 --m 3 --n 1 --alpha 3 --beta 0 --gamma 3",
+    "--family rank2 --m 1 --n 2 --alpha 5 --beta 1 --gamma 1",
+    "--family rank2 --m 2 --n 1 --alpha 2 --beta 0 --gamma 2",
+    "--family rank2 --m 1 --n 1 --alpha 1 --beta 1 --gamma 1",
+    "--family rank3 --m 1",
+    "--family rank3 --m 3",
+    "--family rank3 --m 1 --alpha 8 --beta -2 --gamma 1",
+    "--family rank3 --m 3 --alpha 18 --beta 0 --gamma 18",
+    "--family rank3 --m 1 --alpha 1 --beta 0 --gamma 1",
+    "--N 3 --squares 2",
+    "--N 25 --squares 2",
+    "--N 7 --squares 3",
+    "--N 6 --squares 3",
+)
 
 
 def _sha(text: str) -> str:
@@ -98,6 +120,13 @@ def contract() -> dict:
                     out[f"{case} {mode} | verify"] = {"exit": code, "stdout": _sha(stdout)}
             code, stdout = _run(["oracle", args[0]], name)
             out[f"{case} oracle"] = {"exit": code, "stdout": _sha(stdout)}
+        for k, case in enumerate(OBSTRUCT_CASES):
+            doc = tmp / f"obstruct{k}.json"
+            code, stdout = _run(["obstruct", *case.split(), "--json", str(doc)], name)
+            out[f"obstruct {case}"] = {"exit": code, "stdout": _sha(stdout), "document": _document(doc)}
+            if doc.exists():
+                code, stdout = _run(["verify", str(doc)], name)
+                out[f"obstruct {case} | verify"] = {"exit": code, "stdout": _sha(stdout)}
     return out
 
 

@@ -191,34 +191,18 @@ def cmd_obstruct(args) -> int:
     if args.family:
         if args.m is None:
             raise ParseError("--family requires --m")
+        params = {"m": args.m, "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}
         if args.family == "rank2":
-            needed = (args.n, args.alpha, args.beta, args.gamma)
-            if any(x is None for x in needed):
+            params["n"] = args.n
+            if None in params.values():
                 raise ParseError("--family rank2 requires --n, --alpha, --beta, --gamma")
-            cert = family_obstruction(
-                "two_squares_rank2",
-                m=args.m,
-                n=args.n,
-                alpha=args.alpha,
-                beta=args.beta,
-                gamma=args.gamma,
-            )
-            params = {
-                "family": "rank2",
-                "m": args.m,
-                "n": args.n,
-                "alpha": args.alpha,
-                "beta": args.beta,
-                "gamma": args.gamma,
-            }
-        else:
-            extra = {}
-            if args.alpha is not None or args.beta is not None or args.gamma is not None:
-                if None in (args.alpha, args.beta, args.gamma):
-                    raise ParseError("give all of --alpha, --beta, --gamma or none")
-                extra = {"alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}
-            cert = family_obstruction("three_squares_rank3", m=args.m, **extra)
-            params = {"family": "rank3", "m": args.m, **extra}
+        elif None in params.values():
+            if any(params[key] is not None for key in ("alpha", "beta", "gamma")):
+                raise ParseError("give all of --alpha, --beta, --gamma or none")
+            params = {"m": args.m}
+        kind = {"rank2": "two_squares_rank2", "rank3": "three_squares_rank3"}[args.family]
+        cert = family_obstruction(kind, **params)
+        params = {"family": args.family, **params}
     elif args.N is not None:
         if args.squares is None:
             raise ParseError("--N requires --squares 2|3")

@@ -57,9 +57,9 @@ from .errors import (
 # in integers); it is imported so that perfbench/spans.py can wrap
 # isometry.dual_membership.
 from .forms import GramForm, dual_membership  # noqa: F401
-from .linalg import Mat, Vec, integer_kernel_basis
+from .linalg import Mat, Vec, integer_kernel_basis, parse_fraction
 
-_ReconTables = namedtuple("_ReconTables", "w betas adj_cols db den dp pair")
+_ReconTables = namedtuple("_ReconTables", "betas adj_cols db den dp pair")
 
 VERDICTS = (
     "IsometricWitness",
@@ -79,9 +79,11 @@ class IsometryProblem:
 
     The default probes are the standard basis vectors with the coordinate
     of largest |w_i| dropped (first such index on ties), which always
-    yields a basis.  The constructor precomputes the kernel sublattice
-    K = Z^n cap {w}^perp, its integer Gram rows kernel_gram (no rows when
-    n = 1), and the integer constants of the three equations.
+    yields a basis.  After validation the constructor reads B, B', w and
+    the probes as integer rows once, and derives from them (through
+    _bilinear) N = B(w,w), the kernel sublattice K = Z^n cap {w}^perp
+    with its integer Gram rows kernel_gram (no rows when n = 1), and the
+    integer constants of the three equations.
     """
 
     def __init__(
@@ -106,10 +108,12 @@ class IsometryProblem:
         self.w = w
         self.det_mismatch = source.det != target.det
         n = source.dim
-        wnorm = source.norm(w)
-        if wnorm == 0:
+        self._gram = tuple(map(_ints, source.gram.rows))
+        self._tgram = tuple(map(_ints, target.gram.rows))
+        self._w = w.to_ints()
+        self.wnorm = nint = _bilinear(self._gram, self._w, self._w)
+        if nint == 0:
             raise IsotropicAnchor("anchor has B(w,w) = 0")
-        self.wnorm = int(wnorm)
 
         if probes is None:
             drop = max(range(n), key=lambda i: (abs(w[i]), -i))
@@ -125,29 +129,19 @@ class IsometryProblem:
         if Mat.from_cols([w] + self.probes).determinant() == 0:
             raise DegenerateProbe("anchor and probes do not form a basis")
 
-        self.kernel_basis = integer_kernel_basis(source.gram @ w)
-        self.kernel_gram = tuple(
-            tuple(int(source.evaluate(ki, kj)) for kj in self.kernel_basis)
-            for ki in self.kernel_basis
-        )
-
-        # Integer caches for the filtering hot loops.
-        nint = self.wnorm
+        self.kernel_basis = integer_kernel_basis(Vec([_dot(row, self._w) for row in self._gram]))
+        kints = [k.to_ints() for k in self.kernel_basis]
+        self.kernel_gram = tuple(tuple(_bilinear(self._gram, ki, kj) for kj in kints) for ki in kints)
         # Column i holds the i-th entries of the basis vectors, so an
         # ambient vector is (_dot(coords, col) for col in _k_cols).
-        kints = [k.to_ints() for k in self.kernel_basis]
         self._k_cols = tuple(tuple(k[i] for k in kints) for i in range(n))
-        self.zhat = [self._zhat(z0) for z0 in self.probes]
-        self.eq1_target = nint * nint * int(target.norm(w))
-        self.eq2_targets = tuple(
-            nint * nint * int(target.evaluate(w, zh)) for zh in self.zhat
-        )
+        zhat = [self._zhat(z0.to_ints()) for z0 in self.probes]
+        n2, tgram = nint * nint, self._tgram
+        self.eq1_target = n2 * _bilinear(tgram, self._w, self._w)
+        self.eq2_targets = tuple(n2 * _bilinear(tgram, self._w, zh) for zh in zhat)
         self.eq3_targets = tuple(
-            tuple(nint * nint * int(target.evaluate(zi, zj)) for zj in self.zhat)
-            for zi in self.zhat
+            tuple(n2 * _bilinear(tgram, zi, zj) for zj in zhat) for zi in zhat
         )
-        self._recon: _ReconTables | None = None
-        self._grams: tuple | None = None
         self._eq2_table: _Eq2Table | None = None
 
     @property
@@ -157,33 +151,34 @@ class IsometryProblem:
     @cached_property
     def l0_form(self) -> PosDefForm:
         """The form diag(N, G_K) of L0 = Zw + K in the coordinates
-        (u, kernel coordinates) of u w + k; requires a definite source
-        form."""
-        if not self.source.is_positive_definite:
-            raise NotPositiveDefinite("search requires positive definite B")
+        (u, kernel coordinates) of u w + k.  It is also the positivity
+        check of B: w and the kernel basis form a basis of Q^n, so
+        diag(N, G_K) is B written in that basis, and its LDL^T fails
+        exactly when B is not positive definite."""
         zeros = [0] * len(self.kernel_gram)
-        return PosDefForm(Mat([[self.wnorm, *zeros], *([0, *row] for row in self.kernel_gram)]))
+        gram = Mat([[self.wnorm, *zeros], *([0, *row] for row in self.kernel_gram)])
+        try:
+            return PosDefForm(gram)
+        except NotPositiveDefinite:
+            raise NotPositiveDefinite("search requires positive definite B") from None
 
+    @cached_property
     def _recon_tables(self) -> _ReconTables:
         """Integer tables for reconstruct, built on first use.
 
         With P = (w | z0_1 ...), db the lcm of the denominators of P^-1
         and adj = db P^-1 (kept by columns), a candidate is M = C adj / den
         for den = N^2 db, where C has the integer columns N (s w + btilde)
-        and c_i + t_i w + B(z0_i, w)(s w + btilde).  atilde solves
-        P^T B atilde = (0, t), so it lies in the dual lattice iff
-        B atilde = P^-T (0, t) is integral, i.e. iff db divides
+        and c_i + t_i w + beta_i (s w + btilde) for beta_i = B(z0_i, w).
+        atilde solves P^T B atilde = (0, t), so it lies in the dual lattice
+        iff B atilde = P^-T (0, t) is integral, i.e. iff db divides
         adj^T (0, t); then atilde = pair (0, t) / dp.
         """
-        if self._recon is None:
-            w, basis = self.w, Mat.from_cols([self.w] + self.probes)
-            db, adj = _cleared(basis.inverse().rows)
-            dp, pair = _cleared((basis.transpose() @ self.source.gram).inverse().rows)
-            betas = tuple(int(self.source.evaluate(z0, w)) for z0 in self.probes)
-            self._recon = _ReconTables(
-                w.to_ints(), betas, tuple(zip(*adj)), db, self.wnorm**2 * db, dp, pair
-            )
-        return self._recon
+        basis = Mat.from_cols([self.w] + self.probes)
+        db, adj = _cleared(basis.inverse().rows)
+        dp, pair = _cleared((basis.transpose() @ self.source.gram).inverse().rows)
+        betas = tuple(_bilinear(self._gram, z0.to_ints(), self._w) for z0 in self.probes)
+        return _ReconTables(betas, tuple(zip(*adj)), db, self.wnorm**2 * db, dp, pair)
 
     def is_isometry(self, m: Mat) -> bool:
         """Exact test of M^T B M = B', run in integers on the numerator of
@@ -196,22 +191,21 @@ class IsometryProblem:
     def pulls_back(self, num, den: int) -> bool:
         """Whether num^T B num = den^2 B' for integer n x n rows num, i.e.
         whether M = num / den solves M^T B M = B'."""
-        if self._grams is None:
-            self._grams = (_cleared(self.source.gram.rows)[1], _cleared(self.target.gram.rows)[1])
-        gram, target = self._grams
         cols = list(zip(*num))
-        gcols = [tuple(_dot(grow, col) for grow in gram) for col in cols]
+        gcols = [tuple(_dot(grow, col) for grow in self._gram) for col in cols]
         d2 = den * den
-        for i, (ci, trow) in enumerate(zip(cols, target)):
+        for i, (ci, trow) in enumerate(zip(cols, self._tgram)):
             for j in range(i, len(cols)):
                 if _dot(ci, gcols[j]) != d2 * trow[j]:
                     return False
         return True
 
-    def _zhat(self, z0: Vec) -> Vec:
-        """N z0 - B(z0, w) w, the scaled component of z0 orthogonal to w."""
-        zh = self.wnorm * z0 - self.source.evaluate(z0, self.w) * self.w
-        if zh.is_zero():
+    def _zhat(self, z0: tuple[int, ...]) -> tuple[int, ...]:
+        """N z0 - B(z0, w) w for an integer probe z0 of length n, the
+        scaled component of z0 orthogonal to w."""
+        beta = _bilinear(self._gram, z0, self._w)
+        zh = tuple([self.wnorm * z - beta * x for z, x in zip(z0, self._w)])
+        if not any(zh):
             raise DegenerateProbe("probe lies on the anchor line")
         return zh
 
@@ -231,12 +225,12 @@ def _cleared(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def isometry_denominators(problem: IsometryProblem, matrices):
-    """Check matrices given as rows of entries that Fraction reads: yield,
-    for each, the lcm den of its entry denominators when its rows form
-    an n x n matrix M with M^T B M = B' (checked in integers on den M),
-    None otherwise.  M is integral iff den == 1.  Candidates repeat a
+    """Check matrices given as rows of entries that parse_fraction reads:
+    yield, for each, the lcm den of its entry denominators when its rows
+    form an n x n matrix M with M^T B M = B' (checked in integers on
+    den M), None otherwise.  M is integral iff den == 1.  Candidates repeat a
     few distinct entries many times, so each one is parsed once."""
-    parse = lru_cache(maxsize=None)(Fraction)
+    parse = lru_cache(maxsize=None)(parse_fraction)
     n, pulls_back = problem.dim, problem.pulls_back
     for rows in matrices:
         values = [[parse(x) for x in row] for row in rows]
@@ -414,6 +408,11 @@ def _dot(x: tuple[int, ...], y: tuple[int, ...]) -> int:
     return sum(map(mul, x, y))
 
 
+def _bilinear(gram, u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """u^T gram v for integer rows gram and integer vectors u, v."""
+    return _dot(u, [_dot(row, v) for row in gram])
+
+
 def _mirrored(half: list, length: int) -> list:
     """The sorted sign-complete list of the given length whose first
     ceil(length / 2) entries are `half`: entry length-1-j is -entry j."""
@@ -509,8 +508,11 @@ def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> Eq3Shell:
     """
     if not z0.is_integral():
         raise InvalidProblem("probe must be an integer vector")
+    if len(z0) != problem.dim:
+        raise DimensionMismatch("vector dimension does not match form")
     form = problem.l0_form
-    r = problem.wnorm**2 * int(problem.target.norm(problem._zhat(z0)))
+    zh = problem._zhat(z0.to_ints())
+    r = problem.wnorm**2 * _bilinear(problem._tgram, zh, zh)
     return Eq3Shell(problem, vectors_of_norm(form, r).solutions if r >= 0 else ())
 
 
@@ -683,14 +685,14 @@ def reconstruct(
     P^-1 is integral (db = 1, e.g. for the default unit-vector probes)
     every atilde lies in the dual lattice and the test is skipped.
     """
-    tab = problem._recon_tables()
+    tab = problem._recon_tables
     ts = [0] + [cand.t for cand in picks]
     db = tab.db
     if db != 1:
         for col in tab.adj_cols:
             if _dot(col, ts) % db:
                 return None
-    s, w = e1.s, tab.w
+    s, w = e1.s, problem._w
     sb = [s * x + b for x, b in zip(w, e1.b_ints)]
     ccols = [[problem.wnorm * x for x in sb]]
     for beta, cand in zip(tab.betas, picks):
@@ -847,51 +849,30 @@ def family_obstruction(kind: str, **params) -> Certificate:
     Returns ObstructionTwoSquares/ObstructionThreeSquares when the
     representation is impossible, Inconclusive otherwise (the test is
     necessary, not sufficient).
+
+    The constant is the eq1 target N^2 B'(w,w) of the family's forms
+    (rank2_family_forms, rank3_family_forms, which check the parameters),
+    and for rank 3 `reduced` is that constant over N^2.
     """
     if kind == "two_squares_rank2":
-        m, n = params["m"], params["n"]
-        alpha, beta, gamma = params["alpha"], params["beta"], params["gamma"]
-        if m == 0 or n == 0:
-            raise BadFamilyParams("m and n must be nonzero")
-        if alpha * gamma - beta * beta != (m * n) ** 2:
-            raise BadFamilyParams("need alpha*gamma - beta^2 = (m*n)^2")
-        constant = alpha * m**4
-        detail = {
-            "kind": kind,
-            "m": m,
-            "n": n,
-            "alpha": alpha,
-            "beta": beta,
-            "gamma": gamma,
-            "constant": constant,
-            "squares": 2,
-        }
-        return Certificate(squares_verdict(constant, 2), detail=detail)
-    if kind == "three_squares_rank3":
-        m = params["m"]
-        if m == 0:
-            raise BadFamilyParams("m must be nonzero")
-        alpha = params.get("alpha")
-        if alpha is None:
-            alpha, beta, gamma = 4 * m**3, 0, m
-        else:
-            beta, gamma = params["beta"], params["gamma"]
-        if alpha * gamma - beta * beta != 4 * m**4:
-            raise BadFamilyParams("need alpha*gamma - beta^2 = 4*m^4")
-        reduced = alpha + 2 * beta + gamma + 1
-        constant = 16 * m**4 * reduced
-        detail = {
-            "kind": kind,
-            "m": m,
-            "alpha": alpha,
-            "beta": beta,
-            "gamma": gamma,
-            "constant": constant,
-            "reduced": reduced,
-            "squares": 3,
-        }
-        return Certificate(squares_verdict(constant, 3), detail=detail)
-    raise BadFamilyParams(f"unknown family kind {kind!r}")
+        detail = {key: params[key] for key in ("m", "n", "alpha", "beta", "gamma")}
+        forms = rank2_family_forms(**detail)
+        squares = 2
+    elif kind == "three_squares_rank3":
+        m, alpha = params["m"], params.get("alpha")
+        abg = (None,) * 3 if alpha is None else (alpha, params["beta"], params["gamma"])
+        forms = rank3_family_forms(m, *abg)
+        target = forms[1].gram
+        detail = {"m": m, "alpha": int(target[0, 0]), "beta": int(target[0, 1]), "gamma": int(target[1, 1])}
+        squares = 3
+    else:
+        raise BadFamilyParams(f"unknown family kind {kind!r}")
+    problem = IsometryProblem(*forms)
+    constant = problem.eq1_target
+    detail.update(kind=kind, constant=constant, squares=squares)
+    if squares == 3:
+        detail["reduced"] = constant // problem.wnorm**2
+    return Certificate(squares_verdict(constant, squares), detail=detail)
 
 
 def squares_verdict(constant: int, squares: int) -> str:

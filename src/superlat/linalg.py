@@ -13,6 +13,8 @@ dense.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -25,6 +27,24 @@ Scalar = int | Fraction
 
 def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def parse_fraction(x) -> Fraction:
+    """Fraction(x), except that a string whose decimal exponent exceeds
+    sys.get_int_max_str_digits() in magnitude raises ValueError: Fraction
+    would first build 10**exponent, which takes minutes for an exponent
+    of 10^8.  Python applies the same limit to the digits of a plain
+    integer token.  Every text entry of a problem file, matrix file or
+    document is read through this function."""
+    if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"decimal exponent exceeds {limit} in magnitude")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)

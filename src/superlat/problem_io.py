@@ -45,7 +45,7 @@ from .isometry import (
     SearchResult,
     isometry_denominators,
 )
-from .linalg import Mat, Vec
+from .linalg import Mat, Vec, parse_fraction
 
 _LABELS = ("n", "B", "Bprime", "w", "z0")
 
@@ -64,7 +64,7 @@ class ProblemFile:
 
 def _fraction(token: str, where: str) -> Fraction:
     try:
-        return Fraction(token)
+        return parse_fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{where}: bad rational {token!r}")
 
@@ -208,7 +208,7 @@ def matrix_rows(m: Mat) -> list[list[str]]:
 
 def _parse_matrix_rows(rows, where: str) -> Mat:
     try:
-        return Mat([[Fraction(x) for x in row] for row in rows])
+        return Mat([[parse_fraction(x) for x in row] for row in rows])
     except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         raise ParseError(f"{where}: bad matrix payload")
 

@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ import pytest
 from superlat import cli
 from superlat.errors import ParseError
 from superlat.isometry import IsometryProblem
+from superlat.linalg import parse_fraction
 from superlat.problem_io import _parse_matrix_rows, document_json, verify_document
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -154,6 +158,46 @@ def test_verify_rejects_non_finite_entries(place, value, wilson_doc, quaternary_
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == "verification FAILED\n"
+
+
+HUGE_EXPONENTS = ["1e100000000", "1e-100000000"]
+
+
+def test_parse_fraction_holds_exponents_to_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("integer digit limit switched off")
+    assert parse_fraction(f"1e-{limit}") == Fraction(1, 10**limit)
+    assert parse_fraction(f" 25E{limit} ") == 25 * 10**limit
+    for text in (f"1e{limit + 1}", f"-2.5E-{limit + 1}", f"1e{'9' * (limit + 1)}"):
+        with pytest.raises(ValueError):
+            parse_fraction(text)
+
+
+@pytest.mark.parametrize("token", HUGE_EXPONENTS)
+@pytest.mark.parametrize("block", ["n 1\nB\n{}\n", "n {}\nB\n1\n"], ids=["B", "n"])
+def test_huge_exponent_in_a_problem_is_a_parse_error(block, token, tmp_path, capsys):
+    # Fraction would expand 10**exponent first, which takes minutes.
+    path = tmp_path / "huge.txt"
+    path.write_text(block.format(token), encoding="utf-8")
+    start = time.perf_counter()
+    assert cli.main(["factorize", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "bad rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", HUGE_EXPONENTS)
+@pytest.mark.parametrize("place", sorted(NON_FINITE_PLACES))
+def test_verify_rejects_huge_exponents(place, token, wilson_doc, quaternary_doc, tmp_path, capsys):
+    which, edit = NON_FINITE_PLACES[place]
+    doc = copy.deepcopy(wilson_doc if which == "wilson" else quaternary_doc)
+    edit(doc, token)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert cli.main(["verify", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == "verification FAILED\n"
 
 

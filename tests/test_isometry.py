@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from superlat.errors import (
     BadFamilyParams,
     DegenerateProbe,
+    DimensionMismatch,
     InvalidProblem,
     IsotropicAnchor,
     NotPositiveDefinite,
@@ -219,6 +220,13 @@ class TestProblemValidation:
         problem = IsometryProblem(form, form, Vec([1, 2, 1]))
         assert problem.probes == [Vec([1, 0, 0]), Vec([0, 0, 1])]
 
+    def test_eq3_rejects_probe_of_wrong_length(self):
+        # zip over integer rows would truncate such a probe silently.
+        problem = wilson_problem()
+        for z0 in (Vec([0, 1, 0]), Vec([0, 1, 0, 0, 0])):
+            with pytest.raises(DimensionMismatch):
+                solve_eq3_per_z0(problem, z0)
+
     def test_indefinite_search_is_unsupported(self):
         form = GramForm(Mat.diagonal([1, -1]))
         problem = IsometryProblem(form, form, Vec([1, 0]))
@@ -388,6 +396,30 @@ class TestFamilies:
         )
         assert cert.verdict == "Inconclusive"
         assert cert.detail["constant"] == 2
+
+    def test_family_constants_follow_the_closed_forms(self):
+        # The constant is the eq1 target of the family's forms; it must
+        # equal alpha m^4 (rank 2) and 16 m^4 reduced (rank 3), with
+        # reduced = alpha + 2 beta + gamma + 1.
+        for m in [*range(-3, 0), *range(1, 30)]:
+            detail = family_obstruction("three_squares_rank3", m=m).detail
+            assert (detail["alpha"], detail["beta"], detail["gamma"]) == (4 * m**3, 0, m)
+            assert detail["reduced"] == 4 * m**3 + m + 1
+            assert detail["constant"] == 16 * m**4 * detail["reduced"]
+        for m, alpha, beta, gamma in [(1, 8, -2, 1), (3, 60, 6, 6), (3, 18, 0, 18)]:
+            abg = {"alpha": alpha, "beta": beta, "gamma": gamma}
+            reduced = alpha + 2 * beta + gamma + 1
+            assert family_obstruction("three_squares_rank3", m=m, **abg).detail == {
+                "kind": "three_squares_rank3", "m": m, **abg,
+                "constant": 16 * m**4 * reduced, "reduced": reduced, "squares": 3,
+            }
+        for m, n, alpha, beta, gamma in [
+            (3, 1, 3, 3, 6), (1, 2, 2, 0, 2), (2, 3, 4, 2, 10), (1, 2, 5, 1, 1), (-2, 1, 2, 0, 2),
+        ]:
+            params = {"m": m, "n": n, "alpha": alpha, "beta": beta, "gamma": gamma}
+            assert family_obstruction("two_squares_rank2", **params).detail == {
+                "kind": "two_squares_rank2", **params, "constant": alpha * m**4, "squares": 2,
+            }
 
     def test_family_parameter_validation(self):
         with pytest.raises(BadFamilyParams):

@@ -16,7 +16,7 @@ from helpers import (
     reference_solve_eq1,
     reference_solve_eq3,
 )
-from superlat import isometry
+from superlat import diophantine, isometry
 from superlat.cli import main
 from superlat.errors import NotPositiveDefinite
 from superlat.forms import GramForm
@@ -96,6 +96,22 @@ def test_one_enumeration_per_equation(monkeypatch):
     assert len(calls) == 1 + len(problem.probes)
 
 
+@pytest.mark.parametrize("flags", [[], ["--all"]])
+def test_a_search_factors_one_form(monkeypatch, capsys, flags):
+    # l0_form is the only positivity check: no LDL^T of B is built.
+    grams = []
+    real = diophantine.PosDefForm.__init__
+
+    def counting(self, gram):
+        grams.append(gram)
+        real(self, gram)
+
+    monkeypatch.setattr(diophantine.PosDefForm, "__init__", counting)
+    assert main(["factorize", str(PROBLEMS / "wilson.txt"), *flags]) == 0
+    assert grams == [Mat.diagonal([1, 1, 1, 1])]
+    capsys.readouterr()
+
+
 def test_negative_target_has_no_solutions():
     # B'(w, w) < 0 and B'(zhat, zhat) < 0: every shell target is negative.
     problem = IsometryProblem(
@@ -109,11 +125,25 @@ def test_negative_target_has_no_solutions():
     assert verify_certificate(result.certificate, problem)
 
 
-@pytest.mark.parametrize("bprime", ["1 0\n0 -1", "-1 0\n0 1"])
-def test_indefinite_source_is_unsupported(tmp_path, capsys, bprime):
-    # The second target also makes the eq1 target negative: definiteness
-    # is still checked first.
-    text = f"n 2\nB\n1 0\n0 -1\nBprime\n{bprime}\nw 1 0\n"
+@pytest.mark.parametrize(
+    "source, bprime, w",
+    [
+        pytest.param("1 0\n0 -1", "1 0\n0 -1", "1 0", id="1 0\n0 -1"),
+        # This target also makes the eq1 target negative: definiteness is
+        # still checked first.
+        pytest.param("1 0\n0 -1", "-1 0\n0 1", "1 0", id="-1 0\n0 1"),
+        # Rank 1: diag(N) alone, with no kernel, must catch B = -2.
+        pytest.param("-2", "-2", "1", id="rank1"),
+        # Not diagonal: N = 2 > 0 but G_K = (-10), so only the LDL^T of
+        # diag(N, G_K) sees that B is indefinite.
+        pytest.param("2 3\n3 2", "2 3\n3 2", "1 0", id="non-diagonal"),
+    ],
+)
+def test_indefinite_source_is_unsupported(tmp_path, capsys, source, bprime, w):
+    # diag(N, G_K) is B in the basis (w, kernel basis), so its LDL^T is
+    # the one positivity check of the search.
+    n = len(w.split())
+    text = f"n {n}\nB\n{source}\nBprime\n{bprime}\nw {w}\n"
     path = tmp_path / "indef.txt"
     path.write_text(text)
     for flags in ([], ["--all"]):
@@ -125,5 +155,6 @@ def test_indefinite_source_is_unsupported(tmp_path, capsys, bprime):
     problem = IsometryProblem(GramForm(pf.gram), GramForm(pf.target), pf.w)
     with pytest.raises(NotPositiveDefinite, match="^search requires positive definite B$"):
         solve_eq1(problem)
-    with pytest.raises(NotPositiveDefinite, match="^search requires positive definite B$"):
-        solve_eq3_per_z0(problem, problem.probes[0])
+    for z0 in problem.probes:
+        with pytest.raises(NotPositiveDefinite, match="^search requires positive definite B$"):
+            solve_eq3_per_z0(problem, z0)

@@ -80,7 +80,7 @@ def test_user_probes_with_dual_rejections():
         Vec([0, 1, 0]),
         probes=[Vec([1, 2, -2]), Vec([2, 0, 2])],
     )
-    assert problem._recon_tables().db == 6
+    assert problem._recon_tables.db == 6
     stats = find_isometries(problem).stats
     assert (stats.joint_raw, stats.candidates, stats.integral) == (96, 72, 48)
     _assert_matches_reference(problem)
