@@ -20,6 +20,7 @@ the search runs on one thread, so output is the same for any value.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -244,7 +245,10 @@ def cmd_verify(args) -> int:
     return EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    about ten times what parsing one command line does."""
     parser = argparse.ArgumentParser(
         prog="superlat",
         description="Exact graded decompositions and integral Gram-matrix factorization",

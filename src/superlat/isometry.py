@@ -14,11 +14,15 @@ where zhat_i = N z0_i - B(z0_i, w) w is the (scaled) component of the i-th
 probe orthogonal to w.  Since w is orthogonal to K, N u^2 + B(k, k) is the
 norm of u w + k in L0 = Zw + K, whose Gram matrix is diag(N, G_K): eq1 and
 eq3 each ask for one norm shell of L0, and for positive definite B each
-shell is finite.  Each eq3 shell is kept as integer columns (Eq3Shell):
-eq2 is tested on the t and kernel-coordinate columns of all probes at
-once, and only its survivors become Eq3Solution objects.  Surviving
-tuples are then filtered by the polarized version of eq3 across probe
-pairs, turned back into explicit candidate matrices and verified exactly.
+shell is finite.  A solution is its L0 row: (s, x) for s w + btilde and
+(t_i, y_i) for t_i w + c_i, with x and y_i coordinates in a basis of K.
+These rows, as vectors_of_norm returns them, are the only format from
+enumeration to reconstruction.  Eq2 and the polarized eq3 across probe
+pairs are L0 pairings of rows under diag(N, G_K): eq2 is tested on the
+rows of all probes at once, surviving tuples are assembled across probe
+pairs, and reconstruct maps the rows to ambient vectors through
+E = (w | kernel basis), builds the candidate matrix and verifies it
+exactly.
 
 The module also houses the infinite-family obstructions (two- and
 three-squares) and an independent brute-force oracle used to validate the
@@ -28,13 +32,12 @@ pipeline at desk scale.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from math import gcd, lcm
-from operator import eq, is_, mul
+from operator import is_, mul
 
 from .diophantine import (
     PosDefForm,
@@ -132,9 +135,12 @@ class IsometryProblem:
         self.kernel_basis = integer_kernel_basis(Vec([_dot(row, self._w) for row in self._gram]))
         kints = [k.to_ints() for k in self.kernel_basis]
         self.kernel_gram = tuple(tuple(_bilinear(self._gram, ki, kj) for kj in kints) for ki in kints)
-        # Column i holds the i-th entries of the basis vectors, so an
-        # ambient vector is (_dot(coords, col) for col in _k_cols).
-        self._k_cols = tuple(tuple(k[i] for k in kints) for i in range(n))
+        # diag(N, G_K), the Gram rows of L0 = Zw + K in the coordinates
+        # (u, kernel coordinates) of u w + k, and the rows of
+        # E = (w | kernel basis), which maps such a row to u w + k.
+        zeros = (0,) * len(kints)
+        self._l0_gram = ((nint, *zeros), *((0, *row) for row in self.kernel_gram))
+        self._l0_basis = tuple(zip(self._w, *kints))
         zhat = [self._zhat(z0.to_ints()) for z0 in self.probes]
         n2, tgram = nint * nint, self._tgram
         self.eq1_target = n2 * _bilinear(tgram, self._w, self._w)
@@ -155,10 +161,8 @@ class IsometryProblem:
         check of B: w and the kernel basis form a basis of Q^n, so
         diag(N, G_K) is B written in that basis, and its LDL^T fails
         exactly when B is not positive definite."""
-        zeros = [0] * len(self.kernel_gram)
-        gram = Mat([[self.wnorm, *zeros], *([0, *row] for row in self.kernel_gram)])
         try:
-            return PosDefForm(gram)
+            return PosDefForm(Mat(self._l0_gram))
         except NotPositiveDefinite:
             raise NotPositiveDefinite("search requires positive definite B") from None
 
@@ -211,10 +215,12 @@ class IsometryProblem:
 
     def from_kernel_coords(self, coords: tuple[int, ...]) -> Vec:
         """Map K-coordinates back to an ambient integer vector."""
-        return Vec(self._ambient(coords))
+        return Vec(self._ambient((0, *coords)))
 
-    def _ambient(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple([_dot(coords, col) for col in self._k_cols])
+    def _ambient(self, row: tuple[int, ...]) -> tuple[int, ...]:
+        """The ambient vector E row = u w + k of an L0 row (u, kernel
+        coordinates of k)."""
+        return tuple([_dot(row, e) for e in self._l0_basis])
 
 
 def _cleared(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -248,51 +254,6 @@ def _ints(v) -> tuple[int, ...]:
 
 def _neg(v) -> tuple:
     return tuple([-x for x in v])
-
-
-@dataclass(frozen=True)
-class Eq1Solution:
-    """One solution of eq1: the anchor pairing s and the vector btilde,
-    kept ambiently as ints (b_ints) and in kernel coordinates.  The
-    second argument may be a Vec or any sequence of integers; .btilde is
-    the Vec."""
-
-    s: int
-    b_ints: tuple[int, ...]
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "b_ints", _ints(self.b_ints))
-
-    def __neg__(self) -> "Eq1Solution":
-        return Eq1Solution(-self.s, _neg(self.b_ints), _neg(self.coords))
-
-    @property
-    def btilde(self) -> Vec:
-        return Vec(self.b_ints)
-
-
-@dataclass(frozen=True)
-class Eq3Solution:
-    """One per-probe solution of eq3: the dual pairing t and the kernel
-    vector c (kept ambiently as ints, c_ints, and in kernel coordinates),
-    with cached Gram products for the filtering loops.  The second
-    argument may be a Vec or any sequence of integers; .c is the Vec."""
-
-    t: int
-    c_ints: tuple[int, ...]
-    coords: tuple[int, ...]
-    gcoords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "c_ints", _ints(self.c_ints))
-
-    def __neg__(self) -> "Eq3Solution":
-        return Eq3Solution(-self.t, _neg(self.c_ints), _neg(self.coords), _neg(self.gcoords))
-
-    @property
-    def c(self) -> Vec:
-        return Vec(self.c_ints)
 
 
 @dataclass(frozen=True, init=False)
@@ -413,99 +374,22 @@ def _bilinear(gram, u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return _dot(u, [_dot(row, v) for row in gram])
 
 
-def _mirrored(half: list, length: int) -> list:
-    """The sorted sign-complete list of the given length whose first
-    ceil(length / 2) entries are `half`: entry length-1-j is -entry j."""
-    return half + [-x for x in reversed(half[: length // 2])]
-
-
-def solve_eq1(problem: IsometryProblem) -> list[Eq1Solution]:
+def solve_eq1(problem: IsometryProblem) -> tuple[tuple[int, ...], ...]:
     """All integer pairs (s, btilde) with
-    N^2 B'(w,w) = N s^2 + B(btilde, btilde): the vectors s w + btilde of
-    norm N^2 B'(w,w) in L0 = Zw + K, sign-complete, ordered by s then
-    lexicographically by kernel coordinates.  Solution L-1-j is the
-    negation of solution j; only the first half is built from the
-    shell."""
+    N^2 B'(w,w) = N s^2 + B(btilde, btilde), as the L0 rows (s, x) of the
+    vectors s w + btilde of norm N^2 B'(w,w) in L0 = Zw + K, x the kernel
+    coordinates of btilde: the shell of vectors_of_norm as it is, sorted
+    by s then by x, and sign-complete with row L-1-j = -row j."""
     form = problem.l0_form
     e1 = problem.eq1_target
-    if e1 < 0:
-        return []
-    ambient = problem._ambient
-    shell = vectors_of_norm(form, e1).solutions
-    half = shell[: (len(shell) + 1) // 2]
-    return _mirrored([Eq1Solution(v[0], ambient(v[1:]), v[1:]) for v in half], len(shell))
+    return vectors_of_norm(form, e1).solutions if e1 >= 0 else ()
 
 
-class Eq3Shell(Sequence):
-    """The eq3 solutions of one probe, as integer columns.
-
-    `t` holds the t of every solution and `coords[j]` the j-th kernel
-    coordinate of every c, in the order of the rows (t, kernel
-    coordinates) the shell was built from.  The shell is a read-only
-    sequence: entry j is the Eq3Solution of row j, built when it is first
-    read and cached, so reading an entry twice gives the same object.  A
-    shell equals any list, tuple or shell of equal entries.
-    """
-
-    __slots__ = ("t", "coords", "_k_cols", "_gram", "_built")
-
-    def __init__(self, problem: IsometryProblem, rows):
-        cols = tuple(zip(*rows)) or ((),) * (len(problem.kernel_gram) + 1)
-        init = object.__setattr__
-        init(self, "t", cols[0])
-        init(self, "coords", cols[1:])
-        # The kernel basis columns, not the problem: a shell that
-        # referred to its problem would make a reference cycle through the
-        # problem's cached eq2 table, freed only by the garbage collector.
-        init(self, "_k_cols", problem._k_cols)
-        init(self, "_gram", problem.kernel_gram)
-        init(self, "_built", [None] * len(cols[0]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Eq3Shell is read-only")
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, j: int) -> Eq3Solution:
-        n = len(self.t)
-        if not -n <= j < n:
-            raise IndexError("Eq3Shell index out of range")
-        return self._entries((j + n if j < 0 else j,))[0]
-
-    def _entries(self, indices) -> list[Eq3Solution]:
-        """The entries at the given indices in 0 <= j < len(self)."""
-        built = self._built
-        out = list(map(built.__getitem__, indices))
-        if not all(out):
-            for p, j in enumerate(indices):
-                if out[p] is None:
-                    coords = tuple([col[j] for col in self.coords])
-                    gcoords = tuple([_dot(row, coords) for row in self._gram])
-                    c_ints = tuple([_dot(coords, col) for col in self._k_cols])
-                    out[p] = built[j] = Eq3Solution(self.t[j], c_ints, coords, gcoords)
-        return out
-
-    def __iter__(self):
-        return iter(self._entries(range(len(self.t))))
-
-    def __eq__(self, other):
-        if not isinstance(other, (Eq3Shell, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None
-
-
-def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> Eq3Shell:
+def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> tuple[tuple[int, ...], ...]:
     """All integer pairs (t, c) with
-    N^2 B'(zhat, zhat) = B(c, c) + N t^2 for the probe z0: the vectors
-    t w + c of norm N^2 B'(zhat, zhat) in L0 = Zw + K, ordered by t then
-    lexicographically by kernel coordinates.  Like solve_eq1, the shell is
-    sign-complete with solution L-1-j the negation of solution j.  The
-    sorted shell of vectors_of_norm is turned into columns with one zip;
-    an Eq3Solution is built only for an entry that is read (see Eq3Shell).
-    """
+    N^2 B'(zhat, zhat) = B(c, c) + N t^2 for the probe z0, as the L0 rows
+    (t, y) of the vectors t w + c of norm N^2 B'(zhat, zhat), y the kernel
+    coordinates of c; sorted and sign-complete like solve_eq1."""
     if not z0.is_integral():
         raise InvalidProblem("probe must be an integer vector")
     if len(z0) != problem.dim:
@@ -513,7 +397,7 @@ def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> Eq3Shell:
     form = problem.l0_form
     zh = problem._zhat(z0.to_ints())
     r = problem.wnorm**2 * _bilinear(problem._tgram, zh, zh)
-    return Eq3Shell(problem, vectors_of_norm(form, r).solutions if r >= 0 else ())
+    return vectors_of_norm(form, r).solutions if r >= 0 else ()
 
 
 def _slot_width(bound: int) -> int:
@@ -522,48 +406,45 @@ def _slot_width(bound: int) -> int:
 
 
 class _Eq2Table:
-    """The eq3 shells of all probes packed into one integer per column.
+    """The eq3 shells of all probes packed into one integer per L0
+    coordinate.
 
-    Solution k of the concatenated shells (shell i starts at offsets[i])
-    owns the bits [kW, (k+1)W) of each packed integer: `t` holds its t,
-    `c[j]` its j-th kernel coordinate, and `base` holds 2^(W-1) - e2 of
-    its probe.  The width W is set by the first call that packs the table
-    and only grows; packing reads the columns of the shells, so the table
-    holds no per-solution lists.  The table keeps the shells it was built
-    from, and filter_eq2 rebuilds it for any other shells.
+    Row k of the concatenated shells (shell i starts at offsets[i]) owns
+    the bits [kW, (k+1)W) of each packed integer: `cols[j]` holds its
+    j-th coordinate (t, then the kernel coordinates of c), and `base`
+    holds 2^(W-1) - e2 of its probe.  The width W is set by the first call
+    that packs the table and only grows; packing transposes the rows with
+    one zip and keeps only the packed integers.  The table keeps the
+    (immutable) shells it was built from, and filter_eq2 rebuilds it for
+    any other shells.
     """
 
-    __slots__ = ("shells", "pairs", "offsets", "tmax", "cmax", "e2max", "colmax", "width", "base", "t", "c")
+    __slots__ = ("shells", "pairs", "offsets", "colmax", "e2max", "width", "base", "cols")
 
     def __init__(self, shells, eq2_targets):
         self.shells = tuple(shells)
         self.pairs = tuple(zip(eq2_targets, self.shells))
         self.offsets = (0, *accumulate(len(shell) for _, shell in self.pairs))
-        self.tmax = max(map(abs, chain.from_iterable(shell.t for _, shell in self.pairs)), default=0)
-        self.cmax = [
-            max(map(abs, chain.from_iterable(cols)), default=0) for cols in self._coord_columns()
-        ]
+        self.colmax = [max(map(abs, col)) for col in self._columns()]
         self.e2max = max((abs(e2) for e2, _ in self.pairs), default=0)
-        self.colmax = max([self.tmax, *self.cmax])
         self.width = 0
 
     def built_from(self, shells) -> bool:
         return len(shells) == len(self.shells) and all(map(is_, shells, self.shells))
 
-    def _coord_columns(self):
-        """Per kernel coordinate j, the j-th coordinate column of each shell."""
-        return zip(*(shell.coords for _, shell in self.pairs))
+    def _columns(self):
+        """Per L0 coordinate, its entries in the rows of all shells."""
+        return zip(*chain.from_iterable(shell for _, shell in self.pairs))
 
     def pack(self, width: int) -> None:
         """(Re)build the packed integers with width-bit slots."""
         nbytes, off = width // 8, 1 << (width - 1)
         ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * self.offsets[-1], "little")
 
-        def packed(columns) -> int:
+        def packed(column) -> int:
             # sum_k v_k 2^(kW), built from the offset values v_k + 2^(W-1),
             # which lie in [0, 2^W) because every |v_k| < 2^(W-1).
-            values = chain.from_iterable(columns)
-            raw = b"".join([(v + off).to_bytes(nbytes, "little") for v in values])
+            raw = b"".join([(v + off).to_bytes(nbytes, "little") for v in column])
             return int.from_bytes(raw, "little") - off * ones
 
         self.width = width
@@ -572,8 +453,7 @@ class _Eq2Table:
             b"".join([(off - e2).to_bytes(nbytes, "little") * len(shell) for e2, shell in self.pairs]),
             "little",
         )
-        self.t = packed(shell.t for _, shell in self.pairs)
-        self.c = [packed(cols) for cols in self._coord_columns()]
+        self.cols = [packed(col) for col in self._columns()]
 
 
 def _centred_slots(raw: bytes, lo: int, hi: int, nbytes: int) -> list[int]:
@@ -595,27 +475,25 @@ def _centred_slots(raw: bytes, lo: int, hi: int, nbytes: int) -> list[int]:
 
 def filter_eq2(
     problem: IsometryProblem,
-    e1: Eq1Solution,
-    per_probe: list[Eq3Shell],
-) -> list[list[Eq3Solution]]:
-    """Keep per-probe candidates compatible with eq2 for the given eq1
-    solution: N^2 B'(w, zhat_i) = N s t + B(btilde, c).
+    e1: tuple[int, ...],
+    per_probe: list[tuple[tuple[int, ...], ...]],
+) -> list[list[tuple[int, ...]]]:
+    """Keep the eq3 rows of each probe that are compatible with eq2 for
+    the eq1 row e1 = (s, x): N^2 B'(w, zhat_i) = N s t + B(btilde, c).
 
-    G_K is symmetric, so B(btilde, c) = y . c for y = G_K x and x the
-    kernel coordinates of btilde: the test needs only the t and
-    kernel-coordinate columns of the shells, and y is computed once per
-    call.  All pairings of e1 are evaluated at once on integers packed
-    with one W-bit slot per eq3 solution (see _Eq2Table): the sum
-    base + N s T + sum_j y_j C_j holds N s t + B(btilde, c) - e2 + 2^(W-1)
-    in every slot, and the survivors are the slots equal to 2^(W-1),
-    found as aligned matches in the sum's bytes.  W is a multiple of 8
-    with 2^(W-1) above a bound on |N s t + B(btilde, c) - e2| and on the
-    packed entries for the arguments given, so no slot carries into the
-    next; when a call needs wider slots than the table has, the table is
-    repacked at that width.  The table is built on the first call for a
-    list of shells and cached on the problem.  The result lists the
-    survivors of each probe in eq3 order, as entries of its shell: a
-    survivor is the same object on every call.
+    The right side is the L0 pairing g . (t, y) of the eq3 row (t, y)
+    with g = diag(N, G_K) e1 = (N s, G_K x), computed once per call.  All
+    pairings of e1 are evaluated at once on integers packed with one
+    W-bit slot per eq3 row (see _Eq2Table): the sum base + sum_j g_j C_j
+    holds N s t + B(btilde, c) - e2 + 2^(W-1) in every slot, and the
+    survivors are the slots equal to 2^(W-1), found as aligned matches in
+    the sum's bytes.  W is a multiple of 8 with 2^(W-1) above a bound on
+    |N s t + B(btilde, c) - e2| and on the packed entries for the
+    arguments given, so no slot carries into the next; when a call needs
+    wider slots than the table has, the table is repacked at that width.
+    The table is built on the first call for a list of shells and cached
+    on the problem.  The result lists the survivors of each probe in eq3
+    order, as the row tuples of its shell.
     """
     table = problem._eq2_table
     if table is None or not table.built_from(per_probe):
@@ -624,44 +502,45 @@ def filter_eq2(
     count = offsets[-1]
     if not count:
         return [[] for _ in pairs]
-    ns = problem.wnorm * e1.s
-    y = [_dot(row, e1.coords) for row in problem.kernel_gram]
-    bound = abs(ns) * table.tmax + _dot(map(abs, y), table.cmax) + table.e2max
-    width = _slot_width(max(bound, table.colmax))
+    g = [_dot(row, e1) for row in problem._l0_gram]
+    bound = _dot(map(abs, g), table.colmax) + table.e2max
+    width = _slot_width(max(bound, *table.colmax))
     if width > table.width:
         table.pack(width)
-    total = table.base + ns * table.t + _dot(y, table.c)
+    total = table.base + _dot(g, table.cols)
     nbytes = table.width // 8
     raw = total.to_bytes(count * nbytes, "little")
     return [
-        shell._entries(_centred_slots(raw, lo, hi, nbytes))
+        list(map(shell.__getitem__, _centred_slots(raw, lo, hi, nbytes)))
         for (_, shell), lo, hi in zip(pairs, offsets, offsets[1:])
     ]
 
 
-def _assemble(
-    problem: IsometryProblem, filtered: list[list[Eq3Solution]]
-):
-    """Yield per-probe combinations consistent across probe pairs:
-    B(c_i, c_j) + N t_i t_j = N^2 B'(zhat_i, zhat_j)."""
-    n_int = problem.wnorm
+def _assemble(problem: IsometryProblem, filtered: list[list[tuple[int, ...]]]):
+    """Yield per-probe combinations of eq3 rows consistent across probe
+    pairs: the L0 pairing row_i . diag(N, G_K) row_j, which is
+    B(c_i, c_j) + N t_i t_j, equals N^2 B'(zhat_i, zhat_j).  The product
+    diag(N, G_K) row of a chosen row is formed once per node of the
+    depth-first search."""
+    gram = problem._l0_gram
     e3 = problem.eq3_targets
     k = len(filtered)
-    chosen: list[Eq3Solution | None] = [None] * k
+    chosen: list[tuple[int, ...] | None] = [None] * k
+    products: list[list[int] | None] = [None] * k
 
     def rec(i: int):
         if i == k:
             yield tuple(chosen)
             return
+        targets = e3[i]
         for cand in filtered[i]:
-            ok = True
             for j in range(i):
-                prev = chosen[j]
-                if _dot(cand.coords, prev.gcoords) + n_int * cand.t * prev.t != e3[i][j]:
-                    ok = False
+                if _dot(cand, products[j]) != targets[j]:
                     break
-            if ok:
+            else:
                 chosen[i] = cand
+                if i + 1 < k:
+                    products[i] = [_dot(row, cand) for row in gram]
                 yield from rec(i + 1)
         chosen[i] = None
 
@@ -670,49 +549,45 @@ def _assemble(
 
 def reconstruct(
     problem: IsometryProblem,
-    e1: Eq1Solution,
-    picks: tuple[Eq3Solution, ...],
+    e1: tuple[int, ...],
+    picks: tuple[tuple[int, ...], ...],
 ) -> CandidateIsometry | None:
-    """Rebuild the candidate matrix from a surviving tuple, or None.
+    """Rebuild the candidate matrix from an eq1 row (s, x) and one eq3
+    row (t_i, y_i) per probe, or None.
 
     atilde is solved exactly from B(atilde, w) = 0 and
     B(atilde, z0_i) = t_i, and must lie in the dual lattice; the matrix
     is assembled columnwise from phi(w) = (s w + btilde)/N and
     phi(z_i) = (c_i + t_i w)/N^2, then verified exactly against the
-    target form before emission.  All of this runs in integers over one
-    common denominator (see IsometryProblem._recon_tables); Fractions are
-    built only for the provenance of a candidate that passes.  When
+    target form before emission.  The ambient vectors s w + btilde and
+    t_i w + c_i are the images of the rows under E = (w | kernel basis).
+    All of this runs in integers over one common denominator (see
+    IsometryProblem._recon_tables); Fractions are built only for the
+    provenance (s, btilde, atilde, c_i) of a candidate that passes.  When
     P^-1 is integral (db = 1, e.g. for the default unit-vector probes)
     every atilde lies in the dual lattice and the test is skipped.
     """
     tab = problem._recon_tables
-    ts = [0] + [cand.t for cand in picks]
+    ts = [0] + [pick[0] for pick in picks]
     db = tab.db
     if db != 1:
         for col in tab.adj_cols:
             if _dot(col, ts) % db:
                 return None
-    s, w = e1.s, problem._w
-    sb = [s * x + b for x, b in zip(w, e1.b_ints)]
+    ambient = problem._ambient
+    sb = ambient(e1)
+    picked = [ambient(pick) for pick in picks]
     ccols = [[problem.wnorm * x for x in sb]]
-    for beta, cand in zip(tab.betas, picks):
-        t = cand.t
-        ccols.append([c + t * x + beta * y for c, x, y in zip(cand.c_ints, w, sb)])
+    ccols += [[c + beta * y for c, y in zip(tc, sb)] for beta, tc in zip(tab.betas, picked)]
     den = tab.den
     num = [[_dot(row, col) for col in tab.adj_cols] for row in zip(*ccols)]
     if not problem.pulls_back(num, den):
         return None
+    w = problem._w
     atilde = tuple(Fraction(_dot(row, ts), tab.dp) for row in tab.pair)
-    provenance = (e1.s, e1.b_ints, atilde, tuple(cand.c_ints for cand in picks))
-    return CandidateIsometry.from_numerators(num, den, provenance)
-
-
-def _joint_signature(e1: Eq1Solution, picks: tuple[Eq3Solution, ...]):
-    sig: list[int] = [e1.s, *e1.coords]
-    for cand in picks:
-        sig.append(cand.t)
-        sig.extend(cand.coords)
-    return sig
+    btilde = tuple([x - e1[0] * a for x, a in zip(sb, w)])
+    cs = tuple(tuple([x - t * a for x, a in zip(tc, w)]) for t, tc in zip(ts[1:], picked))
+    return CandidateIsometry.from_numerators(num, den, (e1[0], btilde, atilde, cs))
 
 
 def find_isometries(
@@ -723,11 +598,10 @@ def find_isometries(
     """Run the full pipeline and certify the outcome.
 
     Composes solve_eq1, solve_eq3_per_z0 (once per probe), filter_eq2,
-    cross-probe assembly and reconstruct.  Every filter_eq2 call gets the
-    same shells, so the eq3 solutions are packed once per search, each
-    eq1 solution costs a few big-integer operations for all of its eq2
-    pairings (see filter_eq2), and Eq3Solution objects are built only for
-    eq2 survivors.
+    cross-probe assembly and reconstruct, all on L0 rows.  Every
+    filter_eq2 call gets the same shells, so the eq3 rows are packed once
+    per search and each eq1 row costs a few big-integer operations for
+    all of its eq2 pairings (see filter_eq2).
 
     The equations are homogeneous of degree 2 and the eq1 and eq3 lists
     are sign-complete with entry L-1-j = -entry j, so only e1s[i] with
@@ -788,7 +662,7 @@ def find_isometries(
             raw = canonical = 0
             for picks in _assemble(problem, filter_eq2(problem, e1, per_probe)):
                 raw += 1
-                canonical += _sign_canonical(_joint_signature(e1, picks))
+                canonical += _sign_canonical(chain(e1, *picks))
                 cand = reconstruct(problem, e1, picks)
                 if cand is not None:
                     candidates.append(cand)
@@ -797,8 +671,16 @@ def find_isometries(
         joint_canonical += canonical
         if not all_solutions and any(c.integral for c in candidates[start:]):
             break
-    if all_solutions:
-        candidates.sort(key=lambda c: c.provenance)
+    if all_solutions and candidates:
+        # Each atilde is an integer row over the one denominator dp > 0,
+        # so its numerators order the candidates as its Fractions do.
+        dp = problem._recon_tables.dp
+
+        def order(cand: CandidateIsometry):
+            s, btilde, atilde, cs = cand.provenance
+            return s, btilde, [a.numerator * (dp // a.denominator) for a in atilde], cs
+
+        candidates.sort(key=order)
     integral = [c for c in candidates if c.integral]
 
     if integral:

@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import isqrt
 from operator import mul
 
 from superlat.diophantine import PosDefForm, vectors_of_norm
 from superlat.isometry import (
     Certificate,
-    Eq1Solution,
-    Eq3Solution,
     SearchResult,
     SearchStats,
     _assemble,
-    _joint_signature,
     _sign_canonical,
     filter_eq2,
     reconstruct,
@@ -294,12 +293,19 @@ def rand_pullback_problem(
         return gram, target, w, phi
 
 
+@lru_cache(maxsize=None)
+def _gram_times(gram, coords):
+    """G_K c for the kernel Gram rows gram and the kernel coordinates of c."""
+    return tuple(sum(map(mul, row, coords)) for row in gram)
+
+
 def reference_filter_eq2(problem, e1, per_probe):
-    """The eq2 filter as one dot product per (eq1, eq3) pair: the scan that
-    isometry.filter_eq2 replaced, kept as its reference."""
-    ns, xb = problem.wnorm * e1.s, e1.coords
+    """The eq2 filter as one dot product per (eq1, eq3) pair of L0 rows,
+    N s t + x . (G_K y) == e2 for e1 = (s, x) and an eq3 row (t, y): the
+    scan that isometry.filter_eq2 replaced, kept as its reference."""
+    ns, xb, gram = problem.wnorm * e1[0], e1[1:], problem.kernel_gram
     return [
-        [c for c in cands if sum(map(mul, xb, c.gcoords)) + ns * c.t == e2]
+        [c for c in cands if sum(map(mul, xb, _gram_times(gram, c[1:]))) + ns * c[0] == e2]
         for e2, cands in zip(problem.eq2_targets, per_probe)
     ]
 
@@ -307,40 +313,36 @@ def reference_filter_eq2(problem, e1, per_probe):
 def reference_solve_eq1(problem):
     """eq1 as one norm equation in K per value of s: the loop that
     isometry.solve_eq1 replaced with one norm shell of L0 = Zw + K, kept
-    as its reference."""
+    as its reference.  It gives the L0 rows (s, kernel coordinates)."""
     qk = PosDefForm(Mat(problem.kernel_gram))
     n, e1 = problem.wnorm, problem.eq1_target
     if e1 < 0:
-        return []
+        return ()
     smax = isqrt(e1 // n)
-    return [
-        Eq1Solution(s, problem.from_kernel_coords(coords), coords)
+    return tuple(
+        (s, *coords)
         for s in range(-smax, smax + 1)
         for coords in vectors_of_norm(qk, e1 - n * s * s)
-    ]
+    )
 
 
 def reference_solve_eq3(problem, z0):
     """eq3 for the probe z0 as one norm equation in K per value of t: the
     loop that isometry.solve_eq3_per_z0 replaced with one norm shell of
-    L0 = Zw + K, kept as its reference."""
+    L0 = Zw + K, kept as its reference.  It gives the L0 rows (t, kernel
+    coordinates)."""
     qk = PosDefForm(Mat(problem.kernel_gram))
     n = problem.wnorm
     zhat = n * z0 - problem.source.evaluate(z0, problem.w) * problem.w
     r = n * n * int(problem.target.norm(zhat))
     if r < 0:
-        return []
+        return ()
     tmax = isqrt(r // n)
-    return [
-        Eq3Solution(
-            t,
-            problem.from_kernel_coords(coords),
-            coords,
-            tuple(int(x) for x in Mat(problem.kernel_gram) @ Vec(coords)),
-        )
+    return tuple(
+        (t, *coords)
         for t in range(-tmax, tmax + 1)
         for coords in vectors_of_norm(qk, r - n * t * t)
-    ]
+    )
 
 
 def reference_find_isometries(problem, all_solutions=True):
@@ -359,7 +361,7 @@ def reference_find_isometries(problem, all_solutions=True):
         )
         return SearchResult([], cert, SearchStats())
     e1s = solve_eq1(problem)
-    eq1_canonical = sum(_sign_canonical((e.s, *e.coords)) for e in e1s)
+    eq1_canonical = sum(map(_sign_canonical, e1s))
     if not e1s:
         cert = Certificate(
             "ObstructionEq1",
@@ -378,7 +380,7 @@ def reference_find_isometries(problem, all_solutions=True):
         has_integral = False
         for picks in _assemble(problem, filter_eq2(problem, e1, per_probe)):
             joint_raw += 1
-            if _sign_canonical(_joint_signature(e1, picks)):
+            if _sign_canonical(chain(e1, *picks)):
                 joint_canonical += 1
             cand = reconstruct(problem, e1, picks)
             if cand is not None:

@@ -1,5 +1,6 @@
 """The benchmark's tracer (perfbench/spans.py) wraps package names from
-outside; installing it on the package fails if any of them is gone."""
+outside; installing it on the package fails if any of them is gone, and
+its counters on Wilson's --all run are pinned."""
 
 from __future__ import annotations
 
@@ -21,5 +22,19 @@ def test_tracer_installs_and_counts(monkeypatch, capsys):
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert tracer.counts["isometry.solve_eq1.solutions"] == 48
+    # The counters read len() of what the wrapped functions take and
+    # return, so they pin the shape of the search's solution lists.
+    want = {
+        "diophantine.vectors_of_norm.calls": 4,
+        "diophantine.vectors_of_norm.vectors": 480,
+        "isometry.solve_eq1.solutions": 48,
+        "isometry.solve_eq3_per_z0.solutions": 432,
+        "isometry.filter_eq2.tested": 10368,
+        "isometry.filter_eq2.kept": 456,
+        "isometry.assemble.tuples": 384,
+        "isometry.reconstruct.calls": 192,
+        "isometry.reconstruct.accepted": 192,
+        "isometry.reconstruct.integral": 192,
+    }
+    assert {key: tracer.counts[key] for key in want} == want
     assert "isometry.solve_eq1" in tracer.names

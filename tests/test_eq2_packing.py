@@ -2,9 +2,9 @@
 
 isometry.filter_eq2 evaluates every eq2 pairing of an eq1 solution at once
 on integers with one fixed-width slot per eq3 solution, read from the
-t and kernel-coordinate columns of the eq3 shells.  Each test requires the
-same lists as helpers.reference_filter_eq2: the same objects, in the same
-order.
+columns of the eq3 shells' L0 rows (t, kernel coordinates).  Each test
+requires the same lists as helpers.reference_filter_eq2: the same row
+objects, in the same order.
 """
 
 from __future__ import annotations
@@ -12,15 +12,9 @@ from __future__ import annotations
 import random
 from types import SimpleNamespace
 
-import pytest
-
 from helpers import WILSON, rand_pullback_problem, reference_filter_eq2
-from superlat import isometry
 from superlat.forms import GramForm
 from superlat.isometry import (
-    Eq1Solution,
-    Eq3Shell,
-    Eq3Solution,
     IsometryProblem,
     filter_eq2,
     solve_eq1,
@@ -69,15 +63,15 @@ def test_seeded_random_problems_n2_to_n5():
 
 
 def _fake_problem(wnorm: int, eq2_targets: tuple[int, ...], k: int):
-    """The attributes filter_eq2 and Eq3Shell read, with free eq2 targets
-    and the kernel Gram matrix I_k, so that the kernel coordinates of an
-    eq3 solution are also its G c (its gcoords)."""
+    """The attributes filter_eq2 reads, with free eq2 targets and the
+    kernel Gram matrix I_k, so that the kernel coordinates of an eq3
+    solution are also its G c."""
     gram = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
     return SimpleNamespace(
         wnorm=wnorm,
         eq2_targets=eq2_targets,
         kernel_gram=gram,
-        _k_cols=((0,) * k, *gram),
+        _l0_gram=((wnorm,) + (0,) * k, *((0, *row) for row in gram)),
         _eq2_table=None,
     )
 
@@ -88,11 +82,11 @@ def _eq3(t: int, gcoords: tuple[int, ...]) -> tuple[int, ...]:
     return (t, *gcoords)
 
 
-def _synthetic(rng: random.Random, bits: int, k: int, count: int, e1: Eq1Solution, wnorm: int, e2: int):
-    """The rows of count eq3 solutions with entries below 2^bits in
-    absolute value; about a third solve eq2 for e1 exactly (planted
-    through the first coordinate, whose e1 coefficient is +-1)."""
-    ns, xb = wnorm * e1.s, e1.coords
+def _synthetic(rng: random.Random, bits: int, k: int, count: int, e1: tuple[int, ...], wnorm: int, e2: int):
+    """The shell of count eq3 rows with entries below 2^bits in absolute
+    value; about a third solve eq2 for the eq1 row e1 exactly (planted
+    through the first kernel coordinate, whose e1 coefficient is +-1)."""
+    ns, xb = wnorm * e1[0], e1[1:]
     out = []
     for _ in range(count):
         t = rng.randint(-(2**bits), 2**bits)
@@ -104,7 +98,7 @@ def _synthetic(rng: random.Random, bits: int, k: int, count: int, e1: Eq1Solutio
             if rng.random() < 0.3:
                 g[0] += rng.choice((-1, 1))
         out.append(_eq3(t, tuple(g)))
-    return out
+    return tuple(out)
 
 
 def test_synthetic_entries_negative_and_around_2_to_70():
@@ -115,13 +109,12 @@ def test_synthetic_entries_negative_and_around_2_to_70():
         e2s = tuple(rng.randint(-(2**bits), 2**bits) for _ in range(3))
         problem = _fake_problem(wnorm, e2s, k)
         lead = rng.choice((-1, 1))
-        # Eq1 solutions that satisfy no norm equation, entries of both signs.
+        # Eq1 rows that satisfy no norm equation, entries of both signs.
         e1s = [
-            Eq1Solution(rng.randint(-(2**bits), 2**bits), Vec.zero(k + 1),
-                        (lead, *(rng.randint(-(2**bits), 2**bits) for _ in range(k - 1))))
+            (rng.randint(-(2**bits), 2**bits), lead, *(rng.randint(-(2**bits), 2**bits) for _ in range(k - 1)))
             for _ in range(4)
         ]
-        per_probe = [Eq3Shell(problem, _synthetic(rng, bits, k, 40, e1s[0], wnorm, e2)) for e2 in e2s]
+        per_probe = [_synthetic(rng, bits, k, 40, e1s[0], wnorm, e2) for e2 in e2s]
         _check_all(problem, e1s, per_probe)
         kept = filter_eq2(problem, e1s[0], per_probe)
         assert any(kept), "the planted survivors must be found"
@@ -132,11 +125,11 @@ def test_slot_width_grows_between_calls():
     rng = random.Random(11)
     k = 3
     problem = _fake_problem(2, (5, -7, 0), k)
-    small = Eq1Solution(1, Vec.zero(k + 1), (1, -2, 3))
-    per_probe = [Eq3Shell(problem, _synthetic(rng, 4, k, 30, small, 2, e2)) for e2 in problem.eq2_targets]
+    small = (1, 1, -2, 3)
+    per_probe = [_synthetic(rng, 4, k, 30, small, 2, e2) for e2 in problem.eq2_targets]
     _check_all(problem, [small], per_probe)
     width = problem._eq2_table.width
-    huge = Eq1Solution(-(2**75) + 3, Vec.zero(k + 1), (-1, 2**70, -(2**71)))
+    huge = (-(2**75) + 3, -1, 2**70, -(2**71))
     _check_all(problem, [huge], per_probe)
     assert problem._eq2_table.width > width
     # A wider table still serves the small solution.
@@ -148,12 +141,12 @@ def test_extreme_slot_values_do_not_carry():
     # 16-bit slot, of both signs, next to exact survivors.
     k = 2
     problem = _fake_problem(1, (0,), k)
-    e1 = Eq1Solution(1, Vec.zero(k + 1), (1, 1))
+    e1 = (1, 1, 1)
     m = (2**15 - 1) // 3
-    cands = Eq3Shell(problem, [
+    cands = (
         _eq3(m + 1, (m, m)), _eq3(0, (0, 0)), _eq3(-m - 1, (-m, -m)),
         _eq3(m, (-m, 0)), _eq3(-m, (m, m)), _eq3(1, (-1, 0)),
-    ])
+    )
     got = filter_eq2(problem, e1, [cands])
     _assert_same(got, reference_filter_eq2(problem, e1, [cands]))
     assert got == [[cands[1], cands[3], cands[5]]]
@@ -165,8 +158,8 @@ def test_pattern_straddling_two_slots_is_no_survivor():
     # contain the survivor pattern 00 80 across the slot boundary.
     k = 2
     problem = _fake_problem(1, (0,), k)
-    e1 = Eq1Solution(1, Vec.zero(k + 1), (1, 1))
-    cands = Eq3Shell(problem, [_eq3(-10900, (-10900, -10900)), _eq3(128, (0, 0)), _eq3(5, (-5, 0))])
+    e1 = (1, 1, 1)
+    cands = (_eq3(-10900, (-10900, -10900)), _eq3(128, (0, 0)), _eq3(5, (-5, 0)))
     got = filter_eq2(problem, e1, [cands])
     assert problem._eq2_table.width == 16
     _assert_same(got, reference_filter_eq2(problem, e1, [cands]))
@@ -175,13 +168,13 @@ def test_pattern_straddling_two_slots_is_no_survivor():
 
 def test_eq2_target_far_above_the_entries():
     k = 3
-    e1 = Eq1Solution(-2, Vec.zero(k + 1), (1, -1, 2))
+    e1 = (-2, 1, -1, 2)
     rng = random.Random(5)
     rows = [_eq3(rng.randint(-9, 9), tuple(rng.randint(-9, 9) for _ in range(k))) for _ in range(50)]
     rows.append(_eq3(1, (6, 0, 0)))  # -6 t + g0 - g1 + 2 g2 = 0
     for e2 in (2**100, -(2**100), 2**63 - 1, -(2**64)):
         problem = _fake_problem(3, (e2, 0), k)
-        per_probe = [Eq3Shell(problem, rows), Eq3Shell(problem, rows[::-1])]
+        per_probe = [tuple(rows), tuple(rows[::-1])]
         got = filter_eq2(problem, e1, per_probe)
         _assert_same(got, reference_filter_eq2(problem, e1, per_probe))
         assert got[0] == [] and got[1]
@@ -190,13 +183,14 @@ def test_eq2_target_far_above_the_entries():
 def test_empty_probe_lists():
     problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1]))
     e1s, per_probe = _search_data(problem)
-    empty = Eq3Shell(problem, ())
+    empty = ()
     for lists in ([empty, empty, empty], [per_probe[0], empty, per_probe[2]], [empty, per_probe[1], empty], []):
         _check_all(problem, e1s[:50], lists)
 
 
 def _rows(shell):
-    return [(e.t, *e.coords) for e in shell]
+    """Copies of the rows of shell: equal tuples, other objects."""
+    return [tuple(list(row)) for row in shell]
 
 
 def test_table_follows_the_lists_it_was_built_from():
@@ -204,9 +198,9 @@ def test_table_follows_the_lists_it_was_built_from():
     e1s, per_probe = _search_data(problem)
     sample = e1s[::97]
     _check_all(problem, sample, per_probe)
-    # A shell built from the same rows is another object; the result
-    # holds its entries.
-    copy = [Eq3Shell(problem, _rows(c)) for c in per_probe]
+    # A shell of copied rows is another object; the result holds its
+    # rows.
+    copy = [tuple(_rows(c)) for c in per_probe]
     _check_all(problem, sample, copy)
     # Shells of changed rows: reordered, shortened, and a survivor's row
     # in a new shell (whose entry the result must hold) or replaced by
@@ -216,13 +210,13 @@ def test_table_follows_the_lists_it_was_built_from():
     del rows[1][::2]
     e1 = next(e for e in e1s if reference_filter_eq2(problem, e, per_probe)[2])
     survivor = reference_filter_eq2(problem, e1, per_probe)[2][0]
-    changed = [Eq3Shell(problem, r) for r in rows]
-    twin = changed[2][rows[2].index((survivor.t, *survivor.coords))]
+    changed = [tuple(r) for r in rows]
+    twin = changed[2][rows[2].index(survivor)]
     assert twin == survivor and twin is not survivor
     _check_all(problem, [e1, *sample], changed)
     assert any(c is twin for c in filter_eq2(problem, e1, changed)[2])
-    rows[2][-1] = (survivor.t, *survivor.coords)
-    changed[2] = Eq3Shell(problem, rows[2])
+    rows[2][-1] = tuple(list(survivor))
+    changed[2] = tuple(rows[2])
     _check_all(problem, [e1, *sample], changed)
     _check_all(problem, [e1, *sample], per_probe)
 
@@ -236,42 +230,3 @@ def test_the_outer_list_may_change_in_place():
     _check_all(problem, e1s[::211], shells)
     del shells[1]
     _check_all(problem, e1s[::211], shells)
-
-
-def test_shell_is_a_read_only_sequence():
-    problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1]))
-    shell = solve_eq3_per_z0(problem, problem.probes[0])
-    assert len(shell) == 576 == len(list(shell))
-    assert shell[0] is shell[0] is shell[-576] and shell[-1] is shell[575]
-    assert shell == list(shell) and shell == tuple(shell) and shell != list(shell)[1:]
-    for j in (576, -577):
-        with pytest.raises(IndexError):
-            shell[j]
-    with pytest.raises(AttributeError):
-        shell.t = ()
-
-
-def test_search_builds_objects_only_for_eq2_survivors(monkeypatch):
-    # Wilson at (1,1,1,1) has 576 + 576 + 768 = 1920 eq3 solutions; the
-    # search reads only the eq2 survivors of the eq1 solutions it filters,
-    # so only those become Eq3Solution objects.
-    problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1]))
-    shells = []
-    real = isometry.solve_eq3_per_z0
-    monkeypatch.setattr(isometry, "solve_eq3_per_z0", lambda *a: shells.append(real(*a)) or shells[-1])
-    built = []
-    monkeypatch.setattr(Eq3Solution, "__post_init__", lambda self: built.append(self))
-    result = isometry.find_isometries(problem)
-    assert len(result.candidates) == 1152
-    monkeypatch.undo()
-    assert [len(s) for s in shells] == [576, 576, 768]
-    e1s = solve_eq1(problem)
-    survivors = {
-        (i, e.t, e.coords)
-        for e1 in e1s[: (len(e1s) + 1) // 2]
-        for i, kept in enumerate(reference_filter_eq2(problem, e1, shells))
-        for e in kept
-    }
-    assert len(built) == len({id(e) for e in built}) == len(survivors) < 1920
-    probe_of = {id(e): i for i, s in enumerate(shells) for e in s}
-    assert {(probe_of[id(e)], e.t, e.coords) for e in built} == survivors

@@ -6,8 +6,9 @@ problems with n = 3, 4, 5 (6 pullbacks and 6 Kneser 2-neighbours;
 non-integral candidates included):
 the entry texts are str(Fraction(x, den)), .matrix is the rational
 reference reconstruction of test_integer_paths, .integral is
-matrix.is_integral(), and the ambient .btilde / .c of the eq1 and eq3
-solutions are from_kernel_coords(coords).
+matrix.is_integral(), and every eq1 and eq3 solution is an L0 row of ints
+(u, kernel coordinates) whose ambient vector u w + from_kernel_coords
+has the norm of its shell.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -26,8 +26,6 @@ from superlat import isometry
 from superlat.forms import GramForm
 from superlat.isometry import (
     CandidateIsometry,
-    Eq1Solution,
-    Eq3Solution,
     IsometryProblem,
     find_isometries,
 )
@@ -39,15 +37,12 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def _check_solutions(problem, e1s, per_probe):
-    for e in e1s:
-        assert e.btilde == problem.from_kernel_coords(e.coords)
-        assert e.b_ints == e.btilde.to_ints()
-        assert all(type(x) is int for x in e.b_ints)
-    for sols in per_probe:
-        for c in sols:
-            assert c.c == problem.from_kernel_coords(c.coords)
-            assert c.c_ints == c.c.to_ints()
-            assert all(type(x) is int for x in c.c_ints)
+    targets = [problem.eq1_target] + [problem.eq3_targets[i][i] for i in range(len(per_probe))]
+    for target, rows in zip(targets, [e1s, *per_probe]):
+        for row in rows:
+            assert all(type(x) is int for x in row)
+            v = row[0] * problem.w + problem.from_kernel_coords(row[1:])
+            assert problem.source.norm(v) == target
 
 
 def _reference(problem: IsometryProblem, inverses, cand: CandidateIsometry) -> Mat:
@@ -55,12 +50,8 @@ def _reference(problem: IsometryProblem, inverses, cand: CandidateIsometry) -> M
     (s, btilde, atilde, c_i), with t_i = B(atilde, z0_i)."""
     s, btilde, atilde, cs = cand.provenance
     a = Vec(atilde)
-    e1 = SimpleNamespace(s=s, btilde=Vec(btilde))
-    picks = [
-        SimpleNamespace(t=int(problem.source.evaluate(a, z0)), c=Vec(c))
-        for z0, c in zip(problem.probes, cs)
-    ]
-    m, ref_atilde = _reference_reconstruct(problem, inverses, e1, picks)
+    tcs = [(int(problem.source.evaluate(a, z0)), Vec(c)) for z0, c in zip(problem.probes, cs)]
+    m, ref_atilde = _reference_reconstruct(problem, inverses, s, Vec(btilde), tcs)
     assert ref_atilde == atilde
     return m
 
@@ -157,16 +148,6 @@ def test_seeded_random_kneser_neighbours(monkeypatch):
         got = _check_problem(problem, monkeypatch)
         total, rational = total + got[0], rational + got[1]
     assert total > 0 and rational > 0
-
-
-def test_positional_constructors_normalise_to_ints():
-    e1 = Eq1Solution(2, Vec([1, 0, -3]), (1, -3))
-    assert e1 == Eq1Solution(2, (1, 0, -3), (1, -3)) == Eq1Solution(2, [1, 0, -3], (1, -3))
-    assert e1.b_ints == (1, 0, -3) and e1.btilde == Vec([1, 0, -3])
-    e3 = Eq3Solution(-1, Vec([0, 2]), (2,), (8,))
-    assert e3.c_ints == (0, 2) and e3.c == Vec([0, 2])
-    with pytest.raises(ValueError):
-        Eq1Solution(0, Vec([Fraction(1, 2), 0]), (1,))
 
 
 def test_candidate_from_matrix():

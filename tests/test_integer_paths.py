@@ -16,7 +16,6 @@ from helpers import naive_box_norm_solutions, naive_box_volume
 from superlat.diophantine import PosDefForm, vectors_of_norm
 from superlat.forms import GramForm, dual_membership
 from superlat.isometry import (
-    Eq3Solution,
     IsometryProblem,
     find_isometries,
     reconstruct,
@@ -146,28 +145,23 @@ def _inverses(problem: IsometryProblem) -> tuple[Mat, Mat]:
     return basis.inverse(), (basis.transpose() @ problem.source.gram).inverse()
 
 
-def _reference_reconstruct(problem: IsometryProblem, inverses, e1, picks):
-    """Rational reconstruction straight from the defining formulas."""
+def _reference_reconstruct(problem: IsometryProblem, inverses, s, btilde, tcs):
+    """Rational reconstruction straight from the defining formulas, from
+    the ambient data s, btilde and one pair (t_i, c_i) per probe."""
     basis_inv, pairing_inv = inverses
     n_frac = Fraction(problem.wnorm)
-    atilde = pairing_inv @ Vec([0] + [cand.t for cand in picks])
+    atilde = pairing_inv @ Vec([0] + [t for t, _ in tcs])
     if not dual_membership(problem.source, atilde):
         return None
-    phi_w = (Fraction(e1.s) / n_frac) * problem.w + (1 / n_frac) * e1.btilde
+    phi_w = (Fraction(s) / n_frac) * problem.w + (1 / n_frac) * btilde
     cols = [phi_w]
-    for z0, cand in zip(problem.probes, picks):
-        phi_z = (1 / n_frac**2) * cand.c + (Fraction(cand.t) / n_frac**2) * problem.w
+    for z0, (t, c) in zip(problem.probes, tcs):
+        phi_z = (1 / n_frac**2) * c + (Fraction(t) / n_frac**2) * problem.w
         cols.append(phi_z + (problem.source.evaluate(z0, problem.w) / n_frac) * phi_w)
     m = Mat.from_cols(cols) @ basis_inv
     if m.transpose() @ problem.source.gram @ m != problem.target.gram:
         return None
     return m, tuple(atilde.entries)
-
-
-def _eq3(t: int, coords: tuple[int, ...], problem: IsometryProblem) -> Eq3Solution:
-    """A hand-made per-probe pick; it need not solve eq3."""
-    c = problem.from_kernel_coords(coords)
-    return Eq3Solution(t, c, coords, ())
 
 
 def test_reconstruct_rejects_tuple_outside_dual_lattice():
@@ -180,7 +174,8 @@ def test_reconstruct_rejects_tuple_outside_dual_lattice():
     real_check = problem.pulls_back
     problem.pulls_back = lambda num, den: checked.append(den) or real_check(num, den)
     for t in (1, -1, 3):
-        pick = _eq3(t, (1,), problem)
+        # A hand-made eq3 row (t, kernel coordinates); it need not solve eq3.
+        pick = (t, 1)
         atilde = _inverses(problem)[1] @ Vec([0, t])
         assert not dual_membership(problem.source, atilde)
         assert reconstruct(problem, e1, (pick,)) is None
@@ -213,11 +208,13 @@ def test_reconstruct_matches_rational_reference():
         if len(tuples) > 1000:
             tuples = rng.sample(tuples, 1000)
         for e1, *picks in tuples:
-            want = _reference_reconstruct(problem, inverses, e1, picks)
+            btilde = problem.from_kernel_coords(e1[1:])
+            tcs = [(p[0], problem.from_kernel_coords(p[1:])) for p in picks]
+            want = _reference_reconstruct(problem, inverses, e1[0], btilde, tcs)
             got = reconstruct(problem, e1, tuple(picks))
             if want is None:
                 assert got is None
-                atilde = inverses[1] @ Vec([0] + [p.t for p in picks])
+                atilde = inverses[1] @ Vec([0] + [p[0] for p in picks])
                 rejected_by_dual += not dual_membership(problem.source, atilde)
                 continue
             accepted += 1

@@ -86,7 +86,7 @@ class TestPinnedProblems:
             GramForm(Mat([[2, 1], [1, 3]])),
             Vec([1, 0]),
         )
-        assert solve_eq1(problem) == []
+        assert solve_eq1(problem) == ()
         result = find_isometries(problem)
         assert result.certificate.verdict == "ObstructionEq1"
         assert result.candidates == []
@@ -276,10 +276,14 @@ class TestNecessity:
                 )
                 # the pair appears in the enumerated per-probe solutions
                 sols = solve_eq3_per_z0(problem, z0)
-                assert any(e.t == t and e.c == c for e in sols)
+                assert any(
+                    e[0] == t and problem.from_kernel_coords(e[1:]) == c
+                    for e in sols
+                )
             # and the eq1 pair appears in the eq1 enumeration
             assert any(
-                e.s == s and e.btilde == btilde for e in solve_eq1(problem)
+                e[0] == s and problem.from_kernel_coords(e[1:]) == btilde
+                for e in solve_eq1(problem)
             )
 
     def test_surviving_tuple_of_genuine_isometry_passes_filter(self):
@@ -289,25 +293,28 @@ class TestNecessity:
         problem = IsometryProblem(source, GramForm(target), w)
         ctx, s, btilde, atilde, phi0s = decomposition_tuple(source, w, phi)
         e1 = next(
-            e for e in solve_eq1(problem) if e.s == s and e.btilde == btilde
+            e
+            for e in solve_eq1(problem)
+            if e[0] == s and problem.from_kernel_coords(e[1:]) == btilde
         )
         per_probe = [solve_eq3_per_z0(problem, z0) for z0 in problem.probes]
         filtered = filter_eq2(problem, e1, per_probe)
         for i, z0 in enumerate(problem.probes):
             t = source.evaluate(atilde, z0)
             c = phi0s @ z0
-            assert any(e.t == t and e.c == c for e in filtered[i])
+            assert any(
+                e[0] == t and problem.from_kernel_coords(e[1:]) == c
+                for e in filtered[i]
+            )
 
     def test_filter_removes_incompatible_tuple(self):
         # With btilde = 0 and t = 0 the second equation forces
         # B'(w, zhat) = 0; on a problem where that pairing is nonzero the
         # filter must drop the pair.
-        from superlat.isometry import Eq1Solution, Eq3Shell
-
         problem = wilson_problem()
         k = len(problem.kernel_basis)
-        zero_e1 = Eq1Solution(0, Vec.zero(problem.dim), (0,) * k)
-        zero_e3 = Eq3Shell(problem, [(0,) * (k + 1)])
+        zero_e1 = (0,) * (k + 1)
+        zero_e3 = ((0,) * (k + 1),)
         filtered = filter_eq2(problem, zero_e1, [zero_e3] * len(problem.probes))
         assert all(problem.eq2_targets[i] != 0 for i in range(3))
         assert filtered == [[], [], []]

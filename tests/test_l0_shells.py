@@ -1,7 +1,7 @@
 """solve_eq1 and solve_eq3_per_z0 each enumerate one norm shell of
 L0 = Zw + K, whose Gram matrix is diag(N, G_K).  They must return the
-lists of the per-s and per-t loops over norm equations in K that they
-replaced (kept in helpers.py), equal in every field and in order."""
+rows of the per-s and per-t loops over norm equations in K that they
+replaced (kept in helpers.py): the same L0 rows in the same order."""
 
 from __future__ import annotations
 
@@ -118,8 +118,8 @@ def test_negative_target_has_no_solutions():
         GramForm(Mat.identity(2)), GramForm(Mat.diagonal([-1, -1])), Vec([1, 0])
     )
     assert problem.eq1_target < 0
-    assert solve_eq1(problem) == [] == reference_solve_eq1(problem)
-    assert solve_eq3_per_z0(problem, problem.probes[0]) == []
+    assert solve_eq1(problem) == () == reference_solve_eq1(problem)
+    assert solve_eq3_per_z0(problem, problem.probes[0]) == ()
     result = find_isometries(problem)
     assert result.certificate.verdict == "ObstructionEq1"
     assert verify_certificate(result.certificate, problem)

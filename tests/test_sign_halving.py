@@ -37,9 +37,13 @@ def _assert_matches_reference(problem: IsometryProblem) -> None:
         ]
 
 
-def _assert_mirrored(items) -> None:
-    last = len(items) - 1
-    assert all(items[last - j] == -items[j] for j in range(len(items)))
+def _negated(row: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in row)
+
+
+def _assert_mirrored(rows) -> None:
+    last = len(rows) - 1
+    assert all(rows[last - j] == _negated(rows[j]) for j in range(len(rows)))
 
 
 @pytest.mark.parametrize(
@@ -92,7 +96,7 @@ def test_isotropic_target_anchor_gives_odd_eq1_list():
     hyperbolic = Mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(hyperbolic), Vec.unit(4, 0))
     e1s = solve_eq1(problem)
-    assert len(e1s) == 1 and e1s[0] == -e1s[0]
+    assert len(e1s) == 1 and e1s[0] == _negated(e1s[0])
     result = find_isometries(problem)
     assert (result.stats.eq1_raw, result.stats.eq1_canonical) == (1, 1)
     assert result.certificate.verdict == "NoIntegralIsometry"
