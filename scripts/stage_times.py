@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Time each stage of an ``--all`` search, in-process, per problem.
+
+For every example problem in ``problems/`` that has a target and an
+anchor, and the problem files of the three benchmark workloads (written by
+``perfbench/gen.py`` with probe seed 1, as ``perfbench/run.py --seed 1``
+writes them), the script runs the stages of ``find_isometries`` one after
+the other on a freshly built problem, the way a ``--all`` search runs
+them:
+
+* ``solve_eq1``;
+* ``solve_eq3_per_z0``, once per probe;
+* ``filter_eq2``, for each eq1 row that the search processes directly
+  (one of each +-pair);
+* ``_assemble``, drained for each of those filtered lists;
+* ``reconstruct``, on every assembled tuple;
+* ``result_document`` on the search's result, and ``write_document`` of
+  that document into memory.
+
+Each stage's time is the best of ``--repeats`` runs (building the problem
+is not timed).  The script prints one JSON object that maps each problem
+to its stage times in seconds, plus a ``total`` entry per stage summed
+over the problems.  Usage, from the root of a checkout::
+
+    PYTHONPATH=src python3 scripts/stage_times.py --repeats 5
+
+The perfbench files are only read (its generator is imported), never
+changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402
+
+from superlat.forms import GramForm  # noqa: E402
+from superlat.isometry import (  # noqa: E402
+    IsometryProblem,
+    _assemble,
+    filter_eq2,
+    find_isometries,
+    reconstruct,
+    solve_eq1,
+    solve_eq3_per_z0,
+)
+from superlat.problem_io import parse_problem, result_document, write_document  # noqa: E402
+
+# Problems per workload, as the benchmark draws them (perfbench/run.py).
+WORKLOAD_COUNTS = {"wilson": 7, "pullback": 5, "neighbour": 10}
+PROBE_SEED = 1
+STAGES = (
+    "solve_eq1",
+    "solve_eq3_per_z0",
+    "filter_eq2",
+    "_assemble",
+    "reconstruct",
+    "result_document",
+    "write_document",
+)
+
+
+def problem_texts() -> list[tuple[str, str]]:
+    texts = [(f"problems/{p.name}", p.read_text(encoding="utf-8")) for p in sorted(PROBLEMS.glob("*.txt"))]
+    for workload, count in WORKLOAD_COUNTS.items():
+        for name, text in gen.workload_files(workload, PROBE_SEED, count, PROBLEMS):
+            texts.append((f"{workload}/{name}", text))
+    return texts
+
+
+def build(text: str) -> IsometryProblem | None:
+    """The problem that ``factorize`` builds from the file, or None for a
+    file without a target or an anchor."""
+    pf = parse_problem(text)
+    if pf.target is None or pf.w is None:
+        return None
+    probes = list(pf.probes) if pf.probes else None
+    return IsometryProblem(GramForm(pf.gram), GramForm(pf.target), pf.w, probes=probes)
+
+
+def one_pass(text: str) -> dict[str, float]:
+    """The time of each stage on a freshly built problem."""
+    problem = build(text)
+    times = {}
+    start = perf_counter()
+    e1s = solve_eq1(problem)
+    times["solve_eq1"] = perf_counter() - start
+
+    start = perf_counter()
+    per_probe = [solve_eq3_per_z0(problem, z0) for z0 in problem.probes]
+    times["solve_eq3_per_z0"] = perf_counter() - start
+
+    direct = e1s[: (len(e1s) + 1) // 2]
+    start = perf_counter()
+    filtered = [filter_eq2(problem, e1, per_probe) for e1 in direct]
+    times["filter_eq2"] = perf_counter() - start
+
+    start = perf_counter()
+    tuples = [(e1, picks) for e1, lists in zip(direct, filtered) for picks in _assemble(problem, lists)]
+    times["_assemble"] = perf_counter() - start
+
+    start = perf_counter()
+    for e1, picks in tuples:
+        reconstruct(problem, e1, picks)
+    times["reconstruct"] = perf_counter() - start
+
+    result = find_isometries(problem)
+    options = {"all": True, "integral_only": False, "cs_prune": False}
+    start = perf_counter()
+    doc = result_document(problem, result, options=options, elapsed=0.0)
+    times["result_document"] = perf_counter() - start
+
+    start = perf_counter()
+    write_document(doc, io.StringIO())
+    times["write_document"] = perf_counter() - start
+    return times
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=5, help="runs per problem; each stage keeps its best")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    out: dict[str, dict[str, float]] = {}
+    for name, text in problem_texts():
+        if build(text) is None:
+            continue
+        runs = [one_pass(text) for _ in range(args.repeats)]
+        out[name] = {stage: round(min(run[stage] for run in runs), 6) for stage in STAGES}
+    out["total"] = {stage: round(sum(times[stage] for times in out.values()), 6) for stage in STAGES}
+    json.dump(out, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

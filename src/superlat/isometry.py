@@ -31,13 +31,13 @@ pipeline at desk scale.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import is_, mul
+from struct import Struct
 
 from .diophantine import (
     PosDefForm,
@@ -61,8 +61,6 @@ from .errors import (
 # isometry.dual_membership.
 from .forms import GramForm, dual_membership  # noqa: F401
 from .linalg import Mat, Vec, integer_kernel_basis, parse_fraction
-
-_ReconTables = namedtuple("_ReconTables", "betas adj_cols db den dp pair")
 
 VERDICTS = (
     "IsometricWitness",
@@ -168,21 +166,9 @@ class IsometryProblem:
 
     @cached_property
     def _recon_tables(self) -> _ReconTables:
-        """Integer tables for reconstruct, built on first use.
-
-        With P = (w | z0_1 ...), db the lcm of the denominators of P^-1
-        and adj = db P^-1 (kept by columns), a candidate is M = C adj / den
-        for den = N^2 db, where C has the integer columns N (s w + btilde)
-        and c_i + t_i w + beta_i (s w + btilde) for beta_i = B(z0_i, w).
-        atilde solves P^T B atilde = (0, t), so it lies in the dual lattice
-        iff B atilde = P^-T (0, t) is integral, i.e. iff db divides
-        adj^T (0, t); then atilde = pair (0, t) / dp.
-        """
-        basis = Mat.from_cols([self.w] + self.probes)
-        db, adj = _cleared(basis.inverse().rows)
-        dp, pair = _cleared((basis.transpose() @ self.source.gram).inverse().rows)
-        betas = tuple(_bilinear(self._gram, z0.to_ints(), self._w) for z0 in self.probes)
-        return _ReconTables(betas, tuple(zip(*adj)), db, self.wnorm**2 * db, dp, pair)
+        """The packed integer map of reconstruct, built on first use (see
+        _ReconTables)."""
+        return _ReconTables(self)
 
     def is_isometry(self, m: Mat) -> bool:
         """Exact test of M^T B M = B', run in integers on the numerator of
@@ -214,13 +200,9 @@ class IsometryProblem:
         return zh
 
     def from_kernel_coords(self, coords: tuple[int, ...]) -> Vec:
-        """Map K-coordinates back to an ambient integer vector."""
-        return Vec(self._ambient((0, *coords)))
-
-    def _ambient(self, row: tuple[int, ...]) -> tuple[int, ...]:
-        """The ambient vector E row = u w + k of an L0 row (u, kernel
-        coordinates of k)."""
-        return tuple([_dot(row, e) for e in self._l0_basis])
+        """Map K-coordinates back to an ambient integer vector, the image
+        E (0, coords) of the L0 row (0, coords)."""
+        return Vec([_dot((0, *coords), e) for e in self._l0_basis])
 
 
 def _cleared(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -228,6 +210,135 @@ def _cleared(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     rows."""
     d = lcm(*(x.denominator for row in rows for x in row))
     return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
+
+
+def _cleared_inverse(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d A^-1) for a nonsingular integer matrix A given by rows, d > 0
+    the lcm of the denominators of A^-1 (what _cleared gives for A^-1).
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on (A | I) ends in
+    (e I | e A^-1) for e = +-det A: every intermediate entry is a minor of
+    (A | I), so each division is exact.  Then d = |e| / g and
+    d A^-1 = (e A^-1) / (g sign e) for g = gcd(e, e A^-1)."""
+    n = len(rows)
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        p = next(i for i in range(k, n) if m[i][k])
+        m[k], m[p] = m[p], m[k]
+        pivot = m[k]
+        pk = pivot[k]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                m[i] = [(pk * x - f * y) // prev for x, y in zip(row, pivot)]
+        prev = pk
+    inv = [row[n:] for row in m]
+    g = gcd(prev, *chain.from_iterable(inv))
+    if prev < 0:
+        g = -g
+    return prev // g, tuple(tuple(x // g for x in row) for row in inv)
+
+
+def _packed(values, width: int) -> int:
+    """sum_k v_k 2^(k width) for a few integers v_k."""
+    return sum(v << (width * k) for k, v in enumerate(values))
+
+
+class _ReconTables:
+    """Integer tables for reconstruct: one packed integer per coordinate
+    of the joint tuple z = e1 || pick_1 || ... (n^2 integers).
+
+    With P = (w | z0_1 ...), db the lcm of the denominators of P^-1 and
+    adj = db P^-1 (from one fraction-free adjugate of P), a candidate is
+    M = num / den for den = N^2 db and num = E Z A: E = (w | kernel
+    basis), Z has the columns e1, pick_1, ..., and A has the rows
+    N adj_0 + sum_i beta_i adj_i, adj_1, ... for beta_i = B(z0_i, w)
+    (the columns of E Z A / N^2 are phi(w) and phi(z0_i) in the basis P).
+    atilde solves P^T B atilde = (0, t), so it lies in the dual lattice
+    iff B atilde = P^-T (0, t) is integral, i.e. iff db divides
+    adj^T (0, t); then atilde = pair (0, t) / dp, where dp and
+    pair = dp (P^T B)^-1 come from the adjugate of P^T B.
+
+    All of these are linear in z.  The map has one signed `width`-bit
+    slot per output: num row by row (n^2 slots), the kernel parts
+    E (0, x) of the n rows (btilde, then each c_i), atilde dp, and
+    adj^T (0, t) when db != 1.  `cols[c]` holds the coefficients of z_c
+    in every slot, packed as sum_k coef_k 2^(k width), so the slots of
+    z . cols hold every output at once.  For row j and L0 coordinate m
+    the num slots hold e_m a_j^T (e_m column m of E, a_j row j of A),
+    which is the product of e_m packed with stride n slots and a_j
+    packed with stride 1.  No output exceeds max|z_c| slotsum, slotsum
+    the sum over c of the largest |coef| of z_c; the width starts at 64
+    and only grows.
+    """
+
+    __slots__ = (
+        "n", "db", "adj", "dp", "pair", "den", "arows", "ecols",
+        "slotsum", "nslots", "width", "off", "cols", "unpack",
+    )
+
+    def __init__(self, problem: IsometryProblem):
+        self.n = n = problem.dim
+        nint, gram = problem.wnorm, problem._gram
+        probes = [z0.to_ints() for z0 in problem.probes]
+        self.db, adj = _cleared_inverse(tuple(zip(problem._w, *probes)))
+        self.dp, self.pair = _cleared_inverse([[_dot(v, row) for row in gram] for v in (problem._w, *probes)])
+        self.adj, self.den = adj, nint * nint * self.db
+        betas = [_bilinear(gram, z0, problem._w) for z0 in probes]
+        self.arows = (
+            tuple(nint * a + _dot(betas, col[1:]) for a, col in zip(adj[0], zip(*adj))),
+            *adj[1:],
+        )
+        self.ecols = tuple(zip(*problem._l0_basis))
+        self.nslots = 2 * n * n + n + (n if self.db != 1 else 0)
+        emax = [max(map(abs, e)) for e in self.ecols]
+        cmax = []
+        for j, arow in enumerate(self.arows):
+            amax = max(map(abs, arow))
+            dual = max(*(abs(row[j]) for row in self.pair), *map(abs, adj[j])) if j else 0
+            cmax += [max(x * amax, x) for x in emax[1:]]
+            cmax.append(max(emax[0] * amax, dual))
+        self.slotsum = sum(cmax)
+        self.pack(max(64, _slot_width(max(cmax))))
+
+    def pack(self, width: int) -> None:
+        """(Re)build the packed integers with width-bit slots."""
+        n, n2 = self.n, self.n * self.n
+        self.width = width
+        strided = [_packed(e, n * width) for e in self.ecols]
+        kernel = [_packed(e, width) for e in self.ecols[1:]]
+        self.cols = cols = []
+        for j, arow in enumerate(self.arows):
+            a = _packed(arow, width)
+            dual = 0
+            if j:
+                dual = _packed([row[j] for row in self.pair], width) << (2 * n2 * width)
+                if self.db != 1:
+                    dual += _packed(self.adj[j], width) << ((2 * n2 + n) * width)
+            cols.append(strided[0] * a + dual)
+            shift = (n2 + j * n) * width
+            cols += [e * a + (k << shift) for e, k in zip(strided[1:], kernel)]
+        # Adding `off` (2^(W-1) in every slot) makes each slot v + 2^(W-1),
+        # which lies in [0, 2^W); XOR with `off` then leaves the two's
+        # complement of v.
+        nbytes = width // 8
+        self.off = int.from_bytes((bytes(nbytes - 1) + b"\x80") * self.nslots, "little")
+        self.unpack = Struct(f"<{self.nslots}q").unpack if width == 64 else None
+
+    def outputs(self, z: tuple[int, ...]) -> tuple[int, ...]:
+        """The slots of z . cols, exactly: the table is repacked wider
+        first when max|z_c| slotsum reaches 2^(width-1)."""
+        bound = max(map(abs, z)) * self.slotsum
+        if bound >> (self.width - 1):
+            self.pack(_slot_width(bound))
+        off, nbytes = self.off, self.width // 8
+        raw = ((_dot(z, self.cols) + off) ^ off).to_bytes(self.nslots * nbytes, "little")
+        if self.unpack is not None:
+            return self.unpack(raw)
+        return tuple(
+            int.from_bytes(raw[i : i + nbytes], "little", signed=True) for i in range(0, len(raw), nbytes)
+        )
 
 
 def isometry_denominators(problem: IsometryProblem, matrices):
@@ -265,45 +376,65 @@ class CandidateIsometry:
     denominators of the entries of M, so M is integral iff den == 1.
     CandidateIsometry(matrix, integral, provenance) builds one from a Mat;
     an integral flag that contradicts the matrix raises ValueError.
-    reconstruct builds one from integer numerators (from_numerators).
+    reconstruct builds one from integer numerators (from_numerators), with
+    the provenance (s, btilde, atilde, c_i) held as integers: _prov has
+    atilde as numerators over _dp > 0, and .provenance builds its
+    Fractions when read.  _dp is 0 when _prov is the provenance as given.
     .matrix is the Mat and .entry_strings the texts of the entries, both
     derived from (num, den).
     """
 
     num: tuple[tuple[int, ...], ...]
     den: int
-    provenance: tuple
+    _prov: tuple
+    _dp: int
 
     def __init__(self, matrix: Mat, integral: bool | None = None, provenance: tuple = ()):
         den, num = _cleared(matrix.rows)
         if integral is not None and bool(integral) != (den == 1):
             raise ValueError("integral flag contradicts the matrix")
-        self._fill(num, den, provenance)
+        self._fill(num, den, provenance, 0)
 
     @classmethod
-    def from_numerators(cls, num, den: int, provenance: tuple) -> "CandidateIsometry":
-        """M = num / den for integer rows num and den > 0, in lowest terms."""
+    def from_numerators(cls, num, den: int, provenance: tuple, dp: int = 0) -> "CandidateIsometry":
+        """M = num / den for integer rows num and den > 0, in lowest terms.
+        With dp > 0, provenance is (s, btilde, atilde dp, c_i) in integers."""
         g = gcd(den, *chain.from_iterable(num)) if den > 1 else 1
         self = cls.__new__(cls)
-        self._fill(tuple(tuple(x // g for x in row) for row in num), den // g, provenance)
+        if g == 1:
+            num = tuple(map(tuple, num))
+        else:
+            num = tuple(tuple(x // g for x in row) for row in num)
+        self._fill(num, den // g, provenance, dp)
         return self
 
-    def _fill(self, num, den: int, provenance: tuple) -> None:
+    def _fill(self, num, den: int, prov: tuple, dp: int) -> None:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "_prov", prov)
+        object.__setattr__(self, "_dp", dp)
+
+    @cached_property
+    def provenance(self) -> tuple:
+        """(s, btilde, atilde, c_i) with atilde as Fractions, or the
+        provenance given to the constructor."""
+        if not self._dp:
+            return self._prov
+        s, btilde, atilde, cs = self._prov
+        dp = self._dp
+        return s, btilde, tuple(Fraction(a, dp) for a in atilde), cs
 
     def __neg__(self) -> "CandidateIsometry":
-        """-M for a candidate built by reconstruct: what reconstruct gives
-        for the negated tuple, with every provenance field negated and den
-        unchanged (still in lowest terms)."""
-        s, b, atilde, cs = self.provenance
+        """-M, with den unchanged (still in lowest terms).  For a candidate
+        built by reconstruct this is what reconstruct gives for the negated
+        tuple: every provenance field negated.  An empty provenance (a
+        candidate read from a document) stays empty."""
+        prov = self._prov
+        if prov:
+            s, b, atilde, cs = prov
+            prov = (-s, _neg(b), _neg(atilde), tuple(map(_neg, cs)))
         other = CandidateIsometry.__new__(CandidateIsometry)
-        other._fill(
-            tuple(map(_neg, self.num)),
-            self.den,
-            (-s, _neg(b), _neg(atilde), tuple(map(_neg, cs))),
-        )
+        other._fill(tuple(map(_neg, self.num)), self.den, prov, self._dp)
         return other
 
     @property
@@ -559,35 +690,29 @@ def reconstruct(
     B(atilde, z0_i) = t_i, and must lie in the dual lattice; the matrix
     is assembled columnwise from phi(w) = (s w + btilde)/N and
     phi(z_i) = (c_i + t_i w)/N^2, then verified exactly against the
-    target form before emission.  The ambient vectors s w + btilde and
-    t_i w + c_i are the images of the rows under E = (w | kernel basis).
-    All of this runs in integers over one common denominator (see
-    IsometryProblem._recon_tables); Fractions are built only for the
-    provenance (s, btilde, atilde, c_i) of a candidate that passes.  When
-    P^-1 is integral (db = 1, e.g. for the default unit-vector probes)
-    every atilde lies in the dual lattice and the test is skipped.
+    target form before emission.  Everything before that check is linear
+    in the n^2 integers z = e1 || pick_1 || ...: one dot product of z with
+    the packed integers of IsometryProblem._recon_tables gives the
+    numerator num of M over den = N^2 db, btilde, the c_i, atilde dp and,
+    when P^-1 is not integral (db != 1), adj^T (0, t), whose entries must
+    all be multiples of db.  (For db = 1, e.g. for the default unit-vector
+    probes, every atilde lies in the dual lattice.)  The candidate keeps
+    its provenance (s, btilde, atilde, c_i) as integers, atilde as
+    numerators over dp; Fractions are built only for output.
     """
     tab = problem._recon_tables
-    ts = [0] + [pick[0] for pick in picks]
+    n = tab.n
+    n2 = n * n
+    out = tab.outputs((*e1, *chain.from_iterable(picks)))
     db = tab.db
-    if db != 1:
-        for col in tab.adj_cols:
-            if _dot(col, ts) % db:
-                return None
-    ambient = problem._ambient
-    sb = ambient(e1)
-    picked = [ambient(pick) for pick in picks]
-    ccols = [[problem.wnorm * x for x in sb]]
-    ccols += [[c + beta * y for c, y in zip(tc, sb)] for beta, tc in zip(tab.betas, picked)]
-    den = tab.den
-    num = [[_dot(row, col) for col in tab.adj_cols] for row in zip(*ccols)]
-    if not problem.pulls_back(num, den):
+    if db != 1 and any(v % db for v in out[2 * n2 + n :]):
         return None
-    w = problem._w
-    atilde = tuple(Fraction(_dot(row, ts), tab.dp) for row in tab.pair)
-    btilde = tuple([x - e1[0] * a for x, a in zip(sb, w)])
-    cs = tuple(tuple([x - t * a for x, a in zip(tc, w)]) for t, tc in zip(ts[1:], picked))
-    return CandidateIsometry.from_numerators(num, den, (e1[0], btilde, atilde, cs))
+    num = [out[i : i + n] for i in range(0, n2, n)]
+    if not problem.pulls_back(num, tab.den):
+        return None
+    cs = tuple(out[i : i + n] for i in range(n2 + n, 2 * n2, n))
+    prov = (e1[0], out[n2 : n2 + n], out[2 * n2 : 2 * n2 + n], cs)
+    return CandidateIsometry.from_numerators(num, tab.den, prov, tab.dp)
 
 
 def find_isometries(
@@ -671,16 +796,10 @@ def find_isometries(
         joint_canonical += canonical
         if not all_solutions and any(c.integral for c in candidates[start:]):
             break
-    if all_solutions and candidates:
+    if all_solutions:
         # Each atilde is an integer row over the one denominator dp > 0,
-        # so its numerators order the candidates as its Fractions do.
-        dp = problem._recon_tables.dp
-
-        def order(cand: CandidateIsometry):
-            s, btilde, atilde, cs = cand.provenance
-            return s, btilde, [a.numerator * (dp // a.denominator) for a in atilde], cs
-
-        candidates.sort(key=order)
+        # so the integer provenance orders the candidates as its Fractions do.
+        candidates.sort(key=lambda cand: cand._prov)
     integral = [c for c in candidates if c.integral]
 
     if integral:

@@ -13,8 +13,10 @@ from superlat.diophantine import PosDefForm, vectors_of_norm
 from superlat.isometry import (
     Certificate,
     SearchResult,
+    CandidateIsometry,
     SearchStats,
     _assemble,
+    _cleared,
     _sign_canonical,
     filter_eq2,
     reconstruct,
@@ -343,6 +345,50 @@ def reference_solve_eq3(problem, z0):
         for t in range(-tmax, tmax + 1)
         for coords in vectors_of_norm(qk, r - n * t * t)
     )
+
+
+@lru_cache(maxsize=16)
+def _reference_recon_tables(problem):
+    """reconstruct's tables as they were built before the packed map:
+    (betas, columns of adj = db P^-1, db, den = N^2 db, dp, rows of
+    pair = dp (P^T B)^-1) from two Fraction Gauss-Jordan inverses."""
+    basis = Mat.from_cols([problem.w] + problem.probes)
+    db, adj = _cleared(basis.inverse().rows)
+    dp, pair = _cleared((basis.transpose() @ problem.source.gram).inverse().rows)
+    w = problem.w.to_ints()
+    betas = tuple(sum(map(mul, z0.to_ints(), _gram_times(problem._gram, w))) for z0 in problem.probes)
+    return betas, tuple(zip(*adj)), db, problem.wnorm**2 * db, dp, pair
+
+
+def _ambient(problem, row):
+    """E row = u w + k for an L0 row (u, kernel coordinates of k)."""
+    return tuple(sum(map(mul, row, e)) for e in problem._l0_basis)
+
+
+def reference_reconstruct(problem, e1, picks):
+    """isometry.reconstruct as it was before its packed integer map: map
+    each row to its ambient vector through E = (w | kernel basis), form the
+    columns of C, multiply by adj, test dual membership as db | adj^T (0, t)
+    and check num^T B num = den^2 B'; the provenance holds atilde as
+    Fractions."""
+    betas, adj_cols, db, den, dp, pair = _reference_recon_tables(problem)
+    ts = [0] + [pick[0] for pick in picks]
+    if db != 1:
+        for col in adj_cols:
+            if sum(map(mul, col, ts)) % db:
+                return None
+    sb = _ambient(problem, e1)
+    picked = [_ambient(problem, pick) for pick in picks]
+    ccols = [[problem.wnorm * x for x in sb]]
+    ccols += [[c + beta * y for c, y in zip(tc, sb)] for beta, tc in zip(betas, picked)]
+    num = [[sum(map(mul, row, col)) for col in adj_cols] for row in zip(*ccols)]
+    if not problem.pulls_back(num, den):
+        return None
+    w = problem._w
+    atilde = tuple(Fraction(sum(map(mul, row, ts)), dp) for row in pair)
+    btilde = tuple([x - e1[0] * a for x, a in zip(sb, w)])
+    cs = tuple(tuple([x - t * a for x, a in zip(tc, w)]) for t, tc in zip(ts[1:], picked))
+    return CandidateIsometry.from_numerators(num, den, (e1[0], btilde, atilde, cs))
 
 
 def reference_find_isometries(problem, all_solutions=True):

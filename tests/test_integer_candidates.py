@@ -165,6 +165,16 @@ def test_candidate_from_matrix():
         CandidateIsometry(Mat.identity(2), False, ())
 
 
+def test_negating_a_candidate_without_provenance():
+    # A document's witness is read back with provenance ().
+    m = Mat([[Fraction(1, 2), Fraction(-3, 4)], [0, 2]])
+    neg = -CandidateIsometry(m)
+    assert (neg.matrix, neg.den, neg.provenance) == (-m, 4, ())
+    assert -neg == CandidateIsometry(m)
+    given = (1, (2, 0), (Fraction(1, 2), 0), ((0, 1),))
+    assert (-CandidateIsometry(m, False, given)).provenance == (-1, (-2, 0), (Fraction(-1, 2), 0), ((0, -1),))
+
+
 @pytest.mark.parametrize(
     "x", [0, -7, 2**70, True, False, Fraction(-3, 6), Fraction(5), 0.5, -2.0, "3/6", " 4 "]
 )
