@@ -127,7 +127,9 @@ class IsometryProblem:
             if not z0.is_integral():
                 raise InvalidProblem("probes must be integer vectors")
         self.probes = list(probes)
-        if Mat.from_cols([w] + self.probes).determinant() == 0:
+        # (db, db P^-1) for P = (w | z0_1 ...), which reconstruct maps through.
+        self._pinv = _cleared_inverse(tuple(zip(self._w, *(z0.to_ints() for z0 in self.probes))))
+        if not self._pinv[0]:
             raise DegenerateProbe("anchor and probes do not form a basis")
 
         self.kernel_basis = integer_kernel_basis(Vec([_dot(row, self._w) for row in self._gram]))
@@ -166,21 +168,22 @@ class IsometryProblem:
 
     @cached_property
     def _recon_tables(self) -> _ReconTables:
-        """The packed integer map of reconstruct, built on first use (see
+        """The integer map of reconstruct, built on first use (see
         _ReconTables)."""
         return _ReconTables(self)
 
     def is_isometry(self, m: Mat) -> bool:
         """Exact test of M^T B M = B', run in integers on the numerator of
         M over the lcm of its denominators."""
-        if m.nrows != self.dim or m.ncols != self.dim:
-            return False
         den, num = _cleared(m.rows)
         return self.pulls_back(num, den)
 
     def pulls_back(self, num, den: int) -> bool:
-        """Whether num^T B num = den^2 B' for integer n x n rows num, i.e.
-        whether M = num / den solves M^T B M = B'."""
+        """Whether num^T B num = den^2 B' for integer rows num, i.e.
+        whether num is n x n and M = num / den solves M^T B M = B'."""
+        n = len(self._gram)
+        if [*map(len, num)] != [n] * n:
+            return False
         cols = list(zip(*num))
         gcols = [tuple(_dot(grow, col) for grow in self._gram) for col in cols]
         d2 = den * den
@@ -213,8 +216,10 @@ def _cleared(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def _cleared_inverse(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(d, d A^-1) for a nonsingular integer matrix A given by rows, d > 0
-    the lcm of the denominators of A^-1 (what _cleared gives for A^-1).
+    """(d, d A^-1) for a square integer matrix A given by rows, d > 0 the
+    lcm of the denominators of A^-1 (what _cleared gives for A^-1), and
+    (0, ()) when A is singular.  So d == 1 iff A is unimodular: A^-1 is
+    then integral, and det A det A^-1 = 1.
 
     Fraction-free (Bareiss) Gauss-Jordan elimination on (A | I) ends in
     (e I | e A^-1) for e = +-det A: every intermediate entry is a minor of
@@ -224,7 +229,9 @@ def _cleared_inverse(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
     prev = 1
     for k in range(n):
-        p = next(i for i in range(k, n) if m[i][k])
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return 0, ()
         m[k], m[p] = m[p], m[k]
         pivot = m[k]
         pk = pivot[k]
@@ -240,17 +247,64 @@ def _cleared_inverse(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return prev // g, tuple(tuple(x // g for x in row) for row in inv)
 
 
-def _packed(values, width: int) -> int:
-    """sum_k v_k 2^(k width) for a few integers v_k."""
-    return sum(v << (width * k) for k, v in enumerate(values))
+def _slot_width(bound: int) -> int:
+    """The smallest multiple W of 8 with bound < 2^(W-1)."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+class _SlotMap:
+    """The integer linear map z -> (sum_c z_c columns[c][k])_k, evaluated
+    for all of its outputs k at once on big integers with one signed
+    W-bit slot per output.
+
+    packed[c] is sum_k columns[c][k] 2^(kW), and off holds 2^(W-1) in
+    every slot, so total(z) = off + sum_c z_c packed[c] holds output k
+    plus 2^(W-1) in slot k, in [0, 2^W), as long as every
+    |output k| < 2^(W-1): no slot borrows from or carries into the next.
+    Output k is at most sum_c |z_c| colmax[c] in absolute value, colmax[c]
+    the largest |coefficient| of z_c, so total first repacks the columns
+    when that bound reaches 2^(W-1), at the smallest multiple of 8 above
+    it; the width only grows.  The columns are packed at once when a
+    floor width is given, and by the first total call otherwise.
+    """
+
+    __slots__ = ("columns", "colmax", "nslots", "width", "off", "packed")
+
+    def __init__(self, columns, floor: int = 0):
+        self.columns = columns
+        self.colmax = [max(map(abs, col), default=0) for col in columns]
+        self.nslots = len(columns[0])
+        self.width = 0
+        if floor:
+            self._pack(floor)
+
+    def _pack(self, width: int) -> None:
+        """(Re)pack the columns in slots of at least width bits that also
+        hold every coefficient."""
+        width = max(width, _slot_width(max(self.colmax)))
+        nbytes, half = width // 8, 1 << (width - 1)
+        self.off = off = int.from_bytes((bytes(nbytes - 1) + b"\x80") * self.nslots, "little")
+        # Each distinct coefficient v is encoded once, as the bytes of
+        # v + 2^(W-1) in [0, 2^W); off taken from a column's bytes leaves
+        # sum_k col[k] 2^(kW).
+        code = {v: (v + half).to_bytes(nbytes, "little") for v in set(chain.from_iterable(self.columns))}
+        self.packed = [int.from_bytes(b"".join(map(code.__getitem__, col)), "little") - off for col in self.columns]
+        self.width = width
+
+    def total(self, z) -> int:
+        """off + sum_c z_c packed[c], with slots wide enough for z."""
+        bound = _dot(map(abs, z), self.colmax)
+        if bound.bit_length() >= self.width:
+            self._pack(_slot_width(bound))
+        return sum(map(mul, z, self.packed), self.off)
 
 
 class _ReconTables:
-    """Integer tables for reconstruct: one packed integer per coordinate
-    of the joint tuple z = e1 || pick_1 || ... (n^2 integers).
+    """The integer map of reconstruct: z -> its outputs for the joint
+    tuple z = e1 || pick_1 || ... (n^2 integers).
 
     With P = (w | z0_1 ...), db the lcm of the denominators of P^-1 and
-    adj = db P^-1 (from one fraction-free adjugate of P), a candidate is
+    adj = db P^-1 (IsometryProblem._pinv), a candidate is
     M = num / den for den = N^2 db and num = E Z A: E = (w | kernel
     basis), Z has the columns e1, pick_1, ..., and A has the rows
     N adj_0 + sum_i beta_i adj_i, adj_1, ... for beta_i = B(z0_i, w)
@@ -260,81 +314,57 @@ class _ReconTables:
     adj^T (0, t); then atilde = pair (0, t) / dp, where dp and
     pair = dp (P^T B)^-1 come from the adjugate of P^T B.
 
-    All of these are linear in z.  The map has one signed `width`-bit
-    slot per output: num row by row (n^2 slots), the kernel parts
+    All of these are linear in z, so one _SlotMap holds them, with the
+    outputs as slots: num row by row (n^2 slots), the kernel parts
     E (0, x) of the n rows (btilde, then each c_i), atilde dp, and
-    adj^T (0, t) when db != 1.  `cols[c]` holds the coefficients of z_c
-    in every slot, packed as sum_k coef_k 2^(k width), so the slots of
-    z . cols hold every output at once.  For row j and L0 coordinate m
-    the num slots hold e_m a_j^T (e_m column m of E, a_j row j of A),
-    which is the product of e_m packed with stride n slots and a_j
-    packed with stride 1.  No output exceeds max|z_c| slotsum, slotsum
-    the sum over c of the largest |coef| of z_c; the width starts at 64
-    and only grows.
+    adj^T (0, t) when db != 1.  The coefficient of z_c = row j, L0
+    coordinate m, is E[r][m] A[j][k] in num slot (r, k), E[r][m] (m > 0)
+    in the kernel slot r of row j, and for m = 0 < j pair[r][j] and
+    adj[j][r] in the last slots.  The map is packed at build time with a
+    64-bit floor, so that the slots of almost every tuple decode with one
+    struct call.
     """
 
-    __slots__ = (
-        "n", "db", "adj", "dp", "pair", "den", "arows", "ecols",
-        "slotsum", "nslots", "width", "off", "cols", "unpack",
-    )
+    __slots__ = ("n", "db", "dp", "pair", "den", "map", "unpack")
 
     def __init__(self, problem: IsometryProblem):
         self.n = n = problem.dim
         nint, gram = problem.wnorm, problem._gram
         probes = [z0.to_ints() for z0 in problem.probes]
-        self.db, adj = _cleared_inverse(tuple(zip(problem._w, *probes)))
+        self.db, adj = problem._pinv
         self.dp, self.pair = _cleared_inverse([[_dot(v, row) for row in gram] for v in (problem._w, *probes)])
-        self.adj, self.den = adj, nint * nint * self.db
+        self.den = nint * nint * self.db
         betas = [_bilinear(gram, z0, problem._w) for z0 in probes]
-        self.arows = (
+        arows = (
             tuple(nint * a + _dot(betas, col[1:]) for a, col in zip(adj[0], zip(*adj))),
             *adj[1:],
         )
-        self.ecols = tuple(zip(*problem._l0_basis))
-        self.nslots = 2 * n * n + n + (n if self.db != 1 else 0)
-        emax = [max(map(abs, e)) for e in self.ecols]
-        cmax = []
-        for j, arow in enumerate(self.arows):
-            amax = max(map(abs, arow))
-            dual = max(*(abs(row[j]) for row in self.pair), *map(abs, adj[j])) if j else 0
-            cmax += [max(x * amax, x) for x in emax[1:]]
-            cmax.append(max(emax[0] * amax, dual))
-        self.slotsum = sum(cmax)
-        self.pack(max(64, _slot_width(max(cmax))))
-
-    def pack(self, width: int) -> None:
-        """(Re)build the packed integers with width-bit slots."""
-        n, n2 = self.n, self.n * self.n
-        self.width = width
-        strided = [_packed(e, n * width) for e in self.ecols]
-        kernel = [_packed(e, width) for e in self.ecols[1:]]
-        self.cols = cols = []
-        for j, arow in enumerate(self.arows):
-            a = _packed(arow, width)
-            dual = 0
-            if j:
-                dual = _packed([row[j] for row in self.pair], width) << (2 * n2 * width)
-                if self.db != 1:
-                    dual += _packed(self.adj[j], width) << ((2 * n2 + n) * width)
-            cols.append(strided[0] * a + dual)
-            shift = (n2 + j * n) * width
-            cols += [e * a + (k << shift) for e, k in zip(strided[1:], kernel)]
-        # Adding `off` (2^(W-1) in every slot) makes each slot v + 2^(W-1),
-        # which lies in [0, 2^W); XOR with `off` then leaves the two's
-        # complement of v.
-        nbytes = width // 8
-        self.off = int.from_bytes((bytes(nbytes - 1) + b"\x80") * self.nslots, "little")
-        self.unpack = Struct(f"<{self.nslots}q").unpack if width == 64 else None
+        ecols = tuple(zip(*problem._l0_basis))
+        # The t-slots pair (0, t), then adj^T (0, t) when db != 1: tcols[j]
+        # holds the coefficients of t_j = z_(jn) for j > 0, and tcols[0],
+        # zero, those of s = z_0 and of every kernel coordinate.
+        tmat = (*self.pair, *zip(*adj)) if self.db != 1 else self.pair
+        tcols = [(0,) * len(tmat), *list(zip(*tmat))[1:]]
+        zeros = (0,) * n
+        columns = []
+        for j, arow in enumerate(arows):
+            for m, e in enumerate(ecols):
+                kernel = [zeros] * n
+                if m:
+                    kernel[j] = e
+                num = [x * a for x in e for a in arow]
+                columns.append((*num, *chain.from_iterable(kernel), *tcols[0 if m else j]))
+        self.map = _SlotMap(columns, 64)
+        self.unpack = Struct(f"<{self.map.nslots}q").unpack
 
     def outputs(self, z: tuple[int, ...]) -> tuple[int, ...]:
-        """The slots of z . cols, exactly: the table is repacked wider
-        first when max|z_c| slotsum reaches 2^(width-1)."""
-        bound = max(map(abs, z)) * self.slotsum
-        if bound >> (self.width - 1):
-            self.pack(_slot_width(bound))
-        off, nbytes = self.off, self.width // 8
-        raw = ((_dot(z, self.cols) + off) ^ off).to_bytes(self.nslots * nbytes, "little")
-        if self.unpack is not None:
+        """The slots of the map at z, exactly: XOR with the offset leaves
+        the two's complement of each slot's value."""
+        slots = self.map
+        total = slots.total(z) ^ slots.off
+        nbytes = slots.width // 8
+        raw = total.to_bytes(slots.nslots * nbytes, "little")
+        if nbytes == 8:
             return self.unpack(raw)
         return tuple(
             int.from_bytes(raw[i : i + nbytes], "little", signed=True) for i in range(0, len(raw), nbytes)
@@ -348,13 +378,9 @@ def isometry_denominators(problem: IsometryProblem, matrices):
     den M), None otherwise.  M is integral iff den == 1.  Candidates repeat a
     few distinct entries many times, so each one is parsed once."""
     parse = lru_cache(maxsize=None)(parse_fraction)
-    n, pulls_back = problem.dim, problem.pulls_back
+    pulls_back = problem.pulls_back
     for rows in matrices:
-        values = [[parse(x) for x in row] for row in rows]
-        if len(values) != n or any(len(row) != n for row in values):
-            yield None
-            continue
-        den, num = _cleared(values)
+        den, num = _cleared([[parse(x) for x in row] for row in rows])
         yield den if pulls_back(num, den) else None
 
 
@@ -531,60 +557,28 @@ def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> tuple[tuple[int, ...]
     return vectors_of_norm(form, r).solutions if r >= 0 else ()
 
 
-def _slot_width(bound: int) -> int:
-    """The smallest multiple W of 8 with bound < 2^(W-1)."""
-    return 8 * (bound.bit_length() // 8 + 1)
-
-
 class _Eq2Table:
-    """The eq3 shells of all probes packed into one integer per L0
-    coordinate.
+    """The eq2 pairings of all eq3 rows as one _SlotMap with inputs
+    (g, 1), one slot per row of the concatenated shells (shell i starts at
+    offsets[i]).
 
-    Row k of the concatenated shells (shell i starts at offsets[i]) owns
-    the bits [kW, (k+1)W) of each packed integer: `cols[j]` holds its
-    j-th coordinate (t, then the kernel coordinates of c), and `base`
-    holds 2^(W-1) - e2 of its probe.  The width W is set by the first call
-    that packs the table and only grows; packing transposes the rows with
-    one zip and keeps only the packed integers.  The table keeps the
-    (immutable) shells it was built from, and filter_eq2 rebuilds it for
-    any other shells.
+    Column j of the map holds the j-th L0 coordinate of every row (t,
+    then the kernel coordinates of c), and the last column holds -e2 on
+    the rows of each probe, so slot k of the map at (g, 1) is
+    g . row_k - e2.  The table keeps the (immutable) shells it was built
+    from, and filter_eq2 rebuilds it for any other shells.
     """
 
-    __slots__ = ("shells", "pairs", "offsets", "colmax", "e2max", "width", "base", "cols")
+    __slots__ = ("shells", "offsets", "map")
 
     def __init__(self, shells, eq2_targets):
         self.shells = tuple(shells)
-        self.pairs = tuple(zip(eq2_targets, self.shells))
-        self.offsets = (0, *accumulate(len(shell) for _, shell in self.pairs))
-        self.colmax = [max(map(abs, col)) for col in self._columns()]
-        self.e2max = max((abs(e2) for e2, _ in self.pairs), default=0)
-        self.width = 0
+        self.offsets = (0, *accumulate(map(len, self.shells)))
+        minus_e2 = tuple(chain.from_iterable((-e2,) * len(shell) for e2, shell in zip(eq2_targets, self.shells)))
+        self.map = _SlotMap([*zip(*chain.from_iterable(self.shells)), minus_e2])
 
     def built_from(self, shells) -> bool:
         return len(shells) == len(self.shells) and all(map(is_, shells, self.shells))
-
-    def _columns(self):
-        """Per L0 coordinate, its entries in the rows of all shells."""
-        return zip(*chain.from_iterable(shell for _, shell in self.pairs))
-
-    def pack(self, width: int) -> None:
-        """(Re)build the packed integers with width-bit slots."""
-        nbytes, off = width // 8, 1 << (width - 1)
-        ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * self.offsets[-1], "little")
-
-        def packed(column) -> int:
-            # sum_k v_k 2^(kW), built from the offset values v_k + 2^(W-1),
-            # which lie in [0, 2^W) because every |v_k| < 2^(W-1).
-            raw = b"".join([(v + off).to_bytes(nbytes, "little") for v in column])
-            return int.from_bytes(raw, "little") - off * ones
-
-        self.width = width
-        # 2^(W-1) - e2 lies in (0, 2^W): one repeated slot per probe.
-        self.base = int.from_bytes(
-            b"".join([(off - e2).to_bytes(nbytes, "little") * len(shell) for e2, shell in self.pairs]),
-            "little",
-        )
-        self.cols = [packed(col) for col in self._columns()]
 
 
 def _centred_slots(raw: bytes, lo: int, hi: int, nbytes: int) -> list[int]:
@@ -614,36 +608,27 @@ def filter_eq2(
 
     The right side is the L0 pairing g . (t, y) of the eq3 row (t, y)
     with g = diag(N, G_K) e1 = (N s, G_K x), computed once per call.  All
-    pairings of e1 are evaluated at once on integers packed with one
-    W-bit slot per eq3 row (see _Eq2Table): the sum base + sum_j g_j C_j
-    holds N s t + B(btilde, c) - e2 + 2^(W-1) in every slot, and the
+    pairings of e1 are evaluated at once by the _SlotMap of _Eq2Table at
+    (g, 1): each slot holds N s t + B(btilde, c) - e2 + 2^(W-1), and the
     survivors are the slots equal to 2^(W-1), found as aligned matches in
-    the sum's bytes.  W is a multiple of 8 with 2^(W-1) above a bound on
-    |N s t + B(btilde, c) - e2| and on the packed entries for the
-    arguments given, so no slot carries into the next; when a call needs
-    wider slots than the table has, the table is repacked at that width.
-    The table is built on the first call for a list of shells and cached
-    on the problem.  The result lists the survivors of each probe in eq3
-    order, as the row tuples of its shell.
+    the sum's bytes.  The map widens its slots when g needs it.  The
+    table is built on the first call for a list of shells (one per probe)
+    and cached on the problem.  The result lists the survivors of each
+    probe in eq3 order, as the row tuples of its shell.
     """
     table = problem._eq2_table
     if table is None or not table.built_from(per_probe):
         table = problem._eq2_table = _Eq2Table(per_probe, problem.eq2_targets)
-    pairs, offsets = table.pairs, table.offsets
-    count = offsets[-1]
-    if not count:
-        return [[] for _ in pairs]
+    shells, offsets = table.shells, table.offsets
+    if not offsets[-1]:
+        return [[] for _ in shells]
     g = [_dot(row, e1) for row in problem._l0_gram]
-    bound = _dot(map(abs, g), table.colmax) + table.e2max
-    width = _slot_width(max(bound, *table.colmax))
-    if width > table.width:
-        table.pack(width)
-    total = table.base + _dot(g, table.cols)
-    nbytes = table.width // 8
-    raw = total.to_bytes(count * nbytes, "little")
+    total = table.map.total((*g, 1))
+    nbytes = table.map.width // 8
+    raw = total.to_bytes(table.map.nslots * nbytes, "little")
     return [
         list(map(shell.__getitem__, _centred_slots(raw, lo, hi, nbytes)))
-        for (_, shell), lo, hi in zip(pairs, offsets, offsets[1:])
+        for shell, lo, hi in zip(shells, offsets, offsets[1:])
     ]
 
 
@@ -691,8 +676,8 @@ def reconstruct(
     is assembled columnwise from phi(w) = (s w + btilde)/N and
     phi(z_i) = (c_i + t_i w)/N^2, then verified exactly against the
     target form before emission.  Everything before that check is linear
-    in the n^2 integers z = e1 || pick_1 || ...: one dot product of z with
-    the packed integers of IsometryProblem._recon_tables gives the
+    in the n^2 integers z = e1 || pick_1 || ...: the _SlotMap of
+    IsometryProblem._recon_tables, evaluated at z, gives the
     numerator num of M over den = N^2 db, btilde, the c_i, atilde dp and,
     when P^-1 is not integral (db != 1), adj^T (0, t), whose entries must
     all be multiples of db.  (For db = 1, e.g. for the default unit-vector
@@ -724,9 +709,11 @@ def find_isometries(
 
     Composes solve_eq1, solve_eq3_per_z0 (once per probe), filter_eq2,
     cross-probe assembly and reconstruct, all on L0 rows.  Every
-    filter_eq2 call gets the same shells, so the eq3 rows are packed once
-    per search and each eq1 row costs a few big-integer operations for
-    all of its eq2 pairings (see filter_eq2).
+    filter_eq2 call gets the same shells, so the eq2 slot map of the eq3
+    rows is built once per search and each eq1 row costs a few
+    big-integer operations for all of its eq2 pairings (see filter_eq2);
+    reconstruct evaluates the problem's other slot map, built once, per
+    joint tuple.
 
     The equations are homogeneous of degree 2 and the eq1 and eq3 lists
     are sign-complete with entry L-1-j = -entry j, so only e1s[i] with
@@ -1005,7 +992,9 @@ _FAMILY_DERIVED = ("kind", "constant", "reduced", "squares")
 def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bool:
     """Re-check a certificate against its problem without re-searching.
 
-    Witnesses are re-multiplied; ObstructionEq1 re-runs only the eq1
+    A witness must be integral, pull B' back (num^T B num = B', in
+    integers) and be unimodular: the inverse from _cleared_inverse has
+    denominator 1; ObstructionEq1 re-runs only the eq1
     enumeration; a squares obstruction or Inconclusive whose detail names
     a family `kind` holds only when family_obstruction, run on the
     detail's integer parameters, gives the same verdict and the same
@@ -1018,8 +1007,8 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     if verdict == "IsometricWitness":
         if problem is None or cert.witness is None:
             return False
-        m = cert.witness.matrix
-        return problem.is_isometry(m) and m.is_unimodular()
+        num = cert.witness.num
+        return cert.witness.den == 1 and problem.pulls_back(num, 1) and _cleared_inverse(num)[0] == 1
     if verdict == "NoIntegralIsometry":
         if problem is None:
             return False

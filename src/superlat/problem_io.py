@@ -255,7 +255,7 @@ def _certificate_from_payload(payload: dict) -> Certificate:
     if wp is not None:
         witness = CandidateIsometry(
             matrix=_parse_matrix_rows(wp["matrix"], "witness"),
-            integral=bool(wp["integral"]),
+            integral=_typed(wp["integral"], bool),
             provenance=(),
         )
     return Certificate(
@@ -275,11 +275,19 @@ def problem_inputs(problem: IsometryProblem) -> dict:
     }
 
 
+def _typed(value, kind: type):
+    """value when its type is exactly kind (int or bool, so neither stands
+    in for the other); TypeError otherwise."""
+    if type(value) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}")
+    return value
+
+
 def _problem_from_inputs(inputs: dict) -> IsometryProblem:
     source = GramForm(_parse_matrix_rows(inputs["B"], "inputs.B"))
     target = GramForm(_parse_matrix_rows(inputs["Bprime"], "inputs.Bprime"))
-    w = Vec([int(x) for x in inputs["w"]])
-    probes = [Vec([int(x) for x in z]) for z in inputs["z0"]]
+    w = Vec([_typed(x, int) for x in inputs["w"]])
+    probes = [Vec([_typed(x, int) for x in z]) for z in inputs["z0"]]
     return IsometryProblem(source, target, w, probes=probes)
 
 
@@ -441,7 +449,7 @@ def verify_document(doc: dict) -> bool:
             return False
 
         for entry, den in zip(entries, dens):
-            if den is None or bool(entry["integral"]) != (den == 1):
+            if den is None or _typed(entry["integral"], bool) != (den == 1):
                 return False
         return True
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, SuperlatError):

@@ -118,7 +118,7 @@ def test_synthetic_entries_negative_and_around_2_to_70():
         _check_all(problem, e1s, per_probe)
         kept = filter_eq2(problem, e1s[0], per_probe)
         assert any(kept), "the planted survivors must be found"
-        assert problem._eq2_table.width >= bits
+        assert problem._eq2_table.map.width >= bits
 
 
 def test_slot_width_grows_between_calls():
@@ -128,10 +128,10 @@ def test_slot_width_grows_between_calls():
     small = (1, 1, -2, 3)
     per_probe = [_synthetic(rng, 4, k, 30, small, 2, e2) for e2 in problem.eq2_targets]
     _check_all(problem, [small], per_probe)
-    width = problem._eq2_table.width
+    width = problem._eq2_table.map.width
     huge = (-(2**75) + 3, -1, 2**70, -(2**71))
     _check_all(problem, [huge], per_probe)
-    assert problem._eq2_table.width > width
+    assert problem._eq2_table.map.width > width
     # A wider table still serves the small solution.
     _check_all(problem, [small, huge, small], per_probe)
 
@@ -150,7 +150,7 @@ def test_extreme_slot_values_do_not_carry():
     got = filter_eq2(problem, e1, [cands])
     _assert_same(got, reference_filter_eq2(problem, e1, [cands]))
     assert got == [[cands[1], cands[3], cands[5]]]
-    assert problem._eq2_table.width == 16
+    assert problem._eq2_table.map.width == 16
 
 
 def test_pattern_straddling_two_slots_is_no_survivor():
@@ -161,7 +161,7 @@ def test_pattern_straddling_two_slots_is_no_survivor():
     e1 = (1, 1, 1)
     cands = (_eq3(-10900, (-10900, -10900)), _eq3(128, (0, 0)), _eq3(5, (-5, 0)))
     got = filter_eq2(problem, e1, [cands])
-    assert problem._eq2_table.width == 16
+    assert problem._eq2_table.map.width == 16
     _assert_same(got, reference_filter_eq2(problem, e1, [cands]))
     assert got == [[cands[2]]]
 

@@ -209,6 +209,45 @@ def test_verify_rejects_flipped_witness_flag(wilson_doc):
     assert verify_document(doc) is False
 
 
+def _put(path, value):
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _put(("inputs", "w", 0), 1.5),
+        _put(("inputs", "w", 0), 1.0),
+        _put(("inputs", "w", 0), True),
+        _put(("inputs", "w", 0), "1"),
+        _put(("inputs", "z0", 0, 1), 1.9),
+        _put(("inputs", "z0", 2, 3), True),
+        _put(("candidates", 0, "integral"), "false"),
+        _put(("candidates", 0, "integral"), 1),
+        _put(("certificate", "witness", "integral"), "false"),
+        _put(("certificate", "witness", "integral"), 1),
+    ],
+    ids=["w-1.5", "w-1.0", "w-true", "w-string", "z0-1.9", "z0-true",
+         "candidate-flag-string", "candidate-flag-int", "witness-flag-string", "witness-flag-int"],
+)
+def test_verify_reads_document_fields_only_at_their_json_type(edit, wilson_doc, tmp_path, capsys):
+    # Each edit would read as the original value under int() or bool():
+    # a float, boolean or string anchor or probe entry, and a flag that is
+    # not a JSON boolean, must each fail.
+    doc = copy.deepcopy(wilson_doc)
+    edit(doc)
+    assert verify_document(doc) is False
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == "verification FAILED\n"
+
+
 def test_parse_matrix_rows_rejects_non_finite_entries():
     for value in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ParseError):

@@ -472,6 +472,19 @@ class TestCertificates:
         )
         assert not verify_certificate(bad, wilson_problem())
 
+    def test_witness_must_be_a_square_unimodular_isometry(self):
+        # 2I pulls B' = 4I back to B = I but has determinant 4; the
+        # non-square witnesses are read in integers row by row.
+        from superlat.isometry import CandidateIsometry, Certificate
+
+        problem = IsometryProblem(GramForm(Mat.identity(2)), GramForm(Mat([[4, 0], [0, 4]])), Vec([1, 0]))
+        for rows in ([[2, 0], [0, 2]], [[2, 0]], [[2, 0, 0], [0, 2, 0]], [[2]]):
+            witness = Certificate("IsometricWitness", witness=CandidateIsometry(Mat(rows), True))
+            assert not verify_certificate(witness, problem)
+        problem = IsometryProblem(GramForm(Mat.identity(2)), GramForm(Mat([[1, 1], [1, 2]])), Vec([1, 0]))
+        witness = Certificate("IsometricWitness", witness=CandidateIsometry(Mat([[1, 1], [0, 1]]), True))
+        assert verify_certificate(witness, problem)
+
     def test_no_integral_certificate_verifies(self):
         result = find_isometries(even24_problem())
         assert verify_certificate(result.certificate, even24_problem())

@@ -111,7 +111,7 @@ def test_matches_reference_on_every_assembled_tuple(name, make):
     problem = make()
     tab = problem._recon_tables
     betas, adj_cols, db, den, dp, pair = _reference_recon_tables(problem)
-    assert (tab.db, tab.adj, tab.den, tab.dp, tab.pair) == (db, tuple(zip(*adj_cols)), den, dp, pair)
+    assert (tab.db, problem._pinv[1], tab.den, tab.dp, tab.pair) == (db, tuple(zip(*adj_cols)), den, dp, pair)
     accepted = 0
     for e1, picks in _tuples(problem):
         z = (*e1, *sum(picks, ()))
@@ -119,7 +119,7 @@ def test_matches_reference_on_every_assembled_tuple(name, make):
         got = reconstruct(problem, e1, picks)
         _assert_same(got, reference_reconstruct(problem, e1, picks))
         accepted += got is not None
-    assert tab.width == 64
+    assert tab.map.width == 64
     if name == "db = 6":
         assert db == 6 and accepted == 72
 
@@ -131,8 +131,9 @@ def test_cleared_inverse_matches_fraction_inverse():
         rows = [[rng.randint(-4, 4) * rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         m = Mat(rows)
         if m.determinant() == 0:
-            continue
-        assert _cleared_inverse(rows) == _cleared(m.inverse().rows)
+            assert _cleared_inverse(rows) == (0, ())
+        else:
+            assert _cleared_inverse(rows) == _cleared(m.inverse().rows)
 
 
 def _scaled(problem: IsometryProblem, k: int) -> IsometryProblem:
@@ -147,23 +148,25 @@ def test_rank1_rows_at_the_64_bit_edge(sign):
     # so s = +-(2^63 - 1) is the largest value the 64-bit slots decode.
     for s, width in ((2**63 - 1, 64), (2**63, 72), (2**70 + 1, 72)):
         problem = _problem([[1]], [[s * s]], [1])
-        assert problem._recon_tables.slotsum == 1
+        assert problem._recon_tables.map.colmax == [1]
         e1 = (sign * s,)
         got = reconstruct(problem, e1, ())
         assert got.num == ((sign * s,),) and got.den == 1
         _assert_same(got, reference_reconstruct(problem, e1, ()))
-        assert problem._recon_tables.width == width
+        assert problem._recon_tables.map.width == width
         assert reconstruct(problem, (sign * (s - 1),), ()) is None
 
 
 def test_scaled_tuples_take_the_wide_path():
     # Wilson's accepted tuples scaled by k: at the largest k whose bound
-    # max|z| slotsum stays below 2^63 the 64-bit slots still decode; one
-    # more, and k near 2^70, need wider slots.
+    # sum_c |z_c| colmax[c] stays below 2^63 for every tuple the 64-bit
+    # slots still decode; one more, and k near 2^70, need wider slots.
     base = _problem(Mat.identity(4).rows, WILSON.rows, [1, 0, 0, 0])
     tuples = [(e1, picks) for e1, picks in _tuples(base)][:24]
-    zmax = max(abs(x) for e1, picks in tuples for x in (*e1, *sum(picks, ())))
-    edge = (2**63 - 1) // (zmax * base._recon_tables.slotsum)
+    zs = [(*e1, *sum(picks, ())) for e1, picks in tuples]
+    zmax = max(abs(x) for z in zs for x in z)
+    colmax = base._recon_tables.map.colmax
+    edge = (2**63 - 1) // max(_dot(map(abs, z), colmax) for z in zs)
     for k, wide in ((edge, False), (edge + 1, True), (2**70 // zmax + 3, True)):
         problem = _scaled(base, k)
         for e1, picks in tuples:
@@ -173,7 +176,7 @@ def test_scaled_tuples_take_the_wide_path():
             want = reconstruct(base, e1, picks)
             assert got.num == tuple(tuple(k * x for x in row) for row in want.num)
             _assert_same(got, reference_reconstruct(problem, e1k, picksk))
-        assert (problem._recon_tables.width > 64) == wide
+        assert (problem._recon_tables.map.width > 64) == wide
 
 
 def test_synthetic_rows_decode_exactly():
@@ -190,7 +193,7 @@ def test_synthetic_rows_decode_exactly():
                 assert tab.outputs(z) == _expected_outputs(problem, z)
                 e1, picks = z[:n], tuple(z[i : i + n] for i in range(n, n * n, n))
                 _assert_same(reconstruct(problem, e1, picks), reference_reconstruct(problem, e1, picks))
-        assert tab.width > 64
+        assert tab.map.width > 64
 
 
 def test_perturbed_numerator_is_rejected():
@@ -205,11 +208,12 @@ def test_perturbed_numerator_is_rejected():
         assert reconstruct(problem, e1, picks) is not None
         c = next(i for i, x in enumerate(z) if x)
         for slot in range(16):
-            saved = tab.cols[c]
-            tab.cols[c] = saved + (1 << (slot * tab.width))
+            packed = tab.map.packed
+            saved = packed[c]
+            packed[c] = saved + (1 << (slot * tab.map.width))
             try:
                 assert reconstruct(problem, e1, picks) is None
             finally:
-                tab.cols[c] = saved
+                packed[c] = saved
             checked += 1
     assert checked == 384 * 16
