@@ -8,7 +8,8 @@ process, through ``superlat.cli.main``:
 
 * ``factorize FILE --json FIRST`` (first witness),
 * ``factorize FILE --all --json ALL``,
-* ``verify FIRST`` and ``verify ALL``,
+* ``factorize FILE --all --integral-only --json INTEGRAL``,
+* ``verify`` on each of the three documents,
 * ``oracle FILE``.
 
 It also runs ``obstruct ... --json DOC`` on a few parameter sets of the
@@ -111,7 +112,11 @@ def contract() -> dict:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         for k, (case, args) in enumerate(_cases(tmp)):
-            for mode, extra in (("factorize", []), ("factorize --all", ["--all"])):
+            for mode, extra in (
+                ("factorize", []),
+                ("factorize --all", ["--all"]),
+                ("factorize --all --integral-only", ["--all", "--integral-only"]),
+            ):
                 doc = tmp / f"doc{k}-{len(extra)}.json"
                 code, stdout = _run(["factorize", *args, *extra, "--json", str(doc)], name)
                 out[f"{case} {mode}"] = {"exit": code, "stdout": _sha(stdout), "document": _document(doc)}

@@ -14,8 +14,14 @@ them:
   (one of each +-pair);
 * ``_assemble``, drained for each of those filtered lists;
 * ``reconstruct``, on every assembled tuple;
+* ``pulls_back``, the exact check inside ``reconstruct``, alone: once
+  more on every (num, den) that ``reconstruct`` checked;
+* ``integral_listing``, the stdout listing of ``factorize --all`` (the
+  integral candidates' entry texts included);
 * ``result_document`` on the search's result, and ``write_document`` of
-  that document into memory.
+  that document into memory;
+* ``verify_document`` of the written document, read back with
+  ``json.loads``.
 
 Each stage's time is the best of ``--repeats`` runs (building the problem
 is not timed).  The script prints one JSON object that maps each problem
@@ -43,6 +49,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
 
+from superlat.cli import integral_listing  # noqa: E402
 from superlat.forms import GramForm  # noqa: E402
 from superlat.isometry import (  # noqa: E402
     IsometryProblem,
@@ -53,7 +60,7 @@ from superlat.isometry import (  # noqa: E402
     solve_eq1,
     solve_eq3_per_z0,
 )
-from superlat.problem_io import parse_problem, result_document, write_document  # noqa: E402
+from superlat.problem_io import parse_problem, result_document, verify_document, write_document  # noqa: E402
 
 # Problems per workload, as the benchmark draws them (perfbench/run.py).
 WORKLOAD_COUNTS = {"wilson": 7, "pullback": 5, "neighbour": 10}
@@ -64,8 +71,11 @@ STAGES = (
     "filter_eq2",
     "_assemble",
     "reconstruct",
+    "pulls_back",
+    "integral_listing",
     "result_document",
     "write_document",
+    "verify_document",
 )
 
 
@@ -113,15 +123,35 @@ def one_pass(text: str) -> dict[str, float]:
         reconstruct(problem, e1, picks)
     times["reconstruct"] = perf_counter() - start
 
+    checks = []
+    problem.pulls_back = lambda num, den: checks.append((num, den))
+    for e1, picks in tuples:
+        reconstruct(problem, e1, picks)
+    del problem.pulls_back
+    start = perf_counter()
+    for num, den in checks:
+        problem.pulls_back(num, den)
+    times["pulls_back"] = perf_counter() - start
+
     result = find_isometries(problem)
+    start = perf_counter()
+    integral_listing([c for c in result.candidates if c.integral])
+    times["integral_listing"] = perf_counter() - start
+
     options = {"all": True, "integral_only": False, "cs_prune": False}
     start = perf_counter()
     doc = result_document(problem, result, options=options, elapsed=0.0)
     times["result_document"] = perf_counter() - start
 
+    out = io.StringIO()
     start = perf_counter()
-    write_document(doc, io.StringIO())
+    write_document(doc, out)
     times["write_document"] = perf_counter() - start
+
+    written = json.loads(out.getvalue())
+    start = perf_counter()
+    verify_document(written)
+    times["verify_document"] = perf_counter() - start
     return times
 
 

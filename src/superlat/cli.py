@@ -92,12 +92,8 @@ def _print_cells(cells, indent: str = "  ") -> None:
         print(indent + " ".join(c.rjust(width) for c in row))
 
 
-def _fmt_cells_inline(cells) -> str:
-    return " | ".join(" ".join(row) for row in cells)
-
-
 def _fmt_matrix_inline(m: Mat) -> str:
-    return _fmt_cells_inline(matrix_rows(m))
+    return " | ".join(" ".join(row) for row in matrix_rows(m))
 
 
 def _fmt_vec(v: Vec) -> str:
@@ -140,6 +136,14 @@ def cmd_grade_basis(args) -> int:
     return EXIT_OK
 
 
+def integral_listing(integral) -> str:
+    """The --all listing of the integral candidates, one line per matrix
+    (written in one call); each distinct row of entry texts is joined once."""
+    joined = functools.cache(" ".join)
+    lines = [f"  {' | '.join(map(joined, c.entry_strings))}\n" for c in integral]
+    return f"integral matrices ({len(integral)}):\n" + "".join(lines)
+
+
 def cmd_factorize(args) -> int:
     pf = load_problem(args.file)
     w = _anchor(pf, args.w)
@@ -167,9 +171,7 @@ def cmd_factorize(args) -> int:
 
     integral = [c for c in result.candidates if c.integral]
     if args.all and integral:
-        print(f"integral matrices ({len(integral)}):")
-        for cand in integral:
-            print(f"  {_fmt_cells_inline(cand.entry_strings)}")
+        sys.stdout.write(integral_listing(integral))
     elif result.certificate.witness is not None:
         print("witness M =")
         _print_cells(result.certificate.witness.entry_strings)

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from functools import cache, cached_property
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import is_, mul
 from struct import Struct
@@ -62,17 +62,6 @@ from .errors import (
 from .forms import GramForm, dual_membership  # noqa: F401
 from .linalg import Mat, Vec, integer_kernel_basis, parse_fraction
 
-VERDICTS = (
-    "IsometricWitness",
-    "NoIntegralIsometry",
-    "ObstructionEq1",
-    "ObstructionTwoSquares",
-    "ObstructionThreeSquares",
-    "ObstructionDeterminant",
-    "Inconclusive",
-)
-
-
 class IsometryProblem:
     """Search data: integral forms B (source) and B' (target), an integer
     anchor w with B(w,w) != 0, and n-1 integer probe vectors completing w
@@ -87,13 +76,7 @@ class IsometryProblem:
     integer constants of the three equations.
     """
 
-    def __init__(
-        self,
-        source: GramForm,
-        target: GramForm,
-        w: Vec,
-        probes: list[Vec] | None = None,
-    ):
+    def __init__(self, source: GramForm, target: GramForm, w: Vec, probes: list[Vec] | None = None):
         if source.dim != target.dim:
             raise DimensionMismatch("source and target dimensions differ")
         if not source.is_integral() or not target.is_integral():
@@ -111,6 +94,7 @@ class IsometryProblem:
         n = source.dim
         self._gram = tuple(map(_ints, source.gram.rows))
         self._tgram = tuple(map(_ints, target.gram.rows))
+        self._pullback = _Pullback(self._gram, self._tgram)
         self._w = w.to_ints()
         self.wnorm = nint = _bilinear(self._gram, self._w, self._w)
         if nint == 0:
@@ -172,26 +156,10 @@ class IsometryProblem:
         _ReconTables)."""
         return _ReconTables(self)
 
-    def is_isometry(self, m: Mat) -> bool:
-        """Exact test of M^T B M = B', run in integers on the numerator of
-        M over the lcm of its denominators."""
-        den, num = _cleared(m.rows)
-        return self.pulls_back(num, den)
-
     def pulls_back(self, num, den: int) -> bool:
         """Whether num^T B num = den^2 B' for integer rows num, i.e.
         whether num is n x n and M = num / den solves M^T B M = B'."""
-        n = len(self._gram)
-        if [*map(len, num)] != [n] * n:
-            return False
-        cols = list(zip(*num))
-        gcols = [tuple(_dot(grow, col) for grow in self._gram) for col in cols]
-        d2 = den * den
-        for i, (ci, trow) in enumerate(zip(cols, self._tgram)):
-            for j in range(i, len(cols)):
-                if _dot(ci, gcols[j]) != d2 * trow[j]:
-                    return False
-        return True
+        return self._pullback(num, den)
 
     def _zhat(self, z0: tuple[int, ...]) -> tuple[int, ...]:
         """N z0 - B(z0, w) w for an integer probe z0 of length n, the
@@ -250,6 +218,40 @@ def _cleared_inverse(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def _slot_width(bound: int) -> int:
     """The smallest multiple W of 8 with bound < 2^(W-1)."""
     return 8 * (bound.bit_length() // 8 + 1)
+
+
+class _Pullback:
+    """The test num^T B num = den^2 B' for integer rows num and square
+    integer matrices B, B' given by rows, on packed integers with one
+    signed W-bit slot per column: with p_a = sum_j num[a][j] 2^(jW),
+    sum_a num[a][i] (B p)_a is row i of num^T B num packed, and it must
+    equal row i of den^2 B' packed (kept per (den, W)).  W puts
+    max|num|^2 sum|B_ab| and den^2 max|B'_ij|, which bound every slot,
+    below 2^(W-1), so equal integers mean equal rows."""
+
+    __slots__ = ("gram", "target", "weight", "tmax", "targets")
+
+    def __init__(self, gram, target):
+        self.gram, self.target = gram, target
+        self.weight = sum(map(abs, chain.from_iterable(gram)))
+        self.tmax = max(map(abs, chain.from_iterable(target)))
+        self.targets: dict = {}
+
+    def __call__(self, num, den: int) -> bool:
+        n = len(self.gram)
+        if [*map(len, num)] != [n] * n:
+            return False
+        big = max(map(abs, chain.from_iterable(num)))
+        width = _slot_width(max(big * big * self.weight, den * den * self.tmax))
+        targets = self.targets.get((den, width))
+        if targets is None:
+            pows = [1 << (j * width) for j in range(n)]
+            rows = [den * den * sum(map(mul, row, pows)) for row in self.target]
+            targets = self.targets[den, width] = pows, rows
+        pows, rows = targets
+        p = [sum(map(mul, row, pows)) for row in num]
+        bp = [sum(map(mul, row, p)) for row in self.gram]
+        return [sum(map(mul, col, bp)) for col in zip(*num)] == rows
 
 
 class _SlotMap:
@@ -322,10 +324,10 @@ class _ReconTables:
     in the kernel slot r of row j, and for m = 0 < j pair[r][j] and
     adj[j][r] in the last slots.  The map is packed at build time with a
     64-bit floor, so that the slots of almost every tuple decode with one
-    struct call.
+    struct call.  The candidates it builds share one cache of _row_texts.
     """
 
-    __slots__ = ("n", "db", "dp", "pair", "den", "map", "unpack")
+    __slots__ = ("n", "db", "dp", "pair", "den", "map", "unpack", "texts")
 
     def __init__(self, problem: IsometryProblem):
         self.n = n = problem.dim
@@ -356,6 +358,7 @@ class _ReconTables:
                 columns.append((*num, *chain.from_iterable(kernel), *tcols[0 if m else j]))
         self.map = _SlotMap(columns, 64)
         self.unpack = Struct(f"<{self.map.nslots}q").unpack
+        self.texts = cache(_row_texts)
 
     def outputs(self, z: tuple[int, ...]) -> tuple[int, ...]:
         """The slots of the map at z, exactly: XOR with the offset leaves
@@ -375,13 +378,17 @@ def isometry_denominators(problem: IsometryProblem, matrices):
     """Check matrices given as rows of entries that parse_fraction reads:
     yield, for each, the lcm den of its entry denominators when its rows
     form an n x n matrix M with M^T B M = B' (checked in integers on
-    den M), None otherwise.  M is integral iff den == 1.  Candidates repeat a
-    few distinct entries many times, so each one is parsed once."""
-    parse = lru_cache(maxsize=None)(parse_fraction)
-    pulls_back = problem.pulls_back
+    den M), None otherwise.  M is integral iff den == 1.  Candidates repeat
+    a few distinct entries and rows many times, so each distinct entry is
+    parsed once and each distinct row kept in integers once, as (d, d row)
+    for d the lcm of its denominators."""
+    parse = cache(parse_fraction)
+    cleared = cache(lambda row: _cleared([list(map(parse, row))]))
     for rows in matrices:
-        den, num = _cleared([[parse(x) for x in row] for row in rows])
-        yield den if pulls_back(num, den) else None
+        parts = list(map(cleared, map(tuple, rows)))
+        den = lcm(*(d for d, _ in parts))
+        num = [row if d == den else tuple(x * (den // d) for x in row) for d, (row,) in parts]
+        yield den if problem.pulls_back(num, den) else None
 
 
 def _ints(v) -> tuple[int, ...]:
@@ -391,6 +398,12 @@ def _ints(v) -> tuple[int, ...]:
 
 def _neg(v) -> tuple:
     return tuple([-x for x in v])
+
+
+def _row_texts(row: tuple[int, ...], den: int) -> tuple[str, ...]:
+    """The texts str(Fraction(x, den)) of the entries of an integer row
+    over den > 0."""
+    return tuple(str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row)
 
 
 @dataclass(frozen=True, init=False)
@@ -407,7 +420,8 @@ class CandidateIsometry:
     atilde as numerators over _dp > 0, and .provenance builds its
     Fractions when read.  _dp is 0 when _prov is the provenance as given.
     .matrix is the Mat and .entry_strings the texts of the entries, both
-    derived from (num, den).
+    derived from (num, den); those of one problem's reconstruct and their
+    negations share a cache of _row_texts, one tuple per distinct row.
     """
 
     num: tuple[tuple[int, ...], ...]
@@ -422,23 +436,26 @@ class CandidateIsometry:
         self._fill(num, den, provenance, 0)
 
     @classmethod
-    def from_numerators(cls, num, den: int, provenance: tuple, dp: int = 0) -> "CandidateIsometry":
+    def from_numerators(cls, num, den: int, provenance: tuple, dp: int = 0, texts=None) -> CandidateIsometry:
         """M = num / den for integer rows num and den > 0, in lowest terms.
-        With dp > 0, provenance is (s, btilde, atilde dp, c_i) in integers."""
+        With dp > 0, provenance is (s, btilde, atilde dp, c_i) in integers.
+        texts is the cache of _row_texts to share, a new one by default."""
         g = gcd(den, *chain.from_iterable(num)) if den > 1 else 1
         self = cls.__new__(cls)
         if g == 1:
             num = tuple(map(tuple, num))
         else:
             num = tuple(tuple(x // g for x in row) for row in num)
-        self._fill(num, den // g, provenance, dp)
+        self._fill(num, den // g, provenance, dp, texts)
         return self
 
-    def _fill(self, num, den: int, prov: tuple, dp: int) -> None:
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_prov", prov)
-        object.__setattr__(self, "_dp", dp)
+    def _fill(self, num, den: int, prov: tuple, dp: int, texts=None) -> None:
+        # _texts is no dataclass field: equality and hashing ignore it.
+        self.__dict__.update(num=num, den=den, _prov=prov, _dp=dp, _texts=texts or cache(_row_texts))
+
+    def __reduce__(self):
+        # The cache of row texts does not pickle; a copy gets its own.
+        return CandidateIsometry.from_numerators, (self.num, self.den, self._prov, self._dp)
 
     @cached_property
     def provenance(self) -> tuple:
@@ -460,7 +477,7 @@ class CandidateIsometry:
             s, b, atilde, cs = prov
             prov = (-s, _neg(b), _neg(atilde), tuple(map(_neg, cs)))
         other = CandidateIsometry.__new__(CandidateIsometry)
-        other._fill(tuple(map(_neg, self.num)), self.den, prov, self._dp)
+        other._fill(tuple(map(_neg, self.num)), self.den, prov, self._dp, self._texts)
         return other
 
     @property
@@ -475,16 +492,8 @@ class CandidateIsometry:
     @cached_property
     def entry_strings(self) -> tuple[tuple[str, ...], ...]:
         """The rows of M as the texts str(Fraction(x, den)) of its entries,
-        built once per candidate."""
-        den = self.den
-        if den == 1:
-            return tuple(tuple(map(str, row)) for row in self.num)
-
-        def text(x: int) -> str:
-            g = gcd(x, den)
-            return str(x // g) if g == den else f"{x // g}/{den // g}"
-
-        return tuple(tuple(map(text, row)) for row in self.num)
+        each row's tuple taken from the shared cache."""
+        return tuple(map(self._texts, self.num, repeat(self.den)))
 
     def string_rows(self) -> list[list[str]]:
         """Fresh lists of the entry texts, as documents hold them."""
@@ -663,11 +672,7 @@ def _assemble(problem: IsometryProblem, filtered: list[list[tuple[int, ...]]]):
     yield from rec(0)
 
 
-def reconstruct(
-    problem: IsometryProblem,
-    e1: tuple[int, ...],
-    picks: tuple[tuple[int, ...], ...],
-) -> CandidateIsometry | None:
+def reconstruct(problem: IsometryProblem, e1: tuple[int, ...], picks: tuple) -> CandidateIsometry | None:
     """Rebuild the candidate matrix from an eq1 row (s, x) and one eq3
     row (t_i, y_i) per probe, or None.
 
@@ -697,7 +702,7 @@ def reconstruct(
         return None
     cs = tuple(out[i : i + n] for i in range(n2 + n, 2 * n2, n))
     prov = (e1[0], out[n2 : n2 + n], out[2 * n2 : 2 * n2 + n], cs)
-    return CandidateIsometry.from_numerators(num, tab.den, prov, tab.dp)
+    return CandidateIsometry.from_numerators(num, tab.den, prov, tab.dp, tab.texts)
 
 
 def find_isometries(

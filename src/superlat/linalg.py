@@ -144,9 +144,6 @@ class Mat:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.rows[ij[0]][ij[1]]
 
-    def row(self, i: int) -> Vec:
-        return Vec(self.rows[i])
-
     def col(self, j: int) -> Vec:
         return Vec(r[j] for r in self.rows)
 
@@ -281,10 +278,6 @@ class Mat:
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for r in self.rows for a in r)
 
-    def is_unimodular(self) -> bool:
-        """Integer matrix with determinant +-1 (element of GL_n(Z))."""
-        return self.is_square and self.is_integral() and abs(self.determinant()) == 1
-
     def _check_shape(self, other: "Mat") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatch("matrix shapes differ")
@@ -300,10 +293,6 @@ class Mat:
     @staticmethod
     def zero(n: int, m: int | None = None) -> "Mat":
         return Mat(tuple(0 for _ in range(m or n)) for _ in range(n))
-
-    @staticmethod
-    def from_cols(cols: Sequence[Vec]) -> "Mat":
-        return Mat((c[i] for c in cols) for i in range(len(cols[0])))
 
     @staticmethod
     def diagonal(diag: Iterable[Scalar]) -> "Mat":

@@ -32,9 +32,12 @@ only part that varies between identical runs.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import chain, repeat
 
 from .errors import ParseError
 from .forms import GramForm
@@ -292,10 +295,7 @@ def _problem_from_inputs(inputs: dict) -> IsometryProblem:
 
 
 def result_document(
-    problem: IsometryProblem,
-    result: SearchResult,
-    options: dict | None = None,
-    elapsed: float | None = None,
+    problem: IsometryProblem, result: SearchResult, options: dict | None = None, elapsed: float | None = None
 ) -> dict:
     """The machine-readable output of a factorization run.  Everything
     except ``timing`` is a pure function of the inputs and options."""
@@ -333,37 +333,45 @@ def obstruction_document(cert: Certificate, params: dict, elapsed: float | None 
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json_text(x, pad: str) -> str:
+def _row_block(pad: str, row: tuple[str, ...]) -> str:
+    """The JSON text of a row of entry strings at the indentation pad."""
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(map(_quote, row)) + f"\n{pad}]" if row else "[]"
+
+
+def _json_text(x, pad: str, blocks) -> str:
     """The text of the value x as json.dumps(x, sort_keys=True, indent=2)
-    writes it at the indentation pad.  A list of strings (a row of entry
-    strings) is one join over the quoted strings.  Dict keys must be
-    strings, as in every superlat document."""
+    writes it at the indentation pad.  A list of strings is one join over
+    the quoted strings; in a list of such lists (a matrix of entry
+    strings) each distinct row's text comes from blocks, a cache of
+    _row_block.  Dict keys must be strings, as in every superlat document."""
     if isinstance(x, str):
         return _quote(x)
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
         inner = pad + "  "
-        sep = f",\n{inner}"
-        try:
-            body = sep.join(map(_quote, x))
-        except TypeError:
-            # Not a list of strings.
-            body = sep.join([_json_text(v, inner) for v in x])
-        return f"[\n{inner}{body}\n{pad}]"
+        if all(map(str.__instancecheck__, x)):
+            items = map(_quote, x)
+        elif all(map(list.__instancecheck__, x)) and all(map(str.__instancecheck__, chain.from_iterable(x))):
+            items = map(blocks, repeat(inner), map(tuple, x))
+        else:
+            items = [_json_text(v, inner, blocks) for v in x]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
     if isinstance(x, dict):
         if not x:
             return "{}"
         inner = pad + "  "
-        items = [f"{_quote(key)}: {_json_text(x[key], inner)}" for key in sorted(x)]
+        items = [f"{_quote(key)}: {_json_text(x[key], inner, blocks)}" for key in sorted(x)]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
     if type(x) is int:
         return int.__repr__(x)
-    # None, booleans and floats.
-    return json.dumps(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    return json.dumps(x)  # a float
 
 
-def _write_json(x, pad: str, write) -> None:
+def _write_json(x, pad: str, write, blocks) -> None:
     """Pass the text of x (see _json_text) to write, one call per key of
     a dict and one per entry of a list, so a document goes out one
     candidate at a time."""
@@ -372,35 +380,33 @@ def _write_json(x, pad: str, write) -> None:
         sep = "{\n"
         for key in sorted(x):
             write(f"{sep}{inner}{_quote(key)}: ")
-            _write_json(x[key], inner, write)
+            _write_json(x[key], inner, write, blocks)
             sep = ",\n"
         write(f"\n{pad}}}")
     elif isinstance(x, (list, tuple)) and x:
         inner = pad + "  "
         sep = "[\n"
         for item in x:
-            write(sep + inner + _json_text(item, inner))
+            write(sep + inner + _json_text(item, inner, blocks))
             sep = ",\n"
         write(f"\n{pad}]")
     else:
-        write(_json_text(x, pad))
+        write(_json_text(x, pad, blocks))
 
 
 def write_document(doc: dict, fh) -> None:
     """Write document_json(doc) to the text file fh without holding the
     whole text in memory."""
-    _write_json(doc, "", fh.write)
+    _write_json(doc, "", fh.write, cache(_row_block))
     fh.write("\n")
 
 
 def document_json(doc: dict) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2) + "\\n", built by a writer
-    for the shapes that documents hold: one join per row of entry
-    strings and one string per candidate."""
-    parts: list[str] = []
-    _write_json(doc, "", parts.append)
-    parts.append("\n")
-    return "".join(parts)
+    """json.dumps(doc, sort_keys=True, indent=2) + "\\n", as write_document
+    writes it."""
+    out = io.StringIO()
+    write_document(doc, out)
+    return out.getvalue()
 
 
 def load_document(path: str) -> dict:
@@ -415,10 +421,11 @@ def verify_document(doc: dict) -> bool:
     """Re-check a result document from its own contents alone.
 
     The certificate is re-verified against the echoed inputs, and every
-    recorded candidate matrix is re-multiplied (in integers, each entry
-    read through Fraction); integrality flags must match, the witness's
-    included.  A NoIntegralIsometry certificate whose list equals the
-    top-level candidate matrices is checked on that one list.  Any
+    recorded candidate matrix is re-multiplied in integers (each distinct
+    row read once through parse_fraction, see isometry_denominators);
+    integrality flags must match, the witness's included.  A
+    NoIntegralIsometry certificate whose list equals the top-level
+    candidate matrices is checked on that one list.  Any
     discrepancy — including contents too damaged to rebuild the
     problem — returns False.
     """
@@ -428,13 +435,10 @@ def verify_document(doc: dict) -> bool:
     try:
         cert = _certificate_from_payload(doc["certificate"])
 
-        problem = None
         inputs = doc.get("inputs")
-        if inputs and "B" in inputs and "Bprime" in inputs and "w" in inputs:
-            problem = _problem_from_inputs(inputs)
-
-        if problem is None:
+        if not (inputs and "B" in inputs and "Bprime" in inputs and "w" in inputs):
             return verify_certificate(cert, None)
+        problem = _problem_from_inputs(inputs)
         entries = doc.get("candidates", [])
         matrices = [entry["matrix"] for entry in entries]
         if cert.verdict == "NoIntegralIsometry" and cert.detail.get("candidates") == matrices:

@@ -113,6 +113,11 @@ EVEN24_RATIONAL_SOLUTIONS = tuple(
 )
 
 
+def mat_from_cols(cols) -> Mat:
+    """The matrix whose columns are the given vectors."""
+    return Mat(zip(*cols))
+
+
 def signed_permutations(n: int) -> list[Mat]:
     """All 2^n n! signed permutation matrices (the automorphisms of I_n)."""
     import itertools
@@ -352,7 +357,7 @@ def _reference_recon_tables(problem):
     """reconstruct's tables as they were built before the packed map:
     (betas, columns of adj = db P^-1, db, den = N^2 db, dp, rows of
     pair = dp (P^T B)^-1) from two Fraction Gauss-Jordan inverses."""
-    basis = Mat.from_cols([problem.w] + problem.probes)
+    basis = mat_from_cols([problem.w] + problem.probes)
     db, adj = _cleared(basis.inverse().rows)
     dp, pair = _cleared((basis.transpose() @ problem.source.gram).inverse().rows)
     w = problem.w.to_ints()

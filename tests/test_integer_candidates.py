@@ -13,7 +13,9 @@ has the norm of its shell.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -157,6 +159,8 @@ def test_candidate_from_matrix():
     assert cand.matrix == m
     assert cand.entry_strings == (("1/2", "-3/4"), ("0", "2"))
     assert cand == CandidateIsometry.from_numerators([[4, -6], [0, 16]], 8, (1,))
+    for copied in (pickle.loads(pickle.dumps(cand)), copy.deepcopy(cand)):
+        assert copied == cand and copied.entry_strings == cand.entry_strings and copied.provenance == (1,)
     assert CandidateIsometry(Mat.identity(2), True, ()).integral
     assert CandidateIsometry(m).provenance == ()
     with pytest.raises(ValueError):

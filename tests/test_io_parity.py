@@ -15,9 +15,10 @@ import pytest
 
 from superlat import cli
 from superlat.errors import ParseError
-from superlat.isometry import IsometryProblem
-from superlat.linalg import parse_fraction
-from superlat.problem_io import _parse_matrix_rows, document_json, verify_document
+from superlat.forms import GramForm
+from superlat.isometry import CandidateIsometry, Certificate, IsometryProblem, SearchResult, SearchStats
+from superlat.linalg import Mat, Vec, parse_fraction
+from superlat.problem_io import _parse_matrix_rows, document_json, result_document, verify_document
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -353,9 +354,26 @@ def test_document_json_equals_json_dumps(wilson_doc, quaternary_doc):
     for doc in docs:
         assert document_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     shapes = [
-        {}, [], "x", 7, None, {"a": [], "b": {}, "c": [[]], "d": [[], ["1"]]},
+        {}, [], "x", 7, None, True, False, {"a": [], "b": {}, "c": [[]], "d": [[], ["1"]]},
         {"z": [1, "x", None, True, False, 2.5, -0.0, float("inf"), float("nan"), 2**80]},
         {"rows": [["é", "\"q\"\n", "€"], ("t", "u")], "deep": [[["a"], ["b", 1]], {"k": []}]},
+        # A first item that is a string does not make a list of strings.
+        ["a", 1], ["a", ["b"]], ["a", None, True], [["a", "b"], ["c", 1]], [["a"], "b"], [["a"], ("b",)],
+        {"n": None, "t": True, "f": False, "l": [None, True, False], "m": [["1", "1"], ["1", "1"]]},
     ]
     for x in shapes:
         assert document_json(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
+    # Candidates over den > 1 with negative entries, rows shared by a
+    # candidate and its negation, and a witness with a Fraction provenance.
+    problem = IsometryProblem(GramForm(Mat.identity(2)), GramForm(Mat.identity(2)), Vec([1, 0]))
+    half = CandidateIsometry.from_numerators([[-3, 4], [3, -4]], 8, ())
+    rational = [half, -half, CandidateIsometry(Mat([[Fraction(-1, 2), 0], [Fraction(5, 3), -7]]))]
+    for cand in rational:
+        assert cand.entry_strings == tuple(tuple(str(x) for x in row) for row in cand.matrix.rows)
+    witness = CandidateIsometry(Mat([[0, -1], [1, 0]]), True, (1, (0,), (Fraction(-2, 3),), ((1, 0),)))
+    for cands, cert in [
+        (rational, Certificate("NoIntegralIsometry", detail={"candidates": [c.string_rows() for c in rational]})),
+        ([witness, -witness], Certificate("IsometricWitness", witness=witness, detail={"integral_count": 2})),
+    ]:
+        doc = result_document(problem, SearchResult(cands, cert, SearchStats()), options={"all": True, "x": None})
+        assert document_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
