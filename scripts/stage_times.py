@@ -9,9 +9,12 @@ the other on a freshly built problem, the way a ``--all`` search runs
 them:
 
 * ``solve_eq1``;
-* ``solve_eq3_per_z0``, once per probe;
+* ``solve_eq3_per_z0``, once per probe: ``solve_eq3_per_z0.probe<i>``
+  is the time of probe i, and ``solve_eq3_per_z0`` their sum;
 * ``filter_eq2``, for each eq1 row that the search processes directly
-  (one of each +-pair);
+  (one of each +-pair): ``filter_eq2.first`` is the first call, which
+  builds the packed table of the eq3 rows, ``filter_eq2.rest`` the later
+  calls, and ``filter_eq2`` their sum;
 * ``_assemble``, drained for each of those filtered lists;
 * ``reconstruct``, on every assembled tuple;
 * ``pulls_back``, the exact check inside ``reconstruct``, alone: once
@@ -26,7 +29,8 @@ them:
 Each stage's time is the best of ``--repeats`` runs (building the problem
 is not timed).  The script prints one JSON object that maps each problem
 to its stage times in seconds, plus a ``total`` entry per stage summed
-over the problems.  Usage, from the root of a checkout::
+over the problems that have it (the per-probe entries depend on the
+dimension).  Usage, from the root of a checkout::
 
     PYTHONPATH=src python3 scripts/stage_times.py --repeats 5
 
@@ -65,18 +69,6 @@ from superlat.problem_io import parse_problem, result_document, verify_document,
 # Problems per workload, as the benchmark draws them (perfbench/run.py).
 WORKLOAD_COUNTS = {"wilson": 7, "pullback": 5, "neighbour": 10}
 PROBE_SEED = 1
-STAGES = (
-    "solve_eq1",
-    "solve_eq3_per_z0",
-    "filter_eq2",
-    "_assemble",
-    "reconstruct",
-    "pulls_back",
-    "integral_listing",
-    "result_document",
-    "write_document",
-    "verify_document",
-)
 
 
 def problem_texts() -> list[tuple[str, str]]:
@@ -105,14 +97,21 @@ def one_pass(text: str) -> dict[str, float]:
     e1s = solve_eq1(problem)
     times["solve_eq1"] = perf_counter() - start
 
-    start = perf_counter()
-    per_probe = [solve_eq3_per_z0(problem, z0) for z0 in problem.probes]
-    times["solve_eq3_per_z0"] = perf_counter() - start
+    per_probe = []
+    for i, z0 in enumerate(problem.probes):
+        start = perf_counter()
+        per_probe.append(solve_eq3_per_z0(problem, z0))
+        times[f"solve_eq3_per_z0.probe{i}"] = perf_counter() - start
+    times["solve_eq3_per_z0"] = sum(times[f"solve_eq3_per_z0.probe{i}"] for i in range(len(per_probe)))
 
     direct = e1s[: (len(e1s) + 1) // 2]
     start = perf_counter()
-    filtered = [filter_eq2(problem, e1, per_probe) for e1 in direct]
-    times["filter_eq2"] = perf_counter() - start
+    filtered = [filter_eq2(problem, e1, per_probe) for e1 in direct[:1]]
+    times["filter_eq2.first"] = perf_counter() - start
+    start = perf_counter()
+    filtered += [filter_eq2(problem, e1, per_probe) for e1 in direct[1:]]
+    times["filter_eq2.rest"] = perf_counter() - start
+    times["filter_eq2"] = times["filter_eq2.first"] + times["filter_eq2.rest"]
 
     start = perf_counter()
     tuples = [(e1, picks) for e1, lists in zip(direct, filtered) for picks in _assemble(problem, lists)]
@@ -166,8 +165,11 @@ def main(argv: list[str] | None = None) -> int:
         if build(text) is None:
             continue
         runs = [one_pass(text) for _ in range(args.repeats)]
-        out[name] = {stage: round(min(run[stage] for run in runs), 6) for stage in STAGES}
-    out["total"] = {stage: round(sum(times[stage] for times in out.values()), 6) for stage in STAGES}
+        out[name] = {stage: round(min(run[stage] for run in runs), 6) for stage in runs[0]}
+    stages = dict.fromkeys(stage for times in sorted(out.values(), key=len, reverse=True) for stage in times)
+    out["total"] = {
+        stage: round(sum(times.get(stage, 0.0) for times in out.values()), 6) for stage in stages
+    }
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0

@@ -151,8 +151,12 @@ def vectors_of_norm(q: PosDefForm, c: int) -> NormSolutionSet:
 
     Coordinates are chosen from the last to the first.  The remaining
     budget R = rem * dl^2 * dq is an integer, and level j admits the
-    scaled coordinates |Y_j| <= isqrt(R // P_j); the first coordinate is
-    an exact divisibility and perfect-square test.
+    scaled coordinates |Y_j| <= isqrt(R // P_j).  Level 1 steps what it
+    leaves, val = R - P_1 Y_1^2, by differences as Y_1 advances by dl,
+    and level 0 tests val = P_0 Y_0^2: by divisibility and isqrt, or,
+    when level 0 has no off-diagonal entries (the L0 forms diag(N, G_K)
+    of the isometry search), so that Y_0 = dl x_0, by one lookup in the
+    dict {P_0 (dl u)^2: dl u} of the about sqrt(c / Q_00) u in budget.
 
     The shell is closed under v -> -v, so only half of it is searched:
     while every coordinate above level j is 0, x_j >= 0, and at level 0
@@ -182,6 +186,11 @@ def vectors_of_norm(q: PosDefForm, c: int) -> NormSolutionSet:
                 x[0] = v
                 sols.append(tuple(x))
 
+    def square_root(val: int) -> int | None:
+        # The root Y_0 >= 0 of val = P_0 Y_0^2, or None.
+        sq, r = divmod(val, p0)
+        return root if not r and (root := isqrt(sq)) * root == sq else None
+
     def rec(j: int, rem: int, top: bool) -> None:
         # top: every coordinate above level j is 0, so x_j >= 0.
         shift = 0
@@ -194,14 +203,16 @@ def vectors_of_norm(q: PosDefForm, c: int) -> NormSolutionSet:
             lo = 0
         if j == 1:
             # Level 0 inline: what is left must be P_0 times a square.
+            # val = rem - p y^2 at y = dl v + shift, and val - d at v + 1.
+            y = dl * lo + shift
+            val, d = rem - p * y * y, p * dl * (2 * y + dl)
             for v in range(lo, hi):
-                y = dl * v + shift
-                sq, r = divmod(rem - p * y * y, p0)
-                if not r:
-                    root = isqrt(sq)
-                    if root * root == sq:
-                        x[1] = v
-                        first(root, (1,) if top and not v else (1, -1))
+                root = test(val)
+                if root is not None:
+                    x[1] = v
+                    first(root, (1,) if top and not v else (1, -1))
+                val -= d
+                d += step
         else:
             for v in range(lo, hi):
                 x[j] = v
@@ -212,12 +223,15 @@ def vectors_of_norm(q: PosDefForm, c: int) -> NormSolutionSet:
     budget = Fraction(c) * lf.scale
     # A non-integral scaled budget is never a value of sum_j P_j Y_j^2.
     if budget.denominator == 1:
+        budget, unit = int(budget), p0 * dl * dl
+        test = square_root if low[0] else {unit * u * u: dl * u for u in range(isqrt(budget // unit) + 1)}.get
         if n > 1:
-            rec(n - 1, int(budget), True)
+            step = 2 * pivots[1] * dl * dl
+            rec(n - 1, budget, True)
         else:
-            sq, r = divmod(int(budget), p0)
-            if not r and isqrt(sq) ** 2 == sq:
-                first(isqrt(sq), (1,))
+            root = test(budget)
+            if root is not None:
+                first(root, (1,))
     sols += [tuple([-a for a in v]) for v in sols if any(v)]
     sols.sort()
     return NormSolutionSet(c, tuple(sols), False)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
-from operator import is_, mul
+from operator import is_, mul, neg
 from struct import Struct
 
 from .diophantine import (
@@ -567,43 +567,52 @@ def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> tuple[tuple[int, ...]
 
 
 class _Eq2Table:
-    """The eq2 pairings of all eq3 rows as one _SlotMap with inputs
-    (g, 1), one slot per row of the concatenated shells (shell i starts at
-    offsets[i]).
+    """The eq2 pairings of the eq3 rows as one _SlotMap with inputs
+    (g, 1), one slot per packed row (shell i starts at offsets[i]).
 
-    Column j of the map holds the j-th L0 coordinate of every row (t,
-    then the kernel coordinates of c), and the last column holds -e2 on
-    the rows of each probe, so slot k of the map at (g, 1) is
-    g . row_k - e2.  The table keeps the (immutable) shells it was built
-    from, and filter_eq2 rebuilds it for any other shells.
+    Each shell must be sign-complete, row L-1-j = -row j (ValueError
+    otherwise), so only its first ceil(L/2) rows are packed.  Column j
+    of the map holds the j-th L0 coordinate of every packed row (t, then
+    the kernel coordinates of c), and the last column holds -e2 on the
+    rows of each probe, so slot k of the map at (g, 1) is g . row_k - e2.
+    The table keeps the (immutable) shells it was built from, and
+    filter_eq2 rebuilds it for any other shells.
     """
 
-    __slots__ = ("shells", "offsets", "map")
+    __slots__ = ("shells", "eq2_targets", "offsets", "map")
 
     def __init__(self, shells, eq2_targets):
         self.shells = tuple(shells)
-        self.offsets = (0, *accumulate(map(len, self.shells)))
-        minus_e2 = tuple(chain.from_iterable((-e2,) * len(shell) for e2, shell in zip(eq2_targets, self.shells)))
-        self.map = _SlotMap([*zip(*chain.from_iterable(self.shells)), minus_e2])
+        self.eq2_targets = eq2_targets
+        halves = []
+        for shell in self.shells:
+            half = shell[: (len(shell) + 1) // 2]
+            # Row L-1-j = -row j for each row j of the half.
+            if [*chain.from_iterable(reversed(shell[len(shell) - len(half) :]))] != [*map(neg, chain.from_iterable(half))]:
+                raise ValueError("an eq3 shell is not sign-complete")
+            halves.append(half)
+        self.offsets = (0, *accumulate(map(len, halves)))
+        minus_e2 = tuple(chain.from_iterable((-e2,) * len(half) for e2, half in zip(eq2_targets, halves)))
+        self.map = _SlotMap([*zip(*chain.from_iterable(halves)), minus_e2])
 
     def built_from(self, shells) -> bool:
         return len(shells) == len(self.shells) and all(map(is_, shells, self.shells))
 
 
-def _centred_slots(raw: bytes, lo: int, hi: int, nbytes: int) -> list[int]:
+def _slots_holding(raw: bytes, pattern: bytes, lo: int, hi: int) -> list[int]:
     """The indices k - lo, ascending, of the slots lo <= k < hi of raw
-    (nbytes bytes each) that hold exactly 2^(8 nbytes - 1)."""
-    centre = bytes(nbytes - 1) + b"\x80"
+    (len(pattern) bytes each) whose bytes are pattern."""
+    nbytes = len(pattern)
     start, end = lo * nbytes, hi * nbytes
     out = []
-    i = raw.find(centre, start, end)
+    i = raw.find(pattern, start, end)
     while i >= 0:
         if i % nbytes:
             # A match that straddles two slots.
-            i = raw.find(centre, i + 1, end)
+            i = raw.find(pattern, i + 1, end)
         else:
             out.append((i - start) // nbytes)
-            i = raw.find(centre, i + nbytes, end)
+            i = raw.find(pattern, i + nbytes, end)
     return out
 
 
@@ -616,14 +625,17 @@ def filter_eq2(
     the eq1 row e1 = (s, x): N^2 B'(w, zhat_i) = N s t + B(btilde, c).
 
     The right side is the L0 pairing g . (t, y) of the eq3 row (t, y)
-    with g = diag(N, G_K) e1 = (N s, G_K x), computed once per call.  All
-    pairings of e1 are evaluated at once by the _SlotMap of _Eq2Table at
-    (g, 1): each slot holds N s t + B(btilde, c) - e2 + 2^(W-1), and the
-    survivors are the slots equal to 2^(W-1), found as aligned matches in
-    the sum's bytes.  The map widens its slots when g needs it.  The
-    table is built on the first call for a list of shells (one per probe)
-    and cached on the problem.  The result lists the survivors of each
-    probe in eq3 order, as the row tuples of its shell.
+    with g = diag(N, G_K) e1 = (N s, G_K x), computed once per call.  The
+    _SlotMap of _Eq2Table at (g, 1) holds g . row_j - e2 + 2^(W-1) for
+    each packed row j, and two searches for aligned matches in the sum's
+    bytes find a probe's survivors: slots holding 2^(W-1) are the rows
+    with g . row_j = e2, and slots holding 2^(W-1) - 2 e2 (none when
+    2 |e2| >= 2^(W-1)) the rows with g . row_j = -e2, whose mirror
+    row L-1-j survives; the zero middle row of an odd-length shell is
+    left to the first search.  The table is built on the first call for
+    a list of sign-complete shells (one per probe) and cached on the
+    problem.  The result lists the survivors of each probe in eq3 order,
+    as the row tuples of its shell.
     """
     table = problem._eq2_table
     if table is None or not table.built_from(per_probe):
@@ -633,12 +645,18 @@ def filter_eq2(
         return [[] for _ in shells]
     g = [_dot(row, e1) for row in problem._l0_gram]
     total = table.map.total((*g, 1))
-    nbytes = table.map.width // 8
+    width = table.map.width
+    nbytes, half = width // 8, 1 << (width - 1)
     raw = total.to_bytes(table.map.nslots * nbytes, "little")
-    return [
-        list(map(shell.__getitem__, _centred_slots(raw, lo, hi, nbytes)))
-        for shell, lo, hi in zip(shells, offsets, offsets[1:])
-    ]
+    centre = half.to_bytes(nbytes, "little")
+    out = []
+    for shell, e2, lo, hi in zip(shells, table.eq2_targets, offsets, offsets[1:]):
+        kept = list(map(shell.__getitem__, _slots_holding(raw, centre, lo, hi)))
+        if 2 * abs(e2) < half:
+            mirrored = _slots_holding(raw, (half - 2 * e2).to_bytes(nbytes, "little"), lo, lo + len(shell) // 2)
+            kept += [shell[-1 - j] for j in reversed(mirrored)]
+        out.append(kept)
+    return out
 
 
 def _assemble(problem: IsometryProblem, filtered: list[list[tuple[int, ...]]]):
@@ -714,11 +732,12 @@ def find_isometries(
 
     Composes solve_eq1, solve_eq3_per_z0 (once per probe), filter_eq2,
     cross-probe assembly and reconstruct, all on L0 rows.  Every
-    filter_eq2 call gets the same shells, so the eq2 slot map of the eq3
-    rows is built once per search and each eq1 row costs a few
-    big-integer operations for all of its eq2 pairings (see filter_eq2);
-    reconstruct evaluates the problem's other slot map, built once, per
-    joint tuple.
+    filter_eq2 call gets the same shells, so the eq2 slot map of the
+    first halves of the eq3 shells is built once per search and each eq1
+    row costs a few big-integer operations for all of its eq2 pairings
+    (see filter_eq2).  An eq1 row for which some probe keeps no eq3 row
+    has no joint tuple and is not assembled.  reconstruct evaluates the
+    problem's other slot map, built once, per joint tuple.
 
     The equations are homogeneous of degree 2 and the eq1 and eq3 lists
     are sign-complete with entry L-1-j = -entry j, so only e1s[i] with
@@ -777,7 +796,9 @@ def find_isometries(
             candidates.extend(-c for c in reversed(candidates[lo:hi]))
         else:
             raw = canonical = 0
-            for picks in _assemble(problem, filter_eq2(problem, e1, per_probe)):
+            filtered = filter_eq2(problem, e1, per_probe)
+            # With no probes, _assemble yields the one empty tuple.
+            for picks in _assemble(problem, filtered) if all(filtered) else ():
                 raw += 1
                 canonical += _sign_canonical(chain(e1, *picks))
                 cand = reconstruct(problem, e1, picks)

@@ -317,6 +317,61 @@ def reference_filter_eq2(problem, e1, per_probe):
     ]
 
 
+def reference_vectors_of_norm(q: PosDefForm, c) -> tuple[tuple[int, ...], ...]:
+    """The sorted shell {v : v^T Q v = c} with the level-1 loop that
+    diophantine.vectors_of_norm replaced, kept as its reference: one
+    product rem - P_1 Y_1^2 per step and a divisibility and perfect-square
+    test on it, for every form."""
+    n = q.dim
+    lf = q.scaled_ldl()
+    dl, pivots, low = lf.dl, lf.pivots, lf.low
+    p0 = pivots[0]
+    sols: list[tuple[int, ...]] = []
+    x = [0] * n
+
+    def first(root: int, signs) -> None:
+        shift = sum(l * x[i] for i, l in low[0])
+        for sign in signs if root else (1,):
+            v, r = divmod(sign * root - shift, dl)
+            if not r:
+                x[0] = v
+                sols.append(tuple(x))
+
+    def rec(j: int, rem: int, top: bool) -> None:
+        shift = sum(l * x[i] for i, l in low[j])
+        p = pivots[j]
+        root = isqrt(rem // p)
+        lo, hi = -((root + shift) // dl), (root - shift) // dl + 1
+        if top:
+            lo = 0
+        if j == 1:
+            for v in range(lo, hi):
+                y = dl * v + shift
+                sq, r = divmod(rem - p * y * y, p0)
+                if not r:
+                    root = isqrt(sq)
+                    if root * root == sq:
+                        x[1] = v
+                        first(root, (1,) if top and not v else (1, -1))
+        else:
+            for v in range(lo, hi):
+                x[j] = v
+                y = dl * v + shift
+                rec(j - 1, rem - p * y * y, top and not v)
+        x[j] = 0
+
+    budget = Fraction(c) * lf.scale
+    if budget.denominator == 1:
+        if n > 1:
+            rec(n - 1, int(budget), True)
+        else:
+            sq, r = divmod(int(budget), p0)
+            if not r and isqrt(sq) ** 2 == sq:
+                first(isqrt(sq), (1,))
+    sols += [tuple(-a for a in v) for v in sols if any(v)]
+    return tuple(sorted(sols))
+
+
 def reference_solve_eq1(problem):
     """eq1 as one norm equation in K per value of s: the loop that
     isometry.solve_eq1 replaced with one norm shell of L0 = Zw + K, kept

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_box_norm_solutions, rand_pd_gram
+from helpers import (
+    naive_box_norm_solutions,
+    rand_pd_gram,
+    rand_pullback_problem,
+    reference_vectors_of_norm,
+)
 from superlat.diophantine import (
     NormSolutionSet,
     PosDefForm,
@@ -17,6 +22,8 @@ from superlat.diophantine import (
     vectors_of_norm,
 )
 from superlat.errors import InvalidForm, NegativeTarget, NotPositiveDefinite
+from superlat.forms import GramForm
+from superlat.isometry import IsometryProblem
 from superlat.linalg import Mat, Vec
 
 
@@ -142,6 +149,87 @@ def test_vectors_of_norm_half_search_is_complete_and_mirrored(n, seed, c, den):
     assert list(sols) == sorted(naive_box_norm_solutions(g, c))
     last = len(sols) - 1
     assert all(sols[last - j] == tuple(-x for x in v) for j, v in enumerate(sols))
+
+
+# The level-1 loop steps rem - P_1 Y_1^2 by differences, and for forms
+# whose level 0 has no off-diagonal entries (the L0 forms diag(N, G_K))
+# tests the rest by a lookup of P_0 (dl u)^2; helpers keeps the loop it
+# replaced as the reference.
+
+
+def _same_as_reference(q: PosDefForm, c) -> tuple[tuple[int, ...], ...]:
+    sols = vectors_of_norm(q, c).solutions
+    assert sols == reference_vectors_of_norm(q, c)
+    return sols
+
+
+def test_level1_step_and_lookup_on_l0_forms_of_random_pullbacks():
+    rng = random.Random(17)
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            gram, target, w, _phi = rand_pullback_problem(rng, sizes=(n,))
+            problem = IsometryProblem(GramForm(gram), GramForm(target), w)
+            q = problem.l0_form
+            assert not q.scaled_ldl().low[0]
+            targets = [problem.eq1_target] + [
+                problem.wnorm * t for t in (rng.randrange(1, 12) for _ in range(3))
+            ]
+            assert any(_same_as_reference(q, c) for c in targets)
+
+
+def test_level1_step_on_general_forms():
+    # The oracle's forms B: level 0 has off-diagonal entries, and the
+    # divisibility and square test stays.
+    rng = random.Random(29)
+    seen = 0
+    for _ in range(30):
+        n = rng.choice((2, 3, 4))
+        den = rng.choice((1, 1, 2, 3))
+        g = rand_pd_gram(rng, n, bound=3)
+        q = PosDefForm(Mat([[Fraction(x, den) for x in row] for row in g.rows]))
+        seen += bool(q.scaled_ldl().low[0])
+        for c in range(0, 25):
+            _same_as_reference(q, c)
+    assert seen >= 20
+
+
+def test_level1_lookup_edges():
+    # c = 0, rank 1 and a non-integral scaled budget.
+    for q in (PosDefForm(Mat([[3]])), PosDefForm(Mat([[2, 1], [1, 2]])), PosDefForm(Mat([[3, 0], [0, 5]]))):
+        assert _same_as_reference(q, 0) == ((0,) * q.dim,)
+    for a in (1, 2, 7):
+        for c in range(0, 30):
+            _same_as_reference(PosDefForm(Mat([[a]])), c)
+    assert _same_as_reference(PosDefForm(Mat([[3]])), 12) == ((-2,), (2,))
+    assert _same_as_reference(PosDefForm(Mat([[3, 0], [0, 5]])), Fraction(3, 2)) == ()
+    half = PosDefForm(Mat([[Fraction(1, 2), 0], [0, Fraction(1, 2)]]))
+    assert _same_as_reference(half, Fraction(1, 2)) == ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[3, 0], [0, 5]],
+        [[3, 0, 0], [0, 2, 1], [0, 1, 2]],
+        [[2, 0, 0, 0], [0, 2, 1, 0], [0, 1, 3, 1], [0, 0, 1, 2]],
+    ],
+)
+def test_largest_u_on_the_lookup_bound_and_the_top_rule(rows):
+    # For c = N u^2 the lookup's largest entry is u itself, and (+-u, 0,
+    # ...) is reached only through level 1 at v = 0 with every coordinate
+    # above it 0, where the half search keeps +root alone.
+    q = PosDefForm(Mat(rows))
+    lf = q.scaled_ldl()
+    assert not lf.low[0]
+    unit = lf.pivots[0] * lf.dl**2
+    for u in (1, 2, 3, 5):
+        c = rows[0][0] * u * u
+        assert isqrt(c * lf.scale // unit) == u
+        sols = _same_as_reference(q, c)
+        axis = [v for v in sols if not any(v[1:])]
+        assert axis == [(-u, *(0,) * (q.dim - 1)), (u, *(0,) * (q.dim - 1))]
+        for c2 in (c - 1, c + 1, c + rows[1][1]):
+            _same_as_reference(q, c2)
 
 
 def test_two_squares_known_values():
