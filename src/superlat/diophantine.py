@@ -156,7 +156,8 @@ def vectors_of_norm(q: PosDefForm, c: int) -> NormSolutionSet:
     and level 0 tests val = P_0 Y_0^2: by divisibility and isqrt, or,
     when level 0 has no off-diagonal entries (the L0 forms diag(N, G_K)
     of the isometry search), so that Y_0 = dl x_0, by one lookup in the
-    dict {P_0 (dl u)^2: dl u} of the about sqrt(c / Q_00) u in budget.
+    dict {P_0 (dl u)^2: dl u} of the about sqrt(c / Q_00) u in budget,
+    if that dict is at most four times the first level-1 scan.
 
     The shell is closed under v -> -v, so only half of it is searched:
     while every coordinate above level j is 0, x_j >= 0, and at level 0
@@ -224,14 +225,16 @@ def vectors_of_norm(q: PosDefForm, c: int) -> NormSolutionSet:
     # A non-integral scaled budget is never a value of sum_j P_j Y_j^2.
     if budget.denominator == 1:
         budget, unit = int(budget), p0 * dl * dl
-        test = square_root if low[0] else {unit * u * u: dl * u for u in range(isqrt(budget // unit) + 1)}.get
         if n > 1:
+            # The lookup is built only when it is at most four times the
+            # level-1 scan with every higher coordinate 0, which every call
+            # makes at the full budget, so it never outgrows the search.
+            size, scan = isqrt(budget // unit) + 1, isqrt(budget // pivots[1]) // dl + 1
+            test = square_root if low[0] or size > 4 * scan else {unit * u * u: dl * u for u in range(size)}.get
             step = 2 * pivots[1] * dl * dl
             rec(n - 1, budget, True)
-        else:
-            root = test(budget)
-            if root is not None:
-                first(root, (1,))
+        elif (root := square_root(budget)) is not None:
+            first(root, (1,))
     sols += [tuple([-a for a in v]) for v in sols if any(v)]
     sols.sort()
     return NormSolutionSet(c, tuple(sols), False)

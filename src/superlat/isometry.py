@@ -735,9 +735,8 @@ def find_isometries(
     filter_eq2 call gets the same shells, so the eq2 slot map of the
     first halves of the eq3 shells is built once per search and each eq1
     row costs a few big-integer operations for all of its eq2 pairings
-    (see filter_eq2).  An eq1 row for which some probe keeps no eq3 row
-    has no joint tuple and is not assembled.  reconstruct evaluates the
-    problem's other slot map, built once, per joint tuple.
+    (see filter_eq2); reconstruct evaluates the problem's other slot
+    map, built once, per joint tuple.
 
     The equations are homogeneous of degree 2 and the eq1 and eq3 lists
     are sign-complete with entry L-1-j = -entry j, so only e1s[i] with
@@ -796,9 +795,7 @@ def find_isometries(
             candidates.extend(-c for c in reversed(candidates[lo:hi]))
         else:
             raw = canonical = 0
-            filtered = filter_eq2(problem, e1, per_probe)
-            # With no probes, _assemble yields the one empty tuple.
-            for picks in _assemble(problem, filtered) if all(filtered) else ():
+            for picks in _assemble(problem, filter_eq2(problem, e1, per_probe)):
                 raw += 1
                 canonical += _sign_canonical(chain(e1, *picks))
                 cand = reconstruct(problem, e1, picks)

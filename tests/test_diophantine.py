@@ -23,7 +23,7 @@ from superlat.diophantine import (
 )
 from superlat.errors import InvalidForm, NegativeTarget, NotPositiveDefinite
 from superlat.forms import GramForm
-from superlat.isometry import IsometryProblem
+from superlat.isometry import IsometryProblem, brute_force_isometries, find_isometries
 from superlat.linalg import Mat, Vec
 
 
@@ -230,6 +230,24 @@ def test_largest_u_on_the_lookup_bound_and_the_top_rule(rows):
         assert axis == [(-u, *(0,) * (q.dim - 1)), (u, *(0,) * (q.dim - 1))]
         for c2 in (c - 1, c + 1, c + rows[1][1]):
             _same_as_reference(q, c2)
+
+
+
+def test_skewed_diagonal_forms_build_no_lookup_beyond_the_search():
+    # Level 0 of diag(1, 10^30) has no off-diagonal entries, but a lookup
+    # of every x_0 in budget would hold 10^15 + 1 entries while the search
+    # makes two level-1 steps; rank 1 is one square test.  These calls
+    # finish only if the lookup is bounded by the level-1 scan.
+    q = PosDefForm(Mat([[1, 0], [0, 10**30]]))
+    assert _same_as_reference(q, 10**30) == ((-(10**15), 0), (0, -1), (0, 1), (10**15, 0))
+    assert _same_as_reference(PosDefForm(Mat([[1]])), 10**20) == ((-(10**10),), (10**10,))
+    # The same through the search (l0_form = diag(1, 10^16), eq3 target
+    # 10^16) and the oracle, both from a user's w block and probe.
+    skewed = GramForm(Mat([[1, 0], [0, 10**16]]))
+    problem = IsometryProblem(skewed, skewed, Vec([1, 0]), probes=[Vec([0, 1])])
+    integral = {c.matrix for c in find_isometries(problem).candidates if c.integral}
+    assert integral == set(brute_force_isometries(skewed, skewed))
+    assert len(integral) == 4
 
 
 def test_two_squares_known_values():
