@@ -10,7 +10,7 @@ process, through ``superlat.cli.main``:
 * ``factorize FILE --all --json ALL``,
 * ``factorize FILE --all --integral-only --json INTEGRAL``,
 * ``verify`` on each of the three documents,
-* ``oracle FILE``.
+* ``oracle FILE`` and ``oracle FILE --bound 1``.
 
 It also runs ``obstruct ... --json DOC`` on a few parameter sets of the
 rank-2 and rank-3 families (the rank-3 family with default and explicit
@@ -123,8 +123,9 @@ def contract() -> dict:
                 if doc.exists():
                     code, stdout = _run(["verify", str(doc)], name)
                     out[f"{case} {mode} | verify"] = {"exit": code, "stdout": _sha(stdout)}
-            code, stdout = _run(["oracle", args[0]], name)
-            out[f"{case} oracle"] = {"exit": code, "stdout": _sha(stdout)}
+            for extra in ([], ["--bound", "1"]):
+                code, stdout = _run(["oracle", args[0], *extra], name)
+                out[" ".join([case, "oracle", *extra])] = {"exit": code, "stdout": _sha(stdout)}
         for k, case in enumerate(OBSTRUCT_CASES):
             doc = tmp / f"obstruct{k}.json"
             code, stdout = _run(["obstruct", *case.split(), "--json", str(doc)], name)

@@ -25,6 +25,9 @@ them:
   that document into memory;
 * ``verify_document`` of the written document, read back with
   ``json.loads``.
+* ``oracle``, the brute-force reference ``brute_force_isometries`` on the
+  problem's two forms, and ``oracle_listing``, the stdout listing of
+  ``oracle`` for its matrices.
 
 Each stage's time is the best of ``--repeats`` runs (building the problem
 is not timed).  The script prints one JSON object that maps each problem
@@ -53,11 +56,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
 
-from superlat.cli import integral_listing  # noqa: E402
+from superlat.cli import integral_listing, matrix_listing  # noqa: E402
 from superlat.forms import GramForm  # noqa: E402
 from superlat.isometry import (  # noqa: E402
     IsometryProblem,
     _assemble,
+    brute_force_isometries,
     filter_eq2,
     find_isometries,
     reconstruct,
@@ -151,6 +155,13 @@ def one_pass(text: str) -> dict[str, float]:
     start = perf_counter()
     verify_document(written)
     times["verify_document"] = perf_counter() - start
+
+    start = perf_counter()
+    found = brute_force_isometries(problem.source, problem.target)
+    times["oracle"] = perf_counter() - start
+    start = perf_counter()
+    matrix_listing(f"brute-force isometries: {len(found)}", found)
+    times["oracle_listing"] = perf_counter() - start
     return times
 
 

@@ -127,12 +127,7 @@ def cmd_grade_basis(args) -> int:
     print(f"n = {n}")
     print(f"even dimension = {len(evens)} (= n^2 - 2n + 2)")
     print(f"odd dimension = {len(odds)} (= 2n - 2)")
-    print("even basis:")
-    for e in evens:
-        print(f"  {_fmt_matrix_inline(e)}")
-    print("odd basis:")
-    for e in odds:
-        print(f"  {_fmt_matrix_inline(e)}")
+    sys.stdout.write(matrix_listing("even basis:", evens) + matrix_listing("odd basis:", odds))
     return EXIT_OK
 
 
@@ -142,6 +137,15 @@ def integral_listing(integral) -> str:
     joined = functools.cache(" ".join)
     lines = [f"  {' | '.join(map(joined, c.entry_strings))}\n" for c in integral]
     return f"integral matrices ({len(integral)}):\n" + "".join(lines)
+
+
+def matrix_listing(header: str, mats) -> str:
+    """header, then one line per matrix (written in one call); each row
+    tuple is rendered once, which pays where matrices share rows."""
+    texts = {id(row): row for m in mats for row in m.rows}
+    texts = {key: " ".join(map(scalar_str, row)) for key, row in texts.items()}
+    lines = [f"  {' | '.join([texts[id(row)] for row in m.rows])}\n" for m in mats]
+    return f"{header}\n" + "".join(lines)
 
 
 def cmd_factorize(args) -> int:
@@ -229,12 +233,8 @@ def cmd_obstruct(args) -> int:
 
 def cmd_oracle(args) -> int:
     pf = load_problem(args.file)
-    source = GramForm(pf.gram)
-    target = GramForm(_require_target(pf))
-    found = brute_force_isometries(source, target, bound=args.bound)
-    print(f"brute-force isometries: {len(found)}")
-    for m in found:
-        print(f"  {_fmt_matrix_inline(m)}")
+    found = brute_force_isometries(GramForm(pf.gram), GramForm(_require_target(pf)), bound=args.bound)
+    sys.stdout.write(matrix_listing(f"brute-force isometries: {len(found)}", found))
     return EXIT_OK if found else EXIT_NEGATIVE
 
 

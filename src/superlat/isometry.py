@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, product, repeat
 from math import gcd, lcm
 from operator import is_, mul, neg
 from struct import Struct
@@ -951,60 +951,54 @@ def brute_force_isometries(
 ) -> list[Mat]:
     """Complete list of integral M with M^T B M = B', by direct search.
 
-    column_mode builds M column by column, requiring each new column to
-    have the right norm and the right pairings with the columns already
-    placed; the alternative takes the plain cartesian product of the
-    per-column norm solution sets and checks the product at the end.
-    bound, when given, additionally restricts every matrix entry to
-    |m_ij| <= bound (norm enumeration already bounds entries, so the
-    unrestricted list is complete regardless).  Desk-scale oracle only.
+    Column j of M lies in the shell {v : B(v,v) = B'_jj}, computed once
+    with the images B v.  column_mode places the columns in order with
+    forward checking: u in column j keeps, of each later column k, the v
+    with v . Bu = B'_jk, and is dropped when a column has none left; the
+    matrices come in lexicographic order of their shell indices.  Shells
+    must be sorted and sign-complete, entry L-1-i = -entry i (ValueError
+    otherwise), so the matrices with first column -v are those with v,
+    negated and reversed: only the first half of the first shell and its
+    middle 0 are searched.  The alternative checks every product of the
+    shells.  bound keeps only entries |m_ij| <= bound.  Desk-scale only.
     """
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimensions differ")
-    q = PosDefForm(source.gram)
-    n = source.dim
+    q, n = PosDefForm(source.gram), source.dim
     b_rows = tuple(tuple(int(x) for x in row) for row in source.gram.rows)
     bp = tuple(tuple(int(x) for x in row) for row in target.gram.rows)
     col_sets = [list(vectors_of_norm(q, bp[j][j])) for j in range(n)]
     if bound is not None:
-        col_sets = [
-            [v for v in cs if max(abs(x) for x in v) <= bound] for cs in col_sets
-        ]
-
-    def paired(v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(_dot(row, v) for row in b_rows)
-
-    out: list[Mat] = []
+        col_sets = [[v for v in cs if max(map(abs, v)) <= bound] for cs in col_sets]
+    images = {v: tuple(_dot(row, v) for row in b_rows) for cs in col_sets for v in cs}
     if not column_mode:
-        import itertools
+        products = product(*col_sets)
+        return [Mat(zip(*cols)) for cols in products if tuple(tuple(_dot(u, images[v]) for v in cols) for u in cols) == bp]
+    if any(cs[::-1] != [*map(_neg, cs)] for cs in col_sets):
+        raise ValueError("a column shell is not sign-complete")
+    found: list[tuple] = []
 
-        for cols in itertools.product(*col_sets):
-            gcols = [paired(v) for v in cols]
-            if all(
-                _dot(cols[i], gcols[j]) == bp[i][j]
-                for i in range(n)
-                for j in range(i + 1, n)
-            ):
-                out.append(Mat(zip(*cols)))
-        return out
-
-    chosen: list[tuple[int, ...]] = []
-    gchosen: list[tuple[int, ...]] = []
-
-    def rec(j: int):
-        if j == n:
-            out.append(Mat(zip(*chosen)))
+    def rec(j: int, chosen: tuple, lists: list) -> None:
+        # lists[k - j]: the vectors of column k >= j that fit every chosen one.
+        if j == n - 1:
+            found.extend((*chosen, v) for v in lists[0])
             return
-        for v in col_sets[j]:
-            if all(_dot(v, gchosen[i]) == bp[i][j] for i in range(j)):
-                chosen.append(v)
-                gchosen.append(paired(v))
-                rec(j + 1)
-                chosen.pop()
-                gchosen.pop()
+        # The shortest lists are narrowed first: an empty one drops v early.
+        checks = sorted(enumerate(bp[j][j + 1 :]), key=lambda kt: len(lists[kt[0] + 1]))
+        for v in lists[0]:
+            g, narrowed = images[v], lists[1:]
+            for k, t in checks:
+                if not (kept := [u for u in narrowed[k] if sum(map(mul, u, g)) == t]):
+                    break
+                narrowed[k] = kept
+            else:
+                rec(j + 1, (*chosen, v), narrowed)
 
-    rec(0)
-    return out
+    first = col_sets[0]
+    rec(0, (), [first[: (len(first) + 1) // 2], *col_sets[1:]])
+    mirrored = [tuple(map(_neg, cols)) for cols in reversed(found) if any(cols[0])]
+    fractions = cache(lambda row: tuple(map(Fraction, row)))
+    return [Mat._of_rows(tuple(map(fractions, zip(*cols)))) for cols in chain(found, mirrored)]
 
 
 # Detail fields of a family certificate that family_obstruction derives

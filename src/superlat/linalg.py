@@ -129,6 +129,12 @@ class Mat:
             raise DimensionMismatch("ragged rows")
         object.__setattr__(self, "rows", tup)
 
+    @classmethod
+    def _of_rows(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "Mat":
+        """The Mat of rows as given, unchecked: equally long tuples of Fractions."""
+        object.__setattr__(self := object.__new__(cls), "rows", rows)
+        return self
+
     @property
     def nrows(self) -> int:
         return len(self.rows)

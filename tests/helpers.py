@@ -17,6 +17,7 @@ from superlat.isometry import (
     SearchStats,
     _assemble,
     _cleared,
+    _dot,
     _sign_canonical,
     filter_eq2,
     reconstruct,
@@ -370,6 +371,43 @@ def reference_vectors_of_norm(q: PosDefForm, c) -> tuple[tuple[int, ...], ...]:
                 first(isqrt(sq), (1,))
     sols += [tuple(-a for a in v) for v in sols if any(v)]
     return tuple(sorted(sols))
+
+
+def reference_brute_force_isometries(source, target, bound=None) -> list[Mat]:
+    """The column search that isometry.brute_force_isometries replaced,
+    kept as its reference: at every node each candidate column is tested
+    against every placed column, and each matrix is built with Mat()."""
+    q = PosDefForm(source.gram)
+    n = source.dim
+    b_rows = tuple(tuple(int(x) for x in row) for row in source.gram.rows)
+    bp = tuple(tuple(int(x) for x in row) for row in target.gram.rows)
+    col_sets = [list(vectors_of_norm(q, bp[j][j])) for j in range(n)]
+    if bound is not None:
+        col_sets = [
+            [v for v in cs if max(abs(x) for x in v) <= bound] for cs in col_sets
+        ]
+
+    def paired(v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(_dot(row, v) for row in b_rows)
+
+    out: list[Mat] = []
+    chosen: list[tuple[int, ...]] = []
+    gchosen: list[tuple[int, ...]] = []
+
+    def rec(j: int):
+        if j == n:
+            out.append(Mat(zip(*chosen)))
+            return
+        for v in col_sets[j]:
+            if all(_dot(v, gchosen[i]) == bp[i][j] for i in range(j)):
+                chosen.append(v)
+                gchosen.append(paired(v))
+                rec(j + 1)
+                chosen.pop()
+                gchosen.pop()
+
+    rec(0)
+    return out
 
 
 def reference_solve_eq1(problem):

@@ -1,6 +1,6 @@
 """The benchmark's tracer (perfbench/spans.py) wraps package names from
 outside; installing it on the package fails if any of them is gone, and
-its counters on Wilson's --all run are pinned."""
+its counters on Wilson's --all and oracle runs are pinned."""
 
 from __future__ import annotations
 
@@ -38,3 +38,23 @@ def test_tracer_installs_and_counts(monkeypatch, capsys):
     }
     assert {key: tracer.counts[key] for key in want} == want
     assert "isometry.solve_eq1" in tracer.names
+
+
+def test_tracer_records_the_oracle(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+
+    from superlat import cli
+
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        assert cli.main(["oracle", str(ROOT / "problems" / "wilson.txt")]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.startswith("brute-force isometries: 384\n")
+    # The oracle's per-layer time and its shells: one per column.
+    assert "isometry.brute_force_isometries" in tracer.names
+    assert tracer.inclusive_times()["isometry.brute_force_isometries"] > 0
+    assert tracer.counts["diophantine.vectors_of_norm.calls"] == 4
+    assert tracer.counts["diophantine.vectors_of_norm.vectors"] == 480

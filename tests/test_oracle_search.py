@@ -1,0 +1,98 @@
+"""The forward-checking brute-force oracle against the column search it
+replaced (helpers.reference_brute_force_isometries).
+
+brute_force_isometries must return the reference's list, matrix for
+matrix and in the same order, with Fraction entries, at bound None and
+bound 1, on the example problems, I_4 against itself, seeded
+rand_pullback_problem draws with n = 1...4, the benchmark generator's
+pullbacks and Kneser 2-neighbours (perfbench/gen.py, imported read-only),
+a degenerate target whose first column shell is {0} (the odd middle entry
+of the +-halving) and targets with an empty shell.  On the cases with
+n <= 3 the Cartesian search (column_mode=False) must find the same set.
+
+Selection rule: Random(1501) draws three problems for each n = 1...4 and
+no draw is dropped; the generator sets are the first problems of its
+reference seed, as the benchmark draws them.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from helpers import rand_pullback_problem, reference_brute_force_isometries
+from superlat import isometry
+from superlat.forms import GramForm
+from superlat.isometry import brute_force_isometries
+from superlat.linalg import Mat
+from superlat.problem_io import load_problem
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402
+
+
+def _cases():
+    out = []
+    for path in sorted((ROOT / "problems").glob("*.txt")):
+        pf = load_problem(str(path))
+        if pf.target is not None:
+            out.append((path.name, pf.gram, pf.target))
+    out.append(("I4 against itself", Mat.identity(4), Mat.identity(4)))
+    rng = random.Random(1501)
+    for n in (1, 2, 3, 4):
+        for k in range(3):
+            gram, target, _, _ = rand_pullback_problem(rng, sizes=(n,))
+            out.append((f"rand_pullback n={n} #{k}", gram, target))
+    for p in gen.pullback(gen.REFERENCE_SEED, 5) + gen.neighbour(gen.REFERENCE_SEED, 10) + gen.neighbour(gen.REFERENCE_SEED, 5, 3):
+        out.append((f"gen {p.name} n={len(p.gram)}", Mat(p.gram), Mat(p.target)))
+    # The first shell {0}: its only entry is the middle one.
+    out.append(("first shell {0}", Mat.identity(2), Mat([[0, 0], [0, 1]])))
+    out.append(("second shell {0}", Mat.identity(3), Mat([[1, 0, 0], [0, 0, 0], [0, 0, 2]])))
+    # 3 is no sum of two squares.
+    out.append(("first shell empty", Mat.identity(2), Mat([[3, 1], [1, 3]])))
+    out.append(("last shell empty", Mat.identity(2), Mat([[1, 0], [0, 3]])))
+    return out
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("bound", [None, 1])
+@pytest.mark.parametrize("name,gram,target", CASES, ids=[c[0] for c in CASES])
+def test_same_list_as_the_reference_search(name, gram, target, bound):
+    source, tgt = GramForm(gram), GramForm(target, allow_degenerate=True)
+    found = brute_force_isometries(source, tgt, bound=bound)
+    assert found == reference_brute_force_isometries(source, tgt, bound=bound)
+    assert all(type(x) is Fraction for m in found for row in m.rows for x in row)
+    assert all(type(row) is tuple and len(row) == gram.nrows for m in found for row in m.rows)
+    if gram.nrows <= 3:
+        assert set(brute_force_isometries(source, tgt, column_mode=False, bound=bound)) == set(found)
+
+
+def test_the_draw_holds_every_kind_of_case():
+    counts = {name: len(brute_force_isometries(GramForm(g), GramForm(t, allow_degenerate=True))) for name, g, t in CASES}
+    assert counts["first shell {0}"] == 4 and counts["second shell {0}"] == 24
+    assert counts["first shell empty"] == counts["last shell empty"] == 0
+    assert counts["I4 against itself"] == counts["wilson.txt"] == 384
+    # A pullback along a unimodular map has at least that map.
+    assert all(c for name, c in counts.items() if name.startswith("rand_pullback"))
+    # Both verdicts among the generator's problems.
+    gen_counts = [c for name, c in counts.items() if name.startswith("gen ")]
+    assert 0 in gen_counts and any(gen_counts)
+
+
+def test_shell_that_is_not_sign_complete_raises(monkeypatch):
+    real = isometry.vectors_of_norm
+
+    def one_sided(q, c):
+        return tuple(v for v in real(q, c) if v >= tuple(0 for _ in v))
+
+    monkeypatch.setattr(isometry, "vectors_of_norm", one_sided)
+    with pytest.raises(ValueError, match="sign-complete"):
+        brute_force_isometries(GramForm(Mat.identity(2)), GramForm(Mat.identity(2)))
