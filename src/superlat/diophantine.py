@@ -13,12 +13,11 @@ obstructions.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import InvalidForm, NegativeTarget, NotPositiveDefinite
-from .linalg import Mat, Vec
+from .linalg import Mat
 
 
 ScaledLDL = namedtuple("ScaledLDL", "dl scale pivots low")
@@ -47,25 +46,6 @@ class PosDefForm:
     def pivots(self) -> tuple[Fraction, ...]:
         """LDL^T pivots; all positive."""
         return self._diag
-
-    def leading_minors(self) -> tuple[Fraction, ...]:
-        out, acc = [], Fraction(1)
-        for d in self._diag:
-            acc *= d
-            out.append(acc)
-        return tuple(out)
-
-    def evaluate(self, v) -> Fraction:
-        """v^T gram v for a vector or plain int/Fraction sequence."""
-        entries = v.entries if isinstance(v, Vec) else tuple(v)
-        n = self.dim
-        acc = Fraction(0)
-        for i in range(n):
-            row = self.gram.rows[i]
-            acc += entries[i] * sum(
-                (row[j] * entries[j] for j in range(n)), Fraction(0)
-            )
-        return acc
 
     def scaled_ldl(self) -> "ScaledLDL":
         """The LDL^T factorization with its denominators cleared, cached.
@@ -111,34 +91,6 @@ def _ldl(gram: Mat) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], .
     return tuple(d), tuple(tuple(r) for r in low)
 
 
-@dataclass(frozen=True)
-class NormSolutionSet:
-    """All integer vectors of a given norm, in lexicographic order."""
-
-    target: int
-    solutions: tuple[tuple[int, ...], ...]
-    canonicalized: bool
-
-    def __len__(self) -> int:
-        return len(self.solutions)
-
-    def __iter__(self):
-        return iter(self.solutions)
-
-    def __contains__(self, v) -> bool:
-        return tuple(v) in self.solutions
-
-    def vectors(self) -> list[Vec]:
-        return [Vec(s) for s in self.solutions]
-
-    def canonical(self) -> "NormSolutionSet":
-        """Keep one of each +-v pair: first nonzero entry positive."""
-        if self.canonicalized:
-            return self
-        kept = tuple(s for s in self.solutions if _sign_canonical(s))
-        return NormSolutionSet(self.target, kept, True)
-
-
 def _sign_canonical(v: tuple[int, ...]) -> bool:
     for x in v:
         if x:
@@ -146,8 +98,9 @@ def _sign_canonical(v: tuple[int, ...]) -> bool:
     return True
 
 
-def vectors_of_norm(q: PosDefForm, c: int) -> NormSolutionSet:
-    """Complete set {v in Z^d : v^T Q v = c}, exact and deterministic.
+def vectors_of_norm(q: PosDefForm, c: int) -> tuple[tuple[int, ...], ...]:
+    """Complete set {v in Z^d : v^T Q v = c}, exact and deterministic, as
+    a tuple of integer tuples in lexicographic order.
 
     Coordinates are chosen from the last to the first.  The remaining
     budget R = rem * dl^2 * dq is an integer, and level j admits the
@@ -237,7 +190,7 @@ def vectors_of_norm(q: PosDefForm, c: int) -> NormSolutionSet:
             first(root, (1,))
     sols += [tuple([-a for a in v]) for v in sols if any(v)]
     sols.sort()
-    return NormSolutionSet(c, tuple(sols), False)
+    return tuple(sols)
 
 
 def two_squares_representable(n: int) -> bool:

@@ -8,20 +8,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diophantine import PosDefForm
 from .errors import (
     DimensionMismatch,
     InvalidForm,
     NonIntegralForm,
-    NotPositiveDefinite,
     ZeroVector,
 )
 from .linalg import Mat, Vec, integer_kernel_basis
 
 # Endomorphisms carry no extra state beyond their matrix.
 Endo = Mat
-
-_UNSET = object()
 
 
 class GramForm:
@@ -40,7 +36,6 @@ class GramForm:
         if self.det == 0 and not allow_degenerate:
             raise InvalidForm("Gram matrix is degenerate")
         self._inv: Mat | None = None
-        self._pdf = _UNSET
 
     @property
     def dim(self) -> int:
@@ -55,21 +50,6 @@ class GramForm:
         if self._inv is None:
             self._inv = self.gram.inverse()
         return self._inv
-
-    @property
-    def is_positive_definite(self) -> bool:
-        if self._pdf is _UNSET:
-            try:
-                self._pdf = PosDefForm(self.gram)
-            except NotPositiveDefinite:
-                self._pdf = None
-        return self._pdf is not None
-
-    def pos_def(self) -> PosDefForm:
-        """The cached PosDefForm; raises NotPositiveDefinite otherwise."""
-        if not self.is_positive_definite:
-            raise NotPositiveDefinite("form is not positive definite")
-        return self._pdf
 
     def evaluate(self, u: Vec, v: Vec) -> Fraction:
         """B(u, v) = u^T gram v."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import is_, mul, neg
 from struct import Struct
@@ -92,8 +92,8 @@ class IsometryProblem:
         self.w = w
         self.det_mismatch = source.det != target.det
         n = source.dim
-        self._gram = tuple(map(_ints, source.gram.rows))
-        self._tgram = tuple(map(_ints, target.gram.rows))
+        self._gram = tuple(tuple(map(int, row)) for row in source.gram.rows)
+        self._tgram = tuple(tuple(map(int, row)) for row in target.gram.rows)
         self._pullback = _Pullback(self._gram, self._tgram)
         self._w = w.to_ints()
         self.wnorm = nint = _bilinear(self._gram, self._w, self._w)
@@ -169,11 +169,6 @@ class IsometryProblem:
         if not any(zh):
             raise DegenerateProbe("probe lies on the anchor line")
         return zh
-
-    def from_kernel_coords(self, coords: tuple[int, ...]) -> Vec:
-        """Map K-coordinates back to an ambient integer vector, the image
-        E (0, coords) of the L0 row (0, coords)."""
-        return Vec([_dot((0, *coords), e) for e in self._l0_basis])
 
 
 def _cleared(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -391,11 +386,6 @@ def isometry_denominators(problem: IsometryProblem, matrices):
         yield den if problem.pulls_back(num, den) else None
 
 
-def _ints(v) -> tuple[int, ...]:
-    """A Vec with integer entries, or a sequence of integers, as ints."""
-    return v.to_ints() if isinstance(v, Vec) else tuple(map(int, v))
-
-
 def _neg(v) -> tuple:
     return tuple([-x for x in v])
 
@@ -548,7 +538,7 @@ def solve_eq1(problem: IsometryProblem) -> tuple[tuple[int, ...], ...]:
     by s then by x, and sign-complete with row L-1-j = -row j."""
     form = problem.l0_form
     e1 = problem.eq1_target
-    return vectors_of_norm(form, e1).solutions if e1 >= 0 else ()
+    return vectors_of_norm(form, e1) if e1 >= 0 else ()
 
 
 def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> tuple[tuple[int, ...], ...]:
@@ -563,7 +553,7 @@ def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> tuple[tuple[int, ...]
     form = problem.l0_form
     zh = problem._zhat(z0.to_ints())
     r = problem.wnorm**2 * _bilinear(problem._tgram, zh, zh)
-    return vectors_of_norm(form, r).solutions if r >= 0 else ()
+    return vectors_of_norm(form, r) if r >= 0 else ()
 
 
 class _Eq2Table:
@@ -946,24 +936,25 @@ def rank3_family_forms(
 def brute_force_isometries(
     source: GramForm,
     target: GramForm,
-    column_mode: bool = True,
     bound: int | None = None,
 ) -> list[Mat]:
     """Complete list of integral M with M^T B M = B', by direct search.
 
-    Column j of M lies in the shell {v : B(v,v) = B'_jj}, computed once
-    with the images B v.  column_mode places the columns in order with
-    forward checking: u in column j keeps, of each later column k, the v
-    with v . Bu = B'_jk, and is dropped when a column has none left; the
-    matrices come in lexicographic order of their shell indices.  Shells
-    must be sorted and sign-complete, entry L-1-i = -entry i (ValueError
-    otherwise), so the matrices with first column -v are those with v,
-    negated and reversed: only the first half of the first shell and its
-    middle 0 are searched.  The alternative checks every product of the
-    shells.  bound keeps only entries |m_ij| <= bound.  Desk-scale only.
+    Both forms must be integral (NonIntegralForm otherwise).  Column j of
+    M lies in the shell {v : B(v,v) = B'_jj}, computed once with the
+    images B v.  The columns are placed in order with forward checking:
+    u in column j keeps, of each later column k, the v with v . Bu = B'_jk,
+    and is dropped when a column has none left; the matrices come in
+    lexicographic order of their shell indices.  Shells must be sorted
+    and sign-complete, entry L-1-i = -entry i (ValueError otherwise), so
+    the matrices with first column -v are those with v, negated and
+    reversed: only the first half of the first shell and its middle 0 are
+    searched.  bound keeps only entries |m_ij| <= bound.  Desk-scale only.
     """
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimensions differ")
+    if not source.is_integral() or not target.is_integral():
+        raise NonIntegralForm("both Gram matrices must be integral")
     q, n = PosDefForm(source.gram), source.dim
     b_rows = tuple(tuple(int(x) for x in row) for row in source.gram.rows)
     bp = tuple(tuple(int(x) for x in row) for row in target.gram.rows)
@@ -971,9 +962,6 @@ def brute_force_isometries(
     if bound is not None:
         col_sets = [[v for v in cs if max(map(abs, v)) <= bound] for cs in col_sets]
     images = {v: tuple(_dot(row, v) for row in b_rows) for cs in col_sets for v in cs}
-    if not column_mode:
-        products = product(*col_sets)
-        return [Mat(zip(*cols)) for cols in products if tuple(tuple(_dot(u, images[v]) for v in cols) for u in cols) == bp]
     if any(cs[::-1] != [*map(_neg, cs)] for cs in col_sets):
         raise ValueError("a column shell is not sign-complete")
     found: list[tuple] = []
@@ -1015,10 +1003,12 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     enumeration; a squares obstruction or Inconclusive whose detail names
     a family `kind` holds only when family_obstruction, run on the
     detail's integer parameters, gives the same verdict and the same
-    detail; without a kind, the verdict is re-derived from the stated
-    constant and squares alone and must equal the recorded one;
-    NoIntegralIsometry re-verifies the recorded candidates (in integers,
-    each distinct entry parsed once) and that none is integral.
+    detail; without a kind, the verdict re-derived from the stated
+    constant and squares alone must equal the recorded one; either way
+    every detail field but the kind must be an int (not bool or float);
+    NoIntegralIsometry re-verifies the recorded candidates
+    (in integers, each distinct entry parsed once) and that none is
+    integral.
     """
     verdict = cert.verdict
     if verdict == "IsometricWitness":
@@ -1040,10 +1030,11 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
             return False
         return problem.source.det != problem.target.det
     if verdict in ("ObstructionTwoSquares", "ObstructionThreeSquares", "Inconclusive"):
+        # 3.0 == 3 and True == 1, so only the type rejects such a field.
+        if not all(type(v) is int for k, v in cert.detail.items() if k != "kind"):
+            return False
         if "kind" in cert.detail:
             params = {k: v for k, v in cert.detail.items() if k not in _FAMILY_DERIVED}
-            if not all(type(v) is int for v in params.values()):
-                return False
             try:
                 rebuilt = family_obstruction(cert.detail["kind"], **params)
             except (BadFamilyParams, KeyError):

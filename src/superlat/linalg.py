@@ -153,9 +153,6 @@ class Mat:
     def col(self, j: int) -> Vec:
         return Vec(r[j] for r in self.rows)
 
-    def cols(self) -> list[Vec]:
-        return [self.col(j) for j in range(self.ncols)]
-
     def __add__(self, other: "Mat") -> "Mat":
         self._check_shape(other)
         return Mat(
@@ -247,32 +244,6 @@ class Mat:
                     f = a[r][c]
                     a[r] = [x - f * y for x, y in zip(a[r], a[c])]
         return Mat(tuple(row[n:]) for row in a)
-
-    def solve(self, b: Vec) -> Vec:
-        """Solve self @ x = b exactly; raises SingularMatrix when singular."""
-        if self.nrows != len(b):
-            raise DimensionMismatch("right-hand side length mismatch")
-        return self.inverse() @ b
-
-    def rank(self) -> int:
-        a = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        rank = 0
-        for c in range(nc):
-            piv = next((r for r in range(rank, nr) if a[r][c] != 0), None)
-            if piv is None:
-                continue
-            a[rank], a[piv] = a[piv], a[rank]
-            inv = 1 / a[rank][c]
-            for r in range(rank + 1, nr):
-                if a[r][c] != 0:
-                    f = a[r][c] * inv
-                    for k in range(c, nc):
-                        a[r][k] -= f * a[rank][k]
-            rank += 1
-            if rank == nr:
-                break
-        return rank
 
     def is_symmetric(self) -> bool:
         return self.is_square and all(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from math import isqrt
 from operator import mul
 
@@ -408,6 +408,49 @@ def reference_brute_force_isometries(source, target, bound=None) -> list[Mat]:
 
     rec(0)
     return out
+
+
+def cartesian_brute_force_isometries(source, target, bound=None) -> list[Mat]:
+    """The Cartesian search that brute_force_isometries once offered as
+    its second mode, kept as a second reference: every product of the
+    column shells whose pairings under B are B'."""
+    q, n = PosDefForm(source.gram), source.dim
+    b_rows = tuple(tuple(int(x) for x in row) for row in source.gram.rows)
+    bp = tuple(tuple(int(x) for x in row) for row in target.gram.rows)
+    col_sets = [list(vectors_of_norm(q, bp[j][j])) for j in range(n)]
+    if bound is not None:
+        col_sets = [[v for v in cs if max(map(abs, v)) <= bound] for cs in col_sets]
+    images = {v: tuple(_dot(row, v) for row in b_rows) for cs in col_sets for v in cs}
+    products = product(*col_sets)
+    return [Mat(zip(*cols)) for cols in products if tuple(tuple(_dot(u, images[v]) for v in cols) for u in cols) == bp]
+
+
+def rank(m: Mat) -> int:
+    """The rank of m, by exact Gaussian elimination."""
+    a = [list(r) for r in m.rows]
+    nr, nc = m.nrows, m.ncols
+    rk = 0
+    for c in range(nc):
+        piv = next((r for r in range(rk, nr) if a[r][c] != 0), None)
+        if piv is None:
+            continue
+        a[rk], a[piv] = a[piv], a[rk]
+        inv = 1 / a[rk][c]
+        for r in range(rk + 1, nr):
+            if a[r][c] != 0:
+                f = a[r][c] * inv
+                for k in range(c, nc):
+                    a[r][k] -= f * a[rk][k]
+        rk += 1
+        if rk == nr:
+            break
+    return rk
+
+
+def form_norm(q: PosDefForm, v) -> Fraction:
+    """v^T Q v for an int or Fraction sequence v."""
+    v = Vec(v)
+    return v.dot(q.gram @ v)
 
 
 def reference_solve_eq1(problem):

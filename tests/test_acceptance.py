@@ -59,6 +59,7 @@ from helpers import (
     rand_pd_gram,
     rand_pullback_problem,
     rand_sym_nondegenerate,
+    rank,
 )
 
 
@@ -250,7 +251,7 @@ def test_component_dimension_law():
             stacked = Mat(
                 [[x for row in m.rows for x in row] for m in evens + odds]
             )
-            if stacked.rank() != n * n:
+            if rank(stacked) != n * n:
                 failures.append(f"n={n}: basis union is linearly dependent")
                 break
     _report(

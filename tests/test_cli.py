@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import superlat
+from helpers import _ambient
 from superlat.cli import main
 from superlat.errors import ParseError
 from superlat.forms import GramForm
@@ -28,6 +30,10 @@ WILSON_FILE = str(PROBLEMS / "wilson.txt")
 QUATERNARY_FILE = str(PROBLEMS / "quaternary_pair.txt")
 BINARY_FILE = str(PROBLEMS / "binary_pair.txt")
 TERNARY_FILE = str(PROBLEMS / "ternary_diag.txt")
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in superlat.__all__ if not hasattr(superlat, name)] == []
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -293,8 +299,12 @@ class TestObstruct:
             (["--family", "rank3", "--m", "3"], {"m": "3"}),
             (["--family", "rank3", "--m", "3"], {"kind": "four_squares"}),
             (["--family", "rank3", "--m", "3"], {"extra": 1}),
+            # Equal in value to the true fields, but not JSON integers.
+            (["--family", "rank3", "--m", "3"], {"constant": 145152.0}),
+            (["--family", "rank3", "--m", "3"], {"squares": 3.0}),
         ],
-        ids=["relabelled", "constant", "parameter", "string-parameter", "unknown-kind", "extra-field"],
+        ids=["relabelled", "constant", "parameter", "string-parameter", "unknown-kind", "extra-field",
+             "float-constant", "float-squares"],
     )
     def test_forged_family_document_fails(self, tmp_path, capsys, args, forge):
         out = str(tmp_path / "cert.json")
@@ -317,6 +327,29 @@ def test_family_certificate_with_a_non_integer_parameter_fails(value):
     assert verify_certificate(forged, None) is False
 
 
+@pytest.mark.parametrize(
+    "constant, squares, field, value",
+    [
+        ("3", "2", "constant", 3.0),
+        ("1", "2", "constant", True),
+        ("7", "3", "squares", 3.0),
+        ("2", "2", "constant", 2.5),
+    ],
+    ids=["two-squares-float", "inconclusive-bool", "three-squares-float-squares", "inconclusive-fraction"],
+)
+def test_squares_document_with_a_non_integer_field_fails(tmp_path, capsys, constant, squares, field, value):
+    # The verdict re-derived from a float or bool is the recorded one, so
+    # only the JSON type tells these documents from true ones.
+    out = str(tmp_path / "cert.json")
+    main(["obstruct", "--N", constant, "--squares", squares, "--json", out])
+    capsys.readouterr()
+    assert main(["verify", out]) == 0
+    doc = json.loads(Path(out).read_text())
+    doc["certificate"]["detail"][field] = value
+    Path(out).write_text(json.dumps(doc))
+    assert main(["verify", out]) == 1
+
+
 class TestRankOne:
     @pytest.mark.parametrize("w", ["1", "2"])
     def test_factorize_finds_both_isometries(self, tmp_path, capsys, w):
@@ -337,7 +370,7 @@ class TestRankOne:
 
     def test_empty_kernel(self):
         problem = IsometryProblem(GramForm(Mat([[2]])), GramForm(Mat([[2]])), Vec([1]))
-        assert problem.kernel_gram == () and problem.from_kernel_coords(()) == Vec([0])
+        assert problem.kernel_gram == () and _ambient(problem, (0,)) == (0,)
         # No rank-1 pair with equal determinants fails eq1; a negative eq1
         # target stands in for one.
         problem.eq1_target = -1
@@ -361,6 +394,18 @@ class TestOracle:
     def test_wilson_oracle_count(self, capsys):
         assert main(["oracle", WILSON_FILE]) == 0
         assert "brute-force isometries: 384" in capsys.readouterr().out
+
+    def test_non_integral_form_exits_3(self, tmp_path, capsys):
+        # Read entry by entry with int(), [[1, 1/2], [1/2, 1]] would list
+        # 8 matrices, diag(1, -1) among them; its double has 12 isometries.
+        half = "1 1/2\n1/2 1\n"
+        path = write(tmp_path, "half.txt", f"n 2\nB\n{half}Bprime\n{half}w 1 0\n")
+        assert main(["oracle", path]) == 3
+        assert main(["factorize", path]) == 3
+        assert "brute-force isometries" not in capsys.readouterr().out
+        scaled = write(tmp_path, "a2.txt", "n 2\nB\n2 1\n1 2\nBprime\n2 1\n1 2\nw 1 0\n")
+        assert main(["oracle", scaled]) == 0
+        assert "brute-force isometries: 12" in capsys.readouterr().out
 
 
 class TestDecomposeAndGradeBasis:

@@ -2,21 +2,24 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    form_norm,
     naive_box_norm_solutions,
     rand_pd_gram,
     rand_pullback_problem,
     reference_vectors_of_norm,
 )
 from superlat.diophantine import (
-    NormSolutionSet,
     PosDefForm,
+    _sign_canonical,
     three_squares_representable,
     two_squares_representable,
     vectors_of_norm,
@@ -28,9 +31,12 @@ from superlat.linalg import Mat, Vec
 
 
 def test_posdefform_accepts_and_rejects():
-    q = PosDefForm(Mat.identity(3))
+    g = Mat.identity(3)
+    q = PosDefForm(g)
     assert q.pivots == (1, 1, 1)
-    assert q.leading_minors() == (1, 1, 1)
+    # The products of the leading pivots are the leading principal minors.
+    minors = tuple(Mat([row[:k] for row in g.rows[:k]]).determinant() for k in (1, 2, 3))
+    assert tuple(accumulate(q.pivots, mul)) == minors == (1, 1, 1)
     with pytest.raises(NotPositiveDefinite):
         PosDefForm(Mat([[1, 2], [2, 1]]))
     with pytest.raises(NotPositiveDefinite):
@@ -52,15 +58,15 @@ def test_ldl_reconstructs_gram():
 
 def test_evaluate():
     q = PosDefForm(Mat([[2, 1], [1, 2]]))
-    assert q.evaluate(Vec([1, 0])) == 2
-    assert q.evaluate((1, 1)) == 6
-    assert q.evaluate((1, -1)) == 2
+    for v, norm in (((1, 0), 2), ((1, 1), 6), ((1, -1), 2)):
+        assert form_norm(q, v) == norm
+        assert v in vectors_of_norm(q, norm)
 
 
 def test_vectors_of_norm_zero_target():
     s = vectors_of_norm(PosDefForm(Mat.identity(2)), 0)
-    assert s.solutions == ((0, 0),)
-    assert s.canonical().solutions == ((0, 0),)
+    assert s == ((0, 0),)
+    assert tuple(v for v in s if _sign_canonical(v)) == ((0, 0),)
 
 
 def test_vectors_of_norm_known_counts():
@@ -77,9 +83,9 @@ def test_vectors_of_norm_weighted_diag():
     q = PosDefForm(Mat.diagonal([6, 2, 4, 2]))
     s = vectors_of_norm(q, 8)
     assert len(s) == 20
-    assert len(s.canonical()) == 10
+    assert sum(map(_sign_canonical, s)) == 10
     for v in s:
-        assert q.evaluate(v) == 8
+        assert form_norm(q, v) == 8
 
 
 def test_vectors_of_norm_empty():
@@ -101,7 +107,7 @@ def test_vectors_of_norm_lex_order_and_negation_closure():
         assert list(s) == sorted(s)
         have = set(s)
         assert all(tuple(-x for x in v) in have for v in s)
-        canon = s.canonical()
+        canon = [v for v in s if _sign_canonical(v)]
         if c > 0:
             assert len(canon) * 2 == len(s)
             assert all(next(x for x in v if x) > 0 for v in canon if any(v))
@@ -129,7 +135,7 @@ def test_vectors_of_norm_sound(c, seed):
     g = rand_pd_gram(random.Random(seed), 2, bound=2)
     q = PosDefForm(g)
     for v in vectors_of_norm(q, c):
-        assert q.evaluate(v) == c
+        assert form_norm(q, v) == c
 
 
 @settings(max_examples=80, deadline=None)
@@ -145,7 +151,7 @@ def test_vectors_of_norm_half_search_is_complete_and_mirrored(n, seed, c, den):
     # v[L-1-j] = -v[j].
     g = rand_pd_gram(random.Random(seed), n, bound=2)
     g = Mat([[Fraction(x, den) for x in row] for row in g.rows])
-    sols = vectors_of_norm(PosDefForm(g), c).solutions
+    sols = vectors_of_norm(PosDefForm(g), c)
     assert list(sols) == sorted(naive_box_norm_solutions(g, c))
     last = len(sols) - 1
     assert all(sols[last - j] == tuple(-x for x in v) for j, v in enumerate(sols))
@@ -158,7 +164,7 @@ def test_vectors_of_norm_half_search_is_complete_and_mirrored(n, seed, c, den):
 
 
 def _same_as_reference(q: PosDefForm, c) -> tuple[tuple[int, ...], ...]:
-    sols = vectors_of_norm(q, c).solutions
+    sols = vectors_of_norm(q, c)
     assert sols == reference_vectors_of_norm(q, c)
     return sols
 
@@ -292,12 +298,3 @@ def test_squares_predicates_match_exhaustive_sample():
         assert two_squares_representable(n) == _exhaustive_two_squares(n)
         assert three_squares_representable(n) == _exhaustive_three_squares(n)
 
-
-def test_norm_solution_set_api():
-    s = NormSolutionSet(5, ((1, 2), (-1, -2)), False)
-    assert len(s) == 2
-    assert (1, 2) in s
-    assert s.vectors()[0] == Vec([1, 2])
-    c = s.canonical()
-    assert c.solutions == ((1, 2),)
-    assert c.canonical() is c

@@ -15,6 +15,7 @@ from helpers import (
     rand_pd_gram,
     rand_sym_nondegenerate,
 )
+from superlat.diophantine import PosDefForm
 from superlat.errors import (
     DimensionMismatch,
     InvalidForm,
@@ -32,6 +33,7 @@ from superlat.forms import (
     pullback,
     trace_form,
 )
+from superlat.isometry import IsometryProblem
 from superlat.linalg import Mat, Vec
 
 
@@ -51,11 +53,14 @@ def test_construction_validation():
 
 
 def test_positive_definite_flag():
-    assert GramForm(WILSON).is_positive_definite
-    assert not GramForm(Mat.diagonal([1, -1])).is_positive_definite
-    assert GramForm(Mat.diagonal([1, 5])).pos_def().pivots == (1, 5)
+    assert all(p > 0 for p in PosDefForm(WILSON).pivots)
     with pytest.raises(NotPositiveDefinite):
-        GramForm(Mat.diagonal([1, -1])).pos_def()
+        PosDefForm(Mat.diagonal([1, -1]))
+    assert PosDefForm(Mat.diagonal([1, 5])).pivots == (1, 5)
+    # The search's own positivity check, on diag(N, G_K) = diag(1, -1).
+    indefinite = GramForm(Mat.diagonal([1, -1]))
+    with pytest.raises(NotPositiveDefinite):
+        IsometryProblem(indefinite, indefinite, Vec([1, 0])).l0_form
 
 
 def test_evaluate():

@@ -11,6 +11,7 @@ from helpers import (
     rand_matrix,
     rand_sym_nondegenerate,
     rand_unimodular,
+    rank,
 )
 from superlat.errors import IsotropicAnchor, NotEven, ZeroVector
 from superlat.forms import (
@@ -142,7 +143,7 @@ def test_basis_sizes_and_independence():
         flat = Mat([
             [m[i, j] for i in range(n) for j in range(n)] for m in ev + od
         ])
-        assert flat.rank() == n * n
+        assert rank(flat) == n * n
 
 
 def test_dimension_coincidence_with_symmetric_split_only_at_4():

@@ -7,7 +7,7 @@ non-integral candidates included):
 the entry texts are str(Fraction(x, den)), .matrix is the rational
 reference reconstruction of test_integer_paths, .integral is
 matrix.is_integral(), and every eq1 and eq3 solution is an L0 row of ints
-(u, kernel coordinates) whose ambient vector u w + from_kernel_coords
+(u, kernel coordinates) whose ambient vector u w + k (helpers._ambient)
 has the norm of its shell.
 """
 
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import rand_pullback_problem
+from helpers import _ambient, rand_pullback_problem
 from superlat import isometry
 from superlat.forms import GramForm
 from superlat.isometry import (
@@ -43,7 +43,7 @@ def _check_solutions(problem, e1s, per_probe):
     for target, rows in zip(targets, [e1s, *per_probe]):
         for row in rows:
             assert all(type(x) is int for x in row)
-            v = row[0] * problem.w + problem.from_kernel_coords(row[1:])
+            v = Vec(_ambient(problem, row))
             assert problem.source.norm(v) == target
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superlat.diophantine import PosDefForm
 from superlat.errors import (
     BadFamilyParams,
     DegenerateProbe,
@@ -41,6 +42,8 @@ from superlat.isometry import (
 from superlat.linalg import Mat, Vec
 
 from helpers import (
+    _ambient,
+    cartesian_brute_force_isometries,
     EVEN24_B,
     EVEN24_BPRIME,
     EVEN24_RATIONAL_SOLUTIONS,
@@ -277,12 +280,12 @@ class TestNecessity:
                 # the pair appears in the enumerated per-probe solutions
                 sols = solve_eq3_per_z0(problem, z0)
                 assert any(
-                    e[0] == t and problem.from_kernel_coords(e[1:]) == c
+                    e[0] == t and Vec(_ambient(problem, (0, *e[1:]))) == c
                     for e in sols
                 )
             # and the eq1 pair appears in the eq1 enumeration
             assert any(
-                e[0] == s and problem.from_kernel_coords(e[1:]) == btilde
+                e[0] == s and Vec(_ambient(problem, (0, *e[1:]))) == btilde
                 for e in solve_eq1(problem)
             )
 
@@ -295,7 +298,7 @@ class TestNecessity:
         e1 = next(
             e
             for e in solve_eq1(problem)
-            if e[0] == s and problem.from_kernel_coords(e[1:]) == btilde
+            if e[0] == s and Vec(_ambient(problem, (0, *e[1:]))) == btilde
         )
         per_probe = [solve_eq3_per_z0(problem, z0) for z0 in problem.probes]
         filtered = filter_eq2(problem, e1, per_probe)
@@ -303,7 +306,7 @@ class TestNecessity:
             t = source.evaluate(atilde, z0)
             c = phi0s @ z0
             assert any(
-                e[0] == t and problem.from_kernel_coords(e[1:]) == c
+                e[0] == t and Vec(_ambient(problem, (0, *e[1:]))) == c
                 for e in filtered[i]
             )
 
@@ -361,8 +364,8 @@ class TestCompleteness:
 
     def test_brute_force_modes_agree(self):
         i2 = GramForm(Mat.identity(2))
-        back = brute_force_isometries(i2, i2, column_mode=True)
-        cart = brute_force_isometries(i2, i2, column_mode=False)
+        back = brute_force_isometries(i2, i2)
+        cart = cartesian_brute_force_isometries(i2, i2)
         assert len(back) == 8
         assert set(back) == set(cart) == set(signed_permutations(2))
 
@@ -452,7 +455,7 @@ class TestFamilies:
     def test_family_forms_satisfy_relations(self):
         source, target, w = rank3_family_forms(2)
         assert source.det == target.det
-        assert source.is_positive_definite
+        assert all(p > 0 for p in PosDefForm(source.gram).pivots)
         source, target, w = rank2_family_forms(2, 3, 4, 2, 10)
         assert source.det == target.det == 36
 

@@ -8,7 +8,8 @@ rand_pullback_problem draws with n = 1...4, the benchmark generator's
 pullbacks and Kneser 2-neighbours (perfbench/gen.py, imported read-only),
 a degenerate target whose first column shell is {0} (the odd middle entry
 of the +-halving) and targets with an empty shell.  On the cases with
-n <= 3 the Cartesian search (column_mode=False) must find the same set.
+n <= 3 the Cartesian search (helpers.cartesian_brute_force_isometries)
+must find the same set.
 
 Selection rule: Random(1501) draws three problems for each n = 1...4 and
 no draw is dropped; the generator sets are the first problems of its
@@ -24,8 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import rand_pullback_problem, reference_brute_force_isometries
+from helpers import cartesian_brute_force_isometries, rand_pullback_problem, reference_brute_force_isometries
 from superlat import isometry
+from superlat.errors import NonIntegralForm
 from superlat.forms import GramForm
 from superlat.isometry import brute_force_isometries
 from superlat.linalg import Mat
@@ -72,7 +74,7 @@ def test_same_list_as_the_reference_search(name, gram, target, bound):
     assert all(type(x) is Fraction for m in found for row in m.rows for x in row)
     assert all(type(row) is tuple and len(row) == gram.nrows for m in found for row in m.rows)
     if gram.nrows <= 3:
-        assert set(brute_force_isometries(source, tgt, column_mode=False, bound=bound)) == set(found)
+        assert set(cartesian_brute_force_isometries(source, tgt, bound=bound)) == set(found)
 
 
 def test_the_draw_holds_every_kind_of_case():
@@ -96,3 +98,11 @@ def test_shell_that_is_not_sign_complete_raises(monkeypatch):
     monkeypatch.setattr(isometry, "vectors_of_norm", one_sided)
     with pytest.raises(ValueError, match="sign-complete"):
         brute_force_isometries(GramForm(Mat.identity(2)), GramForm(Mat.identity(2)))
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_non_integral_form_raises(side):
+    half = GramForm(Mat([[1, Fraction(1, 2)], [Fraction(1, 2), 1]]))
+    forms = {"source": GramForm(Mat.identity(2)), "target": GramForm(Mat.identity(2)), side: half}
+    with pytest.raises(NonIntegralForm):
+        brute_force_isometries(forms["source"], forms["target"])

@@ -1,14 +1,23 @@
-"""The comparison of scripts/output_contract.py --check."""
+"""The comparison of scripts/output_contract.py --check, and a smoke run of
+scripts/stage_times.py, whose imports reach into the package's private
+names."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_contract.py"
-spec = importlib.util.spec_from_file_location("output_contract", SCRIPT)
-output_contract = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(output_contract)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+output_contract = _load("output_contract")
 
 
 def test_check_names_every_differing_case():
@@ -27,3 +36,10 @@ def test_check_names_every_differing_case():
     lines = output_contract.check(before, now)
     assert [line.split(":")[1].strip() for line in lines] == ["a factorize", "b oracle", "c oracle", "d oracle"]
     assert all(line.startswith("differs: ") for line in lines)
+
+
+def test_stage_times_runs_every_stage_on_wilson():
+    stage_times = _load("stage_times")
+    times = stage_times.one_pass((stage_times.PROBLEMS / "wilson.txt").read_text(encoding="utf-8"))
+    assert {"solve_eq1", "filter_eq2", "reconstruct", "verify_document", "oracle", "oracle_listing"} <= set(times)
+    assert all(t >= 0 for t in times.values())
