@@ -89,6 +89,7 @@ __all__ = [
     "trace_form",
     "two_squares_representable",
     "vectors_of_norm",
+    "verify_certificate",
     "verify_document",
     "weight",
 ]

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import InvalidForm, NegativeTarget, NotPositiveDefinite
-from .linalg import Mat
+from .linalg import Mat, _cleared
 
 
 ScaledLDL = namedtuple("ScaledLDL", "dl scale pivots low")
@@ -56,17 +56,12 @@ class PosDefForm:
         scale * x^T G x = sum_j P_j Y_j^2 holds in integers, scale = dl^2 dq.
         """
         if self._scaled is None:
-            d, low, n = self._diag, self._lower, self.dim
-            dl = lcm(1, *(low[i][j].denominator for i in range(n) for j in range(i)))
-            dq = lcm(*(x.denominator for x in d))
+            (dl, low), (dq, (pivots,)) = _cleared(self._lower), _cleared([self._diag])
             self._scaled = ScaledLDL(
                 dl,
                 dl * dl * dq,
-                tuple(int(x * dq) for x in d),
-                tuple(
-                    tuple((i, int(low[i][j] * dl)) for i in range(j + 1, n) if low[i][j])
-                    for j in range(n)
-                ),
+                pivots,
+                tuple(tuple((i, row[j]) for i, row in enumerate(low) if i > j and row[j]) for j in range(self.dim)),
             )
         return self._scaled
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, IsotropicAnchor, NotEven, ZeroVector
 from .forms import Endo, GramForm, adjoint, ortho_complement_basis, outer
-from .linalg import Mat, Vec
+from .linalg import Vec
 
 
 class GradedContext:

@@ -60,7 +60,7 @@ from .errors import (
 # in integers); it is imported so that perfbench/spans.py can wrap
 # isometry.dual_membership.
 from .forms import GramForm, dual_membership  # noqa: F401
-from .linalg import Mat, Vec, integer_kernel_basis, parse_fraction
+from .linalg import Mat, Vec, _cleared, _cleared_inverse, _det_adjugate, integer_kernel_basis, parse_fraction
 
 class IsometryProblem:
     """Search data: integral forms B (source) and B' (target), an integer
@@ -169,45 +169,6 @@ class IsometryProblem:
         if not any(zh):
             raise DegenerateProbe("probe lies on the anchor line")
         return zh
-
-
-def _cleared(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(d, d * rows) with d the lcm of the denominators of the Fraction
-    rows."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
-
-
-def _cleared_inverse(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(d, d A^-1) for a square integer matrix A given by rows, d > 0 the
-    lcm of the denominators of A^-1 (what _cleared gives for A^-1), and
-    (0, ()) when A is singular.  So d == 1 iff A is unimodular: A^-1 is
-    then integral, and det A det A^-1 = 1.
-
-    Fraction-free (Bareiss) Gauss-Jordan elimination on (A | I) ends in
-    (e I | e A^-1) for e = +-det A: every intermediate entry is a minor of
-    (A | I), so each division is exact.  Then d = |e| / g and
-    d A^-1 = (e A^-1) / (g sign e) for g = gcd(e, e A^-1)."""
-    n = len(rows)
-    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k]), None)
-        if p is None:
-            return 0, ()
-        m[k], m[p] = m[p], m[k]
-        pivot = m[k]
-        pk = pivot[k]
-        for i, row in enumerate(m):
-            if i != k:
-                f = row[k]
-                m[i] = [(pk * x - f * y) // prev for x, y in zip(row, pivot)]
-        prev = pk
-    inv = [row[n:] for row in m]
-    g = gcd(prev, *chain.from_iterable(inv))
-    if prev < 0:
-        g = -g
-    return prev // g, tuple(tuple(x // g for x in row) for row in inv)
 
 
 def _slot_width(bound: int) -> int:
@@ -998,9 +959,8 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     """Re-check a certificate against its problem without re-searching.
 
     A witness must be integral, pull B' back (num^T B num = B', in
-    integers) and be unimodular: the inverse from _cleared_inverse has
-    denominator 1; ObstructionEq1 re-runs only the eq1
-    enumeration; a squares obstruction or Inconclusive whose detail names
+    integers) and be unimodular, |det M| = 1 (from _det_adjugate);
+    ObstructionEq1 re-runs only the eq1 enumeration; a squares obstruction or Inconclusive whose detail names
     a family `kind` holds only when family_obstruction, run on the
     detail's integer parameters, gives the same verdict and the same
     detail; without a kind, the verdict re-derived from the stated
@@ -1015,7 +975,7 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
         if problem is None or cert.witness is None:
             return False
         num = cert.witness.num
-        return cert.witness.den == 1 and problem.pulls_back(num, 1) and _cleared_inverse(num)[0] == 1
+        return cert.witness.den == 1 and problem.pulls_back(num, 1) and abs(_det_adjugate(num)[0]) == 1
     if verdict == "NoIntegralIsometry":
         if problem is None:
             return False

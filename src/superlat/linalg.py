@@ -5,10 +5,12 @@ in canonical form (positive denominator, gcd(num, den) = 1) for free.
 They are the API type: problems, forms and results are given and returned
 as `Vec`/`Mat`, and the one-off setup (inverses, kernel bases) runs on
 them.  The search itself does not: it works on integer tuples over cleared
-denominators (see `isometry`).  Nothing in this module ever rounds;
-determinants, inverses and kernel bases are all computed with exact
-elimination.  Sizes are small (n <= 8 in practice), so everything is
-dense.
+denominators (see `isometry`).  Nothing in this module ever rounds, and
+every exact determinant and inverse comes from one fraction-free
+elimination in integers: `_cleared` clears the denominators of Fraction
+rows, and `_det_adjugate` (Bareiss) gives det A and adj A, from which
+`Mat.determinant`, `Mat.inverse` and `_cleared_inverse` are read off.
+Sizes are small (n <= 8 in practice), so everything is dense.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -203,47 +206,21 @@ class Mat:
         return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
 
     def determinant(self) -> Fraction:
-        """Exact determinant by Gaussian elimination over the rationals."""
+        """Exact determinant: det(d A) / d^n for d A the integer rows of
+        _cleared, with det(d A) from _det_adjugate."""
         self._require_square()
-        n = self.nrows
-        a = [list(r) for r in self.rows]
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = -det
-            det *= a[c][c]
-            inv = 1 / a[c][c]
-            for r in range(c + 1, n):
-                if a[r][c] == 0:
-                    continue
-                f = a[r][c] * inv
-                for k in range(c, n):
-                    a[r][k] -= f * a[c][k]
-        return det
+        d, rows = _cleared(self.rows)
+        return Fraction(_det_adjugate(rows)[0], d**self.nrows)
 
     def inverse(self) -> "Mat":
-        """Exact inverse via Gauss-Jordan; raises SingularMatrix if det = 0."""
+        """Exact inverse d adj(d A) / det(d A) for d A the integer rows of
+        _cleared (see _det_adjugate); raises SingularMatrix if det = 0."""
         self._require_square()
-        n = self.nrows
-        a = [list(r) + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-             for i, r in enumerate(self.rows)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if piv is None:
-                raise SingularMatrix("matrix is not invertible")
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-            inv = 1 / a[c][c]
-            a[c] = [x * inv for x in a[c]]
-            for r in range(n):
-                if r != c and a[r][c] != 0:
-                    f = a[r][c]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        return Mat(tuple(row[n:]) for row in a)
+        d, rows = _cleared(self.rows)
+        det, adj = _det_adjugate(rows)
+        if not det:
+            raise SingularMatrix("matrix is not invertible")
+        return Mat._of_rows(tuple(tuple(Fraction(d * x, det) for x in row) for row in adj))
 
     def is_symmetric(self) -> bool:
         return self.is_square and all(
@@ -282,16 +259,65 @@ class Mat:
         return "Mat[" + "; ".join(" ".join(str(a) for a in r) for r in self.rows) + "]"
 
 
+def _cleared(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d * rows) with d the lcm of the denominators of the Fraction
+    rows."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
+
+
+def _det_adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det A, adj A) for a square integer matrix A given by rows, and
+    (0, ()) when A is singular; adj A = det A * A^-1.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) on (A | I) ends in (e I | e A^-1) for e = det PA, P the row
+    swaps made: every intermediate entry is a minor of (A | I), so each
+    division is exact.  Each swap flips the sign of det PA against det A."""
+    n = len(rows)
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    prev, sign = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return 0, ()
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        pivot = m[k]
+        pk = pivot[k]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                m[i] = [(pk * x - f * y) // prev for x, y in zip(row, pivot)]
+        prev = pk
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in m)
+
+
+def _cleared_inverse(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d A^-1) for a square integer matrix A given by rows, d > 0 the
+    lcm of the denominators of A^-1 (what _cleared gives for A^-1), and
+    (0, ()) when A is singular.  So d == 1 iff A is unimodular.  With
+    (det A, adj A) from _det_adjugate, d = |det A| / g and
+    d A^-1 = adj A / (g sign det A) for g = gcd(det A, adj A)."""
+    det, adj = _det_adjugate(rows)
+    if not det:
+        return 0, ()
+    g = gcd(det, *chain.from_iterable(adj))
+    if det < 0:
+        g = -g
+    return det // g, tuple(tuple(x // g for x in row) for row in adj)
+
+
 def primitive_integer_vector(f: Vec) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector.
 
-    Multiplies by the lcm of denominators, then divides by the gcd.  The sign
+    Clears the denominators (_cleared), then divides by the gcd.  The sign
     is kept as-is (the kernel is the same either way).
     """
     if f.is_zero():
         raise ZeroFunctional("zero functional has no primitive form")
-    den = lcm(*(a.denominator for a in f.entries))
-    ints = [int(a * den) for a in f.entries]
+    _, (ints,) = _cleared([f.entries])
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
-from math import isqrt
+from itertools import chain, permutations, product
+from math import isqrt, prod
 from operator import mul
 
 from superlat.diophantine import PosDefForm, vectors_of_norm
@@ -16,7 +16,6 @@ from superlat.isometry import (
     CandidateIsometry,
     SearchStats,
     _assemble,
-    _cleared,
     _dot,
     _sign_canonical,
     filter_eq2,
@@ -24,7 +23,7 @@ from superlat.isometry import (
     solve_eq1,
     solve_eq3_per_z0,
 )
-from superlat.linalg import Mat, Vec
+from superlat.linalg import Mat, Vec, _cleared
 
 # Wilson's classic symmetric unimodular test matrix and one known integral
 # factor F with F^T F = WILSON, det F = 1.
@@ -197,6 +196,18 @@ def rand_rational_vec(rng: random.Random, n: int, bound: int = 5) -> Vec:
         ]
         if any(v):
             return Vec(v)
+
+
+def leibniz_det(rows):
+    """Determinant of square rows as the permutation sum of
+    sgn(sigma) * prod_i rows[i][sigma(i)]: a reference that does no
+    elimination, for Mat.determinant and the Bareiss routine of linalg."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(row[j] for row, j in zip(rows, perm))
+    return total
 
 
 def rand_matrix(rng: random.Random, n: int, bound: int = 5) -> Mat:
@@ -492,7 +503,7 @@ def reference_solve_eq3(problem, z0):
 def _reference_recon_tables(problem):
     """reconstruct's tables as they were built before the packed map:
     (betas, columns of adj = db P^-1, db, den = N^2 db, dp, rows of
-    pair = dp (P^T B)^-1) from two Fraction Gauss-Jordan inverses."""
+    pair = dp (P^T B)^-1) from two cleared Mat inverses."""
     basis = mat_from_cols([problem.w] + problem.probes)
     db, adj = _cleared(basis.inverse().rows)
     dp, pair = _cleared((basis.transpose() @ problem.source.gram).inverse().rows)

@@ -17,13 +17,12 @@ from superlat.diophantine import PosDefForm, vectors_of_norm
 from superlat.forms import GramForm, dual_membership
 from superlat.isometry import (
     IsometryProblem,
-    _cleared,
     find_isometries,
     reconstruct,
     solve_eq1,
     solve_eq3_per_z0,
 )
-from superlat.linalg import Mat, Vec
+from superlat.linalg import Mat, Vec, _cleared
 from superlat.problem_io import (
     document_json,
     load_problem,

@@ -34,7 +34,6 @@ from superlat.isometry import (
     find_isometries,
     rank2_family_forms,
     rank3_family_forms,
-    reconstruct,
     solve_eq1,
     solve_eq3_per_z0,
     verify_certificate,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     WILSON,
     WILSON_FACTOR,
+    leibniz_det,
     rand_int_vec,
     rand_invertible,
     rand_rational_vec,
@@ -93,6 +94,34 @@ def test_inverse_exact():
         assert a.inverse() @ a == Mat.identity(4)
     with pytest.raises(SingularMatrix):
         Mat([[1, 2], [2, 4]]).inverse()
+
+
+def test_determinant_and_inverse_against_leibniz():
+    """Seeded rational matrices, n = 1..5, some with a zero leading entry
+    (so the elimination swaps rows) and some of negative determinant:
+    Mat.determinant is the Leibniz permutation sum, and a @ a.inverse()
+    is the identity whenever that sum is nonzero."""
+    rng = random.Random(17)
+    swapped = negative = 0
+    for n in range(1, 6):
+        for trial in range(60):
+            rows = [
+                [Fraction(rng.randint(-4, 4) * rng.randint(0, 1), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            if trial % 3 == 0:
+                rows[0][0] = Fraction(0)
+            a = Mat(rows)
+            det = leibniz_det(rows)
+            assert a.determinant() == det
+            if det == 0:
+                with pytest.raises(SingularMatrix):
+                    a.inverse()
+                continue
+            assert a @ a.inverse() == Mat.identity(n)
+            swapped += rows[0][0] == 0
+            negative += det < 0
+    assert swapped >= 20 and negative >= 20
 
 
 def test_solve():

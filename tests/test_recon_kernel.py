@@ -17,25 +17,25 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from helpers import WILSON, _ambient, _reference_recon_tables, reference_reconstruct
+from helpers import WILSON, _ambient, _reference_recon_tables, leibniz_det, reference_reconstruct
 from superlat.forms import GramForm
 from superlat.isometry import (
     CandidateIsometry,
     IsometryProblem,
     _assemble,
-    _cleared,
-    _cleared_inverse,
     _dot,
     filter_eq2,
     reconstruct,
     solve_eq1,
     solve_eq3_per_z0,
 )
-from superlat.linalg import Mat, Vec
+from superlat.linalg import Mat, Vec, _cleared_inverse
 from superlat.problem_io import load_problem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,16 +124,24 @@ def test_matches_reference_on_every_assembled_tuple(name, make):
         assert db == 6 and accepted == 72
 
 
-def test_cleared_inverse_matches_fraction_inverse():
+def test_cleared_inverse_is_the_reduced_integer_inverse():
+    """(d, d A^-1) checked in integers, apart from the elimination that
+    computes it: (0, ()) exactly when the Leibniz determinant is 0, and
+    otherwise A (d A^-1) = d I with d > 0 and gcd(d, d A^-1) = 1."""
     rng = random.Random(5)
+    singular = 0
     for _ in range(300):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) * rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-        m = Mat(rows)
-        if m.determinant() == 0:
-            assert _cleared_inverse(rows) == (0, ())
-        else:
-            assert _cleared_inverse(rows) == _cleared(m.inverse().rows)
+        d, inv = _cleared_inverse(rows)
+        if leibniz_det(rows) == 0:
+            assert (d, inv) == (0, ())
+            singular += 1
+            continue
+        assert d > 0 and gcd(d, *chain.from_iterable(inv)) == 1
+        product = [[_dot(row, col) for col in zip(*inv)] for row in rows]
+        assert product == [[d * (i == j) for j in range(n)] for i in range(n)]
+    assert 0 < singular < 300
 
 
 def _scaled(problem: IsometryProblem, k: int) -> IsometryProblem:
