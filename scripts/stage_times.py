@@ -11,12 +11,16 @@ them:
 * ``solve_eq1``;
 * ``solve_eq3_per_z0``, once per probe: ``solve_eq3_per_z0.probe<i>``
   is the time of probe i, and ``solve_eq3_per_z0`` their sum;
-* ``filter_eq2``, for each eq1 row that the search processes directly
+* ``filter_eq2``, for each eq1 row that the first-witness scan places
   (one of each +-pair): ``filter_eq2.first`` is the first call, which
   builds the packed table of the eq3 rows, ``filter_eq2.rest`` the later
   calls, and ``filter_eq2`` their sum;
-* ``_assemble``, drained for each of those filtered lists;
-* ``reconstruct``, on every assembled tuple;
+* ``_assemble``, the cross-probe assembly of those rows: the joint search
+  in index order (eq1 first), drained, with each eq1 row's eq2 survivors
+  served from the ``filter_eq2`` stage;
+* ``joint_search``, the joint search of ``--all`` as it runs: shells
+  placed by size, the first one's packed table built afresh, drained;
+* ``reconstruct``, on every tuple of the eq1-first scan;
 * ``pulls_back``, the exact check inside ``reconstruct``, alone: once
   more on every (num, den) that ``reconstruct`` checked;
 * ``integral_listing``, the stdout listing of ``factorize --all`` (the
@@ -31,9 +35,10 @@ them:
 
 Each stage's time is the best of ``--repeats`` runs (building the problem
 is not timed).  The script prints one JSON object that maps each problem
-to its stage times in seconds, plus a ``total`` entry per stage summed
-over the problems that have it (the per-probe entries depend on the
-dimension).  Usage, from the root of a checkout::
+to its stage times in seconds and to ``first_column``, the shell that
+``--all`` places first (``eq1`` or ``probe<i>``), plus a ``total`` entry
+per stage summed over the problems that have it (the per-probe entries
+depend on the dimension).  Usage, from the root of a checkout::
 
     PYTHONPATH=src python3 scripts/stage_times.py --repeats 5
 
@@ -58,9 +63,11 @@ import gen  # noqa: E402
 
 from superlat.cli import integral_listing, matrix_listing  # noqa: E402
 from superlat.forms import GramForm  # noqa: E402
+from superlat import isometry  # noqa: E402
 from superlat.isometry import (  # noqa: E402
     IsometryProblem,
-    _assemble,
+    _joint_search,
+    _size_order,
     brute_force_isometries,
     filter_eq2,
     find_isometries,
@@ -93,6 +100,13 @@ def build(text: str) -> IsometryProblem | None:
     return IsometryProblem(GramForm(pf.gram), GramForm(pf.target), pf.w, probes=probes)
 
 
+def first_column(problem: IsometryProblem) -> str:
+    """The shell that the joint search of ``--all`` places first."""
+    shells = (solve_eq1(problem), *(solve_eq3_per_z0(problem, z0) for z0 in problem.probes))
+    first = _size_order(shells)[0]
+    return f"probe{first - 1}" if first else "eq1"
+
+
 def one_pass(text: str) -> dict[str, float]:
     """The time of each stage on a freshly built problem."""
     problem = build(text)
@@ -117,9 +131,21 @@ def one_pass(text: str) -> dict[str, float]:
     times["filter_eq2.rest"] = perf_counter() - start
     times["filter_eq2"] = times["filter_eq2.first"] + times["filter_eq2.rest"]
 
+    shells = (e1s, *per_probe)
+    served = dict(zip(direct, filtered))
+    isometry.filter_eq2 = lambda _problem, e1, _shells: served[e1]
+    try:
+        start = perf_counter()
+        blocks = list(_joint_search(problem, shells, range(len(shells))))
+        times["_assemble"] = perf_counter() - start
+    finally:
+        isometry.filter_eq2 = filter_eq2
+    tuples = [(cols[0], cols[1:]) for block in blocks for cols in block]
+
+    problem._eq2_table = None
     start = perf_counter()
-    tuples = [(e1, picks) for e1, lists in zip(direct, filtered) for picks in _assemble(problem, lists)]
-    times["_assemble"] = perf_counter() - start
+    list(_joint_search(problem, shells, _size_order(shells)))
+    times["joint_search"] = perf_counter() - start
 
     start = perf_counter()
     for e1, picks in tuples:
@@ -172,15 +198,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     out: dict[str, dict[str, float]] = {}
+    firsts: dict[str, str] = {}
     for name, text in problem_texts():
-        if build(text) is None:
+        problem = build(text)
+        if problem is None:
             continue
         runs = [one_pass(text) for _ in range(args.repeats)]
         out[name] = {stage: round(min(run[stage] for run in runs), 6) for stage in runs[0]}
+        firsts[name] = first_column(problem)
     stages = dict.fromkeys(stage for times in sorted(out.values(), key=len, reverse=True) for stage in times)
     out["total"] = {
         stage: round(sum(times.get(stage, 0.0) for times in out.values()), 6) for stage in stages
     }
+    for name, first in firsts.items():
+        out[name]["first_column"] = first
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import InvalidForm, NegativeTarget, NotPositiveDefinite
 from .linalg import Mat, _cleared
@@ -188,11 +188,130 @@ def vectors_of_norm(q: PosDefForm, c: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sols)
 
 
+# Sorenson and Webster (2015): every odd composite below _MR_BOUND fails
+# the strong probable-prime test to at least one of the first 13 prime
+# bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+# Odd primes below this are divided out first, so the cofactor left to
+# the tests below exceeds every base.
+_TRIAL_LIMIT = 1000
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Whether odd n > 41 passes the Miller-Rabin test to every base of
+    _MR_BASES.  False proves n composite; True proves n prime when
+    n < _MR_BOUND."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A factor 1 < d < n of an odd composite n: Pollard's rho with
+    Brent's cycle detection (Brent 1980), products of 128 differences per
+    gcd, and a new constant c whenever a cycle closes without one."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # The batch overshot: step again from its start, one gcd each.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise AssertionError("no factor of a composite")
+
+
+def _smallest_factor(n: int, start: int) -> int:
+    """The smallest factor p >= start of odd n > 1, for start odd and no
+    factor of n below it: trial division, exact at any size."""
+    p = start
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 2
+    return n
+
+
+def _odd_prime_exponents(n: int) -> dict[int, int]:
+    """The exponent of each prime factor of odd n >= 1.
+
+    Primes below _TRIAL_LIMIT are divided out by trial division.  A
+    cofactor left that is a square r^2 is split as r, r.  Any other is
+    proved prime by the strong test when below _MR_BOUND, or proved
+    composite when it fails the test, and then split by Pollard-Brent.
+    A cofactor at or above _MR_BOUND that passes the test is not proved
+    prime by it, so it is split by trial division, which is exact but
+    takes sqrt(cofactor) steps for a prime.
+    """
+    out: dict[int, int] = {}
+    p = 3
+    while p < _TRIAL_LIMIT and p * p <= n:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        p += 2
+    if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
+        # Every factor below _TRIAL_LIMIT is gone, so n is 1 or a prime.
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        r = isqrt(m)
+        if r * r == m:
+            stack += [r, r]
+            continue
+        if not _strong_probable_prime(m):
+            d = _pollard_brent(m)
+        elif m < _MR_BOUND:
+            d = m
+        else:
+            d = _smallest_factor(m, _TRIAL_LIMIT + 1)
+        if d == m:
+            out[m] = out.get(m, 0) + 1
+        else:
+            stack += [f for f in (d, m // d) if f > 1]
+    return out
+
+
 def two_squares_representable(n: int) -> bool:
     """True iff n = a^2 + b^2 has an integer solution.
 
     Fermat: representable iff every prime = 3 (mod 4) divides n to an even
-    power.  Trial division; inputs are desk-scale.
+    power.  The odd part of n is factored by _odd_prime_exponents: trial
+    division by small primes, then the deterministic Miller-Rabin test and
+    Pollard-Brent rho, so a prime near 10^24 is decided in milliseconds.
+    Rho's work grows with the square root of the second-largest prime
+    factor, so a product of two large primes still takes long.
     """
     if n < 0:
         raise NegativeTarget(f"{n} is negative")
@@ -200,17 +319,7 @@ def two_squares_representable(n: int) -> bool:
         return True
     while n % 2 == 0:
         n //= 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if p % 4 == 3 and e % 2:
-                return False
-        p += 2
-    return n % 4 != 3
+    return all(p % 4 != 3 or e % 2 == 0 for p, e in _odd_prime_exponents(n).items())
 
 
 def three_squares_representable(n: int) -> bool:

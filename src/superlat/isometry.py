@@ -18,11 +18,12 @@ shell is finite.  A solution is its L0 row: (s, x) for s w + btilde and
 (t_i, y_i) for t_i w + c_i, with x and y_i coordinates in a basis of K.
 These rows, as vectors_of_norm returns them, are the only format from
 enumeration to reconstruction.  Eq2 and the polarized eq3 across probe
-pairs are L0 pairings of rows under diag(N, G_K): eq2 is tested on the
-rows of all probes at once, surviving tuples are assembled across probe
-pairs, and reconstruct maps the rows to ambient vectors through
-E = (w | kernel basis), builds the candidate matrix and verifies it
-exactly.
+pairs are L0 pairings of rows under diag(N, G_K), each with a fixed
+target: one joint search places a row of each shell with forward
+checking, every placed row narrowing the open shells (the first one on
+a packed table of all their rows at once), and reconstruct maps each
+joint tuple to ambient vectors through E = (w | kernel basis), builds
+the candidate matrix and verifies it exactly.
 
 The module also houses the infinite-family obstructions (two- and
 three-squares) and an independent brute-force oracle used to validate the
@@ -518,33 +519,34 @@ def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> tuple[tuple[int, ...]
 
 
 class _Eq2Table:
-    """The eq2 pairings of the eq3 rows as one _SlotMap with inputs
-    (g, 1), one slot per packed row (shell i starts at offsets[i]).
+    """The L0 pairings of a placed row with the rows of other shells, as
+    one _SlotMap with inputs (g, 1), one slot per packed row (shell i
+    starts at offsets[i]).
 
     Each shell must be sign-complete, row L-1-j = -row j (ValueError
     otherwise), so only its first ceil(L/2) rows are packed.  Column j
-    of the map holds the j-th L0 coordinate of every packed row (t, then
-    the kernel coordinates of c), and the last column holds -e2 on the
-    rows of each probe, so slot k of the map at (g, 1) is g . row_k - e2.
-    The table keeps the (immutable) shells it was built from, and
-    filter_eq2 rebuilds it for any other shells.
+    of the map holds the j-th L0 coordinate of every packed row, and the
+    last column holds -targets[i] on the rows of shell i, so slot k of
+    the map at (g, 1) is g . row_k - targets[i].  filter_eq2 keeps the
+    table of the eq3 shells with the eq2 targets on the problem, and
+    rebuilds it for any other shells.
     """
 
-    __slots__ = ("shells", "eq2_targets", "offsets", "map")
+    __slots__ = ("shells", "targets", "offsets", "map")
 
-    def __init__(self, shells, eq2_targets):
+    def __init__(self, shells, targets):
         self.shells = tuple(shells)
-        self.eq2_targets = eq2_targets
+        self.targets = targets
         halves = []
         for shell in self.shells:
             half = shell[: (len(shell) + 1) // 2]
             # Row L-1-j = -row j for each row j of the half.
             if [*chain.from_iterable(reversed(shell[len(shell) - len(half) :]))] != [*map(neg, chain.from_iterable(half))]:
-                raise ValueError("an eq3 shell is not sign-complete")
+                raise ValueError("a shell is not sign-complete")
             halves.append(half)
         self.offsets = (0, *accumulate(map(len, halves)))
-        minus_e2 = tuple(chain.from_iterable((-e2,) * len(half) for e2, half in zip(eq2_targets, halves)))
-        self.map = _SlotMap([*zip(*chain.from_iterable(halves)), minus_e2])
+        minus_t = tuple(chain.from_iterable((-t,) * len(half) for t, half in zip(targets, halves)))
+        self.map = _SlotMap([*zip(*chain.from_iterable(halves)), minus_t])
 
     def built_from(self, shells) -> bool:
         return len(shells) == len(self.shells) and all(map(is_, shells, self.shells))
@@ -567,6 +569,37 @@ def _slots_holding(raw: bytes, pattern: bytes, lo: int, hi: int) -> list[int]:
     return out
 
 
+def _survivors(table: _Eq2Table, g) -> list[list[tuple[int, ...]]]:
+    """The rows of each shell of table that pair with a placed row to the
+    shell's target, g = diag(N, G_K) row: rows r with g . r = targets[i].
+
+    The map at (g, 1) holds g . row_j - t + 2^(W-1) for each packed row j,
+    and two searches for aligned matches in the sum's bytes find a
+    shell's survivors: slots holding 2^(W-1) are the rows with
+    g . row_j = t, and slots holding 2^(W-1) - 2 t (none when
+    2 |t| >= 2^(W-1)) the rows with g . row_j = -t, whose mirror row
+    L-1-j survives; the zero middle row of an odd-length shell is left
+    to the first search.  The survivors of each shell come in shell
+    order, as the row tuples of the shell.
+    """
+    shells, offsets = table.shells, table.offsets
+    if not offsets[-1]:
+        return [[] for _ in shells]
+    total = table.map.total((*g, 1))
+    width = table.map.width
+    nbytes, half = width // 8, 1 << (width - 1)
+    raw = total.to_bytes(table.map.nslots * nbytes, "little")
+    centre = half.to_bytes(nbytes, "little")
+    out = []
+    for shell, t, lo, hi in zip(shells, table.targets, offsets, offsets[1:]):
+        kept = list(map(shell.__getitem__, _slots_holding(raw, centre, lo, hi)))
+        if 2 * abs(t) < half:
+            mirrored = _slots_holding(raw, (half - 2 * t).to_bytes(nbytes, "little"), lo, lo + len(shell) // 2)
+            kept += [shell[-1 - j] for j in reversed(mirrored)]
+        out.append(kept)
+    return out
+
+
 def filter_eq2(
     problem: IsometryProblem,
     e1: tuple[int, ...],
@@ -576,69 +609,102 @@ def filter_eq2(
     the eq1 row e1 = (s, x): N^2 B'(w, zhat_i) = N s t + B(btilde, c).
 
     The right side is the L0 pairing g . (t, y) of the eq3 row (t, y)
-    with g = diag(N, G_K) e1 = (N s, G_K x), computed once per call.  The
-    _SlotMap of _Eq2Table at (g, 1) holds g . row_j - e2 + 2^(W-1) for
-    each packed row j, and two searches for aligned matches in the sum's
-    bytes find a probe's survivors: slots holding 2^(W-1) are the rows
-    with g . row_j = e2, and slots holding 2^(W-1) - 2 e2 (none when
-    2 |e2| >= 2^(W-1)) the rows with g . row_j = -e2, whose mirror
-    row L-1-j survives; the zero middle row of an odd-length shell is
-    left to the first search.  The table is built on the first call for
-    a list of sign-complete shells (one per probe) and cached on the
-    problem.  The result lists the survivors of each probe in eq3 order,
-    as the row tuples of its shell.
+    with g = diag(N, G_K) e1 = (N s, G_K x), computed once per call, and
+    _survivors finds every probe's rows with that pairing at once on the
+    packed _Eq2Table of the eq3 shells with the eq2 targets.  The table
+    is built on the first call for a list of sign-complete shells (one
+    per probe) and cached on the problem.  The result lists the
+    survivors of each probe in eq3 order, as the row tuples of its
+    shell.  The joint search of find_isometries narrows through this
+    call when the eq1 row is placed first.
     """
     table = problem._eq2_table
     if table is None or not table.built_from(per_probe):
         table = problem._eq2_table = _Eq2Table(per_probe, problem.eq2_targets)
-    shells, offsets = table.shells, table.offsets
-    if not offsets[-1]:
-        return [[] for _ in shells]
-    g = [_dot(row, e1) for row in problem._l0_gram]
-    total = table.map.total((*g, 1))
-    width = table.map.width
-    nbytes, half = width // 8, 1 << (width - 1)
-    raw = total.to_bytes(table.map.nslots * nbytes, "little")
-    centre = half.to_bytes(nbytes, "little")
-    out = []
-    for shell, e2, lo, hi in zip(shells, table.eq2_targets, offsets, offsets[1:]):
-        kept = list(map(shell.__getitem__, _slots_holding(raw, centre, lo, hi)))
-        if 2 * abs(e2) < half:
-            mirrored = _slots_holding(raw, (half - 2 * e2).to_bytes(nbytes, "little"), lo, lo + len(shell) // 2)
-            kept += [shell[-1 - j] for j in reversed(mirrored)]
-        out.append(kept)
-    return out
+    return _survivors(table, [_dot(row, e1) for row in problem._l0_gram])
 
 
-def _assemble(problem: IsometryProblem, filtered: list[list[tuple[int, ...]]]):
-    """Yield per-probe combinations of eq3 rows consistent across probe
-    pairs: the L0 pairing row_i . diag(N, G_K) row_j, which is
-    B(c_i, c_j) + N t_i t_j, equals N^2 B'(zhat_i, zhat_j).  The product
-    diag(N, G_K) row of a chosen row is formed once per node of the
-    depth-first search."""
-    gram = problem._l0_gram
-    e3 = problem.eq3_targets
-    k = len(filtered)
-    chosen: list[tuple[int, ...] | None] = [None] * k
-    products: list[list[int] | None] = [None] * k
+def _size_order(shells) -> list[int]:
+    """The columns of the joint search by shell size, fewest rows first;
+    ties keep index order, so the eq1 column wins them."""
+    return sorted(range(len(shells)), key=lambda c: len(shells[c]))
 
-    def rec(i: int):
-        if i == k:
-            yield tuple(chosen)
+
+def _joint_search(problem: IsometryProblem, shells, order):
+    """Yield, for each row r of the first half of shells[order[0]] and
+    then for its zero middle row (odd length only), the list of joint
+    tuples whose column order[0] holds r.
+
+    shells[0] is the eq1 shell and shells[i] the eq3 shell of probe i,
+    each sorted and sign-complete.  A joint tuple holds one row of each
+    shell, in index order, such that every two of its rows pair under
+    diag(N, G_K) to their target: eq2 for the eq1 row with an eq3 row,
+    the cross-probe N^2 B'(zhat_i, zhat_j) for two eq3 rows.  The columns
+    are placed in the given order with forward checking: a placed row
+    narrows every open column to the rows that pair with it to their
+    target, and a column left empty drops the branch.  The first placed
+    row narrows all other columns at once on a packed _Eq2Table: through
+    filter_eq2 (looked up on the module) when the eq1 column is first,
+    through _survivors on a table of the other shells otherwise.  Deeper
+    rows narrow the open lists one dot product per row, the shortest
+    list first.  Each list keeps shell order, so the tuples with r come
+    in the lexicographic order of their rows' shell positions, taken in
+    column order.
+
+    The equations are homogeneous of degree 2, so the tuples with -r in
+    column order[0] are those with r negated; the caller derives them.
+    Nothing is yielded when a shell is empty.
+    """
+    if not all(shells):
+        return
+    n, gram = len(shells), problem._l0_gram
+    e2 = problem.eq2_targets
+    # targets[a][b]: the L0 pairing of the rows of columns a != b.
+    targets = [(problem.eq1_target, *e2), *((t, *row) for t, row in zip(e2, problem.eq3_targets))]
+    first = order[0]
+    others = [c for c in range(n) if c != first]
+    if first == 0:
+        def narrow(row):
+            return filter_eq2(problem, row, shells[1:])
+    else:
+        table = _Eq2Table([shells[c] for c in others], [targets[first][c] for c in others])
+
+        def narrow(row):
+            return _survivors(table, [_dot(g, row) for g in gram])
+    chosen: list = [None] * n
+
+    def rec(d: int, lists: list):
+        # lists[c]: the rows of open column c that fit every placed row.
+        c = order[d]
+        if d == n - 1:
+            for v in lists[c]:
+                chosen[c] = v
+                yield tuple(chosen)
             return
-        targets = e3[i]
-        for cand in filtered[i]:
-            for j in range(i):
-                if _dot(cand, products[j]) != targets[j]:
+        tc = targets[c]
+        checks = sorted(order[d + 1 :], key=lambda k: len(lists[k]))
+        for v in lists[c]:
+            g = [_dot(row, v) for row in gram]
+            narrowed = lists.copy()
+            for k in checks:
+                t = tc[k]
+                if not (kept := [u for u in lists[k] if sum(map(mul, u, g)) == t]):
                     break
+                narrowed[k] = kept
             else:
-                chosen[i] = cand
-                if i + 1 < k:
-                    products[i] = [_dot(row, cand) for row in gram]
-                yield from rec(i + 1)
-        chosen[i] = None
+                chosen[c] = v
+                yield from rec(d + 1, narrowed)
 
-    yield from rec(0)
+    shell = shells[first]
+    for r in shell[: (len(shell) + 1) // 2]:
+        chosen[first] = r
+        if n == 1:
+            yield [(r,)]
+            continue
+        lists: list = [None] * n
+        for c, kept in zip(others, narrow(r)):
+            lists[c] = kept
+        yield list(rec(1, lists)) if all(lists[c] for c in others) else []
 
 
 def reconstruct(problem: IsometryProblem, e1: tuple[int, ...], picks: tuple) -> CandidateIsometry | None:
@@ -681,33 +747,38 @@ def find_isometries(
 ) -> SearchResult:
     """Run the full pipeline and certify the outcome.
 
-    Composes solve_eq1, solve_eq3_per_z0 (once per probe), filter_eq2,
-    cross-probe assembly and reconstruct, all on L0 rows.  Every
-    filter_eq2 call gets the same shells, so the eq2 slot map of the
-    first halves of the eq3 shells is built once per search and each eq1
-    row costs a few big-integer operations for all of its eq2 pairings
-    (see filter_eq2); reconstruct evaluates the problem's other slot
-    map, built once, per joint tuple.
+    Composes solve_eq1, solve_eq3_per_z0 (once per probe), the joint
+    search over the n shells (eq1, then one eq3 shell per probe) and
+    reconstruct, all on L0 rows.  The joint search (_joint_search)
+    places one row per shell with forward checking, every pairing of two
+    rows held to its eq2 or cross-probe target; the first placed row
+    narrows all other shells at once on a packed table (filter_eq2 when
+    the eq1 row is first), and reconstruct evaluates the problem's other
+    slot map, built once, per joint tuple.  With all_solutions=True the
+    shells are placed by size, fewest rows first (eq1 first on ties): the
+    output does not depend on the order, because the candidates are
+    sorted.  The first-witness scan places them in index order (eq1,
+    probe 1, ...), which meets the tuples in the order of the eq1-first
+    scan.
 
-    The equations are homogeneous of degree 2 and the eq1 and eq3 lists
-    are sign-complete with entry L-1-j = -entry j, so only e1s[i] with
-    i <= L-1-i is filtered, assembled and reconstructed.  For i > L-1-i
-    the partner e1s[L-1-i] = -e1s[i] came earlier and its result is
-    reused: the same number of joint tuples, raw minus canonical
-    canonical ones, and its candidates negated in reverse order.  The
-    eq2 survivors of -e1 are those of e1 negated, in reverse eq3 order
-    (eq2 is bilinear); _assemble, a depth-first search in list order,
-    then meets the tuples in reverse; reconstruct is linear in the tuple
-    and its test num^T B num = den^2 B' is even in num.  The middle
-    entry of an odd-length list (e1 = 0) is processed directly.
-    Integrality is invariant under negation, so the first witness
-    always comes from a directly processed e1.
+    The equations are homogeneous of degree 2 and the shells are
+    sign-complete with entry L-1-j = -entry j, so only the first half of
+    the first placed shell and its zero middle row (odd length) are
+    searched.  The tuples with -r in the first placed column are those
+    with r negated; reconstruct is linear in the tuple and its test
+    num^T B num = den^2 B' is even in num, so the search's candidates
+    are followed by their negations in reverse order.  No joint tuple
+    holds a zero row: the pairing targets form N^2 times the Gram matrix
+    of B' in the basis (w, zhat_1, ...), which is nonsingular because
+    det B' = det B > 0 here, so the middle row yields nothing and no
+    tuple is its own negation.  Integrality is invariant under negation,
+    so the first witness always comes from a searched row.
 
     The certificate is ObstructionDeterminant on determinant mismatch,
     ObstructionEq1 when eq1 has no solutions, IsometricWitness when an
     integral candidate exists, NoIntegralIsometry otherwise.  With
-    all_solutions=False the scan stops at the first integral witness
-    (stats are then partial).
+    all_solutions=False the scan stops after the first eq1 row that
+    yields an integral witness (stats are then partial).
     """
     if problem.det_mismatch:
         cert = Certificate(
@@ -730,33 +801,26 @@ def find_isometries(
         )
         return SearchResult([], cert, SearchStats())
     per_probe = [solve_eq3_per_z0(problem, z0) for z0 in problem.probes]
-    eq3_counts = tuple(len(c) for c in per_probe)
+    shells = (e1s, *per_probe)
+    order = _size_order(shells) if all_solutions else range(len(shells))
 
     candidates: list[CandidateIsometry] = []
     joint_raw = joint_canonical = 0
-    # Per directly processed e1s[i]: (raw tuples, canonical tuples, start
-    # and end of its candidates in `candidates`).
-    done: list[tuple[int, int, int, int]] = []
-    last = len(e1s) - 1
-    for i, e1 in enumerate(e1s):
+    for tuples in _joint_search(problem, shells, order):
         start = len(candidates)
-        if i > last - i:
-            raw, canonical, lo, hi = done[last - i]
-            canonical = raw - canonical
-            candidates.extend(-c for c in reversed(candidates[lo:hi]))
-        else:
-            raw = canonical = 0
-            for picks in _assemble(problem, filter_eq2(problem, e1, per_probe)):
-                raw += 1
-                canonical += _sign_canonical(chain(e1, *picks))
-                cand = reconstruct(problem, e1, picks)
-                if cand is not None:
-                    candidates.append(cand)
-            done.append((raw, canonical, start, len(candidates)))
-        joint_raw += raw
-        joint_canonical += canonical
+        for cols in tuples:
+            joint_raw += 1
+            joint_canonical += _sign_canonical(chain.from_iterable(cols))
+            cand = reconstruct(problem, cols[0], cols[1:])
+            if cand is not None:
+                candidates.append(cand)
         if not all_solutions and any(c.integral for c in candidates[start:]):
             break
+    else:
+        # The tuples not searched are those found, negated; no tuple is
+        # its own negation, so one of each pair is canonical.
+        joint_raw, joint_canonical = 2 * joint_raw, joint_raw
+        candidates += [-c for c in reversed(candidates)]
     if all_solutions:
         # Each atilde is an integer row over the one denominator dp > 0,
         # so the integer provenance orders the candidates as its Fractions do.
@@ -784,7 +848,7 @@ def find_isometries(
         eq1_raw=len(e1s),
         # One of each +-pair, and 0 (canonical) when it is a solution.
         eq1_canonical=(len(e1s) + 1) // 2,
-        eq3_per_probe=eq3_counts,
+        eq3_per_probe=tuple(map(len, per_probe)),
         joint_raw=joint_raw,
         joint_canonical=joint_canonical,
         candidates=len(candidates),
@@ -902,15 +966,16 @@ def brute_force_isometries(
     """Complete list of integral M with M^T B M = B', by direct search.
 
     Both forms must be integral (NonIntegralForm otherwise).  Column j of
-    M lies in the shell {v : B(v,v) = B'_jj}, computed once with the
-    images B v.  The columns are placed in order with forward checking:
-    u in column j keeps, of each later column k, the v with v . Bu = B'_jk,
-    and is dropped when a column has none left; the matrices come in
-    lexicographic order of their shell indices.  Shells must be sorted
-    and sign-complete, entry L-1-i = -entry i (ValueError otherwise), so
-    the matrices with first column -v are those with v, negated and
-    reversed: only the first half of the first shell and its middle 0 are
-    searched.  bound keeps only entries |m_ij| <= bound.  Desk-scale only.
+    M lies in the shell {v : B(v,v) = B'_jj}, empty when B'_jj < 0,
+    computed once with the images B v.  The columns are placed in order
+    with forward checking: u in column j keeps, of each later column k,
+    the v with v . Bu = B'_jk, and is dropped when a column has none
+    left; the matrices come in lexicographic order of their shell
+    indices.  Shells must be sorted and sign-complete, entry
+    L-1-i = -entry i (ValueError otherwise), so the matrices with first
+    column -v are those with v, negated and reversed: only the first half
+    of the first shell and its middle 0 are searched.  bound keeps only
+    entries |m_ij| <= bound.  Desk-scale only.
     """
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimensions differ")
@@ -919,7 +984,7 @@ def brute_force_isometries(
     q, n = PosDefForm(source.gram), source.dim
     b_rows = tuple(tuple(int(x) for x in row) for row in source.gram.rows)
     bp = tuple(tuple(int(x) for x in row) for row in target.gram.rows)
-    col_sets = [list(vectors_of_norm(q, bp[j][j])) for j in range(n)]
+    col_sets = [list(vectors_of_norm(q, t)) if t >= 0 else [] for t in (bp[j][j] for j in range(n))]
     if bound is not None:
         col_sets = [[v for v in cs if max(map(abs, v)) <= bound] for cs in col_sets]
     images = {v: tuple(_dot(row, v) for row in b_rows) for cs in col_sets for v in cs}

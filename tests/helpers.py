@@ -15,7 +15,6 @@ from superlat.isometry import (
     SearchResult,
     CandidateIsometry,
     SearchStats,
-    _assemble,
     _dot,
     _sign_canonical,
     filter_eq2,
@@ -329,6 +328,27 @@ def reference_filter_eq2(problem, e1, per_probe):
     ]
 
 
+def trial_division_two_squares(n: int) -> bool:
+    """Whether n >= 0 is a sum of two squares, by Fermat's criterion on a
+    factorization by trial division up to sqrt(n): the test that
+    diophantine.two_squares_representable replaced, kept as its
+    reference."""
+    if n == 0:
+        return True
+    while n % 2 == 0:
+        n //= 2
+    p = 3
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if p % 4 == 3 and e % 2:
+            return False
+        p += 2
+    return n % 4 != 3
+
+
 def reference_vectors_of_norm(q: PosDefForm, c) -> tuple[tuple[int, ...], ...]:
     """The sorted shell {v : v^T Q v = c} with the level-1 loop that
     diophantine.vectors_of_norm replaced, kept as its reference: one
@@ -543,6 +563,46 @@ def reference_reconstruct(problem, e1, picks):
     return CandidateIsometry.from_numerators(num, den, (e1[0], btilde, atilde, cs))
 
 
+def reference_assemble(problem, filtered):
+    """Yield per-probe combinations of eq3 rows consistent across probe
+    pairs: the L0 pairing row_i . diag(N, G_K) row_j, which is
+    B(c_i, c_j) + N t_i t_j, equals N^2 B'(zhat_i, zhat_j).  A depth-first
+    search in list order that checks each row against the rows chosen
+    before it: the assembly that the forward-checking joint search of
+    isometry.find_isometries replaced, kept as its reference."""
+    gram = problem._l0_gram
+    e3 = problem.eq3_targets
+    k = len(filtered)
+    chosen = [None] * k
+    products = [None] * k
+
+    def rec(i):
+        if i == k:
+            yield tuple(chosen)
+            return
+        targets = e3[i]
+        for cand in filtered[i]:
+            if all(_dot(cand, products[j]) == targets[j] for j in range(i)):
+                chosen[i] = cand
+                products[i] = [_dot(row, cand) for row in gram]
+                yield from rec(i + 1)
+        chosen[i] = None
+
+    yield from rec(0)
+
+
+def reference_joint_tuples(problem):
+    """Every joint tuple (e1, pick_1, ...) of the problem, in the order of
+    the eq1-first loop: filter_eq2 and reference_assemble for each eq1
+    row, both members of each +-pair included."""
+    per_probe = [solve_eq3_per_z0(problem, z0) for z0 in problem.probes]
+    return [
+        (e1, *picks)
+        for e1 in solve_eq1(problem)
+        for picks in reference_assemble(problem, filter_eq2(problem, e1, per_probe))
+    ]
+
+
 def reference_find_isometries(problem, all_solutions=True):
     """find_isometries with one pass of filter_eq2, assembly and
     reconstruct per eq1 solution, both members of each +-pair included:
@@ -576,7 +636,7 @@ def reference_find_isometries(problem, all_solutions=True):
     joint_raw = joint_canonical = 0
     for e1 in e1s:
         has_integral = False
-        for picks in _assemble(problem, filter_eq2(problem, e1, per_probe)):
+        for picks in reference_assemble(problem, filter_eq2(problem, e1, per_probe)):
             joint_raw += 1
             if _sign_canonical(chain(e1, *picks)):
                 joint_canonical += 1

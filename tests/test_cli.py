@@ -408,6 +408,15 @@ class TestOracle:
         assert "brute-force isometries: 12" in capsys.readouterr().out
 
 
+    def test_negative_target_diagonal_exits_1(self, tmp_path, capsys):
+        # No column of M has B-norm -1: the oracle finds nothing, and
+        # factorize stops at eq1, both with exit 1.
+        path = write(tmp_path, "neg.txt", "n 2\nB\n1 0\n0 1\nBprime\n-1 0\n0 -1\nw 1 0\n")
+        assert main(["oracle", path]) == 1
+        assert capsys.readouterr().out == "brute-force isometries: 0\n"
+        assert main(["factorize", path]) == 1
+        assert "ObstructionEq1" in capsys.readouterr().out
+
 class TestDecomposeAndGradeBasis:
     def test_identity_decomposition(self, capsys):
         assert main(["decompose", TERNARY_FILE]) == 0

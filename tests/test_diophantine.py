@@ -1,6 +1,7 @@
 """Norm-equation enumeration and sums-of-squares predicates."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
@@ -16,6 +17,7 @@ from helpers import (
     rand_pd_gram,
     rand_pullback_problem,
     reference_vectors_of_norm,
+    trial_division_two_squares,
 )
 from superlat.diophantine import (
     PosDefForm,
@@ -26,7 +28,7 @@ from superlat.diophantine import (
 )
 from superlat.errors import InvalidForm, NegativeTarget, NotPositiveDefinite
 from superlat.forms import GramForm
-from superlat.isometry import IsometryProblem, brute_force_isometries, find_isometries
+from superlat.isometry import IsometryProblem, brute_force_isometries, find_isometries, squares_certificate, verify_certificate
 from superlat.linalg import Mat, Vec
 
 
@@ -297,4 +299,35 @@ def test_squares_predicates_match_exhaustive_sample():
     for n in range(600):
         assert two_squares_representable(n) == _exhaustive_two_squares(n)
         assert three_squares_representable(n) == _exhaustive_three_squares(n)
+
+
+def test_two_squares_matches_trial_division_below_10_12():
+    # Random(1901): 300 draws log-uniform in size, then products that put
+    # primes = 3 (mod 4) near 10^3...10^6 to odd and even powers, and
+    # squares and products of primes above the trial-division limit.
+    rng = random.Random(1901)
+    draws = [rng.randrange(1, 10 ** rng.randint(1, 12)) for _ in range(300)]
+    big3 = [p for p in range(999_983, 990_000, -4) if all(p % d for d in range(3, isqrt(p) + 1, 2))][:3]
+    mid = [1009, 1013, 1019, 1021, 9973, 10007]
+    draws += [p * q for p in big3 for q in big3] + [p * 7 for p in big3]
+    draws += [p * q * r for p in mid for q in mid for r in (1, 2, 3, 9, 11) if p * q * r < 10**12]
+    draws += [p**3 for p in mid if p**3 < 10**12] + [p**2 for p in mid]
+    assert all(n < 10**12 for n in draws)
+    verdicts = [two_squares_representable(n) for n in draws]
+    assert verdicts == [trial_division_two_squares(n) for n in draws]
+    assert 50 < sum(verdicts) < len(draws) - 50
+
+
+def test_two_squares_decides_a_24_digit_prime_within_a_second():
+    # Both are prime (the strong test to the first 13 prime bases is a
+    # proof below 3.3 * 10^24); trial division to their square roots
+    # would take hours.
+    for p, representable in ((999999999999999999999743, False), (999999999999999999999697, True)):
+        start = time.perf_counter()
+        assert two_squares_representable(p) is representable
+        assert two_squares_representable(p * p) is True
+        cert = squares_certificate(p, 2)
+        assert cert.verdict == ("Inconclusive" if representable else "ObstructionTwoSquares")
+        assert verify_certificate(cert, None)
+        assert time.perf_counter() - start < 1.0
 

@@ -106,3 +106,11 @@ def test_non_integral_form_raises(side):
     forms = {"source": GramForm(Mat.identity(2)), "target": GramForm(Mat.identity(2)), side: half}
     with pytest.raises(NonIntegralForm):
         brute_force_isometries(forms["source"], forms["target"])
+
+
+@pytest.mark.parametrize("diagonal", [(-1, -1), (1, -2), (-3, 2)])
+def test_negative_target_diagonal_gives_no_isometry(diagonal):
+    # A column j with B'_jj < 0 has an empty shell, at any bound.
+    target = GramForm(Mat.diagonal(list(diagonal)))
+    for bound in (None, 1):
+        assert brute_force_isometries(GramForm(Mat.identity(2)), target, bound=bound) == []

@@ -23,17 +23,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import WILSON, _ambient, _reference_recon_tables, leibniz_det, reference_reconstruct
+from helpers import WILSON, _ambient, _reference_recon_tables, leibniz_det, reference_joint_tuples, reference_reconstruct
 from superlat.forms import GramForm
 from superlat.isometry import (
     CandidateIsometry,
     IsometryProblem,
-    _assemble,
     _dot,
-    filter_eq2,
     reconstruct,
-    solve_eq1,
-    solve_eq3_per_z0,
 )
 from superlat.linalg import Mat, Vec, _cleared_inverse
 from superlat.problem_io import load_problem
@@ -74,10 +70,8 @@ CASES = _cases()
 
 
 def _tuples(problem: IsometryProblem):
-    per_probe = [solve_eq3_per_z0(problem, z0) for z0 in problem.probes]
-    for e1 in solve_eq1(problem):
-        for picks in _assemble(problem, filter_eq2(problem, e1, per_probe)):
-            yield e1, picks
+    for e1, *picks in reference_joint_tuples(problem):
+        yield e1, tuple(picks)
 
 
 def _assert_same(got: CandidateIsometry | None, want: CandidateIsometry | None) -> None:
