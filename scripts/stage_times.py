@@ -26,7 +26,9 @@ them:
 * ``integral_listing``, the stdout listing of ``factorize --all`` (the
   integral candidates' entry texts included);
 * ``result_document`` on the search's result, and ``write_document`` of
-  that document into memory;
+  that document into memory (the candidates' entry texts are made with
+  the candidates, inside the search, so ``result_document`` only wraps
+  them and ``write_document`` renders the JSON);
 * ``verify_document`` of the written document, read back with
   ``json.loads``.
 * ``oracle``, the brute-force reference ``brute_force_isometries`` on the

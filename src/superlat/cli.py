@@ -10,8 +10,9 @@ oracle       brute-force reference search, for cross-checking
 verify       re-check a result document produced by factorize/obstruct
 
 Exit codes: 0 success (witness found / obstruction certified / document
-verified), 1 certified negative or inconclusive, 2 parse error,
-3 invariant violation, 4 unsupported input (e.g. indefinite form).
+verified), 1 certified negative or inconclusive, 2 parse error or a
+file that cannot be read or written, 3 invariant violation,
+4 unsupported input (e.g. indefinite form).
 
 The env var SUPERLAT_THREADS is accepted for compatibility and ignored:
 the search runs on one thread, so output is the same for any value.
@@ -311,9 +312,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except NotPositiveDefinite as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -324,6 +322,9 @@ def main(argv=None) -> int:
         # stdout consumer (e.g. head) closed early; not an error.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

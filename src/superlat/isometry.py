@@ -371,9 +371,10 @@ class CandidateIsometry:
     the provenance (s, btilde, atilde, c_i) held as integers: _prov has
     atilde as numerators over _dp > 0, and .provenance builds its
     Fractions when read.  _dp is 0 when _prov is the provenance as given.
-    .matrix is the Mat and .entry_strings the texts of the entries, both
-    derived from (num, den); those of one problem's reconstruct and their
-    negations share a cache of _row_texts, one tuple per distinct row.
+    .matrix is the Mat view, built when read.  .entry_strings, set on
+    construction, holds the rows of M as the texts str(Fraction(x, den));
+    the candidates of one problem's reconstruct and their negations share
+    a cache of _row_texts, one tuple per distinct row.
     """
 
     num: tuple[tuple[int, ...], ...]
@@ -402,8 +403,11 @@ class CandidateIsometry:
         return self
 
     def _fill(self, num, den: int, prov: tuple, dp: int, texts=None) -> None:
-        # _texts is no dataclass field: equality and hashing ignore it.
-        self.__dict__.update(num=num, den=den, _prov=prov, _dp=dp, _texts=texts or cache(_row_texts))
+        # _texts and entry_strings are no dataclass fields: equality and
+        # hashing ignore them.
+        texts = texts or cache(_row_texts)
+        strings = tuple(map(texts, num, repeat(den)))
+        self.__dict__.update(num=num, den=den, _prov=prov, _dp=dp, _texts=texts, entry_strings=strings)
 
     def __reduce__(self):
         # The cache of row texts does not pickle; a copy gets its own.
@@ -441,21 +445,12 @@ class CandidateIsometry:
         den = self.den
         return Mat([Fraction(x, den) for x in row] for row in self.num)
 
-    @cached_property
-    def entry_strings(self) -> tuple[tuple[str, ...], ...]:
-        """The rows of M as the texts str(Fraction(x, den)) of its entries,
-        each row's tuple taken from the shared cache."""
-        return tuple(map(self._texts, self.num, repeat(self.den)))
-
-    def string_rows(self) -> list[list[str]]:
-        """Fresh lists of the entry texts, as documents hold them."""
-        return [list(row) for row in self.entry_strings]
-
 
 @dataclass(frozen=True)
 class Certificate:
     """Machine-checkable verdict; detail carries the evaluated constants
-    needed to re-check it without re-running the full search."""
+    needed to re-check it without re-running the full search, as the JSON
+    values a document holds (a candidate list as entry_strings tuples)."""
 
     verdict: str
     witness: CandidateIsometry | None = None
@@ -840,7 +835,7 @@ def find_isometries(
         cert = Certificate(
             "NoIntegralIsometry",
             detail={
-                "candidates": [c.string_rows() for c in candidates],
+                "candidates": [c.entry_strings for c in candidates],
                 "joint_survivors": joint_raw,
             },
         )

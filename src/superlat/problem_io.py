@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, repeat
+from itertools import repeat
 
 from .errors import ParseError
 from .forms import GramForm
@@ -221,10 +221,6 @@ def _jsonable(x):
         return x
     if isinstance(x, Fraction):
         return scalar_str(x)
-    if isinstance(x, Mat):
-        return matrix_rows(x)
-    if isinstance(x, Vec):
-        return [scalar_str(e) for e in x]
     if isinstance(x, (list, tuple)):
         return [_jsonable(e) for e in x]
     if isinstance(x, dict):
@@ -233,16 +229,16 @@ def _jsonable(x):
 
 
 def certificate_payload(cert: Certificate) -> dict:
-    payload: dict = {"verdict": cert.verdict, "detail": _jsonable(cert.detail)}
-    if cert.witness is not None:
-        payload["witness"] = {
-            "matrix": cert.witness.string_rows(),
-            "integral": cert.witness.integral,
-            "provenance": _jsonable(cert.witness.provenance),
+    """The certificate as a document holds it: the certificate's own
+    detail, not a copy (see Certificate), and the witness's entry_strings."""
+    witness = cert.witness
+    if witness is not None:
+        witness = {
+            "matrix": witness.entry_strings,
+            "integral": witness.integral,
+            "provenance": _jsonable(witness.provenance),
         }
-    else:
-        payload["witness"] = None
-    return payload
+    return {"verdict": cert.verdict, "detail": cert.detail, "witness": witness}
 
 
 def _certificate_from_payload(payload: dict) -> Certificate:
@@ -298,9 +294,11 @@ def result_document(
     problem: IsometryProblem, result: SearchResult, options: dict | None = None, elapsed: float | None = None
 ) -> dict:
     """The machine-readable output of a factorization run.  Everything
-    except ``timing`` is a pure function of the inputs and options."""
+    except ``timing`` is a pure function of the inputs and options.  The
+    candidate entries and the certificate hold the candidates' shared
+    entry_strings tuples (see certificate_payload): no matrix is copied."""
     stats = result.stats
-    doc = {
+    return {
         "inputs": problem_inputs(problem),
         "options": _jsonable(options or {}),
         "stats": {
@@ -313,13 +311,12 @@ def result_document(
             "integral": stats.integral,
         },
         "candidates": [
-            {"matrix": c.string_rows(), "integral": c.integral}
+            {"matrix": c.entry_strings, "integral": c.integral}
             for c in result.candidates
         ],
         "certificate": certificate_payload(result.certificate),
         "timing": {"seconds": elapsed if elapsed is not None else 0.0},
     }
-    return doc
 
 
 def obstruction_document(cert: Certificate, params: dict, elapsed: float | None = None) -> dict:
@@ -339,31 +336,37 @@ def _row_block(pad: str, row: tuple[str, ...]) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(map(_quote, row)) + f"\n{pad}]" if row else "[]"
 
 
+def _is_rows(x) -> bool:
+    """Whether x is a non-empty tuple of tuples, as entry_strings is."""
+    return type(x) is tuple and x != () and all(map(tuple.__instancecheck__, x))
+
+
 def _json_text(x, pad: str, blocks) -> str:
     """The text of the value x as json.dumps(x, sort_keys=True, indent=2)
-    writes it at the indentation pad.  A list of strings is one join over
-    the quoted strings; in a list of such lists (a matrix of entry
-    strings) each distinct row's text comes from blocks, a cache of
-    _row_block.  Dict keys must be strings, as in every superlat document."""
+    writes it at the indentation pad.  A matrix of entry texts (_is_rows)
+    is one join of its rows' texts from blocks, a cache of _row_block; a
+    candidate entry {"integral": bool, "matrix": such rows} is one string
+    around that join.  Dict keys must be strings, as in every document."""
     if isinstance(x, str):
         return _quote(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        if len(x) == 2 and type(flag := x.get("integral")) is bool and _is_rows(rows := x.get("matrix")):
+            deeper = inner + "  "
+            return (
+                f'{{\n{inner}"integral": {"true" if flag else "false"},\n{inner}"matrix": [\n{deeper}'
+                + f",\n{deeper}".join(map(blocks, repeat(deeper), rows))
+                + f"\n{inner}]\n{pad}}}"
+            )
+        if not x:
+            return "{}"
+        items = [f"{_quote(key)}: {_json_text(x[key], inner, blocks)}" for key in sorted(x)]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        inner = pad + "  "
-        if all(map(str.__instancecheck__, x)):
-            items = map(_quote, x)
-        elif all(map(list.__instancecheck__, x)) and all(map(str.__instancecheck__, chain.from_iterable(x))):
-            items = map(blocks, repeat(inner), map(tuple, x))
-        else:
-            items = [_json_text(v, inner, blocks) for v in x]
+        items = map(blocks, repeat(inner), x) if _is_rows(x) else [_json_text(v, inner, blocks) for v in x]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = pad + "  "
-        items = [f"{_quote(key)}: {_json_text(x[key], inner, blocks)}" for key in sorted(x)]
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
     if type(x) is int:
         return int.__repr__(x)
     if x is None or x is True or x is False:

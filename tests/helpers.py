@@ -661,7 +661,7 @@ def reference_find_isometries(problem, all_solutions=True):
         cert = Certificate(
             "NoIntegralIsometry",
             detail={
-                "candidates": [c.string_rows() for c in candidates],
+                "candidates": [c.entry_strings for c in candidates],
                 "joint_survivors": joint_raw,
             },
         )

@@ -144,6 +144,18 @@ class TestFactorize:
     def test_nonexistent_file_is_parse_error(self):
         assert main(["factorize", "/no/such/file.txt"]) == 2
 
+    # An unreadable file is not tested: a process run as root reads it anyway.
+    @pytest.mark.parametrize(
+        "args",
+        [["factorize", "DIR"], ["verify", "DIR"], ["factorize", WILSON_FILE, "--json", "DIR"]],
+        ids=["problem-file", "document-file", "json-target"],
+    )
+    def test_directory_is_parse_error(self, args, tmp_path):
+        argv = [str(tmp_path) if arg == "DIR" else arg for arg in args]
+        proc = subprocess.run([sys.executable, "-m", "superlat.cli", *argv], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
 
 def _without_timing(text: str) -> str:
     return re.sub(r'"seconds": [^\n]*', '"seconds": _', text)

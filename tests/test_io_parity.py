@@ -40,17 +40,27 @@ def _factorize(tmp_path, monkeypatch, capsys, *args):
     return out.read_text(encoding="utf-8"), docs[0]
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        (str(PROBLEMS / "wilson.txt"),),
-        (str(PROBLEMS / "quaternary_pair.txt"),),
-        (str(PROBLEMS / "binary_pair.txt"),),
-    ],
-)
+# The --all documents and what they list: (candidate entries, integral
+# ones, matrices in the certificate's own list).
+STREAMED = {
+    (str(PROBLEMS / "wilson.txt"),): (384, 384, 0),
+    (str(PROBLEMS / "quaternary_pair.txt"),): (224, 0, 224),
+    (str(PROBLEMS / "binary_pair.txt"),): (0, 0, 0),
+    (str(PROBLEMS / "wilson.txt"), "--integral-only"): (384, 384, 0),
+    (str(PROBLEMS / "quaternary_pair.txt"), "--integral-only"): (0, 0, 224),
+    (str(PROBLEMS / "wilson.txt"), "--w", "1 1 1 1"): (1152, 384, 0),
+}
+
+
+@pytest.mark.parametrize("args", list(STREAMED))
 def test_streamed_file_equals_document_json(args, tmp_path, monkeypatch, capsys):
+    # The document holds its candidates' shared row tuples; its text is
+    # still byte for byte what json.dumps writes, and it verifies.
     text, doc = _factorize(tmp_path, monkeypatch, capsys, *args)
-    assert text == document_json(doc)
+    assert text == document_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert verify_document(doc) and verify_document(json.loads(text))
+    listed = doc["certificate"]["detail"].get("candidates", [])
+    assert (len(doc["candidates"]), sum(c["integral"] for c in doc["candidates"]), len(listed)) == STREAMED[args]
 
 
 @pytest.fixture(scope="module")
@@ -360,6 +370,11 @@ def test_document_json_equals_json_dumps(wilson_doc, quaternary_doc):
         # A first item that is a string does not make a list of strings.
         ["a", 1], ["a", ["b"]], ["a", None, True], [["a", "b"], ["c", 1]], [["a"], "b"], [["a"], ("b",)],
         {"n": None, "t": True, "f": False, "l": [None, True, False], "m": [["1", "1"], ["1", "1"]]},
+        # Candidate entries and matrices of entry texts as tuples, and near
+        # misses of either shape.
+        [{"integral": True, "matrix": (("1", "-1/2"), ("0", "1"))}, {"integral": 1, "matrix": (("1",),)}],
+        [{"integral": False, "matrix": [["1"]]}, {"integral": True, "matrix": ()}, {"integral": True, "x": 1}],
+        [((), ("a",)), (("a",), "bc"), ("a", ("b",)), {"m": (("1", "2"),), "k": [(("3",),)]}],
     ]
     for x in shapes:
         assert document_json(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
@@ -372,7 +387,7 @@ def test_document_json_equals_json_dumps(wilson_doc, quaternary_doc):
         assert cand.entry_strings == tuple(tuple(str(x) for x in row) for row in cand.matrix.rows)
     witness = CandidateIsometry(Mat([[0, -1], [1, 0]]), True, (1, (0,), (Fraction(-2, 3),), ((1, 0),)))
     for cands, cert in [
-        (rational, Certificate("NoIntegralIsometry", detail={"candidates": [c.string_rows() for c in rational]})),
+        (rational, Certificate("NoIntegralIsometry", detail={"candidates": [c.entry_strings for c in rational]})),
         ([witness, -witness], Certificate("IsometricWitness", witness=witness, detail={"integral_count": 2})),
     ]:
         doc = result_document(problem, SearchResult(cands, cert, SearchStats()), options={"all": True, "x": None})
