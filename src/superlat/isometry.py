@@ -42,7 +42,6 @@ from struct import Struct
 
 from .diophantine import (
     PosDefForm,
-    _sign_canonical,
     three_squares_representable,
     two_squares_representable,
     vectors_of_norm,
@@ -331,21 +330,29 @@ class _ReconTables:
         )
 
 
-def isometry_denominators(problem: IsometryProblem, matrices):
-    """Check matrices given as rows of entries that parse_fraction reads:
-    yield, for each, the lcm den of its entry denominators when its rows
-    form an n x n matrix M with M^T B M = B' (checked in integers on
-    den M), None otherwise.  M is integral iff den == 1.  Candidates repeat
-    a few distinct entries and rows many times, so each distinct entry is
-    parsed once and each distinct row kept in integers once, as (d, d row)
-    for d the lcm of its denominators."""
+def _integer_matrices(matrices):
+    """Read matrices given as rows (lists or tuples, else TypeError) of
+    entries that parse_fraction reads: yield, for each, (den, num) with
+    den the lcm of its entry denominators and num the integer rows of
+    den M, so M is integral iff den == 1.  Candidates repeat a few
+    distinct entries and rows many times, so each distinct entry is parsed
+    once and each distinct row cleared once, as (d, d row) for d the lcm
+    of its denominators."""
     parse = cache(parse_fraction)
     cleared = cache(lambda row: _cleared([list(map(parse, row))]))
     for rows in matrices:
+        if not all(map(isinstance, rows, repeat((list, tuple)))):
+            raise TypeError("a matrix row must be an array")
         parts = list(map(cleared, map(tuple, rows)))
         den = lcm(*(d for d, _ in parts))
-        num = [row if d == den else tuple(x * (den // d) for x in row) for d, (row,) in parts]
-        yield den if problem.pulls_back(num, den) else None
+        yield den, [row if d == den else tuple(x * (den // d) for x in row) for d, (row,) in parts]
+
+
+def isometry_denominators(problem: IsometryProblem, matrices):
+    """For each matrix M that _integer_matrices reads, yield its
+    denominator den when its rows form an n x n matrix with M^T B M = B'
+    (checked in integers on den M), None otherwise."""
+    return (den if problem.pulls_back(num, den) else None for den, num in _integer_matrices(matrices))
 
 
 def _neg(v) -> tuple:
@@ -363,18 +370,17 @@ class CandidateIsometry:
     """A matrix M = num / den passing the exact verification M^T B M = B',
     together with the solution tuple it was reconstructed from.
 
-    num holds the integer rows of den M, and den > 0 is the lcm of the
-    denominators of the entries of M, so M is integral iff den == 1.
-    CandidateIsometry(matrix, integral, provenance) builds one from a Mat;
-    an integral flag that contradicts the matrix raises ValueError.
-    reconstruct builds one from integer numerators (from_numerators), with
-    the provenance (s, btilde, atilde, c_i) held as integers: _prov has
-    atilde as numerators over _dp > 0, and .provenance builds its
-    Fractions when read.  _dp is 0 when _prov is the provenance as given.
-    .matrix is the Mat view, built when read.  .entry_strings, set on
-    construction, holds the rows of M as the texts str(Fraction(x, den));
-    the candidates of one problem's reconstruct and their negations share
-    a cache of _row_texts, one tuple per distinct row.
+    CandidateIsometry(num, den, provenance, dp, texts) takes integer rows
+    num and den > 0 and keeps them in lowest terms: num holds the integer
+    rows of den M, and den is the lcm of the denominators of the entries
+    of M, so M is integral iff den == 1.  provenance is () (a witness read
+    from a document) or (s, btilde, atilde dp, c_i) in integers, atilde
+    as numerators over dp >= 1; .provenance builds the Fractions of
+    atilde when read, and .matrix is the Mat view, built when read.
+    .entry_strings, set on construction, holds the rows of M as the texts
+    str(Fraction(x, den)) from texts, a cache of _row_texts (a new one by
+    default): the candidates of one problem's reconstruct and their
+    negations share one, one tuple per distinct row.
     """
 
     num: tuple[tuple[int, ...], ...]
@@ -382,59 +388,40 @@ class CandidateIsometry:
     _prov: tuple
     _dp: int
 
-    def __init__(self, matrix: Mat, integral: bool | None = None, provenance: tuple = ()):
-        den, num = _cleared(matrix.rows)
-        if integral is not None and bool(integral) != (den == 1):
-            raise ValueError("integral flag contradicts the matrix")
-        self._fill(num, den, provenance, 0)
-
-    @classmethod
-    def from_numerators(cls, num, den: int, provenance: tuple, dp: int = 0, texts=None) -> CandidateIsometry:
-        """M = num / den for integer rows num and den > 0, in lowest terms.
-        With dp > 0, provenance is (s, btilde, atilde dp, c_i) in integers.
-        texts is the cache of _row_texts to share, a new one by default."""
+    def __init__(self, num, den: int, provenance: tuple = (), dp: int = 1, texts=None):
         g = gcd(den, *chain.from_iterable(num)) if den > 1 else 1
-        self = cls.__new__(cls)
         if g == 1:
             num = tuple(map(tuple, num))
         else:
-            num = tuple(tuple(x // g for x in row) for row in num)
-        self._fill(num, den // g, provenance, dp, texts)
-        return self
-
-    def _fill(self, num, den: int, prov: tuple, dp: int, texts=None) -> None:
+            num, den = tuple(tuple(x // g for x in row) for row in num), den // g
         # _texts and entry_strings are no dataclass fields: equality and
         # hashing ignore them.
         texts = texts or cache(_row_texts)
         strings = tuple(map(texts, num, repeat(den)))
-        self.__dict__.update(num=num, den=den, _prov=prov, _dp=dp, _texts=texts, entry_strings=strings)
+        self.__dict__.update(num=num, den=den, _prov=provenance, _dp=dp, _texts=texts, entry_strings=strings)
 
     def __reduce__(self):
         # The cache of row texts does not pickle; a copy gets its own.
-        return CandidateIsometry.from_numerators, (self.num, self.den, self._prov, self._dp)
+        return CandidateIsometry, (self.num, self.den, self._prov, self._dp)
 
     @cached_property
     def provenance(self) -> tuple:
-        """(s, btilde, atilde, c_i) with atilde as Fractions, or the
-        provenance given to the constructor."""
-        if not self._dp:
-            return self._prov
+        """(s, btilde, atilde, c_i) with atilde as Fractions, or ()."""
+        if not self._prov:
+            return ()
         s, btilde, atilde, cs = self._prov
-        dp = self._dp
-        return s, btilde, tuple(Fraction(a, dp) for a in atilde), cs
+        return s, btilde, tuple(Fraction(a, self._dp) for a in atilde), cs
 
     def __neg__(self) -> "CandidateIsometry":
         """-M, with den unchanged (still in lowest terms).  For a candidate
         built by reconstruct this is what reconstruct gives for the negated
-        tuple: every provenance field negated.  An empty provenance (a
-        candidate read from a document) stays empty."""
+        tuple: every provenance field negated.  An empty provenance stays
+        empty."""
         prov = self._prov
         if prov:
             s, b, atilde, cs = prov
             prov = (-s, _neg(b), _neg(atilde), tuple(map(_neg, cs)))
-        other = CandidateIsometry.__new__(CandidateIsometry)
-        other._fill(tuple(map(_neg, self.num)), self.den, prov, self._dp, self._texts)
-        return other
+        return CandidateIsometry(tuple(map(_neg, self.num)), self.den, prov, self._dp, self._texts)
 
     @property
     def integral(self) -> bool:
@@ -732,7 +719,7 @@ def reconstruct(problem: IsometryProblem, e1: tuple[int, ...], picks: tuple) -> 
         return None
     cs = tuple(out[i : i + n] for i in range(n2 + n, 2 * n2, n))
     prov = (e1[0], out[n2 : n2 + n], out[2 * n2 : 2 * n2 + n], cs)
-    return CandidateIsometry.from_numerators(num, tab.den, prov, tab.dp, tab.texts)
+    return CandidateIsometry(num, tab.den, prov, tab.dp, tab.texts)
 
 
 def find_isometries(
@@ -800,12 +787,14 @@ def find_isometries(
     order = _size_order(shells) if all_solutions else range(len(shells))
 
     candidates: list[CandidateIsometry] = []
+    # A scan that stops early counts no canonical tuple: it searches only
+    # the first half of the sorted eq1 shell, whose rows lead with a
+    # negative entry.
     joint_raw = joint_canonical = 0
     for tuples in _joint_search(problem, shells, order):
         start = len(candidates)
+        joint_raw += len(tuples)
         for cols in tuples:
-            joint_raw += 1
-            joint_canonical += _sign_canonical(chain.from_iterable(cols))
             cand = reconstruct(problem, cols[0], cols[1:])
             if cand is not None:
                 candidates.append(cand)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
@@ -46,6 +46,7 @@ from .isometry import (
     Certificate,
     IsometryProblem,
     SearchResult,
+    _integer_matrices,
     isometry_denominators,
 )
 from .linalg import Mat, Vec, parse_fraction
@@ -210,7 +211,10 @@ def matrix_rows(m: Mat) -> list[list[str]]:
 
 
 def _parse_matrix_rows(rows, where: str) -> Mat:
+    """rows as a Mat; ParseError unless they are arrays of entries."""
     try:
+        if not all(type(row) is list for row in rows):
+            raise TypeError("a matrix row must be an array")
         return Mat([[parse_fraction(x) for x in row] for row in rows])
     except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         raise ParseError(f"{where}: bad matrix payload")
@@ -243,7 +247,8 @@ def certificate_payload(cert: Certificate) -> dict:
 
 def _certificate_from_payload(payload: dict) -> Certificate:
     """The certificate of a document; ParseError unless the payload and a
-    non-empty detail are JSON objects."""
+    non-empty detail are JSON objects.  The witness is read as candidates
+    are (_integer_matrices); its flag must be the JSON bool den == 1."""
     if not isinstance(payload, dict):
         raise ParseError("certificate: expected a JSON object")
     detail = payload.get("detail") or {}
@@ -252,11 +257,10 @@ def _certificate_from_payload(payload: dict) -> Certificate:
     witness = None
     wp = payload.get("witness")
     if wp is not None:
-        witness = CandidateIsometry(
-            matrix=_parse_matrix_rows(wp["matrix"], "witness"),
-            integral=_typed(wp["integral"], bool),
-            provenance=(),
-        )
+        ((den, num),) = _integer_matrices([wp["matrix"]])
+        if _typed(wp["integral"], bool) != (den == 1):
+            raise ValueError("witness: integral flag contradicts the matrix")
+        witness = CandidateIsometry(num, den)
     return Certificate(
         verdict=payload["verdict"],
         witness=witness,
@@ -284,6 +288,8 @@ def _typed(value, kind: type):
 
 def _problem_from_inputs(inputs: dict) -> IsometryProblem:
     source = GramForm(_parse_matrix_rows(inputs["B"], "inputs.B"))
+    if _typed(inputs["n"], int) != source.dim:
+        raise ParseError("inputs.n: not the dimension of inputs.B")
     target = GramForm(_parse_matrix_rows(inputs["Bprime"], "inputs.Bprime"))
     w = Vec([_typed(x, int) for x in inputs["w"]])
     probes = [Vec([_typed(x, int) for x in z]) for z in inputs["z0"]]
@@ -297,19 +303,10 @@ def result_document(
     except ``timing`` is a pure function of the inputs and options.  The
     candidate entries and the certificate hold the candidates' shared
     entry_strings tuples (see certificate_payload): no matrix is copied."""
-    stats = result.stats
     return {
         "inputs": problem_inputs(problem),
         "options": _jsonable(options or {}),
-        "stats": {
-            "eq1_raw": stats.eq1_raw,
-            "eq1_canonical": stats.eq1_canonical,
-            "eq3_per_probe": list(stats.eq3_per_probe),
-            "joint_raw": stats.joint_raw,
-            "joint_canonical": stats.joint_canonical,
-            "candidates": stats.candidates,
-            "integral": stats.integral,
-        },
+        "stats": asdict(result.stats),
         "candidates": [
             {"matrix": c.entry_strings, "integral": c.integral}
             for c in result.candidates
@@ -423,13 +420,14 @@ def load_document(path: str) -> dict:
 def verify_document(doc: dict) -> bool:
     """Re-check a result document from its own contents alone.
 
-    The certificate is re-verified against the echoed inputs, and every
-    recorded candidate matrix is re-multiplied in integers (each distinct
-    row read once through parse_fraction, see isometry_denominators);
-    integrality flags must match, the witness's included.  A
+    The echoed inputs rebuild the problem (inputs.n must be the JSON int
+    n, the dimension of B, and every matrix row a JSON array).  Every
+    recorded candidate matrix is read once in integers and re-multiplied
+    (isometry_denominators), and its integral flag must match.  A
     NoIntegralIsometry certificate whose list equals the top-level
-    candidate matrices is checked on that one list.  Any
-    discrepancy — including contents too damaged to rebuild the
+    candidate matrices then holds iff none of them is integral; any other
+    certificate is re-verified against the problem (verify_certificate).
+    Any discrepancy — including contents too damaged to rebuild the
     problem — returns False.
     """
     from .errors import SuperlatError
@@ -444,20 +442,13 @@ def verify_document(doc: dict) -> bool:
         problem = _problem_from_inputs(inputs)
         entries = doc.get("candidates", [])
         matrices = [entry["matrix"] for entry in entries]
-        if cert.verdict == "NoIntegralIsometry" and cert.detail.get("candidates") == matrices:
-            # The certificate lists the top-level candidates: its test (each
-            # one an isometry, none integral) reads the same denominators.
-            dens = list(isometry_denominators(problem, matrices))
-            if not all(den not in (None, 1) for den in dens):
-                return False
-        elif verify_certificate(cert, problem):
-            dens = isometry_denominators(problem, matrices)
-        else:
-            return False
-
+        dens = list(isometry_denominators(problem, matrices))
         for entry, den in zip(entries, dens):
             if den is None or _typed(entry["integral"], bool) != (den == 1):
                 return False
-        return True
+        if cert.verdict == "NoIntegralIsometry" and cert.detail.get("candidates") == matrices:
+            # The certificate lists the isometries just checked.
+            return 1 not in dens
+        return verify_certificate(cert, problem)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, SuperlatError):
         return False

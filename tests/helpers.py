@@ -9,14 +9,13 @@ from itertools import chain, permutations, product
 from math import isqrt, prod
 from operator import mul
 
-from superlat.diophantine import PosDefForm, vectors_of_norm
+from superlat.diophantine import PosDefForm, _sign_canonical, vectors_of_norm
 from superlat.isometry import (
     Certificate,
     SearchResult,
     CandidateIsometry,
     SearchStats,
     _dot,
-    _sign_canonical,
     filter_eq2,
     reconstruct,
     solve_eq1,
@@ -542,7 +541,7 @@ def reference_reconstruct(problem, e1, picks):
     each row to its ambient vector through E = (w | kernel basis), form the
     columns of C, multiply by adj, test dual membership as db | adj^T (0, t)
     and check num^T B num = den^2 B'; the provenance holds atilde as
-    Fractions."""
+    numerators over dp."""
     betas, adj_cols, db, den, dp, pair = _reference_recon_tables(problem)
     ts = [0] + [pick[0] for pick in picks]
     if db != 1:
@@ -557,10 +556,10 @@ def reference_reconstruct(problem, e1, picks):
     if not problem.pulls_back(num, den):
         return None
     w = problem._w
-    atilde = tuple(Fraction(sum(map(mul, row, ts)), dp) for row in pair)
+    atilde = tuple(sum(map(mul, row, ts)) for row in pair)
     btilde = tuple([x - e1[0] * a for x, a in zip(sb, w)])
     cs = tuple(tuple([x - t * a for x, a in zip(tc, w)]) for t, tc in zip(ts[1:], picked))
-    return CandidateIsometry.from_numerators(num, den, (e1[0], btilde, atilde, cs))
+    return CandidateIsometry(num, den, (e1[0], btilde, atilde, cs), dp)
 
 
 def reference_assemble(problem, filtered):

@@ -153,30 +153,33 @@ def test_seeded_random_kneser_neighbours(monkeypatch):
 
 
 def test_candidate_from_matrix():
+    # Integer rows over a denominator are kept in lowest terms; atilde is
+    # held as numerators over dp.
     m = Mat([[Fraction(1, 2), Fraction(-3, 4)], [0, 2]])
-    cand = CandidateIsometry(m, False, (1,))
+    prov = (1, (2, 0), (1, 0), ((0, 1),))
+    cand = CandidateIsometry([[4, -6], [0, 16]], 8, prov, 2)
     assert (cand.num, cand.den, cand.integral) == (((2, -3), (0, 8)), 4, False)
     assert cand.matrix == m
     assert cand.entry_strings == (("1/2", "-3/4"), ("0", "2"))
-    assert cand == CandidateIsometry.from_numerators([[4, -6], [0, 16]], 8, (1,))
+    assert cand == CandidateIsometry(((2, -3), (0, 8)), 4, prov, 2)
+    assert cand.provenance == (1, (2, 0), (Fraction(1, 2), 0), ((0, 1),))
     for copied in (pickle.loads(pickle.dumps(cand)), copy.deepcopy(cand)):
-        assert copied == cand and copied.entry_strings == cand.entry_strings and copied.provenance == (1,)
-    assert CandidateIsometry(Mat.identity(2), True, ()).integral
-    assert CandidateIsometry(m).provenance == ()
-    with pytest.raises(ValueError):
-        CandidateIsometry(m, True, ())
-    with pytest.raises(ValueError):
-        CandidateIsometry(Mat.identity(2), False, ())
+        assert copied == cand and copied.entry_strings == cand.entry_strings
+        assert copied.provenance == cand.provenance
+    assert CandidateIsometry([[2, 0], [0, 2]], 2).integral
+    assert CandidateIsometry([[2, -3], [0, 8]], 4).provenance == ()
 
 
 def test_negating_a_candidate_without_provenance():
     # A document's witness is read back with provenance ().
     m = Mat([[Fraction(1, 2), Fraction(-3, 4)], [0, 2]])
-    neg = -CandidateIsometry(m)
+    neg = -CandidateIsometry([[2, -3], [0, 8]], 4)
     assert (neg.matrix, neg.den, neg.provenance) == (-m, 4, ())
-    assert -neg == CandidateIsometry(m)
-    given = (1, (2, 0), (Fraction(1, 2), 0), ((0, 1),))
-    assert (-CandidateIsometry(m, False, given)).provenance == (-1, (-2, 0), (Fraction(-1, 2), 0), ((0, -1),))
+    assert -neg == CandidateIsometry([[2, -3], [0, 8]], 4)
+    given = (1, (2, 0), (1, 0), ((0, 1),))
+    assert (-CandidateIsometry([[2, -3], [0, 8]], 4, given, 2)).provenance == (
+        -1, (-2, 0), (Fraction(-1, 2), 0), ((0, -1),)
+    )
 
 
 @pytest.mark.parametrize(

@@ -259,6 +259,57 @@ def test_verify_reads_document_fields_only_at_their_json_type(edit, wilson_doc, 
     assert capsys.readouterr().out == "verification FAILED\n"
 
 
+@pytest.fixture(scope="module")
+def diag_doc(tmp_path_factory):
+    # B = B' = diag(1, 2), anchor (1, 0): a witness whose entries and Gram
+    # entries are all one character long.
+    tmp = tmp_path_factory.mktemp("d")
+    (tmp / "diag.txt").write_text("n 2\nB\n1 0\n0 2\nBprime\n1 0\n0 2\nw 1 0\n", encoding="utf-8")
+    cli.main(["factorize", str(tmp / "diag.txt"), "--json", str(tmp / "diag.json")])
+    doc = json.loads((tmp / "diag.json").read_text(encoding="utf-8"))
+    assert verify_document(doc) and doc["certificate"]["verdict"] == "IsometricWitness"
+    return doc
+
+
+def _join_a_short_row(matrices):
+    """Write the first row whose entries are each one character long as
+    one string, which iterates to the same entries."""
+    i, j = next((i, j) for i, rows in enumerate(matrices) for j, row in enumerate(rows) if all(len(x) == 1 for x in row))
+    matrices[i][j] = "".join(matrices[i][j])
+
+
+STRING_ROWS = {
+    "candidate": ("wilson", lambda doc: _join_a_short_row([entry["matrix"] for entry in doc["candidates"]])),
+    "certificate-candidate": ("quaternary", lambda doc: _join_a_short_row(doc["certificate"]["detail"]["candidates"])),
+    "witness": ("diag", lambda doc: doc["certificate"]["witness"].update(matrix=["10", "01"])),
+    "inputs.B": ("diag", lambda doc: doc["inputs"].update(B=["10", "02"])),
+    "inputs.Bprime": ("diag", lambda doc: doc["inputs"].update(Bprime=["10", "02"])),
+}
+
+
+@pytest.mark.parametrize("place", sorted(STRING_ROWS))
+def test_verify_rejects_a_matrix_row_written_as_a_string(place, wilson_doc, quaternary_doc, diag_doc, tmp_path, capsys):
+    # A string iterates by character, so "0012" would read as the row
+    # ["0", "0", "1", "2"]; a matrix row must be a JSON array.
+    which, edit = STRING_ROWS[place]
+    doc = copy.deepcopy({"wilson": wilson_doc, "quaternary": quaternary_doc, "diag": diag_doc}[which])
+    edit(doc)
+    assert verify_document(doc) is False
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == "verification FAILED\n"
+
+
+@pytest.mark.parametrize("value", ["x", 3, True, 4.0])
+def test_verify_reads_inputs_n(value, wilson_doc):
+    # n must be the JSON int that is the dimension of B.
+    doc = copy.deepcopy(wilson_doc)
+    assert doc["inputs"]["n"] == 4 and verify_document(doc) is True
+    doc["inputs"]["n"] = value
+    assert verify_document(doc) is False
+
+
 def test_parse_matrix_rows_rejects_non_finite_entries():
     for value in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ParseError):
@@ -379,13 +430,15 @@ def test_document_json_equals_json_dumps(wilson_doc, quaternary_doc):
     for x in shapes:
         assert document_json(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
     # Candidates over den > 1 with negative entries, rows shared by a
-    # candidate and its negation, and a witness with a Fraction provenance.
+    # candidate and its negation, and a witness whose provenance holds
+    # atilde = -2/3 as a numerator over dp = 3.
     problem = IsometryProblem(GramForm(Mat.identity(2)), GramForm(Mat.identity(2)), Vec([1, 0]))
-    half = CandidateIsometry.from_numerators([[-3, 4], [3, -4]], 8, ())
-    rational = [half, -half, CandidateIsometry(Mat([[Fraction(-1, 2), 0], [Fraction(5, 3), -7]]))]
+    half = CandidateIsometry([[-3, 4], [3, -4]], 8)
+    rational = [half, -half, CandidateIsometry([[-3, 0], [10, -42]], 6)]
     for cand in rational:
         assert cand.entry_strings == tuple(tuple(str(x) for x in row) for row in cand.matrix.rows)
-    witness = CandidateIsometry(Mat([[0, -1], [1, 0]]), True, (1, (0,), (Fraction(-2, 3),), ((1, 0),)))
+    witness = CandidateIsometry([[0, -1], [1, 0]], 1, (1, (0,), (-2,), ((1, 0),)), 3)
+    assert witness.provenance[2] == (Fraction(-2, 3),)
     for cands, cert in [
         (rational, Certificate("NoIntegralIsometry", detail={"candidates": [c.entry_strings for c in rational]})),
         ([witness, -witness], Certificate("IsometricWitness", witness=witness, detail={"integral_count": 2})),

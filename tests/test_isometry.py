@@ -464,13 +464,13 @@ class TestCertificates:
         result = find_isometries(wilson_problem(), all_solutions=False)
         cert = result.certificate
         witness = cert.witness
-        rows = [list(r) for r in witness.matrix.rows]
+        rows = [list(r) for r in witness.num]
         rows[0][0] += 1
         from superlat.isometry import CandidateIsometry, Certificate
 
         bad = Certificate(
             "IsometricWitness",
-            witness=CandidateIsometry(Mat(rows), True, witness.provenance),
+            witness=CandidateIsometry(rows, witness.den, witness._prov, witness._dp),
         )
         assert not verify_certificate(bad, wilson_problem())
 
@@ -481,10 +481,10 @@ class TestCertificates:
 
         problem = IsometryProblem(GramForm(Mat.identity(2)), GramForm(Mat([[4, 0], [0, 4]])), Vec([1, 0]))
         for rows in ([[2, 0], [0, 2]], [[2, 0]], [[2, 0, 0], [0, 2, 0]], [[2]]):
-            witness = Certificate("IsometricWitness", witness=CandidateIsometry(Mat(rows), True))
+            witness = Certificate("IsometricWitness", witness=CandidateIsometry(rows, 1))
             assert not verify_certificate(witness, problem)
         problem = IsometryProblem(GramForm(Mat.identity(2)), GramForm(Mat([[1, 1], [1, 2]])), Vec([1, 0]))
-        witness = Certificate("IsometricWitness", witness=CandidateIsometry(Mat([[1, 1], [0, 1]]), True))
+        witness = Certificate("IsometricWitness", witness=CandidateIsometry([[1, 1], [0, 1]], 1))
         assert verify_certificate(witness, problem)
 
     def test_no_integral_certificate_verifies(self):

@@ -1,13 +1,16 @@
-"""The comparison of scripts/output_contract.py --check, and a smoke run of
+"""The output contract of scripts/output_contract.py against its committed
+fingerprint, the comparison of its --check, and a smoke run of
 scripts/stage_times.py, whose imports reach into the package's private
 names."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+CONTRACT = Path(__file__).resolve().parent / "data" / "output_contract.json"
 
 
 def _load(name: str):
@@ -36,6 +39,15 @@ def test_check_names_every_differing_case():
     lines = output_contract.check(before, now)
     assert [line.split(":")[1].strip() for line in lines] == ["a factorize", "b oracle", "c oracle", "d oracle"]
     assert all(line.startswith("differs: ") for line in lines)
+
+
+def test_output_contract_is_unchanged():
+    # Every case (factorize, verify, oracle and obstruct runs, see the
+    # script) keeps its exit code and output hashes.  The cases include the
+    # problems that perfbench/gen.py writes, so a change to the generator
+    # re-records data/output_contract.json and says so in CHANGES.md.
+    committed = json.loads(CONTRACT.read_text(encoding="utf-8"))
+    assert output_contract.check(committed, output_contract.contract()) == []
 
 
 def test_stage_times_runs_every_stage_on_wilson():
