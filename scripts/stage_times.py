@@ -16,8 +16,8 @@ them:
   builds the packed table of the eq3 rows, ``filter_eq2.rest`` the later
   calls, and ``filter_eq2`` their sum;
 * ``_assemble``, the cross-probe assembly of those rows: the joint search
-  in index order (eq1 first), drained, with each eq1 row's eq2 survivors
-  served from the ``filter_eq2`` stage;
+  (``_gram_search``) in index order (eq1 first), drained, with each eq1
+  row's eq2 survivors served from the ``filter_eq2`` stage;
 * ``joint_search``, the joint search of ``--all`` as it runs: shells
   placed by size, the first one's packed table built afresh, drained;
 * ``reconstruct``, on every tuple of the eq1-first scan;
@@ -65,10 +65,9 @@ import gen  # noqa: E402
 
 from superlat.cli import integral_listing, matrix_listing  # noqa: E402
 from superlat.forms import GramForm  # noqa: E402
-from superlat import isometry  # noqa: E402
 from superlat.isometry import (  # noqa: E402
     IsometryProblem,
-    _joint_search,
+    _gram_search,
     _size_order,
     brute_force_isometries,
     filter_eq2,
@@ -134,19 +133,15 @@ def one_pass(text: str) -> dict[str, float]:
     times["filter_eq2"] = times["filter_eq2.first"] + times["filter_eq2.rest"]
 
     shells = (e1s, *per_probe)
+    gram, targets = problem._l0_gram, problem.pair_targets
     served = dict(zip(direct, filtered))
-    isometry.filter_eq2 = lambda _problem, e1, _shells: served[e1]
-    try:
-        start = perf_counter()
-        blocks = list(_joint_search(problem, shells, range(len(shells))))
-        times["_assemble"] = perf_counter() - start
-    finally:
-        isometry.filter_eq2 = filter_eq2
+    start = perf_counter()
+    blocks = list(_gram_search(gram, targets, shells, range(len(shells)), served.__getitem__))
+    times["_assemble"] = perf_counter() - start
     tuples = [(cols[0], cols[1:]) for block in blocks for cols in block]
 
-    problem._eq2_table = None
     start = perf_counter()
-    list(_joint_search(problem, shells, _size_order(shells)))
+    list(_gram_search(gram, targets, shells, _size_order(shells)))
     times["joint_search"] = perf_counter() - start
 
     start = perf_counter()

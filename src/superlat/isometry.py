@@ -19,15 +19,18 @@ shell is finite.  A solution is its L0 row: (s, x) for s w + btilde and
 These rows, as vectors_of_norm returns them, are the only format from
 enumeration to reconstruction.  Eq2 and the polarized eq3 across probe
 pairs are L0 pairings of rows under diag(N, G_K), each with a fixed
-target: one joint search places a row of each shell with forward
-checking, every placed row narrowing the open shells (the first one on
-a packed table of all their rows at once), and reconstruct maps each
-joint tuple to ambient vectors through E = (w | kernel basis), builds
-the candidate matrix and verifies it exactly.
+target: one joint search (_gram_search) places a row of each shell with
+forward checking, every placed row narrowing the open shells (the first
+one on a packed table of all their rows at once), and reconstruct maps
+each joint tuple to ambient vectors through E = (w | kernel basis),
+builds the candidate matrix and verifies it exactly.
 
 The module also houses the infinite-family obstructions (two- and
-three-squares) and an independent brute-force oracle used to validate the
-pipeline at desk scale.
+three-squares) and a brute-force oracle used to validate the pipeline at
+desk scale.  The oracle skips the decomposition: it runs the same
+_gram_search on the columns of M under B, with B' as the targets, so the
+tests check it against searches that share no code with this package
+(tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class IsometryProblem:
     the probes as integer rows once, and derives from them (through
     _bilinear) N = B(w,w), the kernel sublattice K = Z^n cap {w}^perp
     with its integer Gram rows kernel_gram (no rows when n = 1), and the
-    integer constants of the three equations.
+    integer constants of the three equations, as one matrix pair_targets.
     """
 
     def __init__(self, source: GramForm, target: GramForm, w: Vec, probes: list[Vec] | None = None):
@@ -125,13 +128,15 @@ class IsometryProblem:
         zeros = (0,) * len(kints)
         self._l0_gram = ((nint, *zeros), *((0, *row) for row in self.kernel_gram))
         self._l0_basis = tuple(zip(self._w, *kints))
-        zhat = [self._zhat(z0.to_ints()) for z0 in self.probes]
-        n2, tgram = nint * nint, self._tgram
-        self.eq1_target = n2 * _bilinear(tgram, self._w, self._w)
-        self.eq2_targets = tuple(n2 * _bilinear(tgram, self._w, zh) for zh in zhat)
-        self.eq3_targets = tuple(
-            tuple(n2 * _bilinear(tgram, zi, zj) for zj in zhat) for zi in zhat
-        )
+        # N^2 times the Gram matrix of B' in the basis (w, zhat_1, ...):
+        # the pairing targets of the joint search, with the eq1 target and
+        # the eq3 targets on the diagonal and the eq2 targets in row 0.
+        basis = (self._w, *(self._zhat(z0.to_ints()) for z0 in self.probes))
+        n2 = nint * nint
+        self.pair_targets = tuple(tuple(n2 * _bilinear(self._tgram, u, v) for v in basis) for u in basis)
+        self.eq1_target = self.pair_targets[0][0]
+        self.eq2_targets = self.pair_targets[0][1:]
+        self.eq3_targets = tuple(row[1:] for row in self.pair_targets[1:])
         self._eq2_table: _Eq2Table | None = None
 
     @property
@@ -607,48 +612,46 @@ def filter_eq2(
 
 
 def _size_order(shells) -> list[int]:
-    """The columns of the joint search by shell size, fewest rows first;
-    ties keep index order, so the eq1 column wins them."""
+    """The columns of a _gram_search by shell size, fewest rows first;
+    ties keep index order (so the eq1 column of find_isometries wins
+    them)."""
     return sorted(range(len(shells)), key=lambda c: len(shells[c]))
 
 
-def _joint_search(problem: IsometryProblem, shells, order):
+def _gram_search(gram, targets, shells, order, narrow=None):
     """Yield, for each row r of the first half of shells[order[0]] and
-    then for its zero middle row (odd length only), the list of joint
-    tuples whose column order[0] holds r.
+    then for its zero middle row (odd length only), the list of tuples
+    whose column order[0] holds r.
 
-    shells[0] is the eq1 shell and shells[i] the eq3 shell of probe i,
-    each sorted and sign-complete.  A joint tuple holds one row of each
-    shell, in index order, such that every two of its rows pair under
-    diag(N, G_K) to their target: eq2 for the eq1 row with an eq3 row,
-    the cross-probe N^2 B'(zhat_i, zhat_j) for two eq3 rows.  The columns
-    are placed in the given order with forward checking: a placed row
+    gram holds the integer Gram rows of a form and shells one sorted,
+    sign-complete shell of that form per column.  A tuple holds one row
+    of each shell, in index order, such that the rows of every two
+    columns a != b pair under gram to targets[a][b].  The columns are
+    placed in the given order with forward checking: a placed row
     narrows every open column to the rows that pair with it to their
     target, and a column left empty drops the branch.  The first placed
-    row narrows all other columns at once on a packed _Eq2Table: through
-    filter_eq2 (looked up on the module) when the eq1 column is first,
-    through _survivors on a table of the other shells otherwise.  Deeper
-    rows narrow the open lists one dot product per row, the shortest
-    list first.  Each list keeps shell order, so the tuples with r come
-    in the lexicographic order of their rows' shell positions, taken in
-    column order.
+    row narrows all other columns at once: through narrow(r) when given,
+    which returns their lists in index order, and otherwise through
+    _survivors (looked up on the module at call time) on a packed
+    _Eq2Table of the other shells.  Deeper rows narrow the open lists one
+    dot product per row, the shortest list first.  Each list keeps shell
+    order, so the tuples with r come in the lexicographic order of their
+    rows' shell positions, taken in column order.
 
-    The equations are homogeneous of degree 2, so the tuples with -r in
+    The targets are homogeneous of degree 2, so the tuples with -r in
     column order[0] are those with r negated; the caller derives them.
     Nothing is yielded when a shell is empty.
     """
     if not all(shells):
         return
-    n, gram = len(shells), problem._l0_gram
-    e2 = problem.eq2_targets
-    # targets[a][b]: the L0 pairing of the rows of columns a != b.
-    targets = [(problem.eq1_target, *e2), *((t, *row) for t, row in zip(e2, problem.eq3_targets))]
-    first = order[0]
+    n, first = len(shells), order[0]
+    shell = shells[first]
+    half = shell[: (len(shell) + 1) // 2]
+    if n == 1:
+        yield from ([(r,)] for r in half)
+        return
     others = [c for c in range(n) if c != first]
-    if first == 0:
-        def narrow(row):
-            return filter_eq2(problem, row, shells[1:])
-    else:
+    if narrow is None:
         table = _Eq2Table([shells[c] for c in others], [targets[first][c] for c in others])
 
         def narrow(row):
@@ -677,12 +680,8 @@ def _joint_search(problem: IsometryProblem, shells, order):
                 chosen[c] = v
                 yield from rec(d + 1, narrowed)
 
-    shell = shells[first]
-    for r in shell[: (len(shell) + 1) // 2]:
+    for r in half:
         chosen[first] = r
-        if n == 1:
-            yield [(r,)]
-            continue
         lists: list = [None] * n
         for c, kept in zip(others, narrow(r)):
             lists[c] = kept
@@ -731,12 +730,13 @@ def find_isometries(
 
     Composes solve_eq1, solve_eq3_per_z0 (once per probe), the joint
     search over the n shells (eq1, then one eq3 shell per probe) and
-    reconstruct, all on L0 rows.  The joint search (_joint_search)
-    places one row per shell with forward checking, every pairing of two
-    rows held to its eq2 or cross-probe target; the first placed row
-    narrows all other shells at once on a packed table (filter_eq2 when
-    the eq1 row is first), and reconstruct evaluates the problem's other
-    slot map, built once, per joint tuple.  With all_solutions=True the
+    reconstruct, all on L0 rows.  The joint search (_gram_search under
+    diag(N, G_K), with the problem's pair_targets) places one row per
+    shell with forward checking, every pairing of two rows held to its
+    eq2 or cross-probe target; the first placed row narrows all other
+    shells at once on a packed table (filter_eq2 when the eq1 row is
+    first), and reconstruct evaluates the problem's other slot map,
+    built once, per joint tuple.  With all_solutions=True the
     shells are placed by size, fewest rows first (eq1 first on ties): the
     output does not depend on the order, because the candidates are
     sorted.  The first-witness scan places them in index order (eq1,
@@ -785,13 +785,15 @@ def find_isometries(
     per_probe = [solve_eq3_per_z0(problem, z0) for z0 in problem.probes]
     shells = (e1s, *per_probe)
     order = _size_order(shells) if all_solutions else range(len(shells))
+    # filter_eq2 is looked up at call time, so that a wrapper sees it.
+    narrow = (lambda e1: filter_eq2(problem, e1, per_probe)) if order[0] == 0 else None
 
     candidates: list[CandidateIsometry] = []
     # A scan that stops early counts no canonical tuple: it searches only
     # the first half of the sorted eq1 shell, whose rows lead with a
     # negative entry.
     joint_raw = joint_canonical = 0
-    for tuples in _joint_search(problem, shells, order):
+    for tuples in _gram_search(problem._l0_gram, problem.pair_targets, shells, order, narrow):
         start = len(candidates)
         joint_raw += len(tuples)
         for cols in tuples:
@@ -950,16 +952,17 @@ def brute_force_isometries(
     """Complete list of integral M with M^T B M = B', by direct search.
 
     Both forms must be integral (NonIntegralForm otherwise).  Column j of
-    M lies in the shell {v : B(v,v) = B'_jj}, empty when B'_jj < 0,
-    computed once with the images B v.  The columns are placed in order
-    with forward checking: u in column j keeps, of each later column k,
-    the v with v . Bu = B'_jk, and is dropped when a column has none
-    left; the matrices come in lexicographic order of their shell
-    indices.  Shells must be sorted and sign-complete, entry
-    L-1-i = -entry i (ValueError otherwise), so the matrices with first
-    column -v are those with v, negated and reversed: only the first half
-    of the first shell and its middle 0 are searched.  bound keeps only
-    entries |m_ij| <= bound.  Desk-scale only.
+    M lies in the shell {v : B(v,v) = B'_jj}, empty when B'_jj < 0, and
+    the columns pair to B'_jk under B: the search is _gram_search under B
+    with targets B', the engine of find_isometries, placing the smallest
+    shell first.  Shells must be sorted and sign-complete, entry
+    L-1-i = -entry i (ValueError otherwise), so only the first half of
+    the first placed shell and its middle 0 are searched, and the
+    matrices whose first placed column is a nonzero -v are those with v,
+    negated.  The column tuples are then sorted, which is the
+    lexicographic order of their shell indices, column 0 first, since
+    every shell is sorted.  bound keeps only entries |m_ij| <= bound.
+    Desk-scale only.
     """
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimensions differ")
@@ -968,35 +971,17 @@ def brute_force_isometries(
     q, n = PosDefForm(source.gram), source.dim
     b_rows = tuple(tuple(int(x) for x in row) for row in source.gram.rows)
     bp = tuple(tuple(int(x) for x in row) for row in target.gram.rows)
-    col_sets = [list(vectors_of_norm(q, t)) if t >= 0 else [] for t in (bp[j][j] for j in range(n))]
+    col_sets = [vectors_of_norm(q, t) if t >= 0 else () for t in (bp[j][j] for j in range(n))]
     if bound is not None:
-        col_sets = [[v for v in cs if max(map(abs, v)) <= bound] for cs in col_sets]
-    images = {v: tuple(_dot(row, v) for row in b_rows) for cs in col_sets for v in cs}
-    if any(cs[::-1] != [*map(_neg, cs)] for cs in col_sets):
+        col_sets = [tuple(v for v in cs if max(map(abs, v)) <= bound) for cs in col_sets]
+    if any(cs[::-1] != tuple(map(_neg, cs)) for cs in col_sets):
         raise ValueError("a column shell is not sign-complete")
-    found: list[tuple] = []
-
-    def rec(j: int, chosen: tuple, lists: list) -> None:
-        # lists[k - j]: the vectors of column k >= j that fit every chosen one.
-        if j == n - 1:
-            found.extend((*chosen, v) for v in lists[0])
-            return
-        # The shortest lists are narrowed first: an empty one drops v early.
-        checks = sorted(enumerate(bp[j][j + 1 :]), key=lambda kt: len(lists[kt[0] + 1]))
-        for v in lists[0]:
-            g, narrowed = images[v], lists[1:]
-            for k, t in checks:
-                if not (kept := [u for u in narrowed[k] if sum(map(mul, u, g)) == t]):
-                    break
-                narrowed[k] = kept
-            else:
-                rec(j + 1, (*chosen, v), narrowed)
-
-    first = col_sets[0]
-    rec(0, (), [first[: (len(first) + 1) // 2], *col_sets[1:]])
-    mirrored = [tuple(map(_neg, cols)) for cols in reversed(found) if any(cols[0])]
+    order = _size_order(col_sets)
+    found = [cols for block in _gram_search(b_rows, bp, col_sets, order) for cols in block]
+    found += [tuple(map(_neg, cols)) for cols in found if any(cols[order[0]])]
+    found.sort()
     fractions = cache(lambda row: tuple(map(Fraction, row)))
-    return [Mat._of_rows(tuple(map(fractions, zip(*cols)))) for cols in chain(found, mirrored)]
+    return [Mat._of_rows(tuple(map(fractions, zip(*cols)))) for cols in found]
 
 
 # Detail fields of a family certificate that family_obstruction derives

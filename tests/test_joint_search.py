@@ -2,12 +2,15 @@
 eq1-first loop it replaced (helpers.reference_joint_tuples: filter_eq2 and
 helpers.reference_assemble for every eq1 row).
 
-isometry._joint_search yields the tuples of the first half of its first
-column's shell and of its zero middle row; the tuples of the other half
-are those negated.  No tuple holds a zero row unless det B' != det B,
-which find_isometries relies on when it mirrors every tuple it finds.  For every first column, with the other columns in
-size order and in index order, the search must give the reference's set
-of joint tuples, each once; in index order with the eq1 column first it
+isometry._gram_search, run as find_isometries runs it (under
+diag(N, G_K) with the problem's pair_targets, narrowing through
+filter_eq2 when the eq1 column is first), yields the tuples of the first
+half of its first column's shell and of its zero middle row; the tuples
+of the other half are those negated.  No tuple holds a zero row unless
+det B' != det B, which find_isometries relies on when it mirrors every
+tuple it finds.  For every first column, with the other columns in size
+order and in index order, the search must give the reference's set of
+joint tuples, each once; in index order with the eq1 column first it
 must also give them in the reference's order.  Cases: the example
 problems, the benchmark generator's Wilson pullbacks, roadmap pullbacks
 and Kneser 2-neighbours (perfbench/gen.py, imported read-only, first
@@ -30,7 +33,15 @@ import pytest
 from helpers import WILSON, rand_pullback_problem, reference_joint_tuples
 from superlat import isometry
 from superlat.forms import GramForm
-from superlat.isometry import IsometryProblem, _joint_search, _size_order, find_isometries, solve_eq1, solve_eq3_per_z0
+from superlat.isometry import (
+    IsometryProblem,
+    _gram_search,
+    _size_order,
+    filter_eq2,
+    find_isometries,
+    solve_eq1,
+    solve_eq3_per_z0,
+)
 from superlat.linalg import Mat, Vec
 from superlat.problem_io import load_problem
 
@@ -78,10 +89,16 @@ def _negated(cols):
     return tuple(tuple(-x for x in row) for row in cols)
 
 
+def _search(problem: IsometryProblem, shells, order):
+    """The joint search of find_isometries in the given column order."""
+    narrow = (lambda e1: filter_eq2(problem, e1, shells[1:])) if order[0] == 0 else None
+    return _gram_search(problem._l0_gram, problem.pair_targets, shells, order, narrow)
+
+
 def _all_tuples(problem: IsometryProblem, shells, order) -> list:
     """The search's tuples with those it leaves to the caller: the tuples of
     the rows before the middle, negated in reverse order."""
-    blocks = list(_joint_search(problem, shells, order))
+    blocks = list(_search(problem, shells, order))
     before_middle = [cols for block in blocks[: len(shells[order[0]]) // 2] for cols in block]
     return [cols for block in blocks for cols in block] + [_negated(cols) for cols in reversed(before_middle)]
 
@@ -114,7 +131,7 @@ def test_empty_eq3_shell_gives_no_tuples():
     problem = dict(CASES)["empty eq3 shell"]()
     shells = _shells(problem)
     assert shells[0] == ((0, 0, 0, 0),) and shells[3] == ()
-    assert list(_joint_search(problem, shells, range(4))) == []
+    assert list(_search(problem, shells, range(4))) == []
     result = find_isometries(problem)
     assert result.certificate.verdict == "NoIntegralIsometry"
     assert (result.stats.eq1_raw, result.stats.joint_raw, result.candidates) == (1, 0, [])

@@ -5,15 +5,26 @@ brute_force_isometries must return the reference's list, matrix for
 matrix and in the same order, with Fraction entries, at bound None and
 bound 1, on the example problems, I_4 against itself, seeded
 rand_pullback_problem draws with n = 1...4, the benchmark generator's
-pullbacks and Kneser 2-neighbours (perfbench/gen.py, imported read-only),
-a degenerate target whose first column shell is {0} (the odd middle entry
-of the +-halving) and targets with an empty shell.  On the cases with
-n <= 3 the Cartesian search (helpers.cartesian_brute_force_isometries)
-must find the same set.
+pullbacks and Kneser 2-neighbours (perfbench/gen.py, imported read-only)
+with n = 3, 4 and 5, a degenerate target whose first column shell is {0}
+(the odd middle entry of the +-halving) and targets with an empty shell.
+On the cases with n <= 3 the Cartesian search
+(helpers.cartesian_brute_force_isometries) must find the same set.  Both
+references share no code with src/, while brute_force_isometries runs
+the engine of find_isometries (isometry._gram_search) in another column
+order and sorts its result back.
+
+At n = 6, on the first five generator pullbacks, the oracle must return
+the reference's list where the reference finishes in tier-1 time; on
+the others each matrix must pull B' back, and the list must be sorted,
+closed under negation and as long as the column-order oracle's.
 
 Selection rule: Random(1501) draws three problems for each n = 1...4 and
 no draw is dropped; the generator sets are the first problems of its
-reference seed, as the benchmark draws them.
+reference seed, as the benchmark draws them.  Of the n = 6 pullbacks, #2
+and #4 are not compared with the reference because it takes about 200 s
+and 5-6 s on them (against about 0.8 s, 0.1 s and 1.5 s on #0, #1 and
+#3); the column-order oracle found 2 matrices on each.
 """
 
 from __future__ import annotations
@@ -51,7 +62,14 @@ def _cases():
         for k in range(3):
             gram, target, _, _ = rand_pullback_problem(rng, sizes=(n,))
             out.append((f"rand_pullback n={n} #{k}", gram, target))
-    for p in gen.pullback(gen.REFERENCE_SEED, 5) + gen.neighbour(gen.REFERENCE_SEED, 10) + gen.neighbour(gen.REFERENCE_SEED, 5, 3):
+    generated = (
+        gen.pullback(gen.REFERENCE_SEED, 5)
+        + gen.neighbour(gen.REFERENCE_SEED, 10)
+        + gen.neighbour(gen.REFERENCE_SEED, 5, 3)
+        + gen.pullback(gen.REFERENCE_SEED, 5, 5)
+        + gen.neighbour(gen.REFERENCE_SEED, 5, 5)
+    )
+    for p in generated:
         out.append((f"gen {p.name} n={len(p.gram)}", Mat(p.gram), Mat(p.target)))
     # The first shell {0}: its only entry is the middle one.
     out.append(("first shell {0}", Mat.identity(2), Mat([[0, 0], [0, 1]])))
@@ -75,6 +93,30 @@ def test_same_list_as_the_reference_search(name, gram, target, bound):
     assert all(type(row) is tuple and len(row) == gram.nrows for m in found for row in m.rows)
     if gram.nrows <= 3:
         assert set(cartesian_brute_force_isometries(source, tgt, bound=bound)) == set(found)
+
+
+N6 = gen.pullback(gen.REFERENCE_SEED, 5, 6)
+
+
+def _n6_forms(k: int) -> tuple[GramForm, GramForm]:
+    return GramForm(Mat(N6[k].gram)), GramForm(Mat(N6[k].target))
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_n6_pullbacks_give_the_reference_list(k):
+    source, target = _n6_forms(k)
+    assert brute_force_isometries(source, target) == reference_brute_force_isometries(source, target)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_n6_pullbacks_beyond_the_reference_are_sorted_true_and_closed_under_negation(k):
+    source, target = _n6_forms(k)
+    found = brute_force_isometries(source, target)
+    assert len(found) == 2
+    assert all(m.transpose() @ source.gram @ m == target.gram for m in found)
+    columns = [m.transpose().rows for m in found]
+    assert columns == sorted(columns)
+    assert {-m for m in found} == set(found)
 
 
 def test_the_draw_holds_every_kind_of_case():
