@@ -10,7 +10,9 @@ every exact determinant and inverse comes from one fraction-free
 elimination in integers: `_cleared` clears the denominators of Fraction
 rows, and `_det_adjugate` (Bareiss) gives det A and adj A, from which
 `Mat.determinant`, `Mat.inverse` and `_cleared_inverse` are read off.
-Sizes are small (n <= 8 in practice), so everything is dense.
+Likewise `integer_kernel_basis` reads its basis off one integer row
+reduction, the Hermite form (`hermite_row_reduce`) of (f | I).  Sizes
+are small (n <= 8 in practice), so everything is dense.
 """
 
 from __future__ import annotations
@@ -328,7 +330,8 @@ def hermite_row_reduce(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     Rows are returned ordered by pivot column; pivots are positive and every
     entry above a pivot is reduced into [0, pivot).  Zero rows are dropped.
     The output is a canonical basis of the row lattice, so any two bases of
-    the same lattice reduce to identical rows.
+    the same lattice reduce to identical rows.  integer_kernel_basis reads
+    its kernel basis off one such reduction.
     """
     a = [list(r) for r in rows]
     if not a:
@@ -365,49 +368,17 @@ def hermite_row_reduce(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
 
 def integer_kernel_basis(f: Vec) -> list[Vec]:
-    """Z-basis of the kernel sublattice {v in Z^n : f . v = 0}.
+    """Z-basis, in Hermite form, of the kernel sublattice
+    K = {v in Z^n : f . v = 0}, read off one hermite_row_reduce.
 
-    The functional is first scaled to a primitive integer vector, then a
-    unimodular column transform reduces it to (g, 0, ..., 0); the transformed
-    basis vectors annihilating f span the kernel lattice.  The result is
-    Hermite-reduced (see hermite_row_reduce) so output is deterministic.
+    With fi the primitive integer vector of f, the rows (fi_i | e_i) span
+    {(fi . v, v) : v in Z^n}.  As fi is primitive, their first Hermite row
+    has pivot 1 in column 0, and the other n - 1 are (0, v): they span
+    exactly (0, K), since a combination with first entry 0 cannot use the
+    first row.  Their tails meet the Hermite conditions, and the Hermite
+    form of a lattice is unique, so they are what hermite_row_reduce
+    makes of any other basis of K.
     """
-    fi = list(primitive_integer_vector(f))
-    n = len(fi)
-    # Columns of u form a Z-basis of Z^n; column ops mirror the gcd reduction.
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def colop(j0: int, j1: int, x: int, y: int, p: int, q: int) -> None:
-        # (col j0, col j1) <- (x*col j0 + y*col j1, p*col j0 + q*col j1)
-        for i in range(n):
-            c0, c1 = u[i][j0], u[i][j1]
-            u[i][j0] = x * c0 + y * c1
-            u[i][j1] = p * c0 + q * c1
-
-    for j in range(1, n):
-        if fi[j] == 0:
-            continue
-        if fi[0] == 0:
-            colop(0, j, 0, 1, -1, 0)
-            fi[0], fi[j] = fi[j], 0
-            continue
-        g, x, y = _xgcd(fi[0], fi[j])
-        colop(0, j, x, y, -(fi[j] // g), fi[0] // g)
-        fi[0], fi[j] = g, 0
-    kernel_rows = [[u[i][j] for i in range(n)] for j in range(1, n)]
-    return [Vec(r) for r in hermite_row_reduce(kernel_rows)]
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) > 0 and a*x + b*y = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    fi = primitive_integer_vector(f)
+    rows = hermite_row_reduce([(x, *(int(i == j) for j in range(len(fi)))) for i, x in enumerate(fi)])
+    return [Vec(row[1:]) for row in rows[1:]]

@@ -210,16 +210,6 @@ def matrix_rows(m: Mat) -> list[list[str]]:
     return [[scalar_str(x) for x in row] for row in m.rows]
 
 
-def _parse_matrix_rows(rows, where: str) -> Mat:
-    """rows as a Mat; ParseError unless they are arrays of entries."""
-    try:
-        if not all(type(row) is list for row in rows):
-            raise TypeError("a matrix row must be an array")
-        return Mat([[parse_fraction(x) for x in row] for row in rows])
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
-        raise ParseError(f"{where}: bad matrix payload")
-
-
 def _jsonable(x):
     if x is None or isinstance(x, (bool, int, str)):
         return x
@@ -287,10 +277,13 @@ def _typed(value, kind: type):
 
 
 def _problem_from_inputs(inputs: dict) -> IsometryProblem:
-    source = GramForm(_parse_matrix_rows(inputs["B"], "inputs.B"))
+    (bden, b), (tden, t) = _integer_matrices([inputs["B"], inputs["Bprime"]])
+    if bden != 1 or tden != 1:
+        raise ParseError("inputs.B, inputs.Bprime: expected integer entries")
+    source = GramForm(Mat(b))
     if _typed(inputs["n"], int) != source.dim:
         raise ParseError("inputs.n: not the dimension of inputs.B")
-    target = GramForm(_parse_matrix_rows(inputs["Bprime"], "inputs.Bprime"))
+    target = GramForm(Mat(t))
     w = Vec([_typed(x, int) for x in inputs["w"]])
     probes = [Vec([_typed(x, int) for x in z]) for z in inputs["z0"]]
     return IsometryProblem(source, target, w, probes=probes)
@@ -421,10 +414,11 @@ def verify_document(doc: dict) -> bool:
     """Re-check a result document from its own contents alone.
 
     The echoed inputs rebuild the problem (inputs.n must be the JSON int
-    n, the dimension of B, and every matrix row a JSON array).  Every
-    recorded candidate matrix is read once in integers and re-multiplied
-    (isometry_denominators), and its integral flag must match.  A
-    NoIntegralIsometry certificate whose list equals the top-level
+    n, the dimension of B, and every matrix row a JSON array).  B, B' and
+    every recorded candidate matrix are read once in integers
+    (_integer_matrices): B and B' must be integral, and each candidate
+    is re-multiplied (isometry_denominators) with a matching integral
+    flag.  A NoIntegralIsometry certificate whose list equals the top-level
     candidate matrices then holds iff none of them is integral; any other
     certificate is re-verified against the problem (verify_certificate).
     Any discrepancy — including contents too damaged to rebuild the

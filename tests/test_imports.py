@@ -5,8 +5,13 @@ name bound by a top-level import must be read somewhere in its module, as
 a name (the base of an attribute included) or as an entry of __all__.
 `from __future__` imports are exempt, and so is an import whose statement
 carries `# noqa: F401`.  The package's __init__.py imports to re-export,
-so there every imported name must be listed in __all__.  perfbench/ is
-not scanned.
+so there every imported name must be listed in __all__.
+
+Every private top-level function or class of src/superlat/ (a name with
+one leading underscore) must also be read somewhere in those three
+folders: as a loaded name, as an attribute, or as the name an import
+brings in.  A helper left behind by a deletion fails this check.
+perfbench/ is not scanned.
 """
 
 from __future__ import annotations
@@ -72,3 +77,38 @@ def test_package_exports_every_import():
     tree, lines = _parse(module)
     missing = sorted(set(_imported(tree, lines)) - _all(tree))
     assert not missing, f"imported by {module} but missing from __all__: {missing}"
+
+
+def _private_definitions() -> dict[str, str]:
+    """{name: module} of the private top-level functions and classes of
+    the package."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.relative_to(ROOT).as_posix()
+        for node in _parse(module)[0].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                out[node.name] = module
+    return out
+
+
+def _reads_anywhere() -> set[str]:
+    """Every name loaded, attribute named or import alias brought in by
+    a scanned module."""
+    out = set()
+    for module in MODULES:
+        for node in ast.walk(_parse(module)[0]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name.rpartition(".")[2])
+    return out
+
+
+def test_every_private_definition_is_read():
+    read = _reads_anywhere()
+    unread = sorted(f"{module} {name}" for name, module in _private_definitions().items() if name not in read)
+    assert not unread, "defined but never read: " + ", ".join(unread)

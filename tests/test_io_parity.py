@@ -14,11 +14,10 @@ from pathlib import Path
 import pytest
 
 from superlat import cli
-from superlat.errors import ParseError
 from superlat.forms import GramForm
 from superlat.isometry import CandidateIsometry, Certificate, IsometryProblem, SearchResult, SearchStats
 from superlat.linalg import Mat, Vec, parse_fraction
-from superlat.problem_io import _parse_matrix_rows, document_json, result_document, verify_document
+from superlat.problem_io import document_json, result_document, verify_document
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -242,14 +241,18 @@ def _put(path, value):
         _put(("candidates", 0, "integral"), 1),
         _put(("certificate", "witness", "integral"), "false"),
         _put(("certificate", "witness", "integral"), 1),
+        _put(("inputs", "B", 0, 0), "1/2"),
+        _put(("inputs", "Bprime", 1, 1), "5/2"),
     ],
     ids=["w-1.5", "w-1.0", "w-true", "w-string", "z0-1.9", "z0-true",
-         "candidate-flag-string", "candidate-flag-int", "witness-flag-string", "witness-flag-int"],
+         "candidate-flag-string", "candidate-flag-int", "witness-flag-string", "witness-flag-int",
+         "B-half", "Bprime-half"],
 )
 def test_verify_reads_document_fields_only_at_their_json_type(edit, wilson_doc, tmp_path, capsys):
-    # Each edit would read as the original value under int() or bool():
-    # a float, boolean or string anchor or probe entry, and a flag that is
-    # not a JSON boolean, must each fail.
+    # Each of the first ten edits would read as the original value under
+    # int() or bool(): a float, boolean or string anchor or probe entry,
+    # and a flag that is not a JSON boolean, must each fail.  So must a
+    # Gram matrix entry that is not an integer.
     doc = copy.deepcopy(wilson_doc)
     edit(doc)
     assert verify_document(doc) is False
@@ -308,12 +311,6 @@ def test_verify_reads_inputs_n(value, wilson_doc):
     assert doc["inputs"]["n"] == 4 and verify_document(doc) is True
     doc["inputs"]["n"] = value
     assert verify_document(doc) is False
-
-
-def test_parse_matrix_rows_rejects_non_finite_entries():
-    for value in (float("inf"), float("-inf"), float("nan")):
-        with pytest.raises(ParseError):
-            _parse_matrix_rows([["1", value], ["0", "1"]], "witness")
 
 
 def test_verify_rejects_integral_isometry_listed_as_non_integral(wilson_doc):

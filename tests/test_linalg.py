@@ -192,6 +192,8 @@ def test_integer_kernel_basis_known():
     assert integer_kernel_basis(Vec([1, 0, 0])) == [Vec([0, 1, 0]), Vec([0, 0, 1])]
     assert integer_kernel_basis(Vec([18, 0, 18])) == [Vec([1, 0, -1]), Vec([0, 1, 0])]
     assert integer_kernel_basis(Vec([Fraction(1, 2), Fraction(1, 3)])) == [Vec([2, -3])]
+    assert integer_kernel_basis(Vec([5])) == []
+    assert integer_kernel_basis(Vec([0, 6, -4])) == [Vec([1, 0, 0]), Vec([0, 2, 3])]
     with pytest.raises(ZeroFunctional):
         integer_kernel_basis(Vec([0, 0, 0]))
 
@@ -240,3 +242,6 @@ def test_kernel_basis_annihilates_functional(entries):
     for b in basis:
         assert b.is_integral()
         assert f.dot(b) == 0
+    # The basis is already in Hermite form.
+    rows = [b.to_ints() for b in basis]
+    assert hermite_row_reduce(rows) == rows
