@@ -23,13 +23,13 @@ them:
 * ``reconstruct``, on every tuple of the eq1-first scan;
 * ``pulls_back``, the exact check inside ``reconstruct``, alone: once
   more on every (num, den) that ``reconstruct`` checked;
-* ``integral_listing``, the stdout listing of ``factorize --all`` (the
-  integral candidates' entry texts included);
-* ``result_document`` on the search's result, and ``write_document`` of
-  that document into memory (the candidates' entry texts are made with
-  the candidates, inside the search, so ``result_document`` only wraps
-  them and ``write_document`` renders the JSON);
-* ``verify_document`` of the written document, read back with
+* ``integral_listing``, the stdout listing of ``factorize --all``:
+  ``matrix_listing`` of the integral candidates' entry texts;
+* ``result_document`` on the search's result, and ``document_json``, the
+  text of that document (the candidates' entry texts are made with the
+  candidates, inside the search, so ``result_document`` only wraps them
+  and ``document_json`` renders the JSON);
+* ``verify_document`` of the document's text, read back with
   ``json.loads``.
 * ``oracle``, the brute-force reference ``brute_force_isometries`` on the
   problem's two forms, and ``oracle_listing``, the stdout listing of
@@ -51,7 +51,6 @@ changed.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from pathlib import Path
@@ -63,7 +62,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
 
-from superlat.cli import integral_listing, matrix_listing  # noqa: E402
+from superlat.cli import matrix_listing  # noqa: E402
 from superlat.forms import GramForm  # noqa: E402
 from superlat.isometry import (  # noqa: E402
     IsometryProblem,
@@ -76,7 +75,7 @@ from superlat.isometry import (  # noqa: E402
     solve_eq1,
     solve_eq3_per_z0,
 )
-from superlat.problem_io import parse_problem, result_document, verify_document, write_document  # noqa: E402
+from superlat.problem_io import document_json, parse_problem, result_document, verify_document  # noqa: E402
 
 # Problems per workload, as the benchmark draws them (perfbench/run.py).
 WORKLOAD_COUNTS = {"wilson": 7, "pullback": 5, "neighbour": 10}
@@ -161,7 +160,8 @@ def one_pass(text: str) -> dict[str, float]:
 
     result = find_isometries(problem)
     start = perf_counter()
-    integral_listing([c for c in result.candidates if c.integral])
+    integral = [c for c in result.candidates if c.integral]
+    matrix_listing(f"integral matrices ({len(integral)}):", [c.entry_strings for c in integral])
     times["integral_listing"] = perf_counter() - start
 
     options = {"all": True, "integral_only": False, "cs_prune": False}
@@ -169,12 +169,11 @@ def one_pass(text: str) -> dict[str, float]:
     doc = result_document(problem, result, options=options, elapsed=0.0)
     times["result_document"] = perf_counter() - start
 
-    out = io.StringIO()
     start = perf_counter()
-    write_document(doc, out)
-    times["write_document"] = perf_counter() - start
+    text = document_json(doc)
+    times["document_json"] = perf_counter() - start
 
-    written = json.loads(out.getvalue())
+    written = json.loads(text)
     start = perf_counter()
     verify_document(written)
     times["verify_document"] = perf_counter() - start
@@ -183,7 +182,7 @@ def one_pass(text: str) -> dict[str, float]:
     found = brute_force_isometries(problem.source, problem.target)
     times["oracle"] = perf_counter() - start
     start = perf_counter()
-    matrix_listing(f"brute-force isometries: {len(found)}", found)
+    matrix_listing(f"brute-force isometries: {len(found)}", [m.rows for m in found])
     times["oracle_listing"] = perf_counter() - start
     return times
 

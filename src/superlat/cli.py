@@ -39,6 +39,7 @@ from .isometry import (
 from .linalg import Mat, Vec
 from .problem_io import (
     ProblemFile,
+    anchor_vector,
     document_json,
     load_document,
     load_matrix,
@@ -48,7 +49,6 @@ from .problem_io import (
     result_document,
     scalar_str,
     verify_document,
-    write_document,
 )
 
 EXIT_OK = 0
@@ -58,23 +58,9 @@ EXIT_INVARIANT = 3
 EXIT_UNSUPPORTED = 4
 
 
-def _parse_vector(text: str, n: int, label: str) -> Vec:
-    tokens = text.replace(",", " ").split()
-    if len(tokens) != n:
-        raise ParseError(f"{label}: expected {n} integers, got {len(tokens)}")
-    try:
-        entries = [int(t) for t in tokens]
-    except ValueError:
-        raise ParseError(f"{label}: entries must be integers")
-    v = Vec(entries)
-    if v.is_zero():
-        raise ParseError(f"{label}: vector must be nonzero")
-    return v
-
-
 def _anchor(pf: ProblemFile, arg_w: str | None) -> Vec:
     if arg_w is not None:
-        return _parse_vector(arg_w, pf.n, "--w")
+        return anchor_vector(arg_w.replace(",", " ").split(), pf.n, "--w")
     if pf.w is None:
         raise ParseError("no anchor: provide a 'w' block or --w")
     return pf.w
@@ -128,24 +114,18 @@ def cmd_grade_basis(args) -> int:
     print(f"n = {n}")
     print(f"even dimension = {len(evens)} (= n^2 - 2n + 2)")
     print(f"odd dimension = {len(odds)} (= 2n - 2)")
-    sys.stdout.write(matrix_listing("even basis:", evens) + matrix_listing("odd basis:", odds))
+    for header, basis in (("even basis:", evens), ("odd basis:", odds)):
+        sys.stdout.write(matrix_listing(header, [m.rows for m in basis]))
     return EXIT_OK
 
 
-def integral_listing(integral) -> str:
-    """The --all listing of the integral candidates, one line per matrix
-    (written in one call); each distinct row of entry texts is joined once."""
-    joined = functools.cache(" ".join)
-    lines = [f"  {' | '.join(map(joined, c.entry_strings))}\n" for c in integral]
-    return f"integral matrices ({len(integral)}):\n" + "".join(lines)
-
-
 def matrix_listing(header: str, mats) -> str:
-    """header, then one line per matrix (written in one call); each row
-    tuple is rendered once, which pays where matrices share rows."""
-    texts = {id(row): row for m in mats for row in m.rows}
-    texts = {key: " ".join(map(scalar_str, row)) for key, row in texts.items()}
-    lines = [f"  {' | '.join([texts[id(row)] for row in m.rows])}\n" for m in mats]
+    """header, then one line per matrix, each given as its rows (written
+    in one call); each distinct row tuple is rendered once with str, which
+    pays where matrices share rows."""
+    texts = {id(row): row for rows in mats for row in rows}
+    texts = {key: " ".join(map(str, row)) for key, row in texts.items()}
+    lines = [f"  {' | '.join([texts[id(row)] for row in rows])}\n" for rows in mats]
     return f"{header}\n" + "".join(lines)
 
 
@@ -176,7 +156,7 @@ def cmd_factorize(args) -> int:
 
     integral = [c for c in result.candidates if c.integral]
     if args.all and integral:
-        sys.stdout.write(integral_listing(integral))
+        sys.stdout.write(matrix_listing(f"integral matrices ({len(integral)}):", [c.entry_strings for c in integral]))
     elif result.certificate.witness is not None:
         print("witness M =")
         _print_cells(result.certificate.witness.entry_strings)
@@ -187,9 +167,9 @@ def cmd_factorize(args) -> int:
             "integral_only": args.integral_only,
             "cs_prune": args.cs_prune,
         }
-        doc = result_document(problem, result, options=options, elapsed=elapsed)
+        text = document_json(result_document(problem, result, options=options, elapsed=elapsed))
         with open(args.json, "w", encoding="utf-8") as fh:
-            write_document(doc, fh)
+            fh.write(text)
         print(f"result written to {args.json}")
 
     return EXIT_OK if result.certificate.verdict == "IsometricWitness" else EXIT_NEGATIVE
@@ -224,9 +204,9 @@ def cmd_obstruct(args) -> int:
         print(f"  {key} = {cert.detail[key]}")
 
     if args.json:
-        doc = obstruction_document(cert, params)
+        text = document_json(obstruction_document(cert, params))
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(document_json(doc))
+            fh.write(text)
         print(f"result written to {args.json}")
 
     return EXIT_OK if cert.verdict.startswith("Obstruction") else EXIT_NEGATIVE
@@ -235,7 +215,7 @@ def cmd_obstruct(args) -> int:
 def cmd_oracle(args) -> int:
     pf = load_problem(args.file)
     found = brute_force_isometries(GramForm(pf.gram), GramForm(_require_target(pf)), bound=args.bound)
-    sys.stdout.write(matrix_listing(f"brute-force isometries: {len(found)}", found))
+    sys.stdout.write(matrix_listing(f"brute-force isometries: {len(found)}", [m.rows for m in found]))
     return EXIT_OK if found else EXIT_NEGATIVE
 
 

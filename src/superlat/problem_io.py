@@ -23,16 +23,18 @@ A problem file is a sequence of labeled blocks::
 ``n`` and ``B`` are required; ``Bprime``, ``w`` and ``z0`` are optional.
 Matrix entries are rationals written as ``p/q`` or plain integers; ``w``
 and ``z0`` rows are integers.  Values for ``n`` and ``w`` may sit on the
-label line or on the following line.
+label line or on the following line.  The command line's ``--w`` is read
+by the same anchor_vector as the ``w`` block.
 
 Result documents are JSON with all matrices serialized as arrays of
 ``p/q`` strings, so nothing is ever rounded.  The ``timing`` key is the
-only part that varies between identical runs.
+only part that varies between identical runs.  document_json renders a
+whole document as one text through the one walker _json_text, and
+load_document reads it back.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -78,6 +80,18 @@ def _integer(token: str, where: str) -> int:
     if value.denominator != 1:
         raise ParseError(f"{where}: expected an integer, got {token!r}")
     return int(value)
+
+
+def anchor_vector(tokens: list[str], n: int, label: str) -> Vec:
+    """The anchor vector of n integer tokens (each read as _integer reads
+    it, so 2/1 is 2); ParseError unless there are n of them and the
+    vector is nonzero."""
+    if len(tokens) != n:
+        raise ParseError(f"{label}: expected {n} integers, got {len(tokens)}")
+    w = Vec([_integer(tok, label) for tok in tokens])
+    if w.is_zero():
+        raise ParseError(f"{label}: anchor vector must be nonzero")
+    return w
 
 
 def _blocks(text: str) -> dict[str, list[list[str]]]:
@@ -141,12 +155,9 @@ def parse_problem(text: str) -> ProblemFile:
 
     w = None
     if "w" in blocks:
-        w_rows = blocks["w"]
-        if len(w_rows) != 1 or len(w_rows[0]) != n:
+        if len(blocks["w"]) != 1:
             raise ParseError(f"w: expected {n} integers on one row")
-        w = Vec([_integer(tok, "w") for tok in w_rows[0]])
-        if w.is_zero():
-            raise ParseError("w: anchor vector must be nonzero")
+        w = anchor_vector(blocks["w"][0], n, "w")
 
     probes = None
     if "z0" in blocks:
@@ -364,49 +375,20 @@ def _json_text(x, pad: str, blocks) -> str:
     return json.dumps(x)  # a float
 
 
-def _write_json(x, pad: str, write, blocks) -> None:
-    """Pass the text of x (see _json_text) to write, one call per key of
-    a dict and one per entry of a list, so a document goes out one
-    candidate at a time."""
-    if isinstance(x, dict) and x:
-        inner = pad + "  "
-        sep = "{\n"
-        for key in sorted(x):
-            write(f"{sep}{inner}{_quote(key)}: ")
-            _write_json(x[key], inner, write, blocks)
-            sep = ",\n"
-        write(f"\n{pad}}}")
-    elif isinstance(x, (list, tuple)) and x:
-        inner = pad + "  "
-        sep = "[\n"
-        for item in x:
-            write(sep + inner + _json_text(item, inner, blocks))
-            sep = ",\n"
-        write(f"\n{pad}]")
-    else:
-        write(_json_text(x, pad, blocks))
-
-
-def write_document(doc: dict, fh) -> None:
-    """Write document_json(doc) to the text file fh without holding the
-    whole text in memory."""
-    _write_json(doc, "", fh.write, cache(_row_block))
-    fh.write("\n")
-
-
 def document_json(doc: dict) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2) + "\\n", as write_document
-    writes it."""
-    out = io.StringIO()
-    write_document(doc, out)
-    return out.getvalue()
+    """json.dumps(doc, sort_keys=True, indent=2) + "\\n", each distinct row
+    of entry texts rendered once."""
+    return _json_text(doc, "", cache(_row_block)) + "\n"
 
 
 def load_document(path: str) -> dict:
+    """The JSON value in the file at path; ParseError for text that
+    json.loads rejects, an integer literal too long to convert included,
+    or nests too deep to load."""
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})")
 
 

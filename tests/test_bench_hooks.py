@@ -9,16 +9,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tracer_installs_and_counts(monkeypatch, capsys):
+def test_tracer_installs_and_counts(monkeypatch, capsys, tmp_path):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import spans
 
     from superlat import cli
 
+    out = tmp_path / "wilson.json"
     tracer = spans.Tracer()
     spans.install(tracer)
     try:
-        assert cli.main(["factorize", str(ROOT / "problems" / "wilson.txt"), "--all"]) == 0
+        assert cli.main(["factorize", str(ROOT / "problems" / "wilson.txt"), "--all", "--json", str(out)]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -38,6 +39,9 @@ def test_tracer_installs_and_counts(monkeypatch, capsys):
     }
     assert {key: tracer.counts[key] for key in want} == want
     assert "isometry.solve_eq1" in tracer.names
+    # factorize renders its document through document_json; the text is
+    # ASCII, so its length is the written file's size.
+    assert tracer.counts["problem_io.document_json.bytes"] == out.stat().st_size > 0
 
 
 def test_tracer_records_the_oracle(monkeypatch, capsys):

@@ -120,6 +120,16 @@ class TestFactorize:
     def test_anchor_override_flag(self, capsys):
         assert main(["factorize", WILSON_FILE, "--w", "0,1,0,0"]) == 0
 
+    def test_anchor_override_reads_entries_as_the_file_does(self, tmp_path, capsys):
+        # --w reads each entry as the file's w block does: 2/1 is 2.
+        doubled = write(tmp_path, "w.txt", Path(WILSON_FILE).read_text().replace("w 1 0 0 0", "w 2/1 0 0 0"))
+        runs = []
+        for argv in ([WILSON_FILE, "--w", "2,0,0,0"], [WILSON_FILE, "--w", "2/1,0,0,0"], [doubled]):
+            runs.append((main(["factorize", *argv]), capsys.readouterr().out))
+        assert runs[0] == runs[1] == runs[2]
+        assert main(["factorize", WILSON_FILE, "--w", "1/2,0,0,0"]) == 2
+        assert "expected an integer" in capsys.readouterr().err
+
     def test_missing_target_is_parse_error(self):
         assert main(["factorize", TERNARY_FILE]) == 2
 
@@ -198,6 +208,17 @@ class TestResultDocuments:
     def test_invalid_json_is_parse_error(self, tmp_path):
         path = write(tmp_path, "broken.json", "{not json")
         assert main(["verify", path]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"a": ' + "1" * 5000 + "}", "[" * 200_000],
+        ids=["integer-over-4300-digits", "nested-past-recursion-limit"],
+    )
+    def test_json_that_cannot_load_is_parse_error(self, text, tmp_path, capsys):
+        # json.loads raises a plain ValueError and a RecursionError here.
+        path = write(tmp_path, "unloadable.json", text)
+        assert main(["verify", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON")
 
     def test_non_utf8_files_are_parse_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
