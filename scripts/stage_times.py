@@ -4,9 +4,20 @@
 For every example problem in ``problems/`` that has a target and an
 anchor, and the problem files of the three benchmark workloads (written by
 ``perfbench/gen.py`` with probe seed 1, as ``perfbench/run.py --seed 1``
-writes them), the script runs the stages of ``find_isometries`` one after
-the other on a freshly built problem, the way a ``--all`` search runs
-them:
+writes them), the script first builds the problem the way ``factorize``
+does, timing each setup step:
+
+* ``parse_problem`` of the file's text;
+* ``GramForm``, the forms of B and B' (each computes its determinant);
+* ``IsometryProblem``, the constructor on those forms, the anchor and the
+  probes;
+* ``l0_form``, the problem's ``PosDefForm`` of diag(N, G_K), which the
+  eq1 and eq3 shells are enumerated on (so ``solve_eq1`` does not
+  include it);
+* ``PosDefForm``, the form of B that ``oracle`` enumerates its columns on.
+
+It then runs the stages of ``find_isometries`` one after the other on
+that problem, the way a ``--all`` search runs them:
 
 * ``solve_eq1``;
 * ``solve_eq3_per_z0``, once per probe: ``solve_eq3_per_z0.probe<i>``
@@ -35,11 +46,11 @@ them:
   problem's two forms, and ``oracle_listing``, the stdout listing of
   ``oracle`` for its matrices.
 
-Each stage's time is the best of ``--repeats`` runs (building the problem
-is not timed).  The script prints one JSON object that maps each problem
-to its stage times in seconds and to ``first_column``, the shell that
-``--all`` places first (``eq1`` or ``probe<i>``), plus a ``total`` entry
-per stage summed over the problems that have it (the per-probe entries
+Each stage's time is the best of ``--repeats`` runs.  The script prints
+one JSON object that maps each problem to its stage times in seconds and
+to ``first_column``, the shell that ``--all`` places first (``eq1`` or
+``probe<i>``), plus a ``total`` entry per stage, setup steps included,
+summed over the problems that have it (the per-probe entries
 depend on the dimension).  Usage, from the root of a checkout::
 
     PYTHONPATH=src python3 scripts/stage_times.py --repeats 5
@@ -63,6 +74,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 
 from superlat.cli import matrix_listing  # noqa: E402
+from superlat.diophantine import PosDefForm  # noqa: E402
 from superlat.forms import GramForm  # noqa: E402
 from superlat.isometry import (  # noqa: E402
     IsometryProblem,
@@ -108,9 +120,26 @@ def first_column(problem: IsometryProblem) -> str:
 
 
 def one_pass(text: str) -> dict[str, float]:
-    """The time of each stage on a freshly built problem."""
-    problem = build(text)
+    """The time of each setup step and of each stage on the problem it
+    builds."""
     times = {}
+    start = perf_counter()
+    pf = parse_problem(text)
+    times["parse_problem"] = perf_counter() - start
+    start = perf_counter()
+    source, target = GramForm(pf.gram), GramForm(pf.target)
+    times["GramForm"] = perf_counter() - start
+    probes = list(pf.probes) if pf.probes else None
+    start = perf_counter()
+    problem = IsometryProblem(source, target, pf.w, probes=probes)
+    times["IsometryProblem"] = perf_counter() - start
+    start = perf_counter()
+    problem.l0_form
+    times["l0_form"] = perf_counter() - start
+    start = perf_counter()
+    PosDefForm(pf.gram)
+    times["PosDefForm"] = perf_counter() - start
+
     start = perf_counter()
     e1s = solve_eq1(problem)
     times["solve_eq1"] = perf_counter() - start

@@ -213,6 +213,8 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.bound is not None and args.bound < 0:
+        raise ParseError(f"--bound must be at least 0, got {args.bound}")
     pf = load_problem(args.file)
     found = brute_force_isometries(GramForm(pf.gram), GramForm(_require_target(pf)), bound=args.bound)
     sys.stdout.write(matrix_listing(f"brute-force isometries: {len(found)}", [m.rows for m in found]))

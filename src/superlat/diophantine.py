@@ -1,7 +1,8 @@
 """Exact integer solutions of positive definite norm equations.
 
 The enumeration follows the Fincke-Pohst recursion on an exact rational
-LDL^T factorization: with y = L^T x the form reads sum_j d_j y_j^2.  The
+LDL^T factorization, computed by fraction-free elimination in integers:
+with y = L^T x the form reads sum_j d_j y_j^2.  The
 denominators of L and of the pivots are cleared once per form, so the
 recursion carries only integers: the budget, the scaled coordinates
 Y_j = dl * y_j and the scaled pivots P_j, with coordinate ranges from
@@ -28,7 +29,9 @@ class PosDefForm:
 
     Positivity is certified exactly: the factorization pivots d_j are the
     ratios of consecutive leading principal minors, so requiring every
-    pivot > 0 is Sylvester's criterion.
+    pivot > 0 is Sylvester's criterion.  _ldl computes those minors by
+    fraction-free integer elimination; Fractions appear only in the
+    pivots and L it returns.
     """
 
     def __init__(self, gram: Mat):
@@ -67,22 +70,33 @@ class PosDefForm:
 
 
 def _ldl(gram: Mat) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
-    n = gram.nrows
+    """(pivots d, unit lower triangle L) with gram = L diag(d) L^T, or
+    NotPositiveDefinite at the first pivot <= 0.
+
+    The elimination runs in integers, fraction-free (Bareiss, Math. Comp.
+    22, 1968) on A = c gram, c the lcm of its denominators (_cleared),
+    without row swaps: the pivot entry at step j is the leading principal
+    minor D_(j+1) of A (D_0 = 1), and every entry below it the minor m_ij
+    that borders D_j, so each division is exact.  Then
+    d_j = D_(j+1) / (c D_j) and L_ij = m_ij / D_(j+1).  A stays symmetric,
+    so only its lower triangle is updated."""
+    c, rows = _cleared(gram.rows)
+    a = [list(row[: i + 1]) for i, row in enumerate(rows)]
+    n, prev = len(a), 1
     d: list[Fraction] = []
     low = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
-        pivot = gram.rows[j][j] - sum(
-            (low[j][k] * low[j][k] * d[k] for k in range(j)), Fraction(0)
-        )
+        pivot = a[j][j]
+        d.append(Fraction(pivot, c * prev))
         if pivot <= 0:
-            raise NotPositiveDefinite(f"pivot {j} is {pivot}")
-        d.append(pivot)
+            raise NotPositiveDefinite(f"pivot {j} is {d[j]}")
         low[j][j] = Fraction(1)
         for i in range(j + 1, n):
-            low[i][j] = (
-                gram.rows[i][j]
-                - sum((low[i][k] * low[j][k] * d[k] for k in range(j)), Fraction(0))
-            ) / pivot
+            row, aij = a[i], a[i][j]
+            low[i][j] = Fraction(aij, pivot)
+            for k in range(j + 1, i + 1):
+                row[k] = (pivot * row[k] - aij * a[k][j]) // prev
+        prev = pivot
     return tuple(d), tuple(tuple(r) for r in low)
 
 

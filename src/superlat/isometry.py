@@ -114,8 +114,9 @@ class IsometryProblem:
             if not z0.is_integral():
                 raise InvalidProblem("probes must be integer vectors")
         self.probes = list(probes)
+        self._probes = tuple(z0.to_ints() for z0 in self.probes)
         # (db, db P^-1) for P = (w | z0_1 ...), which reconstruct maps through.
-        self._pinv = _cleared_inverse(tuple(zip(self._w, *(z0.to_ints() for z0 in self.probes))))
+        self._pinv = _cleared_inverse(tuple(zip(self._w, *self._probes)))
         if not self._pinv[0]:
             raise DegenerateProbe("anchor and probes do not form a basis")
 
@@ -131,7 +132,7 @@ class IsometryProblem:
         # N^2 times the Gram matrix of B' in the basis (w, zhat_1, ...):
         # the pairing targets of the joint search, with the eq1 target and
         # the eq3 targets on the diagonal and the eq2 targets in row 0.
-        basis = (self._w, *(self._zhat(z0.to_ints()) for z0 in self.probes))
+        basis = (self._w, *map(self._zhat, self._probes))
         n2 = nint * nint
         self.pair_targets = tuple(tuple(n2 * _bilinear(self._tgram, u, v) for v in basis) for u in basis)
         self.eq1_target = self.pair_targets[0][0]
@@ -293,11 +294,10 @@ class _ReconTables:
     def __init__(self, problem: IsometryProblem):
         self.n = n = problem.dim
         nint, gram = problem.wnorm, problem._gram
-        probes = [z0.to_ints() for z0 in problem.probes]
         self.db, adj = problem._pinv
-        self.dp, self.pair = _cleared_inverse([[_dot(v, row) for row in gram] for v in (problem._w, *probes)])
+        self.dp, self.pair = _cleared_inverse([[_dot(v, row) for row in gram] for v in (problem._w, *problem._probes)])
         self.den = nint * nint * self.db
-        betas = [_bilinear(gram, z0, problem._w) for z0 in probes]
+        betas = [_bilinear(gram, z0, problem._w) for z0 in problem._probes]
         arows = (
             tuple(nint * a + _dot(betas, col[1:]) for a, col in zip(adj[0], zip(*adj))),
             *adj[1:],

@@ -34,6 +34,7 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+\Z")
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
@@ -43,8 +44,15 @@ def parse_fraction(x) -> Fraction:
     would first build 10**exponent, which takes minutes for an exponent
     of 10^8.  Python applies the same limit to the digits of a plain
     integer token.  Every text entry of a problem file, matrix file or
-    document is read through this function."""
+    document is read through this function.
+
+    An integer token, an ASCII string of the form [+-]?[0-9]+, is read
+    with int(), which gives the value Fraction(x) gives and raises the
+    same ValueError past the digit limit, at a fraction of the cost of
+    Fraction's own string parser; every other input takes that parser."""
     if isinstance(x, str):
+        if _INTEGER.match(x):
+            return Fraction(int(x))
         exponent = _EXPONENT.search(x)
         limit = sys.get_int_max_str_digits()
         if exponent and limit and abs(int(exponent[1])) > limit:

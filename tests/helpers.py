@@ -10,6 +10,7 @@ from math import isqrt, prod
 from operator import mul
 
 from superlat.diophantine import PosDefForm, _sign_canonical, vectors_of_norm
+from superlat.errors import NotPositiveDefinite
 from superlat.isometry import (
     Certificate,
     SearchResult,
@@ -401,6 +402,29 @@ def reference_vectors_of_norm(q: PosDefForm, c) -> tuple[tuple[int, ...], ...]:
                 first(isqrt(sq), (1,))
     sols += [tuple(-a for a in v) for v in sols if any(v)]
     return tuple(sorted(sols))
+
+
+def reference_ldl(gram: Mat) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
+    """The Fraction elimination that diophantine._ldl replaced, kept as
+    its reference: (pivots, unit lower triangle) of gram = L diag(d) L^T,
+    or NotPositiveDefinite at the first pivot <= 0."""
+    n = gram.nrows
+    d: list[Fraction] = []
+    low = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        pivot = gram.rows[j][j] - sum(
+            (low[j][k] * low[j][k] * d[k] for k in range(j)), Fraction(0)
+        )
+        if pivot <= 0:
+            raise NotPositiveDefinite(f"pivot {j} is {pivot}")
+        d.append(pivot)
+        low[j][j] = Fraction(1)
+        for i in range(j + 1, n):
+            low[i][j] = (
+                gram.rows[i][j]
+                - sum((low[i][k] * low[j][k] * d[k] for k in range(j)), Fraction(0))
+            ) / pivot
+    return tuple(d), tuple(tuple(r) for r in low)
 
 
 def reference_brute_force_isometries(source, target, bound=None) -> list[Mat]:

@@ -424,6 +424,18 @@ class TestOracle:
         assert main(["oracle", BINARY_FILE, "--bound", "4"]) == 1
         assert "brute-force isometries: 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bound, code", [("-1", 2), ("-7", 2), ("0", 1)])
+    def test_negative_bound_is_parse_error(self, bound, code, capsys):
+        # Exit 1 would certify that no isometry exists; a bound below 0 is
+        # malformed input.  --bound 0 admits only the zero matrix.
+        assert main(["oracle", WILSON_FILE, "--bound", bound]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == ""
+            assert captured.err == f"error: --bound must be at least 0, got {bound}\n"
+        else:
+            assert captured.out == "brute-force isometries: 0\n"
+
     def test_wilson_oracle_count(self, capsys):
         assert main(["oracle", WILSON_FILE]) == 0
         assert "brute-force isometries: 384" in capsys.readouterr().out

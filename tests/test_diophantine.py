@@ -16,11 +16,14 @@ from helpers import (
     naive_box_norm_solutions,
     rand_pd_gram,
     rand_pullback_problem,
+    rand_rational_invertible,
+    reference_ldl,
     reference_vectors_of_norm,
     trial_division_two_squares,
 )
 from superlat.diophantine import (
     PosDefForm,
+    _ldl,
     _sign_canonical,
     three_squares_representable,
     two_squares_representable,
@@ -56,6 +59,45 @@ def test_ldl_reconstructs_gram():
         q = PosDefForm(g)
         low = Mat(q._lower)
         assert low @ Mat.diagonal(q._diag) @ low.transpose() == g
+
+
+def _rand_rational_symmetric(rng: random.Random, n: int, kind: int) -> Mat:
+    """A random symmetric rational matrix: R^T R for an invertible rational
+    R (kind 0, definite), for a singular R (kind 1, semidefinite), or
+    with independent entries and mostly positive diagonal (kind 2)."""
+    if kind == 2:
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            a[i][i] = Fraction(rng.randint(-1, 9), rng.randint(1, 4))
+            for j in range(i):
+                a[i][j] = a[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        return Mat(a)
+    r = rand_rational_invertible(rng, n)
+    if kind == 1:
+        k = rng.randrange(n)
+        r = Mat([row if i != k else tuple(0 for _ in row) for i, row in enumerate(r.rows)])
+    return r.transpose() @ r
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ldl_matches_the_fraction_elimination(n):
+    # diophantine._ldl eliminates in integers; the Fraction elimination
+    # it replaced must give the same pivots and L, or the same error.
+    rng = random.Random(700 + n)
+    outcomes = set()
+    for k in range(60):
+        g = _rand_rational_symmetric(rng, n, k % 3)
+        try:
+            expected = reference_ldl(g)
+        except NotPositiveDefinite as exc:
+            with pytest.raises(NotPositiveDefinite) as got:
+                _ldl(g)
+            assert str(got.value) == str(exc)
+            outcomes.add("rejected")
+        else:
+            assert _ldl(g) == expected
+            outcomes.add("definite")
+    assert outcomes == {"definite", "rejected"}
 
 
 def test_evaluate():

@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superlat import cli
 from superlat.forms import GramForm
@@ -183,6 +185,32 @@ def test_parse_fraction_holds_exponents_to_the_digit_limit():
     for text in (f"1e{limit + 1}", f"-2.5E-{limit + 1}", f"1e{'9' * (limit + 1)}"):
         with pytest.raises(ValueError):
             parse_fraction(text)
+
+
+def _read(parse, token):
+    """parse(token), or the type of the exception it raises."""
+    try:
+        return parse(token)
+    except Exception as exc:
+        return type(exc)
+
+
+# Integer tokens take int() and every other string Fraction's parser; both
+# must read each token as Fraction(token) does.
+PARSE_TOKENS = ["007", "-0", "+3", "+-3", "--3", "", "+", " 3", "1_000", "\u0663", "1e5", "1.5", "3/4", "3/-4", "1/0"]
+LONG_INTEGER = "1" + "0" * sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("token", [*PARSE_TOKENS, LONG_INTEGER, "-" + LONG_INTEGER, LONG_INTEGER[1:]],
+                         ids=[*PARSE_TOKENS, "limit+1-digits", "minus-limit+1-digits", "limit-digits"])
+def test_parse_fraction_reads_tokens_as_fraction_does(token):
+    assert _read(parse_fraction, token) == _read(Fraction, token)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(["+", "-", "0", "1", "7", "9", "\u0663", "_", "/", ".", " ", "\n"]), max_size=8).map("".join))
+def test_parse_fraction_reads_sign_digit_strings_as_fraction_does(token):
+    assert _read(parse_fraction, token) == _read(Fraction, token)
 
 
 @pytest.mark.parametrize("token", HUGE_EXPONENTS)
