@@ -34,6 +34,9 @@ that problem, the way a ``--all`` search runs them:
 * ``reconstruct``, on every tuple of the eq1-first scan;
 * ``pulls_back``, the exact check inside ``reconstruct``, alone: once
   more on every (num, den) that ``reconstruct`` checked;
+* ``negate``, ``-c`` over half of the search's sorted candidates: as
+  many negations as the search makes when it adds the negated half of
+  each +-pair;
 * ``integral_listing``, the stdout listing of ``factorize --all``:
   ``matrix_listing`` of the integral candidates' entry texts;
 * ``result_document`` on the search's result, and ``document_json``, the
@@ -188,6 +191,12 @@ def one_pass(text: str) -> dict[str, float]:
     times["pulls_back"] = perf_counter() - start
 
     result = find_isometries(problem)
+    half = result.candidates[: len(result.candidates) // 2]
+    start = perf_counter()
+    for c in half:
+        -c
+    times["negate"] = perf_counter() - start
+
     start = perf_counter()
     integral = [c for c in result.candidates if c.integral]
     matrix_listing(f"integral matrices ({len(integral)}):", [c.entry_strings for c in integral])

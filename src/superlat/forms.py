@@ -7,6 +7,7 @@ plain square matrices in that same basis.  Everything is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DimensionMismatch,
@@ -35,7 +36,6 @@ class GramForm:
         self.det = gram.determinant()
         if self.det == 0 and not allow_degenerate:
             raise InvalidForm("Gram matrix is degenerate")
-        self._inv: Mat | None = None
 
     @property
     def dim(self) -> int:
@@ -45,11 +45,9 @@ class GramForm:
     def is_degenerate(self) -> bool:
         return self.det == 0
 
-    @property
+    @cached_property
     def inverse_gram(self) -> Mat:
-        if self._inv is None:
-            self._inv = self.gram.inverse()
-        return self._inv
+        return self.gram.inverse()
 
     def evaluate(self, u: Vec, v: Vec) -> Fraction:
         """B(u, v) = u^T gram v."""

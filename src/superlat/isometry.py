@@ -379,9 +379,10 @@ class CandidateIsometry:
     num and den > 0 and keeps them in lowest terms: num holds the integer
     rows of den M, and den is the lcm of the denominators of the entries
     of M, so M is integral iff den == 1.  provenance is () (a witness read
-    from a document) or (s, btilde, atilde dp, c_i) in integers, atilde
-    as numerators over dp >= 1; .provenance builds the Fractions of
-    atilde when read, and .matrix is the Mat view, built when read.
+    from a document) or the flat integer tuple (s, btilde, dp atilde, c_1,
+    ..., c_(n-1)) of n^2 + n + 1 entries, atilde over dp >= 1; its fields
+    have fixed lengths, so it sorts as its nested view .provenance (atilde
+    as Fractions) does.  That view and .matrix, the Mat, are built when read.
     .entry_strings, set on construction, holds the rows of M as the texts
     str(Fraction(x, den)) from texts, a cache of _row_texts (a new one by
     default): the candidates of one problem's reconstruct and their
@@ -412,21 +413,18 @@ class CandidateIsometry:
     @cached_property
     def provenance(self) -> tuple:
         """(s, btilde, atilde, c_i) with atilde as Fractions, or ()."""
-        if not self._prov:
+        prov, n = self._prov, len(self.num)
+        if not prov:
             return ()
-        s, btilde, atilde, cs = self._prov
-        return s, btilde, tuple(Fraction(a, self._dp) for a in atilde), cs
+        atilde = tuple(Fraction(a, self._dp) for a in prov[n + 1 : 2 * n + 1])
+        return prov[0], prov[1 : n + 1], atilde, tuple(prov[i : i + n] for i in range(2 * n + 1, len(prov), n))
 
     def __neg__(self) -> "CandidateIsometry":
         """-M, with den unchanged (still in lowest terms).  For a candidate
         built by reconstruct this is what reconstruct gives for the negated
-        tuple: every provenance field negated.  An empty provenance stays
+        tuple: every provenance entry negated.  An empty provenance stays
         empty."""
-        prov = self._prov
-        if prov:
-            s, b, atilde, cs = prov
-            prov = (-s, _neg(b), _neg(atilde), tuple(map(_neg, cs)))
-        return CandidateIsometry(tuple(map(_neg, self.num)), self.den, prov, self._dp, self._texts)
+        return CandidateIsometry(tuple(map(_neg, self.num)), self.den, _neg(self._prov), self._dp, self._texts)
 
     @property
     def integral(self) -> bool:
@@ -703,8 +701,9 @@ def reconstruct(problem: IsometryProblem, e1: tuple[int, ...], picks: tuple) -> 
     when P^-1 is not integral (db != 1), adj^T (0, t), whose entries must
     all be multiples of db.  (For db = 1, e.g. for the default unit-vector
     probes, every atilde lies in the dual lattice.)  The candidate keeps
-    its provenance (s, btilde, atilde, c_i) as integers, atilde as
-    numerators over dp; Fractions are built only for output.
+    its provenance as CandidateIsometry's flat integer tuple, read off the
+    slots field by field (fixed lengths, so it sorts as the nested
+    provenance does); Fractions are built only for output.
     """
     tab = problem._recon_tables
     n = tab.n
@@ -716,8 +715,7 @@ def reconstruct(problem: IsometryProblem, e1: tuple[int, ...], picks: tuple) -> 
     num = [out[i : i + n] for i in range(0, n2, n)]
     if not problem.pulls_back(num, tab.den):
         return None
-    cs = tuple(out[i : i + n] for i in range(n2 + n, 2 * n2, n))
-    prov = (e1[0], out[n2 : n2 + n], out[2 * n2 : 2 * n2 + n], cs)
+    prov = (e1[0], *out[n2 : n2 + n], *out[2 * n2 : 2 * n2 + n], *out[n2 + n : 2 * n2])
     return CandidateIsometry(num, tab.den, prov, tab.dp, tab.texts)
 
 
@@ -808,8 +806,8 @@ def find_isometries(
         joint_raw, joint_canonical = 2 * joint_raw, joint_raw
         candidates += [-c for c in reversed(candidates)]
     if all_solutions:
-        # Each atilde is an integer row over the one denominator dp > 0,
-        # so the integer provenance orders the candidates as its Fractions do.
+        # Each atilde is an integer row over the one dp > 0 and every flat
+        # field has one length, so this is the order of the nested Fractions.
         candidates.sort(key=lambda cand: cand._prov)
     integral = [c for c in candidates if c.integral]
 

@@ -125,8 +125,8 @@ def _matrix_block(rows: list[list[str]], n: int, label: str) -> Mat:
             raise ParseError(
                 f"{label} row {i + 1}: expected {n} entries, got {len(row)}"
             )
-        parsed.append([_fraction(tok, f"{label} row {i + 1}") for tok in row])
-    mat = Mat(parsed)
+        parsed.append(tuple(_fraction(tok, f"{label} row {i + 1}") for tok in row))
+    mat = Mat._of_rows(tuple(parsed))
     if not mat.is_symmetric():
         raise ParseError(f"{label}: matrix is not symmetric")
     return mat
@@ -193,12 +193,12 @@ def parse_matrix(text: str) -> Mat:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        rows.append([_fraction(tok, f"line {lineno}") for tok in line.split()])
+        rows.append(tuple(_fraction(tok, f"line {lineno}") for tok in line.split()))
     if not rows:
         raise ParseError("matrix file holds no rows")
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("matrix rows have unequal lengths")
-    return Mat(rows)
+    return Mat._of_rows(tuple(rows))
 
 
 def load_matrix(path: str) -> Mat:

@@ -564,8 +564,8 @@ def reference_reconstruct(problem, e1, picks):
     """isometry.reconstruct as it was before its packed integer map: map
     each row to its ambient vector through E = (w | kernel basis), form the
     columns of C, multiply by adj, test dual membership as db | adj^T (0, t)
-    and check num^T B num = den^2 B'; the provenance holds atilde as
-    numerators over dp."""
+    and check num^T B num = den^2 B'; the provenance is the flat tuple
+    (s, btilde, dp atilde, c_i)."""
     betas, adj_cols, db, den, dp, pair = _reference_recon_tables(problem)
     ts = [0] + [pick[0] for pick in picks]
     if db != 1:
@@ -581,9 +581,9 @@ def reference_reconstruct(problem, e1, picks):
         return None
     w = problem._w
     atilde = tuple(sum(map(mul, row, ts)) for row in pair)
-    btilde = tuple([x - e1[0] * a for x, a in zip(sb, w)])
-    cs = tuple(tuple([x - t * a for x, a in zip(tc, w)]) for t, tc in zip(ts[1:], picked))
-    return CandidateIsometry(num, den, (e1[0], btilde, atilde, cs), dp)
+    btilde = [x - e1[0] * a for x, a in zip(sb, w)]
+    cs = [x - t * a for t, tc in zip(ts[1:], picked) for x, a in zip(tc, w)]
+    return CandidateIsometry(num, den, (e1[0], *btilde, *atilde, *cs), dp)
 
 
 def reference_assemble(problem, filtered):

@@ -156,7 +156,7 @@ def test_candidate_from_matrix():
     # Integer rows over a denominator are kept in lowest terms; atilde is
     # held as numerators over dp.
     m = Mat([[Fraction(1, 2), Fraction(-3, 4)], [0, 2]])
-    prov = (1, (2, 0), (1, 0), ((0, 1),))
+    prov = (1, 2, 0, 1, 0, 0, 1)
     cand = CandidateIsometry([[4, -6], [0, 16]], 8, prov, 2)
     assert (cand.num, cand.den, cand.integral) == (((2, -3), (0, 8)), 4, False)
     assert cand.matrix == m
@@ -176,7 +176,7 @@ def test_negating_a_candidate_without_provenance():
     neg = -CandidateIsometry([[2, -3], [0, 8]], 4)
     assert (neg.matrix, neg.den, neg.provenance) == (-m, 4, ())
     assert -neg == CandidateIsometry([[2, -3], [0, 8]], 4)
-    given = (1, (2, 0), (1, 0), ((0, 1),))
+    given = (1, 2, 0, 1, 0, 0, 1)
     assert (-CandidateIsometry([[2, -3], [0, 8]], 4, given, 2)).provenance == (
         -1, (-2, 0), (Fraction(-1, 2), 0), ((0, -1),)
     )

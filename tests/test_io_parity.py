@@ -462,8 +462,8 @@ def test_document_json_equals_json_dumps(wilson_doc, quaternary_doc):
     rational = [half, -half, CandidateIsometry([[-3, 0], [10, -42]], 6)]
     for cand in rational:
         assert cand.entry_strings == tuple(tuple(str(x) for x in row) for row in cand.matrix.rows)
-    witness = CandidateIsometry([[0, -1], [1, 0]], 1, (1, (0,), (-2,), ((1, 0),)), 3)
-    assert witness.provenance[2] == (Fraction(-2, 3),)
+    witness = CandidateIsometry([[0, -1], [1, 0]], 1, (1, 0, 0, -2, 0, 1, 0), 3)
+    assert witness.provenance[2] == (Fraction(-2, 3), 0)
     for cands, cert in [
         (rational, Certificate("NoIntegralIsometry", detail={"candidates": [c.entry_strings for c in rational]})),
         ([witness, -witness], Certificate("IsometricWitness", witness=witness, detail={"integral_count": 2})),

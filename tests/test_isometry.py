@@ -170,9 +170,19 @@ class TestOptionsAndDeterminism:
         assert result.stats.candidates == 224
 
     def test_candidates_sorted_by_provenance(self):
-        result = find_isometries(even24_problem())
-        provs = [c.provenance for c in result.candidates]
-        assert provs == sorted(provs)
+        # even24 has dp = 12 and non-integral atilde; the A3 problem has
+        # db = 3, so its slot outputs end in residue slots after the
+        # provenance slots.  btilde, atilde and every c_i lie in w^perp.
+        a3 = GramForm(Mat([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+        for problem, total in [(even24_problem(), 224), (IsometryProblem(a3, a3, Vec([2, 1, 3])), 280)]:
+            cands = find_isometries(problem).candidates
+            provs = [c.provenance for c in cands]
+            assert len(cands) == total and provs == sorted(provs)
+            for c in cands:
+                s, btilde, atilde, cs = c.provenance
+                assert all(problem.source.evaluate(Vec(v), problem.w) == 0 for v in (btilde, atilde, *cs))
+                negated = tuple(tuple(-x for x in v) for v in (btilde, atilde, *cs))
+                assert (-c).provenance == (-s, *negated[:2], negated[2:])
 
     def test_determinant_mismatch_short_circuits(self):
         problem = IsometryProblem(
