@@ -47,7 +47,10 @@ that problem, the way a ``--all`` search runs them:
   ``json.loads``.
 * ``oracle``, the brute-force reference ``brute_force_isometries`` on the
   problem's two forms, and ``oracle_listing``, the stdout listing of
-  ``oracle`` for its matrices.
+  ``oracle`` for its matrices;
+* ``oracle_shells``, the column shells that ``oracle`` enumerates, alone:
+  ``vectors_of_norm`` of a fresh ``PosDefForm`` of B at each diagonal
+  entry B'_jj (the form's level order is built inside the first call).
 
 Each stage's time is the best of ``--repeats`` runs.  The script prints
 one JSON object that maps each problem to its stage times in seconds and
@@ -77,7 +80,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 
 from superlat.cli import matrix_listing  # noqa: E402
-from superlat.diophantine import PosDefForm  # noqa: E402
+from superlat.diophantine import PosDefForm, vectors_of_norm  # noqa: E402
 from superlat.forms import GramForm  # noqa: E402
 from superlat.isometry import (  # noqa: E402
     IsometryProblem,
@@ -222,6 +225,13 @@ def one_pass(text: str) -> dict[str, float]:
     start = perf_counter()
     matrix_listing(f"brute-force isometries: {len(found)}", [m.rows for m in found])
     times["oracle_listing"] = perf_counter() - start
+
+    q, diagonal = PosDefForm(pf.gram), [int(row[j]) for j, row in enumerate(pf.target.rows)]
+    start = perf_counter()
+    for t in diagonal:
+        if t >= 0:
+            vectors_of_norm(q, t)
+    times["oracle_shells"] = perf_counter() - start
     return times
 
 

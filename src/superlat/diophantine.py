@@ -1,21 +1,24 @@
 """Exact integer solutions of positive definite norm equations.
 
-The enumeration follows the Fincke-Pohst recursion on an exact rational
-LDL^T factorization, computed by fraction-free elimination in integers:
-with y = L^T x the form reads sum_j d_j y_j^2.  The
-denominators of L and of the pivots are cleared once per form, so the
+The enumeration follows the Fincke-Pohst recursion (Math. Comp. 44, 1985)
+on an exact rational LDL^T factorization, computed by fraction-free
+elimination in integers: with y = L^T x the form reads sum_j d_j y_j^2.
+The denominators of L and of the pivots are cleared once per form, so the
 recursion carries only integers: the budget, the scaled coordinates
 Y_j = dl * y_j and the scaled pivots P_j, with coordinate ranges from
-`math.isqrt` (never floating point).  Also houses the classical two- and
-three-squares representability predicates used as factorization
-obstructions.
+`math.isqrt` (never floating point).  The order of the levels is chosen
+from the form (PosDefForm.levels), and the two innermost levels are
+solved as one binary problem d_1 y^2 + d_0 u^2 = rem by scanning one
+coordinate and reading the other off what is left (vectors_of_norm).
+Also houses the classical two- and three-squares representability
+predicates used as factorization obstructions.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import InvalidForm, NegativeTarget, NotPositiveDefinite
 from .linalg import Mat, _cleared
@@ -31,15 +34,24 @@ class PosDefForm:
     ratios of consecutive leading principal minors, so requiring every
     pivot > 0 is Sylvester's criterion.  _ldl computes those minors by
     fraction-free integer elimination; Fractions appear only in the
-    pivots and L it returns.
+    pivots and L read off them.
     """
 
     def __init__(self, gram: Mat):
         if not gram.is_symmetric():
             raise InvalidForm("Gram matrix must be symmetric")
         self.gram = gram
-        self._diag, self._lower = _ldl(gram)
+        self._cleared_rows = c, rows = _cleared(gram.rows)
+        a = _ldl(c, rows)
+        n, minors = len(a), [1, *(a[j][j] for j in range(len(a)))]
+        zero, one = Fraction(0), Fraction(1)
+        self._diag = tuple(Fraction(minors[j + 1], c * minors[j]) for j in range(n))
+        self._lower = tuple(
+            tuple(Fraction(a[i][j], minors[j + 1]) if j < i else one if j == i else zero for j in range(n))
+            for i in range(n)
+        )
         self._scaled: ScaledLDL | None = None
+        self._levels: tuple[tuple[int, ...], ScaledLDL] | None = None
 
     @property
     def dim(self) -> int:
@@ -47,7 +59,7 @@ class PosDefForm:
 
     @property
     def pivots(self) -> tuple[Fraction, ...]:
-        """LDL^T pivots; all positive."""
+        """LDL^T pivots d_j = D_(j+1) / (c D_j); all positive."""
         return self._diag
 
     def scaled_ldl(self) -> "ScaledLDL":
@@ -59,45 +71,74 @@ class PosDefForm:
         scale * x^T G x = sum_j P_j Y_j^2 holds in integers, scale = dl^2 dq.
         """
         if self._scaled is None:
-            (dl, low), (dq, (pivots,)) = _cleared(self._lower), _cleared([self._diag])
-            self._scaled = ScaledLDL(
-                dl,
-                dl * dl * dq,
-                pivots,
-                tuple(tuple((i, row[j]) for i, row in enumerate(low) if i > j and row[j]) for j in range(self.dim)),
-            )
+            c, rows = self._cleared_rows
+            self._scaled = _scaled_ldl(c, _ldl(c, rows))
         return self._scaled
 
+    def levels(self) -> tuple[tuple[int, ...], "ScaledLDL"]:
+        """The level order of vectors_of_norm and the scaled LDL^T of the
+        form in that order, cached: coordinate order[j] is chosen at level
+        j, and each pair (i, l) of low[j] names the coordinate i itself,
+        not its level.  For the identity order this is scaled_ldl().
 
-def _ldl(gram: Mat) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
-    """(pivots d, unit lower triangle L) with gram = L diag(d) L^T, or
-    NotPositiveDefinite at the first pivot <= 0.
+        When coordinate 0 is orthogonal to the rest (the anchor coordinate
+        of the L0 forms diag(N, G_K)), it stays at level 0 and the
+        smallest other diagonal entry moves to level 1, whose pivot it
+        then is.  Otherwise the smallest diagonal entry moves to level 0.
+        The other coordinates keep their order; ties keep the first.
+        """
+        if self._levels is None:
+            (c, rows), n = self._cleared_rows, self.dim
+            kept = int(n > 1 and not any(rows[0][1:]))
+            k = min(range(kept, n), key=lambda i: rows[i][i])
+            order = (*range(kept), k, *(i for i in range(kept, n) if i != k))
+            if order == tuple(range(n)):
+                self._levels = order, self.scaled_ldl()
+            else:
+                lf = _scaled_ldl(c, _ldl(c, [[rows[i][j] for j in order] for i in order]))
+                low = tuple(tuple((order[i], l) for i, l in pairs) for pairs in lf.low)
+                self._levels = order, lf._replace(low=low)
+        return self._levels
 
-    The elimination runs in integers, fraction-free (Bareiss, Math. Comp.
-    22, 1968) on A = c gram, c the lcm of its denominators (_cleared),
-    without row swaps: the pivot entry at step j is the leading principal
-    minor D_(j+1) of A (D_0 = 1), and every entry below it the minor m_ij
-    that borders D_j, so each division is exact.  Then
-    d_j = D_(j+1) / (c D_j) and L_ij = m_ij / D_(j+1).  A stays symmetric,
-    so only its lower triangle is updated."""
-    c, rows = _cleared(gram.rows)
+
+def _ldl(c: int, rows) -> list[list[int]]:
+    """The lower triangle of the integer rows A = c G of a symmetric
+    matrix G after fraction-free elimination (Bareiss, Math. Comp. 22,
+    1968) without row swaps, or NotPositiveDefinite at the first pivot
+    <= 0.
+
+    The pivot a[j][j] is the leading principal minor D_(j+1) of A
+    (D_0 = 1), and a[i][j] below it the minor m_ij that borders D_j, so
+    each division is exact, and G = L diag(d) L^T for
+    d_j = D_(j+1) / (c D_j) and L_ij = m_ij / D_(j+1).  A stays
+    symmetric, so only its lower triangle is updated."""
     a = [list(row[: i + 1]) for i, row in enumerate(rows)]
     n, prev = len(a), 1
-    d: list[Fraction] = []
-    low = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
         pivot = a[j][j]
-        d.append(Fraction(pivot, c * prev))
         if pivot <= 0:
-            raise NotPositiveDefinite(f"pivot {j} is {d[j]}")
-        low[j][j] = Fraction(1)
+            raise NotPositiveDefinite(f"pivot {j} is {Fraction(pivot, c * prev)}")
         for i in range(j + 1, n):
             row, aij = a[i], a[i][j]
-            low[i][j] = Fraction(aij, pivot)
             for k in range(j + 1, i + 1):
                 row[k] = (pivot * row[k] - aij * a[k][j]) // prev
         prev = pivot
-    return tuple(d), tuple(tuple(r) for r in low)
+    return a
+
+
+def _scaled_ldl(c: int, a: list[list[int]]) -> ScaledLDL:
+    """PosDefForm.scaled_ldl of c G from _ldl, in integers: the
+    denominators of L_ij and d_j are D_(j+1) / gcd(m_ij, D_(j+1)) and
+    c D_j / gcd(D_(j+1), c D_j)."""
+    n, minors = len(a), [1, *(a[j][j] for j in range(len(a)))]
+    dl = lcm(*(minors[j + 1] // gcd(a[i][j], minors[j + 1]) for i in range(n) for j in range(i)))
+    dq = lcm(*(c * minors[j] // gcd(minors[j + 1], c * minors[j]) for j in range(n)))
+    return ScaledLDL(
+        dl,
+        dl * dl * dq,
+        tuple(dq * minors[j + 1] // (c * minors[j]) for j in range(n)),
+        tuple(tuple((i, dl * a[i][j] // minors[j + 1]) for i in range(j + 1, n) if a[i][j]) for j in range(n)),
+    )
 
 
 def _sign_canonical(v: tuple[int, ...]) -> bool:
@@ -107,34 +148,60 @@ def _sign_canonical(v: tuple[int, ...]) -> bool:
     return True
 
 
+def _root_test(p: int):
+    """The test val -> Y >= 0 with val = p Y^2, or None."""
+
+    def test(val: int) -> int | None:
+        sq, r = divmod(val, p)
+        return root if not r and (root := isqrt(sq)) * root == sq else None
+
+    return test
+
+
 def vectors_of_norm(q: PosDefForm, c: int) -> tuple[tuple[int, ...], ...]:
     """Complete set {v in Z^d : v^T Q v = c}, exact and deterministic, as
     a tuple of integer tuples in lexicographic order.
 
-    Coordinates are chosen from the last to the first.  The remaining
-    budget R = rem * dl^2 * dq is an integer, and level j admits the
-    scaled coordinates |Y_j| <= isqrt(R // P_j).  Level 1 steps what it
-    leaves, val = R - P_1 Y_1^2, by differences as Y_1 advances by dl,
-    and level 0 tests val = P_0 Y_0^2: by divisibility and isqrt, or,
-    when level 0 has no off-diagonal entries (the L0 forms diag(N, G_K)
-    of the isometry search), so that Y_0 = dl x_0, by one lookup in the
-    dict {P_0 (dl u)^2: dl u} of the about sqrt(c / Q_00) u in budget,
-    if that dict is at most four times the first level-1 scan.
+    Coordinates are chosen level by level, from the last level to the
+    first, in the order of PosDefForm.levels, and written at their own
+    positions.  The remaining budget R = rem * dl^2 * dq is an integer,
+    and level j admits the scaled coordinates |Y_j| <= isqrt(R // P_j).
+
+    The two innermost levels are one binary problem,
+    P_1 Y_1^2 + P_0 Y_0^2 = R.  One of its coordinates is scanned, with
+    the value left stepped by differences, and the other is read off that
+    value: by a lookup in a dict of its scaled squares, or by divisibility
+    and isqrt.  When level 0 has off-diagonal entries, Y_1 is scanned and
+    Y_0 tested.  When it has none (the L0 forms diag(N, G_K) of the
+    isometry search), so that Y_0 = dl x_0, the shorter scan is made:
+    x_0 = u >= 0, about sqrt(rem / d_0) steps, or Y_1, about
+    2 sqrt(rem / d_1) steps, counting a square test as 3/2 lookups; with
+    both lookups that is the u scan when d_1 < 4 d_0.  Summed over the
+    outer levels, whose points number about sqrt(d_0 d_1 / det Q) times a
+    power of c, the Y_1 scan costs about 2 sqrt(d_0) and the u scan about
+    sqrt(d_1); levels puts the smallest diagonal at level 1 for the one
+    and at level 0 for the other.  Each lookup holds the scaled squares
+    of its coordinate up to the full budget (for Y_1 only the multiples
+    of g = gcd(dl, level-1 factors l), as every Y_1 is one), and it is
+    built only when it is at most four times the scan that uses it with
+    every higher coordinate 0, which every call makes at the full budget,
+    so it never outgrows the search.
 
     The shell is closed under v -> -v, so only half of it is searched:
-    while every coordinate above level j is 0, x_j >= 0, and at level 0
-    in that state only Y_0 = +root is kept.  That finds the vectors whose
-    last nonzero coordinate is positive (and 0 when c = 0); their
-    negations complete the shell, which is then sorted once.  Negation
-    reverses the lexicographic order, so the sorted solutions satisfy
-    v[L-1-j] = -v[j] for L = len(shell).
+    while every coordinate above level j is 0, x at level j is >= 0, and
+    at level 0 in that state only its positive value is kept.  That
+    finds the vectors whose last nonzero coordinate in level order is
+    positive (and 0 when c = 0); their negations complete the shell,
+    which is then sorted once.  Negation reverses the lexicographic
+    order, so the sorted solutions satisfy v[L-1-j] = -v[j] for
+    L = len(shell).
     """
     if c < 0:
         raise NegativeTarget(f"norm target {c} is negative")
     n = q.dim
-    lf = q.scaled_ldl()
+    order, lf = q.levels()
     dl, pivots, low = lf.dl, lf.pivots, lf.low
-    p0 = pivots[0]
+    p0, at0 = pivots[0], order[0]
     sols: list[tuple[int, ...]] = []
     x = [0] * n
 
@@ -146,20 +213,33 @@ def vectors_of_norm(q: PosDefForm, c: int) -> tuple[tuple[int, ...], ...]:
         for sign in signs if root else (1,):
             v, r = divmod(sign * root - shift, dl)
             if not r:
-                x[0] = v
+                x[at0] = v
                 sols.append(tuple(x))
 
-    def square_root(val: int) -> int | None:
-        # The root Y_0 >= 0 of val = P_0 Y_0^2, or None.
-        sq, r = divmod(val, p0)
-        return root if not r and (root := isqrt(sq)) * root == sq else None
-
     def rec(j: int, rem: int, top: bool) -> None:
-        # top: every coordinate above level j is 0, so x_j >= 0.
+        # top: every coordinate above level j is 0, so x at level j is >= 0.
         shift = 0
         for i, l in low[j]:
             shift += l * x[i]
-        p = pivots[j]
+        p, at = pivots[j], order[j]
+        if j == 1 and scan_u:
+            # x_0 = u >= 0 with val = rem - unit u^2, and val - d at u + 1;
+            # what is left must be P_1 Y_1^2, Y_1 = dl x_1 + shift.
+            val, d = rem, unit
+            for u in range(isqrt(rem // unit) + 1):
+                root = test(val)
+                if root is not None:
+                    for y in (root, -root) if root else (0,):
+                        v, r = divmod(y - shift, dl)
+                        if not r and (v >= 0 or not top):
+                            x[at], x[at0] = v, u
+                            sols.append(tuple(x))
+                            if u and (v or not top):
+                                x[at0] = -u
+                                sols.append(tuple(x))
+                val -= d
+                d += 2 * unit
+            return
         root = isqrt(rem // p)
         lo, hi = -((root + shift) // dl), (root - shift) // dl + 1
         if top:
@@ -172,30 +252,41 @@ def vectors_of_norm(q: PosDefForm, c: int) -> tuple[tuple[int, ...], ...]:
             for v in range(lo, hi):
                 root = test(val)
                 if root is not None:
-                    x[1] = v
+                    x[at] = v
                     first(root, (1,) if top and not v else (1, -1))
                 val -= d
                 d += step
         else:
             for v in range(lo, hi):
-                x[j] = v
+                x[at] = v
                 y = dl * v + shift
                 rec(j - 1, rem - p * y * y, top and not v)
-        x[j] = 0
 
     budget = Fraction(c) * lf.scale
     # A non-integral scaled budget is never a value of sum_j P_j Y_j^2.
     if budget.denominator == 1:
         budget, unit = int(budget), p0 * dl * dl
         if n > 1:
-            # The lookup is built only when it is at most four times the
-            # level-1 scan with every higher coordinate 0, which every call
-            # makes at the full budget, so it never outgrows the search.
-            size, scan = isqrt(budget // unit) + 1, isqrt(budget // pivots[1]) // dl + 1
-            test = square_root if low[0] or size > 4 * scan else {unit * u * u: dl * u for u in range(size)}.get
-            step = 2 * pivots[1] * dl * dl
+            p1 = pivots[1]
+            # The u and Y_1 scans with every higher coordinate 0 (the Y_1
+            # scan from 0; it covers both signs elsewhere).
+            u_scan, y_scan = isqrt(budget // unit) + 1, isqrt(budget // p1) // dl + 1
+            scan_u = u_fits = False
+            if not low[0]:
+                g = gcd(dl, *(l for _, l in low[1]))
+                unit1 = p1 * g * g
+                y_size = isqrt(budget // unit1) + 1
+                # Whether each scan's lookup fits; a root test costs about
+                # 3/2 lookups.
+                u_fits, y_fits = u_scan <= 4 * y_scan, y_size <= 4 * u_scan
+                scan_u = (2 if y_fits else 3) * u_scan < (4 if u_fits else 6) * y_scan
+            if scan_u:
+                test = {unit1 * k * k: g * k for k in range(y_size)}.get if y_fits else _root_test(p1)
+            else:
+                test = {unit * u * u: dl * u for u in range(u_scan)}.get if u_fits else _root_test(p0)
+                step = 2 * p1 * dl * dl
             rec(n - 1, budget, True)
-        elif (root := square_root(budget)) is not None:
+        elif (root := _root_test(p0)(budget)) is not None:
             first(root, (1,))
     sols += [tuple([-a for a in v]) for v in sols if any(v)]
     sols.sort()

@@ -423,8 +423,14 @@ class CandidateIsometry:
         """-M, with den unchanged (still in lowest terms).  For a candidate
         built by reconstruct this is what reconstruct gives for the negated
         tuple: every provenance entry negated.  An empty provenance stays
-        empty."""
-        return CandidateIsometry(tuple(map(_neg, self.num)), self.den, _neg(self._prov), self._dp, self._texts)
+        empty.  -M is in lowest terms already, so its fields are set
+        directly, past the constructor's gcd."""
+        num, den, texts = tuple(map(_neg, self.num)), self.den, self._texts
+        neg = object.__new__(CandidateIsometry)
+        neg.__dict__.update(
+            num=num, den=den, _prov=_neg(self._prov), _dp=self._dp, _texts=texts, entry_strings=tuple(map(texts, num, repeat(den)))
+        )
+        return neg
 
     @property
     def integral(self) -> bool:

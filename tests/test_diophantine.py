@@ -1,11 +1,13 @@
 """Norm-equation enumeration and sums-of-squares predicates."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,9 @@ from helpers import (
     reference_vectors_of_norm,
     trial_division_two_squares,
 )
+from superlat import diophantine
 from superlat.diophantine import (
     PosDefForm,
-    _ldl,
     _sign_canonical,
     three_squares_representable,
     two_squares_representable,
@@ -33,6 +35,10 @@ from superlat.errors import InvalidForm, NegativeTarget, NotPositiveDefinite
 from superlat.forms import GramForm
 from superlat.isometry import IsometryProblem, brute_force_isometries, find_isometries, squares_certificate, verify_certificate
 from superlat.linalg import Mat, Vec
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import gen  # noqa: E402
 
 
 def test_posdefform_accepts_and_rejects():
@@ -81,8 +87,9 @@ def _rand_rational_symmetric(rng: random.Random, n: int, kind: int) -> Mat:
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_ldl_matches_the_fraction_elimination(n):
-    # diophantine._ldl eliminates in integers; the Fraction elimination
-    # it replaced must give the same pivots and L, or the same error.
+    # PosDefForm eliminates in integers (diophantine._ldl); the
+    # Fraction elimination it replaced must give the same pivots and L, or
+    # the same error.
     rng = random.Random(700 + n)
     outcomes = set()
     for k in range(60):
@@ -91,11 +98,12 @@ def test_ldl_matches_the_fraction_elimination(n):
             expected = reference_ldl(g)
         except NotPositiveDefinite as exc:
             with pytest.raises(NotPositiveDefinite) as got:
-                _ldl(g)
+                PosDefForm(g)
             assert str(got.value) == str(exc)
             outcomes.add("rejected")
         else:
-            assert _ldl(g) == expected
+            q = PosDefForm(g)
+            assert (q.pivots, q._lower) == expected
             outcomes.add("definite")
     assert outcomes == {"definite", "rejected"}
 
@@ -201,10 +209,12 @@ def test_vectors_of_norm_half_search_is_complete_and_mirrored(n, seed, c, den):
     assert all(sols[last - j] == tuple(-x for x in v) for j, v in enumerate(sols))
 
 
-# The level-1 loop steps rem - P_1 Y_1^2 by differences, and for forms
-# whose level 0 has no off-diagonal entries (the L0 forms diag(N, G_K))
-# tests the rest by a lookup of P_0 (dl u)^2; helpers keeps the loop it
-# replaced as the reference.
+# vectors_of_norm orders the levels from the form and solves the two
+# innermost as one binary problem: it scans x_1 or, for forms whose level 0
+# has no off-diagonal entries (the L0 forms diag(N, G_K)), whichever of x_0
+# and x_1 has the shorter range, and reads the other coordinate off a
+# lookup or a square test; helpers keeps the level-1 loop in the given
+# order, with its square test, as the reference.
 
 
 def _same_as_reference(q: PosDefForm, c) -> tuple[tuple[int, ...], ...]:
@@ -298,6 +308,104 @@ def test_skewed_diagonal_forms_build_no_lookup_beyond_the_search():
     integral = {c.matrix for c in find_isometries(problem).candidates if c.integral}
     assert integral == set(brute_force_isometries(skewed, skewed))
     assert len(integral) == 4
+
+
+def _eq_targets(problem: IsometryProblem) -> list[int]:
+    # The norms of the eq1 shell and of each probe's eq3 shell in L0.
+    return [problem.pair_targets[i][i] for i in range(problem.dim)]
+
+
+@pytest.mark.parametrize("n, cap", [(4, None), (5, 1200)])
+def test_l0_shells_of_generated_problems_match_the_reference(n, cap):
+    # The L0 forms of the generator's pullbacks and 2-neighbours, at their
+    # eq1 and eq3 targets; at n = 5 only the targets up to cap, as the
+    # others hold up to millions of vectors.
+    orders = set()
+    for p in gen.pullback(gen.REFERENCE_SEED, 5, n) + gen.neighbour(gen.REFERENCE_SEED, 5, n):
+        problem = IsometryProblem(GramForm(Mat(p.gram)), GramForm(Mat(p.target)), Vec(p.w))
+        targets = _eq_targets(problem)
+        assert targets[0] == problem.eq1_target
+        for t in targets:
+            if cap is None or t <= cap:
+                _same_as_reference(problem.l0_form, t)
+        orders.add(problem.l0_form.levels()[0])
+    assert len(orders) > 1
+
+
+@pytest.mark.parametrize(
+    "rows, tested",
+    [
+        # Level 0 orthogonal, P_1 well below P_0: x_0 is scanned, and Y_1
+        # looked up or, past the lookup bound, tested (dl = 1, 2, 3).
+        ([[4, 0], [0, 1]], None),
+        ([[100, 0], [0, 1]], 1),
+        ([[6, 0, 0], [0, 2, 1], [0, 1, 2]], None),
+        ([[100, 0, 0], [0, 3, 1], [0, 1, 3]], 1),
+        # Level 0 orthogonal, P_1 well above P_0: x_1 is scanned, and u
+        # looked up or, past the lookup bound, tested; the smallest kernel
+        # diagonal is last, so the levels are permuted.
+        ([[1, 0], [0, 9]], None),
+        ([[1, 0], [0, 40]], 0),
+        ([[1, 0, 0], [0, 12, 2], [0, 2, 9]], None),
+        ([[1, 0, 0], [0, 45, 3], [0, 3, 40]], 0),
+        # Level 0 with off-diagonal entries: the smallest diagonal moves to
+        # level 0, x_1 is scanned and x_0 tested.
+        ([[5, 2], [2, 3]], 0),
+        ([[6, 1, 2], [1, 5, 1], [2, 1, 3]], 0),
+    ],
+)
+def test_each_level1_branch_matches_the_reference(rows, tested, monkeypatch):
+    q = PosDefForm(Mat(rows))
+    order, lf = q.levels()
+    if not any(rows[0][1:]):
+        assert order[0] == 0 and not lf.low[0]
+        assert lf.pivots[1] * 2 < lf.pivots[0] or lf.pivots[1] > 8 * lf.pivots[0]
+    else:
+        assert rows[order[0]][order[0]] == min(rows[i][i] for i in range(len(rows)))
+    # The level whose coordinate a square test reads off, if any.
+    seen = []
+    real = diophantine._root_test
+    monkeypatch.setattr(diophantine, "_root_test", lambda p: seen.append(lf.pivots.index(p)) or real(p))
+    _same_as_reference(q, 100)
+    assert seen == ([] if tested is None else [tested])
+    monkeypatch.undo()
+    assert _same_as_reference(q, 0) == ((0,) * len(rows),)
+    for c in range(1, 120):
+        _same_as_reference(q, c)
+    # A non-integral scaled budget, and the same form over 2 and 3.
+    assert _same_as_reference(q, Fraction(1, 7)) == ()
+    for den in (2, 3):
+        scaled = PosDefForm(Mat([[Fraction(x, den) for x in row] for row in rows]))
+        assert scaled.levels()[0] == order
+        for c in (0, Fraction(1, den), Fraction(5, den), Fraction(1, 5), 4, 9):
+            _same_as_reference(scaled, c)
+
+
+def test_levels_permute_and_scaled_ldl_keeps_the_given_order():
+    # levels() permutes; scaled_ldl() and the pivots stay in the given order.
+    q = PosDefForm(Mat([[1, 0, 0], [0, 12, 2], [0, 2, 9]]))
+    order, lf = q.levels()
+    assert order == (0, 2, 1)
+    assert q.pivots == (1, 12, Fraction(26, 3)) and q.scaled_ldl().dl == 6
+    assert lf.pivots == (9, 81, 104) and lf.dl == 9
+    assert lf.low == ((), ((1, 2),), ())
+
+
+def test_shell_of_permuted_form_is_the_permuted_shell():
+    # For G' = P^T G P, G'[i][j] = G[p[i]][p[j]], the shell of G' is
+    # {(x[p[0]], ..., x[p[n-1]]) : x in the shell of G}, re-sorted.
+    rng = random.Random(2026)
+    for k in range(40):
+        n = rng.choice((2, 3, 4))
+        g = rand_pd_gram(rng, n, bound=2)
+        if k % 2:
+            # Coordinate 0 orthogonal to the rest, as in the L0 forms.
+            g = Mat([[rng.randint(1, 6) if i == j == 0 else 0 if 0 in (i, j) else x for j, x in enumerate(row)] for i, row in enumerate(g.rows)])
+        p = rng.sample(range(n), n)
+        gp = Mat([[g.rows[i][j] for j in p] for i in p])
+        for c in range(0, 18):
+            shell = vectors_of_norm(PosDefForm(g), c)
+            assert vectors_of_norm(PosDefForm(gp), c) == tuple(sorted(tuple(x[i] for i in p) for x in shell))
 
 
 def test_two_squares_known_values():
