@@ -12,9 +12,10 @@ does, timing each setup step:
 * ``IsometryProblem``, the constructor on those forms, the anchor and the
   probes;
 * ``l0_form``, the problem's ``PosDefForm`` of diag(N, G_K), which the
-  eq1 and eq3 shells are enumerated on (so ``solve_eq1`` does not
-  include it);
-* ``PosDefForm``, the form of B that ``oracle`` enumerates its columns on.
+  eq1 and eq3 shells are enumerated on: its level order and its one
+  LDL^T in that order (so ``solve_eq1`` does not include them);
+* ``PosDefForm``, the form of B that ``oracle`` enumerates its columns
+  on, likewise with its level order and LDL^T.
 
 It then runs the stages of ``find_isometries`` one after the other on
 that problem, the way a ``--all`` search runs them:
@@ -49,8 +50,9 @@ that problem, the way a ``--all`` search runs them:
   problem's two forms, and ``oracle_listing``, the stdout listing of
   ``oracle`` for its matrices;
 * ``oracle_shells``, the column shells that ``oracle`` enumerates, alone:
-  ``vectors_of_norm`` of a fresh ``PosDefForm`` of B at each diagonal
-  entry B'_jj (the form's level order is built inside the first call).
+  ``vectors_of_norm`` at each diagonal entry B'_jj on a fresh
+  ``PosDefForm`` of B, built before the clock starts (the form holds its
+  level order and LDL^T from its constructor on).
 
 Each stage's time is the best of ``--repeats`` runs.  The script prints
 one JSON object that maps each problem to its stage times in seconds and

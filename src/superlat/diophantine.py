@@ -1,15 +1,16 @@
 """Exact integer solutions of positive definite norm equations.
 
 The enumeration follows the Fincke-Pohst recursion (Math. Comp. 44, 1985)
-on an exact rational LDL^T factorization, computed by fraction-free
-elimination in integers: with y = L^T x the form reads sum_j d_j y_j^2.
-The denominators of L and of the pivots are cleared once per form, so the
-recursion carries only integers: the budget, the scaled coordinates
-Y_j = dl * y_j and the scaled pivots P_j, with coordinate ranges from
-`math.isqrt` (never floating point).  The order of the levels is chosen
-from the form (PosDefForm.levels), and the two innermost levels are
-solved as one binary problem d_1 y^2 + d_0 u^2 = rem by scanning one
-coordinate and reading the other off what is left (vectors_of_norm).
+on an exact rational LDL^T factorization: with y = L^T x the form reads
+sum_j d_j y_j^2.  Each PosDefForm chooses the order of the levels from
+the form and computes its LDL^T in that order once, by one fraction-free
+elimination in integers, with the denominators of L and of the pivots
+cleared (PosDefForm.ldl).  So the recursion carries only integers: the
+budget, the scaled coordinates Y_j = dl * y_j and the scaled pivots P_j,
+with coordinate ranges from `math.isqrt` (never floating point).  The two
+innermost levels are solved as one binary problem d_1 y^2 + d_0 u^2 = rem
+by scanning one coordinate and reading the other off what is left
+(vectors_of_norm).
 Also houses the classical two- and three-squares representability
 predicates used as factorization obstructions.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
 
 from .errors import InvalidForm, NegativeTarget, NotPositiveDefinite
@@ -28,77 +30,58 @@ ScaledLDL = namedtuple("ScaledLDL", "dl scale pivots low")
 
 
 class PosDefForm:
-    """Symmetric positive definite rational Gram matrix with cached LDL^T.
+    """Symmetric positive definite rational Gram matrix G with its LDL^T
+    in level order.
 
-    Positivity is certified exactly: the factorization pivots d_j are the
-    ratios of consecutive leading principal minors, so requiring every
-    pivot > 0 is Sylvester's criterion.  _ldl computes those minors by
-    fraction-free integer elimination; Fractions appear only in the
-    pivots and L read off them.
+    order is the level order of vectors_of_norm: coordinate order[j] is
+    chosen at level j.  When coordinate 0 is orthogonal to the rest (the
+    anchor coordinate of the L0 forms diag(N, G_K)), it stays at level 0
+    and the smallest other diagonal entry moves to level 1, whose pivot it
+    then is.  Otherwise the smallest diagonal entry moves to level 0.  The
+    other coordinates keep their order; ties keep the first.
+
+    ldl is the LDL^T of G in that order with its denominators cleared:
+    with dl and dq the lcms of the denominators of L and of the pivots
+    d_j, P_j = dq d_j and Y_j = dl x_(order[j]) + sum l x_i over the pairs
+    (i, l) = (i, dl L_ij) in low[j], each i naming a coordinate, not its
+    level, the identity scale * x^T G x = sum_j P_j Y_j^2 holds in
+    integers, scale = dl^2 dq.
+
+    Positivity is certified exactly: the pivots are the ratios of
+    consecutive leading principal minors in that order, so requiring
+    every pivot > 0 is Sylvester's criterion.  _ldl computes those minors
+    by one fraction-free integer elimination.
     """
 
     def __init__(self, gram: Mat):
         if not gram.is_symmetric():
             raise InvalidForm("Gram matrix must be symmetric")
         self.gram = gram
-        self._cleared_rows = c, rows = _cleared(gram.rows)
-        a = _ldl(c, rows)
-        n, minors = len(a), [1, *(a[j][j] for j in range(len(a)))]
-        zero, one = Fraction(0), Fraction(1)
-        self._diag = tuple(Fraction(minors[j + 1], c * minors[j]) for j in range(n))
-        self._lower = tuple(
-            tuple(Fraction(a[i][j], minors[j + 1]) if j < i else one if j == i else zero for j in range(n))
-            for i in range(n)
-        )
-        self._scaled: ScaledLDL | None = None
-        self._levels: tuple[tuple[int, ...], ScaledLDL] | None = None
+        (c, rows), n = _cleared(gram.rows), gram.nrows
+        kept = int(n > 1 and not any(rows[0][1:]))
+        k = min(range(kept, n), key=lambda i: rows[i][i])
+        self.order = order = (*range(kept), k, *(i for i in range(kept, n) if i != k))
+        try:
+            a = _ldl(c, [[rows[i][j] for j in order] for i in order])
+        except NotPositiveDefinite:
+            # By Sylvester's criterion the given order fails too, and its
+            # error names the first failing pivot in that order.
+            _ldl(c, rows)
+            raise
+        self.ldl = _scaled_ldl(c, a, order)
 
     @property
     def dim(self) -> int:
         return self.gram.nrows
 
-    @property
+    @cached_property
     def pivots(self) -> tuple[Fraction, ...]:
-        """LDL^T pivots d_j = D_(j+1) / (c D_j); all positive."""
-        return self._diag
-
-    def scaled_ldl(self) -> "ScaledLDL":
-        """The LDL^T factorization with its denominators cleared, cached.
-
-        With dl and dq the lcms of the denominators of L and of the
-        pivots d_j, P_j = dq d_j and Y_j = dl x_j + sum l x_i over the
-        pairs (i, l) = (i, dl L_ij) in low[j], the identity
-        scale * x^T G x = sum_j P_j Y_j^2 holds in integers, scale = dl^2 dq.
-        """
-        if self._scaled is None:
-            c, rows = self._cleared_rows
-            self._scaled = _scaled_ldl(c, _ldl(c, rows))
-        return self._scaled
-
-    def levels(self) -> tuple[tuple[int, ...], "ScaledLDL"]:
-        """The level order of vectors_of_norm and the scaled LDL^T of the
-        form in that order, cached: coordinate order[j] is chosen at level
-        j, and each pair (i, l) of low[j] names the coordinate i itself,
-        not its level.  For the identity order this is scaled_ldl().
-
-        When coordinate 0 is orthogonal to the rest (the anchor coordinate
-        of the L0 forms diag(N, G_K)), it stays at level 0 and the
-        smallest other diagonal entry moves to level 1, whose pivot it
-        then is.  Otherwise the smallest diagonal entry moves to level 0.
-        The other coordinates keep their order; ties keep the first.
-        """
-        if self._levels is None:
-            (c, rows), n = self._cleared_rows, self.dim
-            kept = int(n > 1 and not any(rows[0][1:]))
-            k = min(range(kept, n), key=lambda i: rows[i][i])
-            order = (*range(kept), k, *(i for i in range(kept, n) if i != k))
-            if order == tuple(range(n)):
-                self._levels = order, self.scaled_ldl()
-            else:
-                lf = _scaled_ldl(c, _ldl(c, [[rows[i][j] for j in order] for i in order]))
-                low = tuple(tuple((order[i], l) for i, l in pairs) for pairs in lf.low)
-                self._levels = order, lf._replace(low=low)
-        return self._levels
+        """LDL^T pivots d_j = D_(j+1) / (c D_j) in the given order; all
+        positive."""
+        c, rows = _cleared(self.gram.rows)
+        a = _ldl(c, rows)
+        minors = [1, *(a[j][j] for j in range(len(a)))]
+        return tuple(Fraction(minors[j + 1], c * minors[j]) for j in range(len(a)))
 
 
 def _ldl(c: int, rows) -> list[list[int]]:
@@ -126,10 +109,11 @@ def _ldl(c: int, rows) -> list[list[int]]:
     return a
 
 
-def _scaled_ldl(c: int, a: list[list[int]]) -> ScaledLDL:
-    """PosDefForm.scaled_ldl of c G from _ldl, in integers: the
-    denominators of L_ij and d_j are D_(j+1) / gcd(m_ij, D_(j+1)) and
-    c D_j / gcd(D_(j+1), c D_j)."""
+def _scaled_ldl(c: int, a: list[list[int]], order) -> ScaledLDL:
+    """PosDefForm.ldl from _ldl of c G with its rows and columns in
+    order, in integers: the denominators of L_ij and d_j are
+    D_(j+1) / gcd(m_ij, D_(j+1)) and c D_j / gcd(D_(j+1), c D_j), and
+    row i of L names coordinate order[i]."""
     n, minors = len(a), [1, *(a[j][j] for j in range(len(a)))]
     dl = lcm(*(minors[j + 1] // gcd(a[i][j], minors[j + 1]) for i in range(n) for j in range(i)))
     dq = lcm(*(c * minors[j] // gcd(minors[j + 1], c * minors[j]) for j in range(n)))
@@ -137,7 +121,7 @@ def _scaled_ldl(c: int, a: list[list[int]]) -> ScaledLDL:
         dl,
         dl * dl * dq,
         tuple(dq * minors[j + 1] // (c * minors[j]) for j in range(n)),
-        tuple(tuple((i, dl * a[i][j] // minors[j + 1]) for i in range(j + 1, n) if a[i][j]) for j in range(n)),
+        tuple(tuple((order[i], dl * a[i][j] // minors[j + 1]) for i in range(j + 1, n) if a[i][j]) for j in range(n)),
     )
 
 
@@ -163,7 +147,7 @@ def vectors_of_norm(q: PosDefForm, c: int) -> tuple[tuple[int, ...], ...]:
     a tuple of integer tuples in lexicographic order.
 
     Coordinates are chosen level by level, from the last level to the
-    first, in the order of PosDefForm.levels, and written at their own
+    first, in PosDefForm.order, and written at their own
     positions.  The remaining budget R = rem * dl^2 * dq is an integer,
     and level j admits the scaled coordinates |Y_j| <= isqrt(R // P_j).
 
@@ -179,13 +163,13 @@ def vectors_of_norm(q: PosDefForm, c: int) -> tuple[tuple[int, ...], ...]:
     both lookups that is the u scan when d_1 < 4 d_0.  Summed over the
     outer levels, whose points number about sqrt(d_0 d_1 / det Q) times a
     power of c, the Y_1 scan costs about 2 sqrt(d_0) and the u scan about
-    sqrt(d_1); levels puts the smallest diagonal at level 1 for the one
-    and at level 0 for the other.  Each lookup holds the scaled squares
-    of its coordinate up to the full budget (for Y_1 only the multiples
-    of g = gcd(dl, level-1 factors l), as every Y_1 is one), and it is
-    built only when it is at most four times the scan that uses it with
-    every higher coordinate 0, which every call makes at the full budget,
-    so it never outgrows the search.
+    sqrt(d_1); PosDefForm.order puts the smallest diagonal at level 1
+    for the one and at level 0 for the other.  Each lookup holds the
+    scaled squares of its coordinate up to the full budget (for Y_1 only
+    the multiples of g = gcd(dl, level-1 factors l), as every Y_1 is
+    one), and it is built only when it is at most four times the scan
+    that uses it with every higher coordinate 0, which every call makes
+    at the full budget, so it never outgrows the search.
 
     The shell is closed under v -> -v, so only half of it is searched:
     while every coordinate above level j is 0, x at level j is >= 0, and
@@ -199,7 +183,7 @@ def vectors_of_norm(q: PosDefForm, c: int) -> tuple[tuple[int, ...], ...]:
     if c < 0:
         raise NegativeTarget(f"norm target {c} is negative")
     n = q.dim
-    order, lf = q.levels()
+    order, lf = q.order, q.ldl
     dl, pivots, low = lf.dl, lf.pivots, lf.low
     p0, at0 = pivots[0], order[0]
     sols: list[tuple[int, ...]] = []

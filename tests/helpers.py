@@ -9,7 +9,7 @@ from itertools import chain, permutations, product
 from math import isqrt, prod
 from operator import mul
 
-from superlat.diophantine import PosDefForm, _sign_canonical, vectors_of_norm
+from superlat.diophantine import PosDefForm, _ldl, _scaled_ldl, _sign_canonical, vectors_of_norm
 from superlat.errors import NotPositiveDefinite
 from superlat.isometry import (
     Certificate,
@@ -353,9 +353,11 @@ def reference_vectors_of_norm(q: PosDefForm, c) -> tuple[tuple[int, ...], ...]:
     """The sorted shell {v : v^T Q v = c} with the level-1 loop that
     diophantine.vectors_of_norm replaced, kept as its reference: one
     product rem - P_1 Y_1^2 per step and a divisibility and perfect-square
-    test on it, for every form."""
+    test on it, for every form, in the given order of the levels: its
+    LDL^T is its own, not PosDefForm.ldl."""
     n = q.dim
-    lf = q.scaled_ldl()
+    den, rows = _cleared(q.gram.rows)
+    lf = _scaled_ldl(den, _ldl(den, rows), range(n))
     dl, pivots, low = lf.dl, lf.pivots, lf.low
     p0 = pivots[0]
     sols: list[tuple[int, ...]] = []

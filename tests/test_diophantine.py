@@ -58,13 +58,33 @@ def test_posdefform_accepts_and_rejects():
         PosDefForm(Mat([[1, 2], [0, 1]]))
 
 
+def _permuted(g: Mat, order) -> Mat:
+    """P^T G P for the permutation P of order: entry (a, b) is
+    G[order[a]][order[b]]."""
+    return Mat([[g.rows[i][j] for j in order] for i in order])
+
+
+def _level_ldl(q: PosDefForm) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
+    """q.ldl as Fractions: the pivots d_j = P_j dl^2 / scale and the unit
+    lower triangle of P^T G P, with L = l / dl at the level of each
+    coordinate that low names."""
+    lf, n = q.ldl, q.dim
+    level = {i: k for k, i in enumerate(q.order)}
+    low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for j, pairs in enumerate(lf.low):
+        for i, l in pairs:
+            low[level[i]][j] = Fraction(l, lf.dl)
+    return tuple(Fraction(p * lf.dl**2, lf.scale) for p in lf.pivots), tuple(map(tuple, low))
+
+
 def test_ldl_reconstructs_gram():
     rng = random.Random(31)
     for _ in range(30):
         g = rand_pd_gram(rng, rng.choice([2, 3, 4]))
         q = PosDefForm(g)
-        low = Mat(q._lower)
-        assert low @ Mat.diagonal(q._diag) @ low.transpose() == g
+        diag, low = _level_ldl(q)
+        assert sorted(q.order) == list(range(q.dim))
+        assert Mat(low) @ Mat.diagonal(diag) @ Mat(low).transpose() == _permuted(g, q.order)
 
 
 def _rand_rational_symmetric(rng: random.Random, n: int, kind: int) -> Mat:
@@ -87,9 +107,10 @@ def _rand_rational_symmetric(rng: random.Random, n: int, kind: int) -> Mat:
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_ldl_matches_the_fraction_elimination(n):
-    # PosDefForm eliminates in integers (diophantine._ldl); the
-    # Fraction elimination it replaced must give the same pivots and L, or
-    # the same error.
+    # PosDefForm eliminates in integers (diophantine._ldl), in its level
+    # order; the Fraction elimination it replaced must give the same
+    # pivots in the given order and the same pivots and L in the level
+    # order, or the same error.
     rng = random.Random(700 + n)
     outcomes = set()
     for k in range(60):
@@ -103,7 +124,8 @@ def test_ldl_matches_the_fraction_elimination(n):
             outcomes.add("rejected")
         else:
             q = PosDefForm(g)
-            assert (q.pivots, q._lower) == expected
+            assert q.pivots == expected[0]
+            assert _level_ldl(q) == reference_ldl(_permuted(g, q.order))
             outcomes.add("definite")
     assert outcomes == {"definite", "rejected"}
 
@@ -230,7 +252,7 @@ def test_level1_step_and_lookup_on_l0_forms_of_random_pullbacks():
             gram, target, w, _phi = rand_pullback_problem(rng, sizes=(n,))
             problem = IsometryProblem(GramForm(gram), GramForm(target), w)
             q = problem.l0_form
-            assert not q.scaled_ldl().low[0]
+            assert not q.ldl.low[0]
             targets = [problem.eq1_target] + [
                 problem.wnorm * t for t in (rng.randrange(1, 12) for _ in range(3))
             ]
@@ -247,7 +269,7 @@ def test_level1_step_on_general_forms():
         den = rng.choice((1, 1, 2, 3))
         g = rand_pd_gram(rng, n, bound=3)
         q = PosDefForm(Mat([[Fraction(x, den) for x in row] for row in g.rows]))
-        seen += bool(q.scaled_ldl().low[0])
+        seen += bool(q.ldl.low[0])
         for c in range(0, 25):
             _same_as_reference(q, c)
     assert seen >= 20
@@ -279,7 +301,7 @@ def test_largest_u_on_the_lookup_bound_and_the_top_rule(rows):
     # ...) is reached only through level 1 at v = 0 with every coordinate
     # above it 0, where the half search keeps +root alone.
     q = PosDefForm(Mat(rows))
-    lf = q.scaled_ldl()
+    lf = q.ldl
     assert not lf.low[0]
     unit = lf.pivots[0] * lf.dl**2
     for u in (1, 2, 3, 5):
@@ -328,7 +350,7 @@ def test_l0_shells_of_generated_problems_match_the_reference(n, cap):
         for t in targets:
             if cap is None or t <= cap:
                 _same_as_reference(problem.l0_form, t)
-        orders.add(problem.l0_form.levels()[0])
+        orders.add(problem.l0_form.order)
     assert len(orders) > 1
 
 
@@ -356,7 +378,7 @@ def test_l0_shells_of_generated_problems_match_the_reference(n, cap):
 )
 def test_each_level1_branch_matches_the_reference(rows, tested, monkeypatch):
     q = PosDefForm(Mat(rows))
-    order, lf = q.levels()
+    order, lf = q.order, q.ldl
     if not any(rows[0][1:]):
         assert order[0] == 0 and not lf.low[0]
         assert lf.pivots[1] * 2 < lf.pivots[0] or lf.pivots[1] > 8 * lf.pivots[0]
@@ -376,19 +398,40 @@ def test_each_level1_branch_matches_the_reference(rows, tested, monkeypatch):
     assert _same_as_reference(q, Fraction(1, 7)) == ()
     for den in (2, 3):
         scaled = PosDefForm(Mat([[Fraction(x, den) for x in row] for row in rows]))
-        assert scaled.levels()[0] == order
+        assert scaled.order == order
         for c in (0, Fraction(1, den), Fraction(5, den), Fraction(1, 5), 4, 9):
             _same_as_reference(scaled, c)
 
 
-def test_levels_permute_and_scaled_ldl_keeps_the_given_order():
-    # levels() permutes; scaled_ldl() and the pivots stay in the given order.
+def test_order_permutes_and_pivots_keep_the_given_order():
+    # The LDL^T is in the level order; the pivots stay in the given order.
     q = PosDefForm(Mat([[1, 0, 0], [0, 12, 2], [0, 2, 9]]))
-    order, lf = q.levels()
-    assert order == (0, 2, 1)
-    assert q.pivots == (1, 12, Fraction(26, 3)) and q.scaled_ldl().dl == 6
-    assert lf.pivots == (9, 81, 104) and lf.dl == 9
+    lf = q.ldl
+    assert q.order == (0, 2, 1)
+    assert q.pivots == (1, 12, Fraction(26, 3))
+    assert lf.pivots == (9, 81, 104) and lf.dl == 9 and lf.scale == 729
     assert lf.low == ((), ((1, 2),), ())
+
+
+def test_one_elimination_per_form(monkeypatch):
+    # A form is factored once, in its level order, when it is built; its
+    # shells eliminate nothing again, and its Fraction pivots are made
+    # only when read.
+    p = gen.pullback(gen.REFERENCE_SEED, 5, 4)[0]
+    problem = IsometryProblem(GramForm(Mat(p.gram)), GramForm(Mat(p.target)), Vec(p.w))
+    calls = []
+    real = diophantine._ldl
+    monkeypatch.setattr(diophantine, "_ldl", lambda c, rows: calls.append(len(rows)) or real(c, rows))
+    for build, targets in (
+        (lambda: PosDefForm(Mat([[1, 0, 0], [0, 12, 2], [0, 2, 9]])), (9, 13)),
+        (lambda: problem.l0_form, _eq_targets(problem)[:2]),
+    ):
+        calls.clear()
+        q = build()
+        assert all(vectors_of_norm(q, c) for c in targets)
+        assert calls == [q.dim]
+        assert q.order != tuple(range(q.dim))
+        assert "pivots" not in vars(q)
 
 
 def test_shell_of_permuted_form_is_the_permuted_shell():
@@ -402,7 +445,7 @@ def test_shell_of_permuted_form_is_the_permuted_shell():
             # Coordinate 0 orthogonal to the rest, as in the L0 forms.
             g = Mat([[rng.randint(1, 6) if i == j == 0 else 0 if 0 in (i, j) else x for j, x in enumerate(row)] for i, row in enumerate(g.rows)])
         p = rng.sample(range(n), n)
-        gp = Mat([[g.rows[i][j] for j in p] for i in p])
+        gp = _permuted(g, p)
         for c in range(0, 18):
             shell = vectors_of_norm(PosDefForm(g), c)
             assert vectors_of_norm(PosDefForm(gp), c) == tuple(sorted(tuple(x[i] for i in p) for x in shell))

@@ -34,7 +34,7 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def _has_denominators(q: PosDefForm) -> bool:
-    lf = q.scaled_ldl()
+    lf = q.ldl
     return lf.dl > 1 or lf.scale > 1
 
 
@@ -44,15 +44,16 @@ def _ata_plus_identity(entries: list[int], n: int) -> Mat:
 
 
 def test_scaled_ldl_identity():
-    # dl^2 dq * x^T G x = sum_j P_j Y_j^2 on a grid of x.
+    # dl^2 dq * x^T G x = sum_j P_j Y_j^2 on a grid of x, with level j
+    # at coordinate order[j].
     rng = random.Random(5)
     for _ in range(20):
         n = rng.choice([2, 3, 4])
         g = _ata_plus_identity([rng.randint(-2, 2) for _ in range(n * n)], n)
         q = PosDefForm(g)
-        lf = q.scaled_ldl()
+        lf = q.ldl
         for x in itertools.product(range(-1, 2), repeat=n):
-            ys = [lf.dl * x[j] + sum(l * x[i] for i, l in lf.low[j]) for j in range(n)]
+            ys = [lf.dl * x[q.order[j]] + sum(l * x[i] for i, l in lf.low[j]) for j in range(n)]
             assert sum(p * y * y for p, y in zip(lf.pivots, ys)) == lf.scale * form_norm(q, x)
 
 
