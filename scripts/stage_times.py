@@ -27,9 +27,9 @@ that problem, the way a ``--all`` search runs them:
   (one of each +-pair): ``filter_eq2.first`` is the first call, which
   builds the packed table of the eq3 rows, ``filter_eq2.rest`` the later
   calls, and ``filter_eq2`` their sum;
-* ``_assemble``, the cross-probe assembly of those rows: the joint search
-  (``_gram_search``) in index order (eq1 first), drained, with each eq1
-  row's eq2 survivors served from the ``filter_eq2`` stage;
+* ``index_order_search``, the cross-probe assembly of those rows: the
+  joint search (``_gram_search``) in index order (eq1 first), drained,
+  with each eq1 row's eq2 survivors served from the ``filter_eq2`` stage;
 * ``joint_search``, the joint search of ``--all`` as it runs: shells
   placed by size, the first one's packed table built afresh, drained;
 * ``reconstruct``, on every tuple of the eq1-first scan;
@@ -38,7 +38,7 @@ that problem, the way a ``--all`` search runs them:
 * ``negate``, ``-c`` over half of the search's sorted candidates: as
   many negations as the search makes when it adds the negated half of
   each +-pair;
-* ``integral_listing``, the stdout listing of ``factorize --all``:
+* ``all_listing``, the stdout listing of ``factorize --all``:
   ``matrix_listing`` of the integral candidates' entry texts;
 * ``result_document`` on the search's result, and ``document_json``, the
   text of that document (the candidates' entry texts are made with the
@@ -173,7 +173,7 @@ def one_pass(text: str) -> dict[str, float]:
     served = dict(zip(direct, filtered))
     start = perf_counter()
     blocks = list(_gram_search(gram, targets, shells, range(len(shells)), served.__getitem__))
-    times["_assemble"] = perf_counter() - start
+    times["index_order_search"] = perf_counter() - start
     tuples = [(cols[0], cols[1:]) for block in blocks for cols in block]
 
     start = perf_counter()
@@ -205,7 +205,7 @@ def one_pass(text: str) -> dict[str, float]:
     start = perf_counter()
     integral = [c for c in result.candidates if c.integral]
     matrix_listing(f"integral matrices ({len(integral)}):", [c.entry_strings for c in integral])
-    times["integral_listing"] = perf_counter() - start
+    times["all_listing"] = perf_counter() - start
 
     options = {"all": True, "integral_only": False, "cs_prune": False}
     start = perf_counter()

@@ -79,10 +79,6 @@ def _print_cells(cells, indent: str = "  ") -> None:
         print(indent + " ".join(c.rjust(width) for c in row))
 
 
-def _fmt_matrix_inline(m: Mat) -> str:
-    return " | ".join(" ".join(row) for row in matrix_rows(m))
-
-
 def _fmt_vec(v: Vec) -> str:
     return "(" + ", ".join(scalar_str(x) for x in v) + ")"
 
@@ -101,7 +97,8 @@ def cmd_decompose(args) -> int:
     print(f"a = {_fmt_vec(dec.a)}")
     print(f"b = {_fmt_vec(dec.b)}")
     residual = phi - dec.reassemble(ctx)
-    print(f"reassembly residual = {'0' if residual == Mat.zero(pf.n) else _fmt_matrix_inline(residual)}")
+    text = "0" if residual == Mat.zero(pf.n) else " | ".join(map(" ".join, matrix_rows(residual)))
+    print(f"reassembly residual = {text}")
     return EXIT_OK
 
 
@@ -127,6 +124,16 @@ def matrix_listing(header: str, mats) -> str:
     texts = {key: " ".join(map(str, row)) for key, row in texts.items()}
     lines = [f"  {' | '.join([texts[id(row)] for row in rows])}\n" for rows in mats]
     return f"{header}\n" + "".join(lines)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """Write the text of doc to path, rendered whole before the file is
+    opened, and say so.  document_json is read from this module's globals,
+    where perfbench's tracer wraps it."""
+    text = document_json(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"result written to {path}")
 
 
 def cmd_factorize(args) -> int:
@@ -167,10 +174,7 @@ def cmd_factorize(args) -> int:
             "integral_only": args.integral_only,
             "cs_prune": args.cs_prune,
         }
-        text = document_json(result_document(problem, result, options=options, elapsed=elapsed))
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"result written to {args.json}")
+        _write_json(args.json, result_document(problem, result, options=options, elapsed=elapsed))
 
     return EXIT_OK if result.certificate.verdict == "IsometricWitness" else EXIT_NEGATIVE
 
@@ -204,10 +208,7 @@ def cmd_obstruct(args) -> int:
         print(f"  {key} = {cert.detail[key]}")
 
     if args.json:
-        text = document_json(obstruction_document(cert, params))
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"result written to {args.json}")
+        _write_json(args.json, obstruction_document(cert, params))
 
     return EXIT_OK if cert.verdict.startswith("Obstruction") else EXIT_NEGATIVE
 

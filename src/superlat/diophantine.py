@@ -125,13 +125,6 @@ def _scaled_ldl(c: int, a: list[list[int]], order) -> ScaledLDL:
     )
 
 
-def _sign_canonical(v: tuple[int, ...]) -> bool:
-    for x in v:
-        if x:
-            return x > 0
-    return True
-
-
 def _root_test(p: int):
     """The test val -> Y >= 0 with val = p Y^2, or None."""
 

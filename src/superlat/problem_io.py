@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import repeat
 
-from .errors import ParseError
+from .errors import ParseError, SuperlatError
 from .forms import GramForm
 from .isometry import (
     CandidateIsometry,
@@ -94,14 +94,18 @@ def anchor_vector(tokens: list[str], n: int, label: str) -> Vec:
     return w
 
 
+def _token_lines(text: str):
+    """(lineno, tokens) for each line of text that still holds a token
+    once its # comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if tokens := raw.split("#", 1)[0].split():
+            yield lineno, tokens
+
+
 def _blocks(text: str) -> dict[str, list[list[str]]]:
     blocks: dict[str, list[list[str]]] = {}
     current: list[list[str]] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _token_lines(text):
         if tokens[0] in _LABELS:
             label = tokens[0]
             if label in blocks:
@@ -116,17 +120,18 @@ def _blocks(text: str) -> dict[str, list[list[str]]]:
     return blocks
 
 
+def _row(tokens: list[str], n: int, where: str, read) -> tuple:
+    """The n entries of a row, each token read by read (_fraction or
+    _integer) at where; ParseError unless there are n of them."""
+    if len(tokens) != n:
+        raise ParseError(f"{where}: expected {n} entries, got {len(tokens)}")
+    return tuple(read(tok, where) for tok in tokens)
+
+
 def _matrix_block(rows: list[list[str]], n: int, label: str) -> Mat:
     if len(rows) != n:
         raise ParseError(f"{label}: expected {n} rows, got {len(rows)}")
-    parsed = []
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ParseError(
-                f"{label} row {i + 1}: expected {n} entries, got {len(row)}"
-            )
-        parsed.append(tuple(_fraction(tok, f"{label} row {i + 1}") for tok in row))
-    mat = Mat._of_rows(tuple(parsed))
+    mat = Mat._of_rows(tuple(_row(row, n, f"{label} row {i}", _fraction) for i, row in enumerate(rows, 1)))
     if not mat.is_symmetric():
         raise ParseError(f"{label}: matrix is not symmetric")
     return mat
@@ -161,15 +166,7 @@ def parse_problem(text: str) -> ProblemFile:
 
     probes = None
     if "z0" in blocks:
-        rows = blocks["z0"]
-        parsed = []
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ParseError(
-                    f"z0 row {i + 1}: expected {n} entries, got {len(row)}"
-                )
-            parsed.append(Vec([_integer(tok, f"z0 row {i + 1}") for tok in row]))
-        probes = tuple(parsed)
+        probes = tuple(Vec(_row(row, n, f"z0 row {i}", _integer)) for i, row in enumerate(blocks["z0"], 1))
 
     return ProblemFile(n=n, gram=gram, target=target, w=w, probes=probes)
 
@@ -188,12 +185,7 @@ def load_problem(path: str) -> ProblemFile:
 
 def parse_matrix(text: str) -> Mat:
     """A bare matrix: one row per line, rationals, # comments allowed."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append(tuple(_fraction(tok, f"line {lineno}") for tok in line.split()))
+    rows = [tuple(_fraction(tok, f"line {lineno}") for tok in tokens) for lineno, tokens in _token_lines(text)]
     if not rows:
         raise ParseError("matrix file holds no rows")
     if any(len(r) != len(rows[0]) for r in rows):
@@ -221,27 +213,19 @@ def matrix_rows(m: Mat) -> list[list[str]]:
     return [[scalar_str(x) for x in row] for row in m.rows]
 
 
-def _jsonable(x):
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    if isinstance(x, Fraction):
-        return scalar_str(x)
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(e) for e in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    raise TypeError(f"cannot serialize {type(x).__name__}")
-
-
 def certificate_payload(cert: Certificate) -> dict:
     """The certificate as a document holds it: the certificate's own
-    detail, not a copy (see Certificate), and the witness's entry_strings."""
+    detail, not a copy (see Certificate), the witness's entry_strings and
+    its provenance as [s, [btilde], ["p/q" of atilde], [[c_i]]] or [].
+    The provenance is lists: _json_text would write a non-empty tuple of
+    tuples as rows of entry texts."""
     witness = cert.witness
     if witness is not None:
+        prov = witness.provenance
         witness = {
             "matrix": witness.entry_strings,
             "integral": witness.integral,
-            "provenance": _jsonable(witness.provenance),
+            "provenance": [prov[0], list(prov[1]), list(map(str, prov[2])), list(map(list, prov[3]))] if prov else [],
         }
     return {"verdict": cert.verdict, "detail": cert.detail, "witness": witness}
 
@@ -309,7 +293,7 @@ def result_document(
     entry_strings tuples (see certificate_payload): no matrix is copied."""
     return {
         "inputs": problem_inputs(problem),
-        "options": _jsonable(options or {}),
+        "options": dict(options or {}),
         "stats": asdict(result.stats),
         "candidates": [
             {"matrix": c.entry_strings, "integral": c.integral}
@@ -320,12 +304,8 @@ def result_document(
     }
 
 
-def obstruction_document(cert: Certificate, params: dict, elapsed: float | None = None) -> dict:
-    return {
-        "params": _jsonable(params),
-        "certificate": certificate_payload(cert),
-        "timing": {"seconds": elapsed if elapsed is not None else 0.0},
-    }
+def obstruction_document(cert: Certificate, params: dict) -> dict:
+    return {"params": dict(params), "certificate": certificate_payload(cert), "timing": {"seconds": 0.0}}
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -406,7 +386,8 @@ def verify_document(doc: dict) -> bool:
     Any discrepancy — including contents too damaged to rebuild the
     problem — returns False.
     """
-    from .errors import SuperlatError
+    # Looked up at call time, so that a wrapper set on
+    # isometry.verify_certificate afterwards (perfbench's tracer) is called.
     from .isometry import verify_certificate
 
     try:

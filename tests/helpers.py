@@ -9,7 +9,7 @@ from itertools import chain, permutations, product
 from math import isqrt, prod
 from operator import mul
 
-from superlat.diophantine import PosDefForm, _ldl, _scaled_ldl, _sign_canonical, vectors_of_norm
+from superlat.diophantine import PosDefForm, _ldl, _scaled_ldl, vectors_of_norm
 from superlat.errors import NotPositiveDefinite
 from superlat.isometry import (
     Certificate,
@@ -110,6 +110,15 @@ EVEN24_RATIONAL_SOLUTIONS = tuple(
         ],
     ]
 )
+
+
+def _sign_canonical(v) -> bool:
+    """Whether the first nonzero entry of v is positive (True for zero):
+    one of each pair {v, -v} of nonzero vectors."""
+    for x in v:
+        if x:
+            return x > 0
+    return True
 
 
 def mat_from_cols(cols) -> Mat:

@@ -94,6 +94,28 @@ class TestProblemParsing:
             parse_problem(text)
 
 
+PAIR = "n 2\nB\n1 0\n0 1\nBprime\n2 1\n1 1\nw 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["factorize", "P"], {"P": PAIR.replace("0 1\nBprime", "0\nBprime")}, "B row 2: expected 2 entries, got 1"),
+        (["factorize", "P"], {"P": PAIR.replace("2 1\n", "2 1 0\n")}, "Bprime row 1: expected 2 entries, got 3"),
+        (["factorize", "P"], {"P": PAIR + "z0\n0 1\n1\n"}, "z0 row 2: expected 2 entries, got 1"),
+        (["factorize", "P"], {"P": PAIR + "z0\n0 1/2\n"}, "z0 row 1: expected an integer, got '1/2'"),
+        (["decompose", "P", "--phi", "F"], {"P": PAIR, "F": "# phi\n1 0\n\n0 x  # bad\n"}, "line 4: bad rational 'x'"),
+        (["factorize", "P"], {"P": PAIR.replace("w 1 0", "w 1")}, "w: expected 2 integers, got 1"),
+        (["factorize", "P", "--w", "1,0,0"], {"P": PAIR}, "--w: expected 2 integers, got 3"),
+    ],
+    ids=["B-row", "Bprime-row", "z0-row", "z0-entry", "phi-entry", "w-block", "w-flag"],
+)
+def test_reader_errors_name_the_row_or_line(argv, files, message, tmp_path, capsys):
+    paths = {key: write(tmp_path, f"{key}.txt", text) for key, text in files.items()}
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestFactorize:
     def test_wilson_all_solutions(self, capsys):
         assert main(["factorize", WILSON_FILE, "--all"]) == 0

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _sign_canonical,
     form_norm,
     naive_box_norm_solutions,
     rand_pd_gram,
@@ -26,7 +27,6 @@ from helpers import (
 from superlat import diophantine
 from superlat.diophantine import (
     PosDefForm,
-    _sign_canonical,
     three_squares_representable,
     two_squares_representable,
     vectors_of_norm,

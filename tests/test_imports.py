@@ -8,9 +8,10 @@ carries `# noqa: F401`.  The package's __init__.py imports to re-export,
 so there every imported name must be listed in __all__.
 
 Every private top-level function or class of src/superlat/ (a name with
-one leading underscore) must also be read somewhere in those three
-folders: as a loaded name, as an attribute, or as the name an import
-brings in.  A helper left behind by a deletion fails this check.
+one leading underscore) must also be read inside src/superlat/: as a
+loaded name, as an attribute, or as the name an import brings in.  A
+helper left behind by a deletion fails this check, and so does one that
+only tests or scripts call (such a helper belongs in tests/helpers.py).
 perfbench/ is not scanned.
 """
 
@@ -93,12 +94,12 @@ def _private_definitions() -> dict[str, str]:
     return out
 
 
-def _reads_anywhere() -> set[str]:
+def _package_reads() -> set[str]:
     """Every name loaded, attribute named or import alias brought in by
-    a scanned module."""
+    a module of the package."""
     out = set()
-    for module in MODULES:
-        for node in ast.walk(_parse(module)[0]):
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -109,6 +110,6 @@ def _reads_anywhere() -> set[str]:
 
 
 def test_every_private_definition_is_read():
-    read = _reads_anywhere()
+    read = _package_reads()
     unread = sorted(f"{module} {name}" for name, module in _private_definitions().items() if name not in read)
     assert not unread, "defined but never read: " + ", ".join(unread)
