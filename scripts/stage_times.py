@@ -33,8 +33,11 @@ that problem, the way a ``--all`` search runs them:
 * ``joint_search``, the joint search of ``--all`` as it runs: shells
   placed by size, the first one's packed table built afresh, drained;
 * ``reconstruct``, on every tuple of the eq1-first scan;
-* ``pulls_back``, the exact check inside ``reconstruct``, alone: once
-  more on every (num, den) that ``reconstruct`` checked;
+* ``pulls_back``, the exact check inside ``reconstruct``, alone: on
+  every (num, den) that ``reconstruct`` checked, through a fresh
+  ``_Pullback`` of the problem's B and B' (the problem's own check has
+  packed their rows during ``reconstruct``; the fresh one packs each
+  distinct row once, as the first search of a problem does);
 * ``negate``, ``-c`` over half of the search's sorted candidates: as
   many negations as the search makes when it adds the negated half of
   each +-pair;
@@ -87,6 +90,7 @@ from superlat.forms import GramForm  # noqa: E402
 from superlat.isometry import (  # noqa: E402
     IsometryProblem,
     _gram_search,
+    _Pullback,
     _size_order,
     brute_force_isometries,
     filter_eq2,
@@ -190,9 +194,10 @@ def one_pass(text: str) -> dict[str, float]:
     for e1, picks in tuples:
         reconstruct(problem, e1, picks)
     del problem.pulls_back
+    check = _Pullback(problem._gram, problem._tgram)
     start = perf_counter()
     for num, den in checks:
-        problem.pulls_back(num, den)
+        check(num, den)
     times["pulls_back"] = perf_counter() - start
 
     result = find_isometries(problem)

@@ -184,36 +184,58 @@ def _slot_width(bound: int) -> int:
 
 class _Pullback:
     """The test num^T B num = den^2 B' for integer rows num and square
-    integer matrices B, B' given by rows, on packed integers with one
-    signed W-bit slot per column: with p_a = sum_j num[a][j] 2^(jW),
-    sum_a num[a][i] (B p)_a is row i of num^T B num packed, and it must
-    equal row i of den^2 B' packed (kept per (den, W)).  W puts
-    max|num|^2 sum|B_ab| and den^2 max|B'_ij|, which bound every slot,
-    below 2^(W-1), so equal integers mean equal rows."""
+    integer matrices B, B' given by rows, as one comparison of packed
+    integers with one signed W-bit slot per entry (i, j), slot ni + j.
 
-    __slots__ = ("gram", "target", "weight", "tmax", "targets")
+    Each distinct row r is packed once, as P(r) = sum_j r_j 2^(jW) and
+    R(r) = sum_i r_i 2^(niW); then sum_a R(num_a) sum_b B_ab P(num_b)
+    holds entry (i, j) of num^T B num in slot ni + j, and it must equal
+    den^2 B' packed the same way (kept per den).  W puts
+    max|num|^2 sum|B_ab| and den^2 max|B'_ij|, which bound every slot,
+    below 2^(W-1), so equal integers mean equal matrices.  W only grows:
+    a new row or den that needs more widens it, which drops every pack
+    and target."""
+
+    __slots__ = ("gram", "target", "weight", "tmax", "width", "pows", "tpack", "packs", "targets")
 
     def __init__(self, gram, target):
         self.gram, self.target = gram, target
         self.weight = sum(map(abs, chain.from_iterable(gram)))
         self.tmax = max(map(abs, chain.from_iterable(target)))
-        self.targets: dict = {}
+        self.width, self.packs, self.targets = 0, {}, {}
 
     def __call__(self, num, den: int) -> bool:
         n = len(self.gram)
-        if [*map(len, num)] != [n] * n:
+        if len(num) != n:
             return False
+        try:
+            packed, target = [*map(self.packs.__getitem__, num)], self.targets[den]
+        except (KeyError, TypeError):
+            # A row or den not packed yet, or a row given as a list.
+            if [*map(len, num)] != [n] * n:
+                return False
+            packed, target = self._pack([*map(tuple, num)], den)
+        ps, rs = zip(*packed)
+        return sum(map(mul, rs, [sum(map(mul, brow, ps)) for brow in self.gram])) == target
+
+    def _pack(self, num: list, den: int) -> tuple[list, int]:
+        """The (P, R) of each row of num and the target of den, packing
+        what is not kept yet, after widening W if it is too narrow."""
+        n = len(self.gram)
         big = max(map(abs, chain.from_iterable(num)))
         width = _slot_width(max(big * big * self.weight, den * den * self.tmax))
-        targets = self.targets.get((den, width))
-        if targets is None:
-            pows = [1 << (j * width) for j in range(n)]
-            rows = [den * den * sum(map(mul, row, pows)) for row in self.target]
-            targets = self.targets[den, width] = pows, rows
-        pows, rows = targets
-        p = [sum(map(mul, row, pows)) for row in num]
-        bp = [sum(map(mul, row, p)) for row in self.gram]
-        return [sum(map(mul, col, bp)) for col in zip(*num)] == rows
+        if width > self.width:
+            self.width, self.packs, self.targets = width, {}, {}
+            self.pows = [1 << (k * width) for k in range(n * n)]
+            self.tpack = sum(map(mul, chain.from_iterable(self.target), self.pows))
+        packs, cols, rows = self.packs, self.pows[:n], self.pows[::n]
+        for row in num:
+            if row not in packs:
+                packs[row] = sum(map(mul, row, cols)), sum(map(mul, row, rows))
+        target = self.targets.get(den)
+        if target is None:
+            target = self.targets[den] = den * den * self.tpack
+        return [*map(packs.__getitem__, num)], target
 
 
 class _SlotMap:
@@ -341,8 +363,9 @@ def _integer_matrices(matrices):
     den the lcm of its entry denominators and num the integer rows of
     den M, so M is integral iff den == 1.  Candidates repeat a few
     distinct entries and rows many times, so each distinct entry is parsed
-    once and each distinct row cleared once, as (d, d row) for d the lcm
-    of its denominators."""
+    once and each distinct row text read once, as (d, d row) for d the
+    lcm of its denominators; a row with d == den enters num as that kept
+    tuple, which _Pullback finds packed."""
     parse = cache(parse_fraction)
     cleared = cache(lambda row: _cleared([list(map(parse, row))]))
     for rows in matrices:

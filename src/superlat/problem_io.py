@@ -184,13 +184,13 @@ def load_problem(path: str) -> ProblemFile:
 
 
 def parse_matrix(text: str) -> Mat:
-    """A bare matrix: one row per line, rationals, # comments allowed."""
-    rows = [tuple(_fraction(tok, f"line {lineno}") for tok in tokens) for lineno, tokens in _token_lines(text)]
-    if not rows:
+    """A bare matrix: one row per line, rationals, # comments allowed;
+    every row must have as many entries as the first."""
+    lines = list(_token_lines(text))
+    if not lines:
         raise ParseError("matrix file holds no rows")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError("matrix rows have unequal lengths")
-    return Mat._of_rows(tuple(rows))
+    n = len(lines[0][1])
+    return Mat._of_rows(tuple(_row(tokens, n, f"line {lineno}", _fraction) for lineno, tokens in lines))
 
 
 def load_matrix(path: str) -> Mat:

@@ -116,6 +116,12 @@ def test_reader_errors_name_the_row_or_line(argv, files, message, tmp_path, caps
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_ragged_phi_file_names_the_short_line(tmp_path, capsys):
+    phi = write(tmp_path, "phi.txt", "1 0\n0\n")
+    assert main(["decompose", BINARY_FILE, "--w", "1,0", "--phi", phi]) == 2
+    assert capsys.readouterr().err == "error: line 2: expected 2 entries, got 1\n"
+
+
 class TestFactorize:
     def test_wilson_all_solutions(self, capsys):
         assert main(["factorize", WILSON_FILE, "--all"]) == 0

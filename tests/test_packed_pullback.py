@@ -2,15 +2,26 @@
 (isometry._Pullback, behind IsometryProblem.pulls_back); it must agree
 with plain dot products on every input, including entries at the slot
 boundaries, one-unit perturbations, targets forged to cancel between
-neighbouring slots, and rows of the wrong shape."""
+neighbouring slots, and rows of the wrong shape.  One check is kept per
+problem, with each distinct row packed once, so it must also answer a
+sequence of numerators of growing and shrinking size, and verify must
+still see a shared row changed in one candidate only."""
 
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
+from superlat.cli import main
 from superlat.forms import GramForm
 from superlat.isometry import IsometryProblem, _Pullback
 from superlat.linalg import Mat, Vec
+from superlat.problem_io import verify_document
+
+WILSON_FILE = str(Path(__file__).resolve().parent.parent / "problems" / "wilson.txt")
 
 SEED = 20240613
 CASES = 500
@@ -138,3 +149,127 @@ def test_problem_pulls_back_matches_reference():
         num[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
         assert problem.pulls_back(num, den) == reference(gram, target, num, den)
         checked += 1
+
+
+def _reused_sequence(rng: random.Random, m: list[list[int]]):
+    """(num, den) for one (B, B' = M^T B M): den M and -den M, then the
+    same with one entry moved by +-1, for small dens, then dens near
+    2^100, then small dens again.  The rows come as lists, as tuples or
+    mixed, in turn."""
+    n = len(m)
+    calls = 0
+    for dens in ((1, 2, 3), (2**100, 2**100 + 3), (1, 5, 2)):
+        for den in dens:
+            for sign in (1, -1):
+                num = [[sign * den * x for x in row] for row in m]
+                bad = [row[:] for row in num]
+                bad[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+                for rows in (num, bad):
+                    kind = calls % 3
+                    calls += 1
+                    yield [row if kind == 0 or (kind == 2 and a % 2) else tuple(row) for a, row in enumerate(rows)], den
+
+
+def test_one_check_reused_across_widths():
+    # One _Pullback per (B, B') answers a whole sequence: after the
+    # 2^100-scale numerators widen its slots, a pack or a target kept
+    # from the narrower width would misread the small numerators that
+    # follow.  The forged targets cancel between neighbouring slots,
+    # within a row of the packed matrix and across two rows, at each
+    # width a check could be using.
+    rng = random.Random(SEED + 3)
+    checked = forged_checks = 0
+    for case in range(24):
+        n = 1 + case % 4
+        gram = _matrix(rng, n, rng.choice((0, 1)), symmetric=True)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        target = _product(gram, m)
+        sequence = list(_reused_sequence(rng, m))
+        check = _Pullback(gram, target)
+        for num, den in sequence:
+            assert check(num, den) == reference(gram, target, num, den)
+            checked += 1
+        if n < 2:
+            continue
+        i = case % (n - 1)
+        top = max(abs(x) for num, _ in sequence for row in num for x in row) ** 2 * sum(map(abs, sum(gram, [])))
+        for k in range(8, top.bit_length() + 24, 8):
+            for (r, c), (r2, c2) in (((i, 0), (i, 1)), ((i, n - 1), (i + 1, 0))):
+                forged = [row[:] for row in target]
+                forged[r][c] -= 1 << k
+                forged[r2][c2] += 1
+                check = _Pullback(gram, forged)
+                for num, den in sequence:
+                    assert check(num, den) == reference(gram, forged, num, den)
+                    forged_checks += 1
+    assert checked == 24 * 32
+    assert forged_checks > 100 * 32
+
+
+def test_width_grows_with_later_numerators():
+    # For B = I_2 and B' = [[0, 1], [0, 1]], num = [[2^(W/2), 0], [0, 1]]
+    # gives num^T num = [[2^W, 0], [0, 1]], whose slots packed W bits
+    # apart form the same integer as those of B': a check that kept the
+    # width of an earlier, smaller numerator would accept it.
+    gram, target = [[1, 0], [0, 1]], [[0, 1], [0, 1]]
+    check = _Pullback(gram, target)
+    for width in range(8, 136, 8):
+        num = [(1 << width // 2, 0), (0, 1)]
+        assert not reference(gram, target, num, 1)
+        assert check(num, 1) is False
+
+
+def _fractions(rows) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def test_verify_sees_a_shared_row_changed_in_one_candidate(tmp_path, capsys):
+    # The 384 Wilson isometries are built from a few distinct rows, so the
+    # check finds most rows packed; one entry of the most shared row,
+    # changed in a single candidate (early, midway or last), must still
+    # fail verify, and the same value written as another text must pass.
+    out = tmp_path / "wilson.json"
+    assert main(["factorize", WILSON_FILE, "--all", "--json", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    gram, target = (_fractions(doc["inputs"][key]) for key in ("B", "Bprime"))
+    matrices = [entry["matrix"] for entry in doc["candidates"]]
+    (shared, uses), = Counter(tuple(row) for m in matrices for row in m).most_common(1)
+    holders = [k for k, m in enumerate(matrices) if list(shared) in m]
+    assert uses >= 40 and verify_document(doc)
+    for k in (holders[0], holders[len(holders) // 2], holders[-1]):
+        matrix = matrices[k]
+        a = matrix.index(list(shared))
+        for j, text in enumerate(shared):
+            for changed, holds in ((str(Fraction(text) + 1), False), (f"{2 * Fraction(text)}/2", True)):
+                matrix[a] = [*shared[:j], changed, *shared[j + 1 :]]
+                assert reference(gram, target, _fractions(matrix), 1) is holds
+                assert verify_document(doc) is holds
+            matrix[a] = list(shared)
+    assert verify_document(doc)
+
+
+def test_verify_reads_one_row_text_under_two_denominators():
+    # Rational isometries of I_3 that share the row text r: over den 3 in
+    # the first, and scaled to den 15 in the second and third.  Each
+    # answer must be the one of plain Fraction products.
+    identity = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    r = ["1/3", "2/3", "2/3"]
+    thirds = [r, ["2/3", "1/3", "-2/3"], ["2/3", "-2/3", "1/3"]]
+    fifteenths = [r, ["14/15", "-1/3", "-2/15"], ["-2/15", "-2/3", "11/15"]]
+    variants = {
+        "as built": [thirds, fifteenths, fifteenths[::-1]],
+        "den 15 entry moved": [thirds, [r, ["13/15", "-1/3", "-2/15"], fifteenths[2]], fifteenths[::-1]],
+        "den 3 entry moved": [[r, ["2/3", "1/3", "-1/3"], thirds[2]], fifteenths, fifteenths[::-1]],
+        "shared text moved": [thirds, [["1/3", "2/3", "1/3"], *fifteenths[1:]], fifteenths[::-1]],
+    }
+    for name, matrices in variants.items():
+        expected = all(reference(_fractions(identity), _fractions(identity), _fractions(m), 1) for m in matrices)
+        assert expected is (name == "as built")
+        for listed in (matrices, matrices[::-1]):
+            doc = {
+                "inputs": {"n": 3, "B": identity, "Bprime": identity, "w": [1, 0, 0], "z0": [[0, 1, 0], [0, 0, 1]]},
+                "candidates": [{"matrix": m, "integral": False} for m in matrices],
+                "certificate": {"verdict": "NoIntegralIsometry", "detail": {"candidates": listed}, "witness": None},
+            }
+            assert verify_document(doc) is expected, name
