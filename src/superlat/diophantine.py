@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, isqrt, lcm
 
 from .errors import InvalidForm, NegativeTarget, NotPositiveDefinite
@@ -73,15 +72,6 @@ class PosDefForm:
     @property
     def dim(self) -> int:
         return self.gram.nrows
-
-    @cached_property
-    def pivots(self) -> tuple[Fraction, ...]:
-        """LDL^T pivots d_j = D_(j+1) / (c D_j) in the given order; all
-        positive."""
-        c, rows = _cleared(self.gram.rows)
-        a = _ldl(c, rows)
-        minors = [1, *(a[j][j] for j in range(len(a)))]
-        return tuple(Fraction(minors[j + 1], c * minors[j]) for j in range(len(a)))
 
 
 def _ldl(c: int, rows) -> list[list[int]]:

@@ -65,6 +65,15 @@ from .errors import (
 from .forms import GramForm, dual_membership  # noqa: F401
 from .linalg import Mat, Vec, _cleared, _cleared_inverse, _det_adjugate, integer_kernel_basis, parse_fraction
 
+def _integer_grams(source: GramForm, target: GramForm):
+    """The integer Gram rows of B and B', once both are checked to share a dimension and be integral."""
+    if source.dim != target.dim:
+        raise DimensionMismatch("source and target dimensions differ")
+    if not source.is_integral() or not target.is_integral():
+        raise NonIntegralForm("both Gram matrices must be integral")
+    return tuple(tuple(tuple(map(int, row)) for row in form.gram.rows) for form in (source, target))
+
+
 class IsometryProblem:
     """Search data: integral forms B (source) and B' (target), an integer
     anchor w with B(w,w) != 0, and n-1 integer probe vectors completing w
@@ -80,10 +89,7 @@ class IsometryProblem:
     """
 
     def __init__(self, source: GramForm, target: GramForm, w: Vec, probes: list[Vec] | None = None):
-        if source.dim != target.dim:
-            raise DimensionMismatch("source and target dimensions differ")
-        if not source.is_integral() or not target.is_integral():
-            raise NonIntegralForm("both Gram matrices must be integral")
+        self._gram, self._tgram = _integer_grams(source, target)
         if len(w) != source.dim:
             raise DimensionMismatch("anchor dimension does not match forms")
         if w.is_zero():
@@ -95,8 +101,6 @@ class IsometryProblem:
         self.w = w
         self.det_mismatch = source.det != target.det
         n = source.dim
-        self._gram = tuple(tuple(map(int, row)) for row in source.gram.rows)
-        self._tgram = tuple(tuple(map(int, row)) for row in target.gram.rows)
         self._pullback = _Pullback(self._gram, self._tgram)
         self._w = w.to_ints()
         self.wnorm = nint = _bilinear(self._gram, self._w, self._w)
@@ -985,13 +989,8 @@ def brute_force_isometries(
     every shell is sorted.  bound keeps only entries |m_ij| <= bound.
     Desk-scale only.
     """
-    if source.dim != target.dim:
-        raise DimensionMismatch("source and target dimensions differ")
-    if not source.is_integral() or not target.is_integral():
-        raise NonIntegralForm("both Gram matrices must be integral")
+    b_rows, bp = _integer_grams(source, target)
     q, n = PosDefForm(source.gram), source.dim
-    b_rows = tuple(tuple(int(x) for x in row) for row in source.gram.rows)
-    bp = tuple(tuple(int(x) for x in row) for row in target.gram.rows)
     col_sets = [vectors_of_norm(q, t) if t >= 0 else () for t in (bp[j][j] for j in range(n))]
     if bound is not None:
         col_sets = [tuple(v for v in cs if max(map(abs, v)) <= bound) for cs in col_sets]
@@ -1026,23 +1025,19 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     integral.
     """
     verdict = cert.verdict
+    if problem is None and verdict in ("IsometricWitness", "NoIntegralIsometry", "ObstructionEq1", "ObstructionDeterminant"):
+        return False
     if verdict == "IsometricWitness":
-        if problem is None or cert.witness is None:
+        if cert.witness is None:
             return False
         num = cert.witness.num
         return cert.witness.den == 1 and problem.pulls_back(num, 1) and abs(_det_adjugate(num)[0]) == 1
     if verdict == "NoIntegralIsometry":
-        if problem is None:
-            return False
         dens = isometry_denominators(problem, cert.detail.get("candidates", []))
         return all(den not in (None, 1) for den in dens)
     if verdict == "ObstructionEq1":
-        if problem is None:
-            return False
         return problem.det_mismatch is False and not solve_eq1(problem)
     if verdict == "ObstructionDeterminant":
-        if problem is None:
-            return False
         return problem.source.det != problem.target.det
     if verdict in ("ObstructionTwoSquares", "ObstructionThreeSquares", "Inconclusive"):
         # 3.0 == 3 and True == 1, so only the type rejects such a field.

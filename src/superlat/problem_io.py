@@ -141,9 +141,6 @@ def parse_problem(text: str) -> ProblemFile:
     """Parse a labeled-block problem file; structural errors raise
     ParseError with the offending block named."""
     blocks = _blocks(text)
-    unknown = set(blocks) - set(_LABELS)
-    if unknown:
-        raise ParseError(f"unknown blocks: {sorted(unknown)}")
     if "n" not in blocks:
         raise ParseError("missing block 'n'")
     n_rows = blocks["n"]

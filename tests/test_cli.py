@@ -107,8 +107,13 @@ PAIR = "n 2\nB\n1 0\n0 1\nBprime\n2 1\n1 1\nw 1 0\n"
         (["decompose", "P", "--phi", "F"], {"P": PAIR, "F": "# phi\n1 0\n\n0 x  # bad\n"}, "line 4: bad rational 'x'"),
         (["factorize", "P"], {"P": PAIR.replace("w 1 0", "w 1")}, "w: expected 2 integers, got 1"),
         (["factorize", "P", "--w", "1,0,0"], {"P": PAIR}, "--w: expected 2 integers, got 3"),
+        (["factorize", "P"], {"P": PAIR.replace("w 1 0", "w\n1\n0")}, "w: expected 2 integers on one row"),
+        (["decompose", "P", "--phi", "F"], {"P": PAIR, "F": "# no rows\n\n"}, "matrix file holds no rows"),
+        # A line that does not start with a label continues the block above.
+        (["factorize", "P"], {"P": PAIR.replace("Bprime", "Bprim")}, "B: expected 2 rows, got 5"),
     ],
-    ids=["B-row", "Bprime-row", "z0-row", "z0-entry", "phi-entry", "w-block", "w-flag"],
+    ids=["B-row", "Bprime-row", "z0-row", "z0-entry", "phi-entry", "w-block", "w-flag", "w-two-rows", "phi-empty",
+         "misspelled-label"],
 )
 def test_reader_errors_name_the_row_or_line(argv, files, message, tmp_path, capsys):
     paths = {key: write(tmp_path, f"{key}.txt", text) for key, text in files.items()}

@@ -44,10 +44,10 @@ import gen  # noqa: E402
 def test_posdefform_accepts_and_rejects():
     g = Mat.identity(3)
     q = PosDefForm(g)
-    assert q.pivots == (1, 1, 1)
+    assert q.ldl.pivots == (1, 1, 1)
     # The products of the leading pivots are the leading principal minors.
     minors = tuple(Mat([row[:k] for row in g.rows[:k]]).determinant() for k in (1, 2, 3))
-    assert tuple(accumulate(q.pivots, mul)) == minors == (1, 1, 1)
+    assert tuple(accumulate(q.ldl.pivots, mul)) == minors == (1, 1, 1)
     with pytest.raises(NotPositiveDefinite):
         PosDefForm(Mat([[1, 2], [2, 1]]))
     with pytest.raises(NotPositiveDefinite):
@@ -109,14 +109,14 @@ def _rand_rational_symmetric(rng: random.Random, n: int, kind: int) -> Mat:
 def test_ldl_matches_the_fraction_elimination(n):
     # PosDefForm eliminates in integers (diophantine._ldl), in its level
     # order; the Fraction elimination it replaced must give the same
-    # pivots in the given order and the same pivots and L in the level
-    # order, or the same error.
+    # pivots and L in the level order, or the same error, which names
+    # the first failing pivot in the given order.
     rng = random.Random(700 + n)
     outcomes = set()
     for k in range(60):
         g = _rand_rational_symmetric(rng, n, k % 3)
         try:
-            expected = reference_ldl(g)
+            reference_ldl(g)
         except NotPositiveDefinite as exc:
             with pytest.raises(NotPositiveDefinite) as got:
                 PosDefForm(g)
@@ -124,7 +124,6 @@ def test_ldl_matches_the_fraction_elimination(n):
             outcomes.add("rejected")
         else:
             q = PosDefForm(g)
-            assert q.pivots == expected[0]
             assert _level_ldl(q) == reference_ldl(_permuted(g, q.order))
             outcomes.add("definite")
     assert outcomes == {"definite", "rejected"}
@@ -403,20 +402,19 @@ def test_each_level1_branch_matches_the_reference(rows, tested, monkeypatch):
             _same_as_reference(scaled, c)
 
 
-def test_order_permutes_and_pivots_keep_the_given_order():
-    # The LDL^T is in the level order; the pivots stay in the given order.
+def test_order_permutes_the_ldl():
+    # The smallest kernel diagonal moves to level 1, and the LDL^T is in
+    # that level order.
     q = PosDefForm(Mat([[1, 0, 0], [0, 12, 2], [0, 2, 9]]))
     lf = q.ldl
     assert q.order == (0, 2, 1)
-    assert q.pivots == (1, 12, Fraction(26, 3))
     assert lf.pivots == (9, 81, 104) and lf.dl == 9 and lf.scale == 729
     assert lf.low == ((), ((1, 2),), ())
 
 
 def test_one_elimination_per_form(monkeypatch):
     # A form is factored once, in its level order, when it is built; its
-    # shells eliminate nothing again, and its Fraction pivots are made
-    # only when read.
+    # shells eliminate nothing again.
     p = gen.pullback(gen.REFERENCE_SEED, 5, 4)[0]
     problem = IsometryProblem(GramForm(Mat(p.gram)), GramForm(Mat(p.target)), Vec(p.w))
     calls = []
@@ -431,7 +429,6 @@ def test_one_elimination_per_form(monkeypatch):
         assert all(vectors_of_norm(q, c) for c in targets)
         assert calls == [q.dim]
         assert q.order != tuple(range(q.dim))
-        assert "pivots" not in vars(q)
 
 
 def test_shell_of_permuted_form_is_the_permuted_shell():

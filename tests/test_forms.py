@@ -53,10 +53,10 @@ def test_construction_validation():
 
 
 def test_positive_definite_flag():
-    assert all(p > 0 for p in PosDefForm(WILSON).pivots)
+    assert all(p > 0 for p in PosDefForm(WILSON).ldl.pivots)
     with pytest.raises(NotPositiveDefinite):
         PosDefForm(Mat.diagonal([1, -1]))
-    assert PosDefForm(Mat.diagonal([1, 5])).pivots == (1, 5)
+    assert PosDefForm(Mat.diagonal([1, 5])).ldl.pivots == (1, 5)
     # The search's own positivity check, on diag(N, G_K) = diag(1, -1).
     indefinite = GramForm(Mat.diagonal([1, -1]))
     with pytest.raises(NotPositiveDefinite):

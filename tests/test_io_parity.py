@@ -470,3 +470,18 @@ def test_document_json_equals_json_dumps(wilson_doc, quaternary_doc):
     ]:
         doc = result_document(problem, SearchResult(cands, cert, SearchStats()), options={"all": True, "x": None})
         assert document_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.xfail(strict=True, reason="verify re-checks only the listed candidates, not the verdict (ROADMAP item 1)")
+def test_verify_rejects_a_no_integral_isometry_verdict_with_no_candidates(wilson_doc, tmp_path, capsys):
+    # The Wilson pair is isometric, so a NoIntegralIsometry certificate
+    # that lists no candidates is a forgery; all() over no candidates
+    # accepts it today.
+    doc = copy.deepcopy(wilson_doc)
+    doc["certificate"] = {"verdict": "NoIntegralIsometry", "witness": None, "detail": {}}
+    doc["candidates"] = []
+    accepted = verify_document(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main(["verify", str(path)])
+    assert (accepted, code, capsys.readouterr().out) == (False, 1, "verification FAILED\n")

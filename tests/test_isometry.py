@@ -464,7 +464,7 @@ class TestFamilies:
     def test_family_forms_satisfy_relations(self):
         source, target, w = rank3_family_forms(2)
         assert source.det == target.det
-        assert all(p > 0 for p in PosDefForm(source.gram).pivots)
+        assert all(p > 0 for p in PosDefForm(source.gram).ldl.pivots)
         source, target, w = rank2_family_forms(2, 3, 4, 2, 10)
         assert source.det == target.det == 36
 
