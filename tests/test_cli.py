@@ -485,7 +485,6 @@ class TestOracle:
         assert main(["oracle", scaled]) == 0
         assert "brute-force isometries: 12" in capsys.readouterr().out
 
-
     def test_negative_target_diagonal_exits_1(self, tmp_path, capsys):
         # No column of M has B-norm -1: the oracle finds nothing, and
         # factorize stops at eq1, both with exit 1.
@@ -494,6 +493,31 @@ class TestOracle:
         assert capsys.readouterr().out == "brute-force isometries: 0\n"
         assert main(["factorize", path]) == 1
         assert "ObstructionEq1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("b, bp", [("1 1\n1 1\n", "1 0\n0 1\n"), ("1 0\n0 1\n", "1 1\n1 1\n")])
+    def test_degenerate_form_exits_3(self, b, bp, tmp_path, capsys):
+        path = write(tmp_path, "deg.txt", f"n 2\nB\n{b}Bprime\n{bp}w 1 0\n")
+        assert main(["oracle", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invariant violation: Gram matrix is degenerate\n"
+
+    def test_indefinite_source_exits_4(self, tmp_path, capsys):
+        path = write(tmp_path, "indef.txt", "n 2\nB\n1 2\n2 1\nBprime\n1 0\n0 1\nw 1 0\n")
+        assert main(["oracle", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "unsupported: pivot 1 is -3\n"
+
+    @pytest.mark.parametrize("bp", ["1 2\n2 1\n", "0 1\n1 0\n"])
+    def test_indefinite_target_exits_1(self, bp, tmp_path, capsys):
+        # M^T B M is positive semidefinite for positive definite B, so no M
+        # exists.  The diagonal is non-negative, so the oracle enumerates
+        # the column shells and finds no pair of rows that meets B'.
+        path = write(tmp_path, "indef.txt", f"n 2\nB\n1 0\n0 1\nBprime\n{bp}w 1 0\n")
+        assert main(["oracle", path]) == 1
+        assert capsys.readouterr().out == "brute-force isometries: 0\n"
+
 
 class TestDecomposeAndGradeBasis:
     def test_identity_decomposition(self, capsys):

@@ -13,6 +13,10 @@ loaded name, as an attribute, or as the name an import brings in.  A
 helper left behind by a deletion fails this check, and so does one that
 only tests or scripts call (such a helper belongs in tests/helpers.py).
 perfbench/ is not scanned.
+
+A module of scripts/ imports no private name from the package (nor a
+private module of it): scripts run the package the way its users do, so a
+refactor of the package's internals needs no edit there.
 """
 
 from __future__ import annotations
@@ -113,3 +117,23 @@ def test_every_private_definition_is_read():
     read = _package_reads()
     unread = sorted(f"{module} {name}" for name, module in _private_definitions().items() if name not in read)
     assert not unread, "defined but never read: " + ", ".join(unread)
+
+
+def _private_package_imports(tree: ast.Module) -> list[str]:
+    """The names, anywhere in tree, that an import brings in from the
+    package and that are private or come from a private module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            parts = node.module.split(".")
+            if parts[0] == "superlat":
+                out += [f"{node.module}.{a.name}" for a in node.names if any(p.startswith("_") for p in parts + [a.name])]
+        elif isinstance(node, ast.Import):
+            out += [a.name for a in node.names if a.name.split(".")[0] == "superlat" and "._" in a.name]
+    return out
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m.startswith("scripts/")])
+def test_scripts_import_no_private_name(module):
+    private = _private_package_imports(_parse(module)[0])
+    assert not private, f"{module} imports private names of the package: {private}"

@@ -1,7 +1,7 @@
 """The output contract of scripts/output_contract.py against its committed
 fingerprint, the comparison of its --check, and a smoke run of
-scripts/stage_times.py, whose imports reach into the package's private
-names."""
+scripts/stage_times.py, which reads its stage times from the perfbench
+tracer's spans of real command-line calls."""
 
 from __future__ import annotations
 
