@@ -11,8 +11,11 @@ is also a stage, the whole call.  Under ``--all``,
 ``solve_eq3_per_z0.probe<i>`` is the i-th eq3 call, ``filter_eq2.first`` the
 first eq2 filter, which packs the eq3 rows (only an eq1-first search
 filters), ``filter_eq2.rest`` the others, and ``joint_search`` the self
-time of ``find_isometries``.  ``negate``, the one time taken outside the
-calls, is ``-c`` on half the ``--all`` candidates.
+time of ``find_isometries``.  ``oracle`` is the integer search the
+command calls (``cli.brute_force_isometries``), ``oracle_listing`` its
+printed listing; the command builds no ``GramForm``, so ``GramForm`` is
+a ``factorize --all`` stage only.  ``negate``, the one time taken outside
+the calls, is ``-c`` on half the ``--all`` candidates.
 
 Each stage keeps its best of ``--repeats`` passes.  The output is one JSON
 object: per problem, its stage times in seconds and ``first_column``, the
@@ -60,7 +63,6 @@ STAGES = {  # stage: (command, span name)
     "document_json": (ALL, "problem_io.document_json"),
     "first_witness": ("factorize", "isometry.assemble"),
     "verify_document": ("verify", "problem_io.verify_document"),
-    "oracle_GramForm": ("oracle", "cli.GramForm"),
     "oracle": ("oracle", "isometry.brute_force_isometries"),
     "oracle_shells": ("oracle", "diophantine.vectors_of_norm"),
     "oracle_listing": ("oracle", "cli.matrix_listing"),

@@ -26,17 +26,13 @@ import os
 import sys
 import time
 
-from .errors import NotPositiveDefinite, ParseError, SuperlatError
+from .errors import InvalidForm, NonIntegralForm, NotPositiveDefinite, ParseError, SuperlatError
 from .forms import GramForm
 from .grading import GradedContext, even_basis, full_decomposition, odd_basis
-from .isometry import (
-    IsometryProblem,
-    brute_force_isometries,
-    family_obstruction,
-    find_isometries,
-    squares_certificate,
-)
-from .linalg import Mat, Vec
+from .isometry import IsometryProblem, family_obstruction, find_isometries, squares_certificate
+# The integer core, under the name that perfbench/spans.py traces.
+from .isometry import _isometries as brute_force_isometries
+from .linalg import Mat, Vec, _cleared, _det_adjugate
 from .problem_io import (
     ProblemFile,
     anchor_vector,
@@ -117,13 +113,11 @@ def cmd_grade_basis(args) -> int:
 
 
 def matrix_listing(header: str, mats) -> str:
-    """header, then one line per matrix, each given as its rows (written
-    in one call); each distinct row tuple is rendered once with str, which
-    pays where matrices share rows."""
-    texts = {id(row): row for rows in mats for row in rows}
-    texts = {key: " ".join(map(str, row)) for key, row in texts.items()}
-    lines = [f"  {' | '.join([texts[id(row)] for row in rows])}\n" for rows in mats]
-    return f"{header}\n" + "".join(lines)
+    """header, then one line per matrix, each given as an iterable of its
+    rows (written in one call); each distinct row, keyed by value, is
+    rendered once with str, which pays where matrices share rows."""
+    text = functools.cache(lambda row: " ".join(map(str, row)))
+    return f"{header}\n" + "".join([f"  {' | '.join(map(text, rows))}\n" for rows in mats])
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -217,9 +211,20 @@ def cmd_oracle(args) -> int:
     if args.bound is not None and args.bound < 0:
         raise ParseError(f"--bound must be at least 0, got {args.bound}")
     pf = load_problem(args.file)
-    found = brute_force_isometries(GramForm(pf.gram), GramForm(_require_target(pf)), bound=args.bound)
-    sys.stdout.write(matrix_listing(f"brute-force isometries: {len(found)}", [m.rows for m in found]))
+    (d, b_rows), (dp, bp_rows) = _nondegenerate(pf.gram), _nondegenerate(_require_target(pf))
+    if d != 1 or dp != 1:
+        raise NonIntegralForm("both Gram matrices must be integral")
+    found = brute_force_isometries(b_rows, bp_rows, bound=args.bound)
+    sys.stdout.write(matrix_listing(f"brute-force isometries: {len(found)}", [zip(*cols) for cols in found]))
     return EXIT_OK if found else EXIT_NEGATIVE
+
+
+def _nondegenerate(gram: Mat) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """_cleared of gram's rows, once GramForm's check holds: an integer determinant != 0."""
+    d, rows = _cleared(gram.rows)
+    if not _det_adjugate(rows)[0]:
+        raise InvalidForm("Gram matrix is degenerate")
+    return d, rows
 
 
 def cmd_verify(args) -> int:

@@ -30,7 +30,8 @@ ScaledLDL = namedtuple("ScaledLDL", "dl scale pivots low")
 
 class PosDefForm:
     """Symmetric positive definite rational Gram matrix G with its LDL^T
-    in level order.
+    in level order.  gram, as given, is a Mat or the tuple of integer
+    rows of an integral G.
 
     order is the level order of vectors_of_norm: coordinate order[j] is
     chosen at level j.  When coordinate 0 is orthogonal to the rest (the
@@ -52,11 +53,11 @@ class PosDefForm:
     by one fraction-free integer elimination.
     """
 
-    def __init__(self, gram: Mat):
-        if not gram.is_symmetric():
+    def __init__(self, gram: Mat | tuple[tuple[int, ...], ...]):
+        c, rows = _cleared(gram.rows) if isinstance(gram, Mat) else (1, gram)
+        if rows != tuple(zip(*rows)):
             raise InvalidForm("Gram matrix must be symmetric")
-        self.gram = gram
-        (c, rows), n = _cleared(gram.rows), gram.nrows
+        self.gram, n = gram, len(rows)
         kept = int(n > 1 and not any(rows[0][1:]))
         k = min(range(kept, n), key=lambda i: rows[i][i])
         self.order = order = (*range(kept), k, *(i for i in range(kept, n) if i != k))
@@ -71,7 +72,7 @@ class PosDefForm:
 
     @property
     def dim(self) -> int:
-        return self.gram.nrows
+        return len(self.order)
 
 
 def _ldl(c: int, rows) -> list[list[int]]:
@@ -229,7 +230,7 @@ def vectors_of_norm(q: PosDefForm, c: int) -> tuple[tuple[int, ...], ...]:
                 y = dl * v + shift
                 rec(j - 1, rem - p * y * y, top and not v)
 
-    budget = Fraction(c) * lf.scale
+    budget = c * lf.scale
     # A non-integral scaled budget is never a value of sum_j P_j Y_j^2.
     if budget.denominator == 1:
         budget, unit = int(budget), p0 * dl * dl

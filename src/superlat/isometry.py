@@ -969,38 +969,45 @@ def rank3_family_forms(
     return source, target, Vec([1, 1, 1])
 
 
-def brute_force_isometries(
-    source: GramForm,
-    target: GramForm,
-    bound: int | None = None,
-) -> list[Mat]:
-    """Complete list of integral M with M^T B M = B', by direct search.
+def _isometries(b_rows, bp_rows, bound: int | None = None) -> list[tuple[tuple[int, ...], ...]]:
+    """The sorted column tuples of every integral M with M^T B M = B', for
+    the integer Gram rows of B (positive definite: NotPositiveDefinite
+    otherwise) and of B'.
 
-    Both forms must be integral (NonIntegralForm otherwise).  Column j of
-    M lies in the shell {v : B(v,v) = B'_jj}, empty when B'_jj < 0, and
-    the columns pair to B'_jk under B: the search is _gram_search under B
-    with targets B', the engine of find_isometries, placing the smallest
-    shell first.  Shells must be sorted and sign-complete, entry
-    L-1-i = -entry i (ValueError otherwise), so only the first half of
-    the first placed shell and its middle 0 are searched, and the
-    matrices whose first placed column is a nonzero -v are those with v,
-    negated.  The column tuples are then sorted, which is the
+    Column j of M lies in the shell {v : B(v,v) = B'_jj}, empty when
+    B'_jj < 0, and the columns pair to B'_jk under B: the search is
+    _gram_search under B with targets B', the engine of find_isometries,
+    placing the smallest shell first.  Shells must be sorted and
+    sign-complete, entry L-1-i = -entry i (ValueError otherwise), so only
+    the first half of the first placed shell and its middle 0 are
+    searched, and the matrices whose first placed column is a nonzero -v
+    are those with v, negated column by column through one map v -> -v
+    read off the shells.  The column tuples are then sorted, which is the
     lexicographic order of their shell indices, column 0 first, since
     every shell is sorted.  bound keeps only entries |m_ij| <= bound.
     Desk-scale only.
     """
-    b_rows, bp = _integer_grams(source, target)
-    q, n = PosDefForm(source.gram), source.dim
-    col_sets = [vectors_of_norm(q, t) if t >= 0 else () for t in (bp[j][j] for j in range(n))]
+    q, n = PosDefForm(b_rows), len(b_rows)
+    col_sets = [vectors_of_norm(q, t) if t >= 0 else () for t in (bp_rows[j][j] for j in range(n))]
     if bound is not None:
         col_sets = [tuple(v for v in cs if max(map(abs, v)) <= bound) for cs in col_sets]
     if any(cs[::-1] != tuple(map(_neg, cs)) for cs in col_sets):
         raise ValueError("a column shell is not sign-complete")
+    neg = {v: u for cs in col_sets for v, u in zip(cs, reversed(cs))}
     order = _size_order(col_sets)
-    found = [cols for block in _gram_search(b_rows, bp, col_sets, order) for cols in block]
-    found += [tuple(map(_neg, cols)) for cols in found if any(cols[order[0]])]
+    found = [cols for block in _gram_search(b_rows, bp_rows, col_sets, order) for cols in block]
+    found += [tuple(map(neg.__getitem__, cols)) for cols in found if any(cols[order[0]])]
     found.sort()
+    return found
+
+
+def brute_force_isometries(source: GramForm, target: GramForm, bound: int | None = None) -> list[Mat]:
+    """Complete list of integral M with M^T B M = B', in the order of
+    _isometries, which searches them.  B and B' must share a dimension
+    (DimensionMismatch) and be integral (NonIntegralForm), B positive
+    definite; bound keeps only entries |m_ij| <= bound."""
     fractions = cache(lambda row: tuple(map(Fraction, row)))
+    found = _isometries(*_integer_grams(source, target), bound)
     return [Mat._of_rows(tuple(map(fractions, zip(*cols)))) for cols in found]
 
 
