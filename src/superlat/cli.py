@@ -26,13 +26,13 @@ import os
 import sys
 import time
 
-from .errors import InvalidForm, NonIntegralForm, NotPositiveDefinite, ParseError, SuperlatError
-from .forms import GramForm
+from .errors import NotPositiveDefinite, ParseError, SuperlatError
+from .forms import GramForm, gram_rows
 from .grading import GradedContext, even_basis, full_decomposition, odd_basis
-from .isometry import IsometryProblem, family_obstruction, find_isometries, squares_certificate
+from .isometry import IsometryProblem, _integer_grams, family_obstruction, find_isometries, squares_certificate
 # The integer core, under the name that perfbench/spans.py traces.
 from .isometry import _isometries as brute_force_isometries
-from .linalg import Mat, Vec, _cleared, _det_adjugate
+from .linalg import Mat, Vec
 from .problem_io import (
     ProblemFile,
     anchor_vector,
@@ -137,7 +137,7 @@ def cmd_factorize(args) -> int:
         GramForm(pf.gram),
         GramForm(_require_target(pf)),
         w,
-        probes=list(pf.probes) if pf.probes else None,
+        probes=None if pf.probes is None else list(pf.probes),
     )
     start = time.perf_counter()
     result = find_isometries(
@@ -211,20 +211,10 @@ def cmd_oracle(args) -> int:
     if args.bound is not None and args.bound < 0:
         raise ParseError(f"--bound must be at least 0, got {args.bound}")
     pf = load_problem(args.file)
-    (d, b_rows), (dp, bp_rows) = _nondegenerate(pf.gram), _nondegenerate(_require_target(pf))
-    if d != 1 or dp != 1:
-        raise NonIntegralForm("both Gram matrices must be integral")
-    found = brute_force_isometries(b_rows, bp_rows, bound=args.bound)
+    (b, _), (bp, _) = gram_rows(pf.gram), gram_rows(_require_target(pf))
+    found = brute_force_isometries(*_integer_grams(b, bp), bound=args.bound)
     sys.stdout.write(matrix_listing(f"brute-force isometries: {len(found)}", [zip(*cols) for cols in found]))
     return EXIT_OK if found else EXIT_NEGATIVE
-
-
-def _nondegenerate(gram: Mat) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """_cleared of gram's rows, once GramForm's check holds: an integer determinant != 0."""
-    d, rows = _cleared(gram.rows)
-    if not _det_adjugate(rows)[0]:
-        raise InvalidForm("Gram matrix is degenerate")
-    return d, rows
 
 
 def cmd_verify(args) -> int:

@@ -15,10 +15,23 @@ from .errors import (
     NonIntegralForm,
     ZeroVector,
 )
-from .linalg import Mat, Vec, integer_kernel_basis
+from .linalg import Mat, Vec, _cleared, _det_adjugate, integer_kernel_basis
 
 # Endomorphisms carry no extra state beyond their matrix.
 Endo = Mat
+
+
+def gram_rows(gram: Mat, allow_degenerate: bool = False):
+    """((d, d G), det d G) for the Gram matrix G, d the lcm of its
+    denominators (_cleared); InvalidForm unless G is symmetric and, without
+    allow_degenerate, det G != 0.  GramForm and the oracle read B and B' so."""
+    d, rows = _cleared(gram.rows)
+    if rows != tuple(zip(*rows)):
+        raise InvalidForm("Gram matrix must be symmetric")
+    det = _det_adjugate(rows)[0]
+    if not det and not allow_degenerate:
+        raise InvalidForm("Gram matrix is degenerate")
+    return (d, rows), det
 
 
 class GramForm:
@@ -26,16 +39,13 @@ class GramForm:
 
     Degenerate Gram matrices are rejected unless allow_degenerate is set;
     pullbacks along singular maps use that escape hatch and are flagged
-    by is_degenerate.
+    by is_degenerate.  cleared is the pair (d, d G) of gram_rows.
     """
 
     def __init__(self, gram: Mat, allow_degenerate: bool = False):
-        if not gram.is_symmetric():
-            raise InvalidForm("Gram matrix must be symmetric")
+        self.cleared, det = gram_rows(gram, allow_degenerate)
         self.gram = gram
-        self.det = gram.determinant()
-        if self.det == 0 and not allow_degenerate:
-            raise InvalidForm("Gram matrix is degenerate")
+        self.det = Fraction(det, self.cleared[0] ** gram.nrows)
 
     @property
     def dim(self) -> int:
@@ -60,7 +70,7 @@ class GramForm:
         return self.evaluate(v, v)
 
     def is_integral(self) -> bool:
-        return self.gram.is_integral()
+        return self.cleared[0] == 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GramForm) and self.gram == other.gram

@@ -65,13 +65,14 @@ from .errors import (
 from .forms import GramForm, dual_membership  # noqa: F401
 from .linalg import Mat, Vec, _cleared, _cleared_inverse, _det_adjugate, integer_kernel_basis, parse_fraction
 
-def _integer_grams(source: GramForm, target: GramForm):
-    """The integer Gram rows of B and B', once both are checked to share a dimension and be integral."""
-    if source.dim != target.dim:
+def _integer_grams(source, target):
+    """The integer rows of B and B', given as (d, d G) pairs, once both share a dimension and are integral."""
+    (d, b), (dp, bp) = source, target
+    if len(b) != len(bp):
         raise DimensionMismatch("source and target dimensions differ")
-    if not source.is_integral() or not target.is_integral():
+    if d != 1 or dp != 1:
         raise NonIntegralForm("both Gram matrices must be integral")
-    return tuple(tuple(tuple(map(int, row)) for row in form.gram.rows) for form in (source, target))
+    return b, bp
 
 
 class IsometryProblem:
@@ -89,7 +90,7 @@ class IsometryProblem:
     """
 
     def __init__(self, source: GramForm, target: GramForm, w: Vec, probes: list[Vec] | None = None):
-        self._gram, self._tgram = _integer_grams(source, target)
+        self._gram, self._tgram = _integer_grams(source.cleared, target.cleared)
         if len(w) != source.dim:
             raise DimensionMismatch("anchor dimension does not match forms")
         if w.is_zero():
@@ -156,7 +157,7 @@ class IsometryProblem:
         diag(N, G_K) is B written in that basis, and its LDL^T fails
         exactly when B is not positive definite."""
         try:
-            return PosDefForm(Mat(self._l0_gram))
+            return PosDefForm(self._l0_gram)
         except NotPositiveDefinite:
             raise NotPositiveDefinite("search requires positive definite B") from None
 
@@ -1007,7 +1008,7 @@ def brute_force_isometries(source: GramForm, target: GramForm, bound: int | None
     (DimensionMismatch) and be integral (NonIntegralForm), B positive
     definite; bound keeps only entries |m_ij| <= bound."""
     fractions = cache(lambda row: tuple(map(Fraction, row)))
-    found = _isometries(*_integer_grams(source, target), bound)
+    found = _isometries(*_integer_grams(source.cleared, target.cleared), bound)
     return [Mat._of_rows(tuple(map(fractions, zip(*cols)))) for cols in found]
 
 
@@ -1045,7 +1046,7 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     if verdict == "ObstructionEq1":
         return problem.det_mismatch is False and not solve_eq1(problem)
     if verdict == "ObstructionDeterminant":
-        return problem.source.det != problem.target.det
+        return problem.det_mismatch
     if verdict in ("ObstructionTwoSquares", "ObstructionThreeSquares", "Inconclusive"):
         # 3.0 == 3 and True == 1, so only the type rejects such a field.
         if not all(type(v) is int for k, v in cert.detail.items() if k != "kind"):

@@ -48,6 +48,7 @@ from .isometry import (
     Certificate,
     IsometryProblem,
     SearchResult,
+    _integer_grams,
     _integer_matrices,
     isometry_denominators,
 )
@@ -269,16 +270,12 @@ def _typed(value, kind: type):
 
 
 def _problem_from_inputs(inputs: dict) -> IsometryProblem:
-    (bden, b), (tden, t) = _integer_matrices([inputs["B"], inputs["Bprime"]])
-    if bden != 1 or tden != 1:
-        raise ParseError("inputs.B, inputs.Bprime: expected integer entries")
-    source = GramForm(Mat(b))
-    if _typed(inputs["n"], int) != source.dim:
+    b, t = _integer_grams(*_integer_matrices([inputs["B"], inputs["Bprime"]]))
+    if _typed(inputs["n"], int) != len(b):
         raise ParseError("inputs.n: not the dimension of inputs.B")
-    target = GramForm(Mat(t))
     w = Vec([_typed(x, int) for x in inputs["w"]])
     probes = [Vec([_typed(x, int) for x in z]) for z in inputs["z0"]]
-    return IsometryProblem(source, target, w, probes=probes)
+    return IsometryProblem(GramForm(Mat(b)), GramForm(Mat(t)), w, probes=probes)
 
 
 def result_document(

@@ -363,9 +363,10 @@ def reference_vectors_of_norm(q: PosDefForm, c) -> tuple[tuple[int, ...], ...]:
     diophantine.vectors_of_norm replaced, kept as its reference: one
     product rem - P_1 Y_1^2 per step and a divisibility and perfect-square
     test on it, for every form, in the given order of the levels: its
-    LDL^T is its own, not PosDefForm.ldl."""
+    LDL^T is its own, not PosDefForm.ldl.  q.gram is read as given, a Mat
+    or the integer rows of an integral form."""
     n = q.dim
-    den, rows = _cleared(q.gram.rows)
+    den, rows = _cleared(q.gram.rows) if isinstance(q.gram, Mat) else (1, q.gram)
     lf = _scaled_ldl(den, _ldl(den, rows), range(n))
     dl, pivots, low = lf.dl, lf.pivots, lf.low
     p0 = pivots[0]

@@ -184,6 +184,14 @@ class TestFactorize:
         )
         assert main(["factorize", path]) == 3
 
+    def test_empty_probe_block_gives_no_probes(self, tmp_path, capsys):
+        # An empty z0 block is n - 1 = 1 probes short, not the default probes.
+        path = write(tmp_path, "z0.txt", "n 2\nB\n1 0\n0 1\nBprime\n1 0\n0 1\nw 1 0\nz0\n")
+        assert main(["factorize", path]) == 3
+        assert capsys.readouterr().err == "invariant violation: need 1 probes, got 0\n"
+        path = write(tmp_path, "z0-rank1.txt", "n 1\nB\n2\nBprime\n2\nw 1\nz0\n")
+        assert main(["factorize", path]) == 0
+
     def test_nonexistent_file_is_parse_error(self):
         assert main(["factorize", "/no/such/file.txt"]) == 2
 
@@ -237,6 +245,29 @@ class TestResultDocuments:
         doc["certificate"]["witness"]["matrix"][0][0] = "5"
         Path(out).write_text(json.dumps(doc))
         assert main(["verify", out]) == 1
+
+    @pytest.mark.parametrize("b, bp, verdict", [
+        ("1 0\n0 1", "1 0\n0 2", "ObstructionDeterminant"),
+        ("1 0\n0 6", "2 0\n0 3", "ObstructionEq1"),
+    ])
+    def test_obstruction_documents_verify(self, b, bp, verdict, tmp_path, capsys):
+        path = write(tmp_path, "p.txt", f"n 2\nB\n{b}\nBprime\n{bp}\nw 1 0\n")
+        out = str(tmp_path / "doc.json")
+        assert main(["factorize", path, "--json", out]) == 1
+        capsys.readouterr()
+        assert json.loads(Path(out).read_text())["certificate"]["verdict"] == verdict
+        assert main(["verify", out]) == 0
+
+    @pytest.mark.parametrize("verdict", ["ObstructionDeterminant", "ObstructionEq1"])
+    def test_witness_document_relabelled_as_an_obstruction_fails(self, verdict, tmp_path, capsys):
+        out = str(tmp_path / "doc.json")
+        assert main(["factorize", WILSON_FILE, "--all", "--json", out]) == 0
+        capsys.readouterr()
+        doc = json.loads(Path(out).read_text())
+        doc["certificate"]["verdict"] = verdict
+        Path(out).write_text(json.dumps(doc))
+        assert main(["verify", out]) == 1
+        assert capsys.readouterr().out == "verification FAILED\n"
 
     def test_invalid_json_is_parse_error(self, tmp_path):
         path = write(tmp_path, "broken.json", "{not json")

@@ -16,7 +16,7 @@ from helpers import (
     reference_solve_eq1,
     reference_solve_eq3,
 )
-from superlat import diophantine, isometry
+from superlat import cli, diophantine, isometry
 from superlat.cli import main
 from superlat.errors import NotPositiveDefinite
 from superlat.forms import GramForm
@@ -108,8 +108,34 @@ def test_a_search_factors_one_form(monkeypatch, capsys, flags):
 
     monkeypatch.setattr(diophantine.PosDefForm, "__init__", counting)
     assert main(["factorize", str(PROBLEMS / "wilson.txt"), *flags]) == 0
-    assert grams == [Mat.diagonal([1, 1, 1, 1])]
+    assert grams == [((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [[], ["--all"]])
+def test_factorize_builds_no_mat_after_parsing(monkeypatch, capsys, flags):
+    # B and B' are read once by gram_rows; l0_form takes integer rows.
+    built = []
+    parse = cli.load_problem
+
+    def load_then_watch(path):
+        pf = parse(path)
+
+        def watch(new):
+            def record(*args, **kwargs):
+                built.append(args)
+                return new(*args, **kwargs)
+            return record
+
+        monkeypatch.setattr(Mat, "__init__", watch(Mat.__init__))
+        monkeypatch.setattr(Mat, "_of_rows", classmethod(watch(Mat._of_rows.__func__)))
+        return pf
+
+    monkeypatch.setattr(cli, "load_problem", load_then_watch)
+    assert main(["factorize", str(PROBLEMS / "wilson.txt"), *flags]) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr().out.startswith("eq1 solutions: 48 raw")
+    assert built == []
 
 
 def test_negative_target_has_no_solutions():
