@@ -11,11 +11,15 @@ is also a stage, the whole call.  Under ``--all``,
 ``solve_eq3_per_z0.probe<i>`` is the i-th eq3 call, ``filter_eq2.first`` the
 first eq2 filter, which packs the eq3 rows (only an eq1-first search
 filters), ``filter_eq2.rest`` the others, and ``joint_search`` the self
-time of ``find_isometries``.  ``oracle`` is the integer search the
-command calls (``cli.brute_force_isometries``), ``oracle_listing`` its
-printed listing; the command builds no ``GramForm``, so ``GramForm`` is
-a ``factorize --all`` stage only.  ``negate``, the one time taken outside
-the calls, is ``-c`` on half the ``--all`` candidates.
+time of ``find_isometries``.  ``load_problem`` is
+the reading of the problem file (``parse_problem`` its parse),
+``GramForm`` every construction of a ``superlat.forms.GramForm`` (B and B'
+from the parsed integer rows), and ``verify_GramForm`` and
+``verify_IsometryProblem`` the rebuilding of the problem from a
+document's inputs.  ``oracle`` is the integer search the command calls
+(``cli.brute_force_isometries``), ``oracle_listing`` its printed
+listing; the command builds no ``GramForm``.  ``negate``, the one time
+taken outside the calls, is ``-c`` on half the ``--all`` candidates.
 
 Each stage keeps its best of ``--repeats`` passes.  The output is one JSON
 object: per problem, its stage times in seconds and ``first_column``, the
@@ -44,14 +48,16 @@ import gen  # noqa: E402
 import spans  # noqa: E402
 
 from superlat import cli  # noqa: E402
+from superlat.forms import GramForm  # noqa: E402
 
 # Problems per workload, as the benchmark draws them (perfbench/run.py).
 WORKLOAD_COUNTS = {"wilson": 7, "pullback": 5, "neighbour": 10}
 PROBE_SEED = 1
 ALL = "factorize --all"
 STAGES = {  # stage: (command, span name)
+    "load_problem": (ALL, "cli.load_problem"),
     "parse_problem": (ALL, "problem_io.parse_problem"),
-    "GramForm": (ALL, "cli.GramForm"),
+    "GramForm": (ALL, "forms.GramForm"),
     "IsometryProblem": (ALL, "isometry.IsometryProblem"),
     "solve_eq1": (ALL, "isometry.solve_eq1"),
     "solve_eq3_per_z0": (ALL, "isometry.solve_eq3_per_z0"),
@@ -63,6 +69,8 @@ STAGES = {  # stage: (command, span name)
     "document_json": (ALL, "problem_io.document_json"),
     "first_witness": ("factorize", "isometry.assemble"),
     "verify_document": ("verify", "problem_io.verify_document"),
+    "verify_GramForm": ("verify", "forms.GramForm"),
+    "verify_IsometryProblem": ("verify", "isometry.IsometryProblem"),
     "oracle": ("oracle", "isometry.brute_force_isometries"),
     "oracle_shells": ("oracle", "diophantine.vectors_of_norm"),
     "oracle_listing": ("oracle", "cli.matrix_listing"),
@@ -75,7 +83,8 @@ def traced_pass(text: str) -> tuple[dict[str, float], str | None]:
     tracer, results = spans.Tracer(), []  # results[0]: the --all run's SearchResult
     spans.install(tracer)
     tracer.wrap(cli, "matrix_listing", "cli.matrix_listing")
-    tracer.wrap(cli, "GramForm", "cli.GramForm")
+    tracer.wrap(cli, "load_problem", "cli.load_problem")
+    tracer.wrap(GramForm, "__init__", "forms.GramForm")
     tracer.wrap(cli, "find_isometries", "cli.find_isometries", lambda counts, r, a, k: results.append(r))
     try:
         with tempfile.TemporaryDirectory() as tmp:

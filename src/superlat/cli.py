@@ -54,18 +54,19 @@ EXIT_INVARIANT = 3
 EXIT_UNSUPPORTED = 4
 
 
-def _anchor(pf: ProblemFile, arg_w: str | None) -> Vec:
+def _anchor(pf: ProblemFile, arg_w: str | None) -> tuple[int, ...]:
     if arg_w is not None:
         return anchor_vector(arg_w.replace(",", " ").split(), pf.n, "--w")
-    if pf.w is None:
+    if pf.anchor is None:
         raise ParseError("no anchor: provide a 'w' block or --w")
-    return pf.w
+    return pf.anchor
 
 
-def _require_target(pf: ProblemFile) -> Mat:
-    if pf.target is None:
+def _require_target(pf: ProblemFile):
+    """The cleared pair of B'; ParseError when the file has none."""
+    if pf.bprime is None:
         raise ParseError("problem file has no 'Bprime' block")
-    return pf.target
+    return pf.bprime
 
 
 def _print_cells(cells, indent: str = "  ") -> None:
@@ -85,7 +86,7 @@ def cmd_decompose(args) -> int:
     phi = load_matrix(args.phi) if args.phi else Mat.identity(pf.n)
     if not (phi.is_square and phi.nrows == pf.n):
         raise ParseError(f"--phi: expected a {pf.n}x{pf.n} matrix")
-    ctx = GradedContext(GramForm(pf.gram), w)
+    ctx = GradedContext(GramForm(pf.b), Vec(w))
     dec = full_decomposition(ctx, phi)
     print(f"wt = {scalar_str(dec.wt)}")
     print("phi0 =")
@@ -101,7 +102,7 @@ def cmd_decompose(args) -> int:
 def cmd_grade_basis(args) -> int:
     pf = load_problem(args.file)
     w = _anchor(pf, args.w)
-    ctx = GradedContext(GramForm(pf.gram), w)
+    ctx = GradedContext(GramForm(pf.b), Vec(w))
     evens, odds = even_basis(ctx), odd_basis(ctx)
     n = pf.n
     print(f"n = {n}")
@@ -133,12 +134,7 @@ def _write_json(path: str, doc: dict) -> None:
 def cmd_factorize(args) -> int:
     pf = load_problem(args.file)
     w = _anchor(pf, args.w)
-    problem = IsometryProblem(
-        GramForm(pf.gram),
-        GramForm(_require_target(pf)),
-        w,
-        probes=None if pf.probes is None else list(pf.probes),
-    )
+    problem = IsometryProblem(GramForm(pf.b), GramForm(_require_target(pf)), w, probes=pf.z0)
     start = time.perf_counter()
     result = find_isometries(
         problem,
@@ -211,7 +207,7 @@ def cmd_oracle(args) -> int:
     if args.bound is not None and args.bound < 0:
         raise ParseError(f"--bound must be at least 0, got {args.bound}")
     pf = load_problem(args.file)
-    (b, _), (bp, _) = gram_rows(pf.gram), gram_rows(_require_target(pf))
+    (b, _), (bp, _) = gram_rows(pf.b), gram_rows(_require_target(pf))
     found = brute_force_isometries(*_integer_grams(b, bp), bound=args.bound)
     sys.stdout.write(matrix_listing(f"brute-force isometries: {len(found)}", [zip(*cols) for cols in found]))
     return EXIT_OK if found else EXIT_NEGATIVE

@@ -15,45 +15,55 @@ from .errors import (
     NonIntegralForm,
     ZeroVector,
 )
-from .linalg import Mat, Vec, _cleared, _det_adjugate, integer_kernel_basis
+from .linalg import Mat, Vec, _cleared, _det, integer_kernel_basis
 
 # Endomorphisms carry no extra state beyond their matrix.
 Endo = Mat
 
 
-def gram_rows(gram: Mat, allow_degenerate: bool = False):
-    """((d, d G), det d G) for the Gram matrix G, d the lcm of its
-    denominators (_cleared); InvalidForm unless G is symmetric and, without
-    allow_degenerate, det G != 0.  GramForm and the oracle read B and B' so."""
-    d, rows = _cleared(gram.rows)
+def gram_rows(gram: Mat | tuple, allow_degenerate: bool = False):
+    """((d, d G), det d G) for the Gram matrix G, given as a Mat or as the
+    pair (d, d G) that _cleared gives, its rows tuples: d the lcm of the
+    denominators of G.  InvalidForm unless G is symmetric and, without
+    allow_degenerate, det G != 0.  GramForm and the oracle read B and B'
+    so."""
+    d, rows = _cleared(gram.rows) if isinstance(gram, Mat) else gram
     if rows != tuple(zip(*rows)):
         raise InvalidForm("Gram matrix must be symmetric")
-    det = _det_adjugate(rows)[0]
+    det = _det(rows)
     if not det and not allow_degenerate:
         raise InvalidForm("Gram matrix is degenerate")
     return (d, rows), det
 
 
 class GramForm:
-    """Nondegenerate symmetric bilinear form via its Gram matrix.
+    """Nondegenerate symmetric bilinear form via its Gram matrix, given
+    as gram_rows takes it: a Mat or the cleared pair (d, d G).
 
     Degenerate Gram matrices are rejected unless allow_degenerate is set;
     pullbacks along singular maps use that escape hatch and are flagged
-    by is_degenerate.  cleared is the pair (d, d G) of gram_rows.
+    by is_degenerate.  cleared is the pair (d, d G) of gram_rows.  The
+    Mat gram, when not given, and the Fraction det are built when first
+    read.
     """
 
-    def __init__(self, gram: Mat, allow_degenerate: bool = False):
-        self.cleared, det = gram_rows(gram, allow_degenerate)
-        self.gram = gram
-        self.det = Fraction(det, self.cleared[0] ** gram.nrows)
+    def __init__(self, gram: Mat | tuple, allow_degenerate: bool = False):
+        self.cleared, self._det = gram_rows(gram, allow_degenerate)
+        self.dim = len(self.cleared[1])
+        if isinstance(gram, Mat):
+            self.gram = gram
 
-    @property
-    def dim(self) -> int:
-        return self.gram.nrows
+    @cached_property
+    def gram(self) -> Mat:
+        return Mat._of_cleared(*self.cleared)
+
+    @cached_property
+    def det(self) -> Fraction:
+        return Fraction(self._det, self.cleared[0] ** self.dim)
 
     @property
     def is_degenerate(self) -> bool:
-        return self.det == 0
+        return not self._det
 
     @cached_property
     def inverse_gram(self) -> Mat:
@@ -73,7 +83,7 @@ class GramForm:
         return self.cleared[0] == 1
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GramForm) and self.gram == other.gram
+        return isinstance(other, GramForm) and self.cleared == other.cleared
 
     def __repr__(self) -> str:
         return f"GramForm({self.gram!r})"

@@ -63,7 +63,21 @@ from .errors import (
 # in integers); it is imported so that perfbench/spans.py can wrap
 # isometry.dual_membership.
 from .forms import GramForm, dual_membership  # noqa: F401
-from .linalg import Mat, Vec, _cleared, _cleared_inverse, _det_adjugate, integer_kernel_basis, parse_fraction
+from .linalg import Mat, Vec, _cleared_inverse, _cleared_pairs, _det, integer_kernel_basis, parse_entry
+
+
+def _int_tuple(v, message: str) -> tuple[int, ...]:
+    """The entries of v, a Vec or a sequence of ints, as a tuple of ints;
+    InvalidProblem(message) when one of them is not an integer."""
+    if isinstance(v, Vec):
+        if not v.is_integral():
+            raise InvalidProblem(message)
+        return v.to_ints()
+    ints = tuple(v)
+    if not all(type(x) is int for x in ints):
+        raise InvalidProblem(message)
+    return ints
+
 
 def _integer_grams(source, target):
     """The integer rows of B and B', given as (d, d G) pairs, once both share a dimension and are integral."""
@@ -78,76 +92,107 @@ def _integer_grams(source, target):
 class IsometryProblem:
     """Search data: integral forms B (source) and B' (target), an integer
     anchor w with B(w,w) != 0, and n-1 integer probe vectors completing w
-    to a basis of Q^n.
+    to a basis of Q^n.  w and each probe are given as a Vec or as a tuple
+    of ints; .w and .probes are their Vec views, built when first read.
 
     The default probes are the standard basis vectors with the coordinate
     of largest |w_i| dropped (first such index on ties), which always
-    yields a basis.  After validation the constructor reads B, B', w and
-    the probes as integer rows once, and derives from them (through
-    _bilinear) N = B(w,w), the kernel sublattice K = Z^n cap {w}^perp
-    with its integer Gram rows kernel_gram (no rows when n = 1), and the
-    integer constants of the three equations, as one matrix pair_targets.
+    yields a basis.  The constructor validates the problem on B, B', w
+    and the probes read as integer rows once, and derives from them
+    (through _bilinear) N = B(w,w).  The kernel sublattice
+    K = Z^n cap {w}^perp with its integer Gram rows kernel_gram (no rows
+    when n = 1) and the integer constants of the three equations, as one
+    matrix pair_targets, are built when first read: verifying a witness
+    needs none of them.
     """
 
-    def __init__(self, source: GramForm, target: GramForm, w: Vec, probes: list[Vec] | None = None):
+    def __init__(self, source: GramForm, target: GramForm, w: Vec | tuple[int, ...], probes: list | None = None):
         self._gram, self._tgram = _integer_grams(source.cleared, target.cleared)
-        if len(w) != source.dim:
+        self.dim = n = source.dim
+        if len(w) != n:
             raise DimensionMismatch("anchor dimension does not match forms")
-        if w.is_zero():
+        if not any(w):
             raise ZeroVector("anchor must be nonzero")
-        if not w.is_integral():
-            raise InvalidProblem("anchor must be an integer vector")
+        self._w = _int_tuple(w, "anchor must be an integer vector")
         self.source = source
         self.target = target
-        self.w = w
-        self.det_mismatch = source.det != target.det
-        n = source.dim
         self._pullback = _Pullback(self._gram, self._tgram)
-        self._w = w.to_ints()
-        self.wnorm = nint = _bilinear(self._gram, self._w, self._w)
-        if nint == 0:
+        self.wnorm = _bilinear(self._gram, self._w, self._w)
+        if self.wnorm == 0:
             raise IsotropicAnchor("anchor has B(w,w) = 0")
 
         if probes is None:
-            drop = max(range(n), key=lambda i: (abs(w[i]), -i))
-            probes = [Vec.unit(n, i) for i in range(n) if i != drop]
+            drop = max(range(n), key=lambda i: (abs(self._w[i]), -i))
+            probes = [tuple(int(i == j) for j in range(n)) for i in range(n) if i != drop]
         if len(probes) != n - 1:
             raise InvalidProblem(f"need {n - 1} probes, got {len(probes)}")
+        ints = []
         for z0 in probes:
             if len(z0) != n:
                 raise DimensionMismatch("probe dimension does not match forms")
-            if not z0.is_integral():
-                raise InvalidProblem("probes must be integer vectors")
-        self.probes = list(probes)
-        self._probes = tuple(z0.to_ints() for z0 in self.probes)
+            ints.append(_int_tuple(z0, "probes must be integer vectors"))
+        self._probes = tuple(ints)
         # (db, db P^-1) for P = (w | z0_1 ...), which reconstruct maps through.
         self._pinv = _cleared_inverse(tuple(zip(self._w, *self._probes)))
         if not self._pinv[0]:
             raise DegenerateProbe("anchor and probes do not form a basis")
-
-        self.kernel_basis = integer_kernel_basis(Vec([_dot(row, self._w) for row in self._gram]))
-        kints = [k.to_ints() for k in self.kernel_basis]
-        self.kernel_gram = tuple(tuple(_bilinear(self._gram, ki, kj) for kj in kints) for ki in kints)
-        # diag(N, G_K), the Gram rows of L0 = Zw + K in the coordinates
-        # (u, kernel coordinates) of u w + k, and the rows of
-        # E = (w | kernel basis), which maps such a row to u w + k.
-        zeros = (0,) * len(kints)
-        self._l0_gram = ((nint, *zeros), *((0, *row) for row in self.kernel_gram))
-        self._l0_basis = tuple(zip(self._w, *kints))
-        # N^2 times the Gram matrix of B' in the basis (w, zhat_1, ...):
-        # the pairing targets of the joint search, with the eq1 target and
-        # the eq3 targets on the diagonal and the eq2 targets in row 0.
-        basis = (self._w, *map(self._zhat, self._probes))
-        n2 = nint * nint
-        self.pair_targets = tuple(tuple(n2 * _bilinear(self._tgram, u, v) for v in basis) for u in basis)
-        self.eq1_target = self.pair_targets[0][0]
-        self.eq2_targets = self.pair_targets[0][1:]
-        self.eq3_targets = tuple(row[1:] for row in self.pair_targets[1:])
         self._eq2_table: _Eq2Table | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.source.dim
+    @cached_property
+    def w(self) -> Vec:
+        return Vec(self._w)
+
+    @cached_property
+    def probes(self) -> list[Vec]:
+        return list(map(Vec, self._probes))
+
+    @cached_property
+    def det_mismatch(self) -> bool:
+        return self.source.det != self.target.det
+
+    @cached_property
+    def kernel_basis(self) -> list[Vec]:
+        """The Hermite-form Z-basis of K (integer_kernel_basis)."""
+        return integer_kernel_basis(Vec([_dot(row, self._w) for row in self._gram]))
+
+    @cached_property
+    def _l0_basis(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of E = (w | kernel basis), which maps the L0 row
+        (u, kernel coordinates) to u w + k."""
+        return tuple(zip(self._w, *(k.to_ints() for k in self.kernel_basis)))
+
+    @cached_property
+    def kernel_gram(self) -> tuple[tuple[int, ...], ...]:
+        kints = list(zip(*self._l0_basis))[1:]
+        return tuple(tuple(_bilinear(self._gram, ki, kj) for kj in kints) for ki in kints)
+
+    @cached_property
+    def _l0_gram(self) -> tuple[tuple[int, ...], ...]:
+        """diag(N, G_K), the Gram rows of L0 = Zw + K in the coordinates
+        (u, kernel coordinates) of u w + k."""
+        zeros = (0,) * len(self.kernel_gram)
+        return ((self.wnorm, *zeros), *((0, *row) for row in self.kernel_gram))
+
+    @cached_property
+    def pair_targets(self) -> tuple[tuple[int, ...], ...]:
+        """N^2 times the Gram matrix of B' in the basis (w, zhat_1, ...):
+        the pairing targets of the joint search, with the eq1 target and
+        the eq3 targets on the diagonal and the eq2 targets in row 0."""
+        basis = (self._w, *map(self._zhat, self._probes))
+        n2 = self.wnorm * self.wnorm
+        return tuple(tuple(n2 * _bilinear(self._tgram, u, v) for v in basis) for u in basis)
+
+    @cached_property
+    def eq1_target(self) -> int:
+        return self.pair_targets[0][0]
+
+    @cached_property
+    def eq2_targets(self) -> tuple[int, ...]:
+        return self.pair_targets[0][1:]
+
+    @cached_property
+    def eq3_targets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(row[1:] for row in self.pair_targets[1:])
 
     @cached_property
     def l0_form(self) -> PosDefForm:
@@ -364,21 +409,21 @@ class _ReconTables:
 
 def _integer_matrices(matrices):
     """Read matrices given as rows (lists or tuples, else TypeError) of
-    entries that parse_fraction reads: yield, for each, (den, num) with
-    den the lcm of its entry denominators and num the integer rows of
-    den M, so M is integral iff den == 1.  Candidates repeat a few
-    distinct entries and rows many times, so each distinct entry is parsed
-    once and each distinct row text read once, as (d, d row) for d the
-    lcm of its denominators; a row with d == den enters num as that kept
-    tuple, which _Pullback finds packed."""
-    parse = cache(parse_fraction)
-    cleared = cache(lambda row: _cleared([list(map(parse, row))]))
+    entries that parse_entry reads: yield, for each, (den, num) with
+    den the lcm of its entry denominators and num the tuple of integer
+    rows of den M, so M is integral iff den == 1.  Candidates repeat a
+    few distinct entries and rows many times, so each distinct entry is
+    parsed once and each distinct row text read once, as (d, d row) for
+    d the lcm of its denominators; a row with d == den enters num as that
+    kept tuple, which _Pullback finds packed."""
+    parse = cache(parse_entry)
+    cleared = cache(lambda row: _cleared_pairs([list(map(parse, row))]))
     for rows in matrices:
         if not all(map(isinstance, rows, repeat((list, tuple)))):
             raise TypeError("a matrix row must be an array")
         parts = list(map(cleared, map(tuple, rows)))
         den = lcm(*(d for d, _ in parts))
-        yield den, [row if d == den else tuple(x * (den // d) for x in row) for d, (row,) in parts]
+        yield den, tuple([row if d == den else tuple(x * (den // d) for x in row) for d, (row,) in parts])
 
 
 def isometry_denominators(problem: IsometryProblem, matrices):
@@ -460,8 +505,7 @@ class CandidateIsometry:
 
     @property
     def matrix(self) -> Mat:
-        den = self.den
-        return Mat([Fraction(x, den) for x in row] for row in self.num)
+        return Mat._of_cleared(self.den, self.num)
 
 
 @dataclass(frozen=True)
@@ -1021,7 +1065,7 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     """Re-check a certificate against its problem without re-searching.
 
     A witness must be integral, pull B' back (num^T B num = B', in
-    integers) and be unimodular, |det M| = 1 (from _det_adjugate);
+    integers) and be unimodular, |det M| = 1 (from _det);
     ObstructionEq1 re-runs only the eq1 enumeration; a squares obstruction or Inconclusive whose detail names
     a family `kind` holds only when family_obstruction, run on the
     detail's integer parameters, gives the same verdict and the same
@@ -1039,7 +1083,7 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
         if cert.witness is None:
             return False
         num = cert.witness.num
-        return cert.witness.den == 1 and problem.pulls_back(num, 1) and abs(_det_adjugate(num)[0]) == 1
+        return cert.witness.den == 1 and problem.pulls_back(num, 1) and abs(_det(num)) == 1
     if verdict == "NoIntegralIsometry":
         dens = isometry_denominators(problem, cert.detail.get("candidates", []))
         return all(den not in (None, 1) for den in dens)

@@ -8,8 +8,10 @@ them.  The search itself does not: it works on integer tuples over cleared
 denominators (see `isometry`).  Nothing in this module ever rounds, and
 every exact determinant and inverse comes from one fraction-free
 elimination in integers: `_cleared` clears the denominators of Fraction
-rows, and `_det_adjugate` (Bareiss) gives det A and adj A, from which
-`Mat.determinant`, `Mat.inverse` and `_cleared_inverse` are read off.
+rows (`_cleared_pairs` those of rows of (p, q) pairs, as `parse_entry`
+reads text), `_det` (Bareiss) gives det A, and `_det_adjugate` gives
+det A and adj A, from which `Mat.inverse` and `_cleared_inverse` are
+read off.
 Likewise `integer_kernel_basis` reads its basis off one integer row
 reduction, the Hermite form (`hermite_row_reduce`) of (f | I).  Sizes
 are small (n <= 8 in practice), so everything is dense.
@@ -34,7 +36,7 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]+\Z")
+_ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
@@ -43,21 +45,37 @@ def parse_fraction(x) -> Fraction:
     sys.get_int_max_str_digits() in magnitude raises ValueError: Fraction
     would first build 10**exponent, which takes minutes for an exponent
     of 10^8.  Python applies the same limit to the digits of a plain
-    integer token.  Every text entry of a problem file, matrix file or
-    document is read through this function.
-
-    An integer token, an ASCII string of the form [+-]?[0-9]+, is read
-    with int(), which gives the value Fraction(x) gives and raises the
-    same ValueError past the digit limit, at a fraction of the cost of
-    Fraction's own string parser; every other input takes that parser."""
+    integer token.  parse_entry reads every token through this function
+    that is not an ASCII integer or p/q."""
     if isinstance(x, str):
-        if _INTEGER.match(x):
-            return Fraction(int(x))
         exponent = _EXPONENT.search(x)
         limit = sys.get_int_max_str_digits()
         if exponent and limit and abs(int(exponent[1])) > limit:
             raise ValueError(f"decimal exponent exceeds {limit} in magnitude")
     return Fraction(x)
+
+
+def parse_entry(x) -> tuple[int, int]:
+    """(p, q), q > 0 and gcd(p, q) = 1, for the value p/q that
+    parse_fraction(x) gives, with the same exceptions.  Every entry of a
+    problem file, matrix file or document is read through this function.
+
+    An ASCII string [+-]?[0-9]+, or two of them around a / with no sign
+    after it, is read with int(), which gives the values Fraction's own
+    parser gives and raises the same ValueError past the digit limit, at
+    a fraction of its cost and with no Fraction built.  Every other
+    input takes parse_fraction."""
+    if isinstance(x, str) and (m := _ENTRY.match(x)):
+        p, q = m.groups()
+        if q is None:
+            return int(p), 1
+        p, q = int(p), int(q)
+        if not q:
+            raise ZeroDivisionError(f"Fraction({p}, 0)")
+        g = gcd(p, q)
+        return p // g, q // g
+    f = parse_fraction(x)
+    return f.numerator, f.denominator
 
 
 @dataclass(frozen=True)
@@ -148,6 +166,11 @@ class Mat:
         object.__setattr__(self := object.__new__(cls), "rows", rows)
         return self
 
+    @classmethod
+    def _of_cleared(cls, d: int, rows) -> "Mat":
+        """The Mat (d A) / d of integer rows d A."""
+        return cls._of_rows(tuple(tuple(Fraction(x, d) for x in row) for row in rows))
+
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -217,10 +240,10 @@ class Mat:
 
     def determinant(self) -> Fraction:
         """Exact determinant: det(d A) / d^n for d A the integer rows of
-        _cleared, with det(d A) from _det_adjugate."""
+        _cleared, with det(d A) from _det."""
         self._require_square()
         d, rows = _cleared(self.rows)
-        return Fraction(_det_adjugate(rows)[0], d**self.nrows)
+        return Fraction(_det(rows), d**self.nrows)
 
     def inverse(self) -> "Mat":
         """Exact inverse d adj(d A) / det(d A) for d A the integer rows of
@@ -274,6 +297,41 @@ def _cleared(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     rows."""
     d = lcm(*(x.denominator for row in rows for x in row))
     return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
+
+
+def _cleared_pairs(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d * rows) for rows of entries p/q given as pairs (p, q) in
+    lowest terms, q > 0 (as parse_entry gives them): d the lcm of the q,
+    so (d, d * rows) is what _cleared gives for the same values."""
+    d = lcm(*(q for row in rows for _, q in row))
+    return d, tuple(tuple(p * (d // q) for p, q in row) for row in rows)
+
+
+def _det(rows) -> int:
+    """det A for a square integer matrix A given by rows (1 for n = 0).
+
+    The elimination of _det_adjugate without the identity block, below
+    and to the right of each pivot only: every updated entry is a minor
+    of PA, so each division is exact, and det PA is the last pivot.  Its
+    row swaps past a zero pivot (each flipping the sign) keep a zero
+    leading minor, as in [[0, 1], [1, 0]], legal."""
+    a = [list(row) for row in rows]
+    n, prev, sign = len(a), 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot = a[k]
+        pk = pivot[k]
+        for row in a[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pk * row[j] - f * pivot[j]) // prev
+        prev = pk
+    return sign * prev
 
 
 def _det_adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import repeat
 
 from .errors import ParseError, SuperlatError
@@ -52,7 +52,7 @@ from .isometry import (
     _integer_matrices,
     isometry_denominators,
 )
-from .linalg import Mat, Vec, parse_fraction
+from .linalg import Mat, Vec, _cleared_pairs, parse_entry
 
 _LABELS = ("n", "B", "Bprime", "w", "z0")
 
@@ -60,37 +60,60 @@ _LABELS = ("n", "B", "Bprime", "w", "z0")
 @dataclass(frozen=True)
 class ProblemFile:
     """Parsed problem data, structurally checked but not yet validated
-    against search preconditions (definiteness is the pipeline's job)."""
+    against search preconditions (definiteness is the pipeline's job).
+
+    The file is read once into integers: b and bprime are the B and
+    Bprime blocks as the cleared pairs (d, d G) of forms.gram_rows (a
+    GramForm takes them as they are), anchor the w block and z0 the z0
+    rows as tuples of ints.  gram, target, w and probes are their Mat and
+    Vec views, None where the block is absent, built when first read."""
 
     n: int
-    gram: Mat
-    target: Mat | None = None
-    w: Vec | None = None
-    probes: tuple[Vec, ...] | None = None
+    b: tuple[int, tuple[tuple[int, ...], ...]]
+    bprime: tuple[int, tuple[tuple[int, ...], ...]] | None = None
+    anchor: tuple[int, ...] | None = None
+    z0: tuple[tuple[int, ...], ...] | None = None
+
+    @cached_property
+    def gram(self) -> Mat:
+        return Mat._of_cleared(*self.b)
+
+    @cached_property
+    def target(self) -> Mat | None:
+        return None if self.bprime is None else Mat._of_cleared(*self.bprime)
+
+    @cached_property
+    def w(self) -> Vec | None:
+        return None if self.anchor is None else Vec(self.anchor)
+
+    @cached_property
+    def probes(self) -> tuple[Vec, ...] | None:
+        return None if self.z0 is None else tuple(map(Vec, self.z0))
 
 
-def _fraction(token: str, where: str) -> Fraction:
+def _entry(token: str, where: str) -> tuple[int, int]:
+    """The pair (p, q) of parse_entry; ParseError when it raises."""
     try:
-        return parse_fraction(token)
+        return parse_entry(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{where}: bad rational {token!r}")
 
 
 def _integer(token: str, where: str) -> int:
-    value = _fraction(token, where)
-    if value.denominator != 1:
+    p, q = _entry(token, where)
+    if q != 1:
         raise ParseError(f"{where}: expected an integer, got {token!r}")
-    return int(value)
+    return p
 
 
-def anchor_vector(tokens: list[str], n: int, label: str) -> Vec:
+def anchor_vector(tokens: list[str], n: int, label: str) -> tuple[int, ...]:
     """The anchor vector of n integer tokens (each read as _integer reads
-    it, so 2/1 is 2); ParseError unless there are n of them and the
-    vector is nonzero."""
+    it, so 2/1 is 2), as a tuple of ints; ParseError unless there are n
+    of them and the vector is nonzero."""
     if len(tokens) != n:
         raise ParseError(f"{label}: expected {n} integers, got {len(tokens)}")
-    w = Vec([_integer(tok, label) for tok in tokens])
-    if w.is_zero():
+    w = tuple(_integer(tok, label) for tok in tokens)
+    if not any(w):
         raise ParseError(f"{label}: anchor vector must be nonzero")
     return w
 
@@ -122,20 +145,21 @@ def _blocks(text: str) -> dict[str, list[list[str]]]:
 
 
 def _row(tokens: list[str], n: int, where: str, read) -> tuple:
-    """The n entries of a row, each token read by read (_fraction or
+    """The n entries of a row, each token read by read (_entry or
     _integer) at where; ParseError unless there are n of them."""
     if len(tokens) != n:
         raise ParseError(f"{where}: expected {n} entries, got {len(tokens)}")
     return tuple(read(tok, where) for tok in tokens)
 
 
-def _matrix_block(rows: list[list[str]], n: int, label: str) -> Mat:
+def _matrix_block(rows: list[list[str]], n: int, label: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The cleared pair (d, d G) of a matrix block."""
     if len(rows) != n:
         raise ParseError(f"{label}: expected {n} rows, got {len(rows)}")
-    mat = Mat._of_rows(tuple(_row(row, n, f"{label} row {i}", _fraction) for i, row in enumerate(rows, 1)))
-    if not mat.is_symmetric():
+    d, mat = _cleared_pairs([_row(row, n, f"{label} row {i}", _entry) for i, row in enumerate(rows, 1)])
+    if mat != tuple(zip(*mat)):
         raise ParseError(f"{label}: matrix is not symmetric")
-    return mat
+    return d, mat
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -153,20 +177,20 @@ def parse_problem(text: str) -> ProblemFile:
 
     if "B" not in blocks:
         raise ParseError("missing block 'B'")
-    gram = _matrix_block(blocks["B"], n, "B")
-    target = _matrix_block(blocks["Bprime"], n, "Bprime") if "Bprime" in blocks else None
+    b = _matrix_block(blocks["B"], n, "B")
+    bprime = _matrix_block(blocks["Bprime"], n, "Bprime") if "Bprime" in blocks else None
 
-    w = None
+    anchor = None
     if "w" in blocks:
         if len(blocks["w"]) != 1:
             raise ParseError(f"w: expected {n} integers on one row")
-        w = anchor_vector(blocks["w"][0], n, "w")
+        anchor = anchor_vector(blocks["w"][0], n, "w")
 
-    probes = None
+    z0 = None
     if "z0" in blocks:
-        probes = tuple(Vec(_row(row, n, f"z0 row {i}", _integer)) for i, row in enumerate(blocks["z0"], 1))
+        z0 = tuple(_row(row, n, f"z0 row {i}", _integer) for i, row in enumerate(blocks["z0"], 1))
 
-    return ProblemFile(n=n, gram=gram, target=target, w=w, probes=probes)
+    return ProblemFile(n=n, b=b, bprime=bprime, anchor=anchor, z0=z0)
 
 
 def _read_text(path: str) -> str:
@@ -188,7 +212,7 @@ def parse_matrix(text: str) -> Mat:
     if not lines:
         raise ParseError("matrix file holds no rows")
     n = len(lines[0][1])
-    return Mat._of_rows(tuple(_row(tokens, n, f"line {lineno}", _fraction) for lineno, tokens in lines))
+    return Mat._of_cleared(*_cleared_pairs([_row(tokens, n, f"line {lineno}", _entry) for lineno, tokens in lines]))
 
 
 def load_matrix(path: str) -> Mat:
@@ -252,12 +276,14 @@ def _certificate_from_payload(payload: dict) -> Certificate:
 
 
 def problem_inputs(problem: IsometryProblem) -> dict:
+    """The inputs of a document, written from the integer rows that the
+    problem holds (B and B' are integral)."""
     return {
         "n": problem.dim,
-        "B": matrix_rows(problem.source.gram),
-        "Bprime": matrix_rows(problem.target.gram),
-        "w": [int(x) for x in problem.w],
-        "z0": [[int(x) for x in z] for z in problem.probes],
+        "B": [list(map(str, row)) for row in problem.source.cleared[1]],
+        "Bprime": [list(map(str, row)) for row in problem.target.cleared[1]],
+        "w": list(problem._w),
+        "z0": list(map(list, problem._probes)),
     }
 
 
@@ -273,9 +299,9 @@ def _problem_from_inputs(inputs: dict) -> IsometryProblem:
     b, t = _integer_grams(*_integer_matrices([inputs["B"], inputs["Bprime"]]))
     if _typed(inputs["n"], int) != len(b):
         raise ParseError("inputs.n: not the dimension of inputs.B")
-    w = Vec([_typed(x, int) for x in inputs["w"]])
-    probes = [Vec([_typed(x, int) for x in z]) for z in inputs["z0"]]
-    return IsometryProblem(GramForm(Mat(b)), GramForm(Mat(t)), w, probes=probes)
+    w = tuple(_typed(x, int) for x in inputs["w"])
+    probes = [tuple(_typed(x, int) for x in z) for z in inputs["z0"]]
+    return IsometryProblem(GramForm((1, b)), GramForm((1, t)), w, probes=probes)
 
 
 def result_document(

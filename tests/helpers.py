@@ -11,6 +11,7 @@ from operator import mul
 
 from superlat.diophantine import PosDefForm, _ldl, _scaled_ldl, vectors_of_norm
 from superlat.errors import NotPositiveDefinite
+from superlat.forms import GramForm
 from superlat.isometry import (
     Certificate,
     SearchResult,
@@ -23,6 +24,29 @@ from superlat.isometry import (
     solve_eq3_per_z0,
 )
 from superlat.linalg import Mat, Vec, _cleared
+
+def watch_builds(monkeypatch, *kinds: str) -> list[str]:
+    """The list to which each construction of the kinds named (of
+    "Fraction", "Mat" and "GramForm") appends its kind's name, from now
+    until monkeypatch.undo(); a Mat counts through Mat() and
+    Mat._of_rows alike."""
+    built: list[str] = []
+
+    def watch(name, new):
+        def record(*args, **kwargs):
+            built.append(name)
+            return new(*args, **kwargs)
+        return record
+
+    if "Fraction" in kinds:
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(watch("Fraction", Fraction.__new__)))
+    if "Mat" in kinds:
+        monkeypatch.setattr(Mat, "__init__", watch("Mat", Mat.__init__))
+        monkeypatch.setattr(Mat, "_of_rows", classmethod(watch("Mat", Mat._of_rows.__func__)))
+    if "GramForm" in kinds:
+        monkeypatch.setattr(GramForm, "__init__", watch("GramForm", GramForm.__init__))
+    return built
+
 
 # Wilson's classic symmetric unimodular test matrix and one known integral
 # factor F with F^T F = WILSON, det F = 1.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -30,6 +31,15 @@ WILSON_FILE = str(PROBLEMS / "wilson.txt")
 QUATERNARY_FILE = str(PROBLEMS / "quaternary_pair.txt")
 BINARY_FILE = str(PROBLEMS / "binary_pair.txt")
 TERNARY_FILE = str(PROBLEMS / "ternary_diag.txt")
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """Run `python -m superlat.cli argv` in a child process that imports
+    the superlat this process imported: its source directory leads the
+    child's PYTHONPATH, which pytest's own path setting does not reach."""
+    src = str(Path(superlat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "superlat.cli", *argv], capture_output=True, text=True, env=env)
 
 
 def test_every_exported_name_resolves():
@@ -60,6 +70,7 @@ class TestProblemParsing:
             """
         )
         assert pf.n == 2
+        assert (pf.b, pf.bprime, pf.anchor, pf.z0) == ((1, ((1, 0), (0, 5))), (1, ((2, 1), (1, 3))), (1, 0), ((0, 1),))
         assert pf.gram == Mat([[1, 0], [0, 5]])
         assert pf.target == Mat([[2, 1], [1, 3]])
         assert pf.w == Vec([1, 0])
@@ -67,6 +78,7 @@ class TestProblemParsing:
 
     def test_value_on_next_line_and_rationals(self):
         pf = parse_problem("n\n2\nB\n1/2 0\n0 3/4\n")
+        assert pf.b == (4, ((2, 0), (0, 3)))
         assert pf.gram == Mat([["1/2", 0], [0, "3/4"]])
         assert pf.target is None and pf.w is None and pf.probes is None
 
@@ -203,7 +215,7 @@ class TestFactorize:
     )
     def test_directory_is_parse_error(self, args, tmp_path):
         argv = [str(tmp_path) if arg == "DIR" else arg for arg in args]
-        proc = subprocess.run([sys.executable, "-m", "superlat.cli", *argv], capture_output=True, text=True)
+        proc = run_module(*argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
@@ -585,10 +597,6 @@ class TestDecomposeAndGradeBasis:
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "superlat.cli", "obstruct", "--N", "7", "--squares", "3"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("obstruct", "--N", "7", "--squares", "3")
     assert proc.returncode == 0
     assert "ObstructionThreeSquares" in proc.stdout

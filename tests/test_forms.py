@@ -52,6 +52,21 @@ def test_construction_validation():
     assert not GramForm(Mat.identity(2)).is_degenerate
 
 
+def test_cleared_pair_builds_the_form_of_its_matrix():
+    # (4, 4 G) for G = [[1/2, 0], [0, 3/4]]: the same form, checks and
+    # values as GramForm(G), with gram and det built when read.
+    g = Mat([[Fraction(1, 2), 0], [0, Fraction(3, 4)]])
+    f = GramForm((4, ((2, 0), (0, 3))))
+    assert "gram" not in vars(f) and "det" not in vars(f)
+    assert f == GramForm(g) and f.gram == g and f.cleared == GramForm(g).cleared
+    assert (f.dim, f.det, f.is_integral(), f.is_degenerate) == (2, Fraction(3, 8), False, False)
+    with pytest.raises(InvalidForm, match="symmetric"):
+        GramForm((1, ((1, 2), (0, 1))))
+    with pytest.raises(InvalidForm, match="degenerate"):
+        GramForm((1, ((1, 1), (1, 1))))
+    assert GramForm((1, ((0, 1), (1, 0)))).det == -1
+
+
 def test_positive_definite_flag():
     assert all(p > 0 for p in PosDefForm(WILSON).ldl.pivots)
     with pytest.raises(NotPositiveDefinite):

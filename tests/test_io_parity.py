@@ -1,6 +1,6 @@
-"""The streamed `factorize --json` file and the integer candidate check of
-verify_document keep the behaviour of the text-building and Mat-based
-versions they replaced."""
+"""The streamed `factorize --json` file, the integer candidate check of
+verify_document and the integer entry reader keep the behaviour of the
+text-building, Mat-based and Fraction-based versions they replaced."""
 
 from __future__ import annotations
 
@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from superlat import cli
 from superlat.forms import GramForm
 from superlat.isometry import CandidateIsometry, Certificate, IsometryProblem, SearchResult, SearchStats
-from superlat.linalg import Mat, Vec, parse_fraction
-from superlat.problem_io import document_json, result_document, verify_document
+from superlat.errors import ParseError
+from superlat.linalg import Mat, Vec, parse_entry, parse_fraction
+from superlat.problem_io import _entry, _integer, document_json, result_document, verify_document
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -211,6 +212,47 @@ def test_parse_fraction_reads_tokens_as_fraction_does(token):
 @given(st.lists(st.sampled_from(["+", "-", "0", "1", "7", "9", "\u0663", "_", "/", ".", " ", "\n"]), max_size=8).map("".join))
 def test_parse_fraction_reads_sign_digit_strings_as_fraction_does(token):
     assert _read(parse_fraction, token) == _read(Fraction, token)
+
+
+def _message(read, token):
+    """The message of the ParseError that read(token, "B row 1") raises,
+    or the value it returns."""
+    try:
+        return read(token, "B row 1")
+    except ParseError as exc:
+        return str(exc)
+
+
+LIMIT = sys.get_int_max_str_digits()
+ENTRY_TOKENS = (
+    st.integers(-10**30, 10**30).map(str)
+    | st.sampled_from(["+3", "-0", "+0", "007", "-007", "2/4", "-6/4", "+6/-4", "0/5", "-0/7", "1/0", "-3/0", "0/0",
+                       "3/+4", "1.5", "-.5", "2.", "1e3", "1E-3", "2.5e+2", "1_000", "1/2_0", "\u0663/4", " 3", "3 ",
+                       "1 /2", "+", "-", "/", "1/", "/2", "1//2", "x", "nan", "inf", "", "e5",
+                       LONG_INTEGER, LONG_INTEGER[1:], "-" + LONG_INTEGER, f"1/{LONG_INTEGER}", f"{LONG_INTEGER[1:]}/3",
+                       f"1e{LIMIT}", f"1e{LIMIT + 1}", f"1e-{LIMIT + 1}"])
+    | st.tuples(st.integers(-10**6, 10**6), st.integers(0, 10**6)).map(lambda pq: f"{pq[0]}/{pq[1]}")
+    | st.decimals(allow_nan=False, allow_infinity=False).map(str)
+    | st.lists(st.sampled_from(list("+-0123456789/._eE \u0663x")), max_size=8).map("".join)
+    | st.text(max_size=6)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ENTRY_TOKENS)
+def test_entry_reader_reads_tokens_as_parse_fraction_does(token):
+    # The same value in lowest terms with q > 0, or the same exception;
+    # through the problem reader, the same ParseError message as the
+    # Fraction reader gave (bad rational, then expected an integer).
+    got, want = _read(lambda t: Fraction(*parse_entry(t)), token), _read(parse_fraction, token)
+    assert got == want
+    if isinstance(want, Fraction):
+        assert parse_entry(token) == (want.numerator, want.denominator)
+        assert _message(_entry, token) == (want.numerator, want.denominator)
+        integral = want.denominator == 1
+        assert _message(_integer, token) == (want.numerator if integral else f"B row 1: expected an integer, got {token!r}")
+    elif want in (ValueError, ZeroDivisionError):
+        assert _message(_entry, token) == _message(_integer, token) == f"B row 1: bad rational {token!r}"
 
 
 @pytest.mark.parametrize("token", HUGE_EXPONENTS)

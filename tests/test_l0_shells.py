@@ -15,8 +15,9 @@ from helpers import (
     rand_pullback_problem,
     reference_solve_eq1,
     reference_solve_eq3,
+    watch_builds,
 )
-from superlat import cli, diophantine, isometry
+from superlat import diophantine, isometry
 from superlat.cli import main
 from superlat.errors import NotPositiveDefinite
 from superlat.forms import GramForm
@@ -114,27 +115,28 @@ def test_a_search_factors_one_form(monkeypatch, capsys, flags):
 
 @pytest.mark.parametrize("flags", [[], ["--all"]])
 def test_factorize_builds_no_mat_after_parsing(monkeypatch, capsys, flags):
-    # B and B' are read once by gram_rows; l0_form takes integer rows.
-    built = []
-    parse = cli.load_problem
-
-    def load_then_watch(path):
-        pf = parse(path)
-
-        def watch(new):
-            def record(*args, **kwargs):
-                built.append(args)
-                return new(*args, **kwargs)
-            return record
-
-        monkeypatch.setattr(Mat, "__init__", watch(Mat.__init__))
-        monkeypatch.setattr(Mat, "_of_rows", classmethod(watch(Mat._of_rows.__func__)))
-        return pf
-
-    monkeypatch.setattr(cli, "load_problem", load_then_watch)
+    # Parsing is watched too: the file is read straight into integer rows,
+    # GramForm and IsometryProblem take them as they are, and l0_form
+    # takes integer rows.
+    built = watch_builds(monkeypatch, "Mat")
     assert main(["factorize", str(PROBLEMS / "wilson.txt"), *flags]) == 0
     monkeypatch.undo()
     assert capsys.readouterr().out.startswith("eq1 solutions: 48 raw")
+    assert built == []
+
+
+@pytest.mark.parametrize("flags", [[], ["--all"]])
+@pytest.mark.parametrize("name, verdict", [("wilson", "IsometricWitness"), ("quaternary_pair", "NoIntegralIsometry")])
+def test_verify_rebuilds_an_integral_problem_without_rational_objects(monkeypatch, capsys, tmp_path, name, verdict, flags):
+    # The document's B, B', w, probes and matrices are read into integer
+    # rows, and the problem is rebuilt from them: no Mat, no Fraction.
+    doc = str(tmp_path / "doc.json")
+    main(["factorize", str(PROBLEMS / f"{name}.txt"), *flags, "--json", doc])
+    assert f"certificate: {verdict}" in capsys.readouterr().out
+    built = watch_builds(monkeypatch, "Fraction", "Mat")
+    assert main(["verify", doc]) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr().out == "certificate verified\n"
     assert built == []
 
 

@@ -21,6 +21,8 @@ from superlat.errors import DimensionMismatch, SingularMatrix, ZeroFunctional
 from superlat.linalg import (
     Mat,
     Vec,
+    _det,
+    _det_adjugate,
     hermite_row_reduce,
     integer_kernel_basis,
     primitive_integer_vector,
@@ -122,6 +124,45 @@ def test_determinant_and_inverse_against_leibniz():
             swapped += rows[0][0] == 0
             negative += det < 0
     assert swapped >= 20 and negative >= 20
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices, n = 1..6: plain random ones, singular ones
+    (the last row a combination of the others) and ones with a zero
+    leading k x k block, whose elimination must swap rows."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["random", "singular", "zero-lead"]))
+    if kind == "singular" and n > 1:
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    elif kind == "zero-lead":
+        k = draw(st.integers(1, n))
+        for i in range(k):
+            rows[i][:k] = [0] * k
+    return tuple(map(tuple, rows))
+
+
+@given(integer_matrices())
+def test_det_is_the_determinant_of_the_adjugate_elimination(rows):
+    assert _det(rows) == _det_adjugate(rows)[0]
+
+
+@pytest.mark.parametrize(
+    "rows, det",
+    [
+        (((0, 1), (1, 0)), -1),
+        (((0, 0, 1), (0, 1, 0), (1, 0, 0)), -1),
+        (((0, 2, 1), (3, 0, 0), (0, 0, 5)), -30),
+        (((0, 1), (0, 1)), 0),
+        (((7,),), 7),
+        ((), 1),
+    ],
+    ids=["swap", "anti-identity", "zero-leading-entry", "zero-column", "1x1", "empty"],
+)
+def test_det_swaps_past_zero_leading_minors(rows, det):
+    assert _det(rows) == _det_adjugate(rows)[0] == det
 
 
 def test_solve():

@@ -5,16 +5,14 @@ path from the parsed Gram rows to the printed listing."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import rand_pullback_problem
+from helpers import rand_pullback_problem, watch_builds
 from superlat import cli
 from superlat.forms import GramForm
 from superlat.isometry import brute_force_isometries
-from superlat.linalg import Mat
 from superlat.problem_io import load_problem, parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -87,26 +85,8 @@ def test_oracle_listing_matches_the_public_search(text, bound, tmp_path, capsys)
 
 
 def test_oracle_builds_no_rational_objects_after_parsing(monkeypatch, capsys):
-    built = []
-    parse = cli.load_problem
-
-    def load_then_watch(path):
-        pf = parse(path)
-
-        def watch(name, new):
-            def record(*args, **kwargs):
-                built.append(name)
-                return new(*args, **kwargs)
-            return record
-
-        fraction_new = Fraction.__new__
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(watch("Fraction", fraction_new)))
-        monkeypatch.setattr(Mat, "__init__", watch("Mat", Mat.__init__))
-        monkeypatch.setattr(Mat, "_of_rows", classmethod(watch("Mat", Mat._of_rows.__func__)))
-        monkeypatch.setattr(GramForm, "__init__", watch("GramForm", GramForm.__init__))
-        return pf
-
-    monkeypatch.setattr(cli, "load_problem", load_then_watch)
+    # Parsing is watched too: the file is read straight into integer rows.
+    built = watch_builds(monkeypatch, "Fraction", "Mat", "GramForm")
     assert cli.main(["oracle", str(PROBLEMS / "wilson.txt")]) == 0
     monkeypatch.undo()
     assert capsys.readouterr().out.startswith("brute-force isometries: 384\n")
