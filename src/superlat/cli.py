@@ -246,9 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factorize", help="search integral M with M^T B M = B'")
     p.add_argument("file", help="problem file with B, Bprime and an anchor")
     p.add_argument("--w", help="anchor vector override")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--all", action="store_true", help="enumerate the complete solution set")
-    mode.add_argument("--first", action="store_true", help="stop at the first integral witness (default)")
+    p.add_argument("--all", action="store_true", help="enumerate the complete solution set (default: first witness)")
     p.add_argument("--integral-only", action="store_true", help="report only integral candidates")
     p.add_argument("--cs-prune", action="store_true", help="accepted for compatibility; no effect on the search")
     p.add_argument("--json", metavar="OUT", help="write the result document to OUT")

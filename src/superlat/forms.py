@@ -101,7 +101,7 @@ def ortho_complement_basis(form: GramForm, w: Vec) -> list[Vec]:
         raise ZeroVector("orthogonal complement of the zero vector")
     if len(w) != form.dim:
         raise DimensionMismatch("vector dimension does not match form")
-    return integer_kernel_basis(form.gram @ w)
+    return list(map(Vec, integer_kernel_basis(form.gram @ w)))
 
 
 def adjoint(form: GramForm, phi: Endo) -> Endo:

@@ -146,20 +146,16 @@ class IsometryProblem:
     def probes(self) -> list[Vec]:
         return list(map(Vec, self._probes))
 
-    @cached_property
+    @property
     def det_mismatch(self) -> bool:
-        return self.source.det != self.target.det
-
-    @cached_property
-    def kernel_basis(self) -> list[Vec]:
-        """The Hermite-form Z-basis of K (integer_kernel_basis)."""
-        return integer_kernel_basis(Vec([_dot(row, self._w) for row in self._gram]))
+        """det B != det B', on the integer determinants of gram_rows."""
+        return self.source._det != self.target._det
 
     @cached_property
     def _l0_basis(self) -> tuple[tuple[int, ...], ...]:
         """The rows of E = (w | kernel basis), which maps the L0 row
-        (u, kernel coordinates) to u w + k."""
-        return tuple(zip(self._w, *(k.to_ints() for k in self.kernel_basis)))
+        (u, kernel coordinates) to u w + k (K's basis from integer_kernel_basis)."""
+        return tuple(zip(self._w, *integer_kernel_basis([_dot(row, self._w) for row in self._gram])))
 
     @cached_property
     def kernel_gram(self) -> tuple[tuple[int, ...], ...]:
@@ -189,10 +185,6 @@ class IsometryProblem:
     @cached_property
     def eq2_targets(self) -> tuple[int, ...]:
         return self.pair_targets[0][1:]
-
-    @cached_property
-    def eq3_targets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(row[1:] for row in self.pair_targets[1:])
 
     @cached_property
     def l0_form(self) -> PosDefForm:
@@ -560,17 +552,16 @@ def solve_eq1(problem: IsometryProblem) -> tuple[tuple[int, ...], ...]:
     return vectors_of_norm(form, e1) if e1 >= 0 else ()
 
 
-def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec) -> tuple[tuple[int, ...], ...]:
+def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec | tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All integer pairs (t, c) with
-    N^2 B'(zhat, zhat) = B(c, c) + N t^2 for the probe z0, as the L0 rows
-    (t, y) of the vectors t w + c of norm N^2 B'(zhat, zhat), y the kernel
-    coordinates of c; sorted and sign-complete like solve_eq1."""
-    if not z0.is_integral():
-        raise InvalidProblem("probe must be an integer vector")
+    N^2 B'(zhat, zhat) = B(c, c) + N t^2 for the probe z0 (a Vec or ints),
+    as the L0 rows (t, y) of the vectors t w + c of norm N^2 B'(zhat, zhat),
+    y the kernel coordinates of c; sorted and sign-complete like solve_eq1."""
+    z0 = _int_tuple(z0, "probe must be an integer vector")
     if len(z0) != problem.dim:
         raise DimensionMismatch("vector dimension does not match form")
     form = problem.l0_form
-    zh = problem._zhat(z0.to_ints())
+    zh = problem._zhat(z0)
     r = problem.wnorm**2 * _bilinear(problem._tgram, zh, zh)
     return vectors_of_norm(form, r) if r >= 0 else ()
 
@@ -836,8 +827,8 @@ def find_isometries(
         cert = Certificate(
             "ObstructionDeterminant",
             detail={
-                "det_source": str(problem.source.det),
-                "det_target": str(problem.target.det),
+                "det_source": str(problem.source._det),
+                "det_target": str(problem.target._det),
             },
         )
         return SearchResult([], cert, SearchStats())
@@ -852,7 +843,7 @@ def find_isometries(
             },
         )
         return SearchResult([], cert, SearchStats())
-    per_probe = [solve_eq3_per_z0(problem, z0) for z0 in problem.probes]
+    per_probe = [solve_eq3_per_z0(problem, z0) for z0 in problem._probes]
     shells = (e1s, *per_probe)
     order = _size_order(shells) if all_solutions else range(len(shells))
     # filter_eq2 is looked up at call time, so that a wrapper sees it.

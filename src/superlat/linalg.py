@@ -3,9 +3,8 @@
 `Vec` and `Mat` hold `fractions.Fraction` scalars, which keeps every value
 in canonical form (positive denominator, gcd(num, den) = 1) for free.
 They are the API type: problems, forms and results are given and returned
-as `Vec`/`Mat`, and the one-off setup (inverses, kernel bases) runs on
-them.  The search itself does not: it works on integer tuples over cleared
-denominators (see `isometry`).  Nothing in this module ever rounds, and
+as `Vec`/`Mat`.  The search does not use them: it works on integer tuples
+over cleared denominators (see `isometry`).  Nothing in this module ever rounds, and
 every exact determinant and inverse comes from one fraction-free
 elimination in integers: `_cleared` clears the denominators of Fraction
 rows (`_cleared_pairs` those of rows of (p, q) pairs, as `parse_entry`
@@ -377,15 +376,16 @@ def _cleared_inverse(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return det // g, tuple(tuple(x // g for x in row) for row in adj)
 
 
-def primitive_integer_vector(f: Vec) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to a primitive integer vector.
+def primitive_integer_vector(f: Sequence[Scalar]) -> tuple[int, ...]:
+    """Scale a nonzero vector of ints or Fractions (a Vec or any
+    sequence) to a primitive integer vector.
 
     Clears the denominators (_cleared), then divides by the gcd.  The sign
     is kept as-is (the kernel is the same either way).
     """
-    if f.is_zero():
+    if not any(f):
         raise ZeroFunctional("zero functional has no primitive form")
-    _, (ints,) = _cleared([f.entries])
+    _, (ints,) = _cleared([tuple(f)])
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 
@@ -433,9 +433,10 @@ def hermite_row_reduce(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(r) for r in a[:top]]
 
 
-def integer_kernel_basis(f: Vec) -> list[Vec]:
+def integer_kernel_basis(f: Sequence[Scalar]) -> list[tuple[int, ...]]:
     """Z-basis, in Hermite form, of the kernel sublattice
-    K = {v in Z^n : f . v = 0}, read off one hermite_row_reduce.
+    K = {v in Z^n : f . v = 0}, as int tuples read off one
+    hermite_row_reduce; f is a Vec or any sequence of ints or Fractions.
 
     With fi the primitive integer vector of f, the rows (fi_i | e_i) span
     {(fi . v, v) : v in Z^n}.  As fi is primitive, their first Hermite row
@@ -447,4 +448,4 @@ def integer_kernel_basis(f: Vec) -> list[Vec]:
     """
     fi = primitive_integer_vector(f)
     rows = hermite_row_reduce([(x, *(int(i == j) for j in range(len(fi)))) for i, x in enumerate(fi)])
-    return [Vec(row[1:]) for row in rows[1:]]
+    return [row[1:] for row in rows[1:]]

@@ -50,6 +50,7 @@ from .isometry import (
     SearchResult,
     _integer_grams,
     _integer_matrices,
+    _row_texts,
     isometry_denominators,
 )
 from .linalg import Mat, Vec, _cleared_pairs, parse_entry
@@ -238,16 +239,19 @@ def matrix_rows(m: Mat) -> list[list[str]]:
 def certificate_payload(cert: Certificate) -> dict:
     """The certificate as a document holds it: the certificate's own
     detail, not a copy (see Certificate), the witness's entry_strings and
-    its provenance as [s, [btilde], ["p/q" of atilde], [[c_i]]] or [].
-    The provenance is lists: _json_text would write a non-empty tuple of
-    tuples as rows of entry texts."""
+    its provenance as [s, [btilde], ["p/q" of atilde], [[c_i]]] or [],
+    written from the candidate's flat integers (atilde over dp through
+    _row_texts).  The provenance is lists: _json_text would write a
+    non-empty tuple of tuples as rows of entry texts."""
     witness = cert.witness
     if witness is not None:
-        prov = witness.provenance
+        prov, n = witness._prov, len(witness.num)
+        atilde = _row_texts(prov[n + 1 : 2 * n + 1], witness._dp)
+        cs = [list(prov[i : i + n]) for i in range(2 * n + 1, len(prov), n)]
         witness = {
             "matrix": witness.entry_strings,
             "integral": witness.integral,
-            "provenance": [prov[0], list(prov[1]), list(map(str, prov[2])), list(map(list, prov[3]))] if prov else [],
+            "provenance": [prov[0], list(prov[1 : n + 1]), list(atilde), cs] if prov else [],
         }
     return {"verdict": cert.verdict, "detail": cert.detail, "witness": witness}
 

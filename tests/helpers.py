@@ -630,7 +630,7 @@ def reference_assemble(problem, filtered):
     before it: the assembly that the forward-checking joint search of
     isometry.find_isometries replaced, kept as its reference."""
     gram = problem._l0_gram
-    e3 = problem.eq3_targets
+    e3 = [row[1:] for row in problem.pair_targets[1:]]
     k = len(filtered)
     chosen = [None] * k
     products = [None] * k

@@ -72,8 +72,13 @@ def test_isometry_problem_rejects(build, error, message):
     [
         (Vec([Fraction(1, 2), 1]), InvalidProblem, "probe must be an integer vector"),
         (Vec([2, 0]), DegenerateProbe, "probe lies on the anchor line"),
+        # An int-tuple probe is read as the equal Vec is, with the same errors.
+        ((Fraction(1, 2), 1), InvalidProblem, "probe must be an integer vector"),
+        ((2, 0), DegenerateProbe, "probe lies on the anchor line"),
+        ((0, 1, 0), DimensionMismatch, "vector dimension does not match form"),
+        (Vec([0, 1, 0]), DimensionMismatch, "vector dimension does not match form"),
     ],
-    ids=["probe-integral", "probe-on-anchor-line"],
+    ids=["probe-integral", "probe-on-anchor-line", "tuple-integral", "tuple-on-anchor-line", "tuple-length", "vec-length"],
 )
 def test_solve_eq3_per_z0_rejects(z0, error, message):
     problem = IsometryProblem(I2, I2, Vec([1, 0]))

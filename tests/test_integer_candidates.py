@@ -39,7 +39,7 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def _check_solutions(problem, e1s, per_probe):
-    targets = [problem.eq1_target] + [problem.eq3_targets[i][i] for i in range(len(per_probe))]
+    targets = [problem.pair_targets[i][i] for i in range(len(per_probe) + 1)]
     for target, rows in zip(targets, [e1s, *per_probe]):
         for row in rows:
             assert all(type(x) is int for x in row)

@@ -20,7 +20,7 @@ from superlat.forms import GramForm
 from superlat.isometry import CandidateIsometry, Certificate, IsometryProblem, SearchResult, SearchStats
 from superlat.errors import ParseError
 from superlat.linalg import Mat, Vec, parse_entry, parse_fraction
-from superlat.problem_io import _entry, _integer, document_json, result_document, verify_document
+from superlat.problem_io import _entry, _integer, certificate_payload, document_json, result_document, verify_document
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -512,6 +512,26 @@ def test_document_json_equals_json_dumps(wilson_doc, quaternary_doc):
     ]:
         doc = result_document(problem, SearchResult(cands, cert, SearchStats()), options={"all": True, "x": None})
         assert document_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "prov, dp, want",
+    [
+        ((1, 0, 0, -2, 3, 1, 0), 3, [1, [0, 0], ["-2/3", "1"], [[1, 0]]]),
+        ((-2, 4, -1, 6, -4, 0, 5), 4, [-2, [4, -1], ["3/2", "-1"], [[0, 5]]]),
+        ((0, 1, 1, 2, 0, -1, 1), 1, [0, [1, 1], ["2", "0"], [[-1, 1]]]),
+        ((), 1, []),
+    ],
+)
+def test_witness_provenance_is_written_from_the_flat_integers(prov, dp, want):
+    # The document's provenance is the nested view with atilde as the
+    # texts of its Fractions, written without building them.
+    witness = CandidateIsometry([[0, -1], [1, 0]], 1, prov, dp)
+    got = certificate_payload(Certificate("IsometricWitness", witness=witness))["witness"]["provenance"]
+    assert got == want
+    if prov:
+        s, btilde, atilde, cs = witness.provenance
+        assert got == [s, list(btilde), list(map(str, atilde)), list(map(list, cs))]
 
 
 @pytest.mark.xfail(strict=True, reason="verify re-checks only the listed candidates, not the verdict (ROADMAP item 1)")

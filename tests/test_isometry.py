@@ -282,7 +282,7 @@ class TestNecessity:
                 assert t.denominator == 1
                 assert c.is_integral()
                 # eq3 (diagonal) and eq2
-                assert problem.eq3_targets[i][i] == source.norm(c) + nint * t * t
+                assert problem.pair_targets[i + 1][i + 1] == source.norm(c) + nint * t * t
                 assert problem.eq2_targets[i] == nint * s * t + source.evaluate(
                     btilde, c
                 )
@@ -324,7 +324,7 @@ class TestNecessity:
         # B'(w, zhat) = 0; on a problem where that pairing is nonzero the
         # filter must drop the pair.
         problem = wilson_problem()
-        k = len(problem.kernel_basis)
+        k = len(problem.kernel_gram)
         zero_e1 = (0,) * (k + 1)
         zero_e3 = ((0,) * (k + 1),)
         filtered = filter_eq2(problem, zero_e1, [zero_e3] * len(problem.probes))

@@ -5,6 +5,7 @@ replaced (kept in helpers.py): the same L0 rows in the same order."""
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -85,6 +86,15 @@ def test_seeded_random_kneser_neighbours():
     assert total > 0
 
 
+def test_solve_eq3_per_z0_takes_an_int_tuple_probe():
+    # find_isometries passes the problem's integer probes: each gives the
+    # shell of the equal Vec, for the default and for given probes.
+    for probes in (None, [(0, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1)]):
+        problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), (1, 0, 0, 0), probes=probes)
+        for z0 in problem._probes:
+            assert solve_eq3_per_z0(problem, z0) == solve_eq3_per_z0(problem, Vec(z0)) != ()
+
+
 def test_one_enumeration_per_equation(monkeypatch):
     calls = []
     real = isometry.vectors_of_norm
@@ -114,24 +124,46 @@ def test_a_search_factors_one_form(monkeypatch, capsys, flags):
 
 
 @pytest.mark.parametrize("flags", [[], ["--all"]])
-def test_factorize_builds_no_mat_after_parsing(monkeypatch, capsys, flags):
+def test_factorize_builds_no_mat_after_parsing(monkeypatch, capsys, tmp_path, flags):
     # Parsing is watched too: the file is read straight into integer rows,
-    # GramForm and IsometryProblem take them as they are, and l0_form
-    # takes integer rows.
-    built = watch_builds(monkeypatch, "Mat")
-    assert main(["factorize", str(PROBLEMS / "wilson.txt"), *flags]) == 0
+    # GramForm and IsometryProblem take them as they are, the determinants,
+    # the kernel basis and the probes stay integers, and the document
+    # writes the witness provenance from the candidate's flat integers.
+    # No Fraction is built, so no Vec either.
+    doc = tmp_path / "doc.json"
+    built = watch_builds(monkeypatch, "Fraction", "Mat")
+    assert main(["factorize", str(PROBLEMS / "wilson.txt"), *flags, "--json", str(doc)]) == 0
     monkeypatch.undo()
     assert capsys.readouterr().out.startswith("eq1 solutions: 48 raw")
     assert built == []
+    assert json.loads(doc.read_text())["certificate"]["witness"]["provenance"] != []
+
+
+# B = I2 and B' = diag(1, 2): det 1 against det 2.
+DET_MISMATCH = "n 2\nB\n1 0\n0 1\nBprime\n1 0\n0 2\nw 1 0\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--all"]])
-@pytest.mark.parametrize("name, verdict", [("wilson", "IsometricWitness"), ("quaternary_pair", "NoIntegralIsometry")])
+@pytest.mark.parametrize(
+    "name, verdict",
+    [
+        ("wilson", "IsometricWitness"),
+        ("quaternary_pair", "NoIntegralIsometry"),
+        ("binary_pair", "ObstructionEq1"),
+        ("det_mismatch", "ObstructionDeterminant"),
+    ],
+)
 def test_verify_rebuilds_an_integral_problem_without_rational_objects(monkeypatch, capsys, tmp_path, name, verdict, flags):
     # The document's B, B', w, probes and matrices are read into integer
-    # rows, and the problem is rebuilt from them: no Mat, no Fraction.
+    # rows, and the problem is rebuilt from them: no Mat, no Fraction.  An
+    # ObstructionEq1 document re-runs eq1 on the integer kernel basis, and
+    # an ObstructionDeterminant one compares the integer determinants.
+    path = PROBLEMS / f"{name}.txt"
+    if name == "det_mismatch":
+        path = tmp_path / "det_mismatch.txt"
+        path.write_text(DET_MISMATCH)
     doc = str(tmp_path / "doc.json")
-    main(["factorize", str(PROBLEMS / f"{name}.txt"), *flags, "--json", doc])
+    main(["factorize", str(path), *flags, "--json", doc])
     assert f"certificate: {verdict}" in capsys.readouterr().out
     built = watch_builds(monkeypatch, "Fraction", "Mat")
     assert main(["verify", doc]) == 0

@@ -230,13 +230,23 @@ def _in_hnf_lattice(v: Vec, basis: list[Vec]) -> bool:
 
 
 def test_integer_kernel_basis_known():
-    assert integer_kernel_basis(Vec([1, 0, 0])) == [Vec([0, 1, 0]), Vec([0, 0, 1])]
-    assert integer_kernel_basis(Vec([18, 0, 18])) == [Vec([1, 0, -1]), Vec([0, 1, 0])]
-    assert integer_kernel_basis(Vec([Fraction(1, 2), Fraction(1, 3)])) == [Vec([2, -3])]
-    assert integer_kernel_basis(Vec([5])) == []
-    assert integer_kernel_basis(Vec([0, 6, -4])) == [Vec([1, 0, 0]), Vec([0, 2, 3])]
-    with pytest.raises(ZeroFunctional):
-        integer_kernel_basis(Vec([0, 0, 0]))
+    known = [
+        ((1, 0, 0), [(0, 1, 0), (0, 0, 1)]),
+        ((18, 0, 18), [(1, 0, -1), (0, 1, 0)]),
+        ((Fraction(1, 2), Fraction(1, 3)), [(2, -3)]),
+        ((5,), []),
+        ((0, 6, -4), [(1, 0, 0), (0, 2, 3)]),
+    ]
+    for entries, rows in known:
+        # The rows are int tuples, and a tuple or list functional gives
+        # the rows of the equal Vec.
+        for f in (Vec(entries), entries, list(entries)):
+            got = integer_kernel_basis(f)
+            assert got == rows
+            assert all(type(x) is int for row in got for x in row)
+    for zero in (Vec([0, 0, 0]), (0, 0, 0), (Fraction(0), 0)):
+        with pytest.raises(ZeroFunctional):
+            integer_kernel_basis(zero)
 
 
 def test_integer_kernel_basis_spans_exactly():
@@ -246,7 +256,7 @@ def test_integer_kernel_basis_spans_exactly():
     for _ in range(40):
         n = rng.choice([3, 4, 5])
         f = rand_int_vec(rng, n, bound=4)
-        basis = integer_kernel_basis(f)
+        basis = list(map(Vec, integer_kernel_basis(f)))
         assert len(basis) == n - 1
         for b in basis:
             assert b.is_integral()
@@ -278,11 +288,10 @@ def _box_solutions(f: Vec, box):
 )
 def test_kernel_basis_annihilates_functional(entries):
     f = Vec(entries)
-    basis = integer_kernel_basis(f)
-    assert len(basis) == len(entries) - 1
-    for b in basis:
-        assert b.is_integral()
-        assert f.dot(b) == 0
+    rows = integer_kernel_basis(f)
+    assert len(rows) == len(entries) - 1
+    for row in rows:
+        assert all(type(x) is int for x in row)
+        assert f.dot(Vec(row)) == 0
     # The basis is already in Hermite form.
-    rows = [b.to_ints() for b in basis]
     assert hermite_row_reduce(rows) == rows
