@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import is_, mul, neg
@@ -57,6 +57,7 @@ from .errors import (
     IsotropicAnchor,
     NonIntegralForm,
     NotPositiveDefinite,
+    SuperlatError,
     ZeroVector,
 )
 # dual_membership is not called here (reconstruct tests dual membership
@@ -327,6 +328,22 @@ class _SlotMap:
         return sum(map(mul, z, self.packed), self.off)
 
 
+class _RowSums(dict):
+    """A row's parts of a _SlotMap total, sum_m row_m packed[m], and of its
+    bound, bounds[row] = sum_m |row_m| colmax[m], over the columns of one
+    position of the input; each built once, as plain ints."""
+
+    __slots__ = ("packed", "colmax", "bounds")
+
+    def __init__(self, packed, colmax):
+        self.packed, self.colmax, self.bounds = packed, colmax, {}
+
+    def __missing__(self, row: tuple[int, ...]) -> int:
+        self.bounds[row] = sum(map(mul, map(abs, row), self.colmax))
+        value = self[row] = sum(map(mul, row, self.packed))
+        return value
+
+
 class _ReconTables:
     """The integer map of reconstruct: z -> its outputs for the joint
     tuple z = e1 || pick_1 || ... (n^2 integers).
@@ -350,10 +367,13 @@ class _ReconTables:
     in the kernel slot r of row j, and for m = 0 < j pair[r][j] and
     adj[j][r] in the last slots.  The map is packed at build time with a
     64-bit floor, so that the slots of almost every tuple decode with one
-    struct call.  The candidates it builds share one cache of _row_texts.
+    struct call.  Rows recur across tuples, so sums[j] keeps the parts of
+    each distinct row at position j (_RowSums), which add up to the total
+    and the bound that _SlotMap.total checks; a repack drops them.  The
+    candidates it builds share one _row_memo.
     """
 
-    __slots__ = ("n", "db", "dp", "pair", "den", "map", "unpack", "texts")
+    __slots__ = ("n", "db", "dp", "pair", "den", "map", "unpack", "sums", "bounds", "memo")
 
     def __init__(self, problem: IsometryProblem):
         self.n = n = problem.dim
@@ -383,13 +403,27 @@ class _ReconTables:
                 columns.append((*num, *chain.from_iterable(kernel), *tcols[0 if m else j]))
         self.map = _SlotMap(columns, 64)
         self.unpack = Struct(f"<{self.map.nslots}q").unpack
-        self.texts = cache(_row_texts)
+        self._drop_sums()
+        self.memo = _row_memo()
 
-    def outputs(self, z: tuple[int, ...]) -> tuple[int, ...]:
-        """The slots of the map at z, exactly: XOR with the offset leaves
-        the two's complement of each slot's value."""
+    def _drop_sums(self) -> None:
+        """Start sums afresh, from the columns as packed now."""
+        n, slots = self.n, self.map
+        cols = [slice(j * n, j * n + n) for j in range(n)]
+        self.sums = [_RowSums(slots.packed[c], slots.colmax[c]) for c in cols]
+        self.bounds = [sums.bounds for sums in self.sums]
+
+    def outputs(self, rows) -> tuple[int, ...]:
+        """The slots of the map at z = rows[0] || rows[1] || ... (n row
+        tuples), exactly: XOR with the offset leaves the two's complement
+        of each slot's value."""
         slots = self.map
-        total = slots.total(z) ^ slots.off
+        total = sum(map(dict.__getitem__, self.sums, rows), slots.off)
+        if (bound := sum(map(dict.__getitem__, self.bounds, rows))).bit_length() >= slots.width:
+            slots._pack(_slot_width(bound))
+            self._drop_sums()
+            return self.outputs(rows)
+        total ^= slots.off
         nbytes = slots.width // 8
         raw = total.to_bytes(slots.nslots * nbytes, "little")
         if nbytes == 8:
@@ -407,15 +441,20 @@ def _integer_matrices(matrices):
     few distinct entries and rows many times, so each distinct entry is
     parsed once and each distinct row text read once, as (d, d row) for
     d the lcm of its denominators; a row with d == den enters num as that
-    kept tuple, which _Pullback finds packed."""
+    kept tuple, which _Pullback finds packed, and when every row shares
+    one d the kept tuples are num as they are."""
     parse = cache(parse_entry)
     cleared = cache(lambda row: _cleared_pairs([list(map(parse, row))]))
     for rows in matrices:
         if not all(map(isinstance, rows, repeat((list, tuple)))):
             raise TypeError("a matrix row must be an array")
         parts = list(map(cleared, map(tuple, rows)))
-        den = lcm(*(d for d, _ in parts))
-        yield den, tuple([row if d == den else tuple(x * (den // d) for x in row) for d, (row,) in parts])
+        ds = {d for d, _ in parts}
+        den = lcm(*ds)
+        if len(ds) == 1:
+            yield den, tuple([row for _, (row,) in parts])
+        else:
+            yield den, tuple([row if d == den else tuple([x * (den // d) for x in row]) for d, (row,) in parts])
 
 
 def isometry_denominators(problem: IsometryProblem, matrices):
@@ -429,10 +468,35 @@ def _neg(v) -> tuple:
     return tuple([-x for x in v])
 
 
+def _lowest(num: tuple, den: int) -> tuple[tuple, int]:
+    """(num, den) in lowest terms, for a tuple of integer row tuples num."""
+    g = gcd(den, *chain.from_iterable(num)) if den > 1 else 1
+    return (num, den) if g == 1 else (tuple(tuple(x // g for x in row) for row in num), den // g)
+
+
 def _row_texts(row: tuple[int, ...], den: int) -> tuple[str, ...]:
     """The texts str(Fraction(x, den)) of the entries of an integer row
     over den > 0."""
     return tuple(str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row)
+
+
+class _Memo(dict):
+    """A dict that builds a missing value as make(key), once."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _row_memo() -> tuple[_Memo, _Memo]:
+    """The row memos that candidates share: texts[den][row] is
+    _row_texts(row, den) and negs[row] is -row."""
+    return _Memo(lambda den: _Memo(partial(_row_texts, den=den))), _Memo(_neg)
 
 
 @dataclass(frozen=True, init=False)
@@ -440,7 +504,7 @@ class CandidateIsometry:
     """A matrix M = num / den passing the exact verification M^T B M = B',
     together with the solution tuple it was reconstructed from.
 
-    CandidateIsometry(num, den, provenance, dp, texts) takes integer rows
+    CandidateIsometry(num, den, provenance, dp, memo) takes integer rows
     num and den > 0 and keeps them in lowest terms: num holds the integer
     rows of den M, and den is the lcm of the denominators of the entries
     of M, so M is integral iff den == 1.  provenance is () (a witness read
@@ -449,9 +513,9 @@ class CandidateIsometry:
     have fixed lengths, so it sorts as its nested view .provenance (atilde
     as Fractions) does.  That view and .matrix, the Mat, are built when read.
     .entry_strings, set on construction, holds the rows of M as the texts
-    str(Fraction(x, den)) from texts, a cache of _row_texts (a new one by
-    default): the candidates of one problem's reconstruct and their
-    negations share one, one tuple per distinct row.
+    str(Fraction(x, den)), read from memo (a new _row_memo by default):
+    the candidates of one problem's reconstruct and their negations share
+    one, so each distinct row, its negation and their texts are built once.
     """
 
     num: tuple[tuple[int, ...], ...]
@@ -459,20 +523,25 @@ class CandidateIsometry:
     _prov: tuple
     _dp: int
 
-    def __init__(self, num, den: int, provenance: tuple = (), dp: int = 1, texts=None):
-        g = gcd(den, *chain.from_iterable(num)) if den > 1 else 1
-        if g == 1:
-            num = tuple(map(tuple, num))
-        else:
-            num, den = tuple(tuple(x // g for x in row) for row in num), den // g
-        # _texts and entry_strings are no dataclass fields: equality and
+    def __init__(self, num, den: int, provenance: tuple = (), dp: int = 1, memo=None):
+        self._fill(*_lowest(tuple(map(tuple, num)), den), provenance, dp, memo or _row_memo())
+
+    def _fill(self, num: tuple, den: int, prov: tuple, dp: int, memo) -> None:
+        # _memo and entry_strings are no dataclass fields: equality and
         # hashing ignore them.
-        texts = texts or cache(_row_texts)
-        strings = tuple(map(texts, num, repeat(den)))
-        self.__dict__.update(num=num, den=den, _prov=provenance, _dp=dp, _texts=texts, entry_strings=strings)
+        strings = tuple(map(memo[0][den].__getitem__, num))
+        self.__dict__.update(num=num, den=den, _prov=prov, _dp=dp, _memo=memo, entry_strings=strings)
+
+    @classmethod
+    def _of_rows(cls, num: tuple, den: int, prov: tuple, dp: int, memo) -> "CandidateIsometry":
+        """The candidate of the row tuples num over den, in lowest terms
+        already, taken as they are."""
+        cand = object.__new__(cls)
+        cand._fill(num, den, prov, dp, memo)
+        return cand
 
     def __reduce__(self):
-        # The cache of row texts does not pickle; a copy gets its own.
+        # The memo does not pickle; a copy gets its own.
         return CandidateIsometry, (self.num, self.den, self._prov, self._dp)
 
     @cached_property
@@ -485,11 +554,13 @@ class CandidateIsometry:
         return prov[0], prov[1 : n + 1], atilde, tuple(prov[i : i + n] for i in range(2 * n + 1, len(prov), n))
 
     def __neg__(self) -> "CandidateIsometry":
-        """-M, with den unchanged (still in lowest terms).  For a candidate
-        built by reconstruct this is what reconstruct gives for the negated
+        """-M, with den unchanged (negation keeps lowest terms) and the
+        rows and their texts from the shared memo.  For a candidate built
+        by reconstruct this is what reconstruct gives for the negated
         tuple: every provenance entry negated.  An empty provenance stays
         empty."""
-        return CandidateIsometry(tuple(map(_neg, self.num)), self.den, _neg(self._prov), self._dp, self._texts)
+        num = tuple(map(self._memo[1].__getitem__, self.num))
+        return CandidateIsometry._of_rows(num, self.den, _neg(self._prov), self._dp, self._memo)
 
     @property
     def integral(self) -> bool:
@@ -771,15 +842,15 @@ def reconstruct(problem: IsometryProblem, e1: tuple[int, ...], picks: tuple) -> 
     tab = problem._recon_tables
     n = tab.n
     n2 = n * n
-    out = tab.outputs((*e1, *chain.from_iterable(picks)))
+    out = tab.outputs((e1, *picks))
     db = tab.db
     if db != 1 and any(v % db for v in out[2 * n2 + n :]):
         return None
-    num = [out[i : i + n] for i in range(0, n2, n)]
+    num = tuple([out[i : i + n] for i in range(0, n2, n)])
     if not problem.pulls_back(num, tab.den):
         return None
     prov = (e1[0], *out[n2 : n2 + n], *out[2 * n2 : 2 * n2 + n], *out[n2 + n : 2 * n2])
-    return CandidateIsometry(num, tab.den, prov, tab.dp, tab.texts)
+    return CandidateIsometry._of_rows(*_lowest(num, tab.den), prov, tab.dp, tab.memo)
 
 
 def find_isometries(
@@ -1047,6 +1118,17 @@ def brute_force_isometries(source: GramForm, target: GramForm, bound: int | None
     return [Mat._of_rows(tuple(map(fractions, zip(*cols)))) for cols in found]
 
 
+def _no_integral_isometry(problem: IsometryProblem) -> bool:
+    """Whether the NoIntegralIsometry verdict holds for the problem,
+    re-derived from B and B' alone: det B = det B' and the oracle search
+    (_isometries) finds no integral M.  A search that raises a
+    SuperlatError (B not positive definite) rejects."""
+    try:
+        return problem.det_mismatch is False and not _isometries(problem._gram, problem._tgram)
+    except SuperlatError:
+        return False
+
+
 # Detail fields of a family certificate that family_obstruction derives
 # from the others.
 _FAMILY_DERIVED = ("kind", "constant", "reduced", "squares")
@@ -1064,8 +1146,8 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     constant and squares alone must equal the recorded one; either way
     every detail field but the kind must be an int (not bool or float);
     NoIntegralIsometry re-verifies the recorded candidates
-    (in integers, each distinct entry parsed once) and that none is
-    integral.
+    (in integers, each distinct entry parsed once), that none is
+    integral, and then the verdict itself (_no_integral_isometry).
     """
     verdict = cert.verdict
     if problem is None and verdict in ("IsometricWitness", "NoIntegralIsometry", "ObstructionEq1", "ObstructionDeterminant"):
@@ -1077,7 +1159,7 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
         return cert.witness.den == 1 and problem.pulls_back(num, 1) and abs(_det(num)) == 1
     if verdict == "NoIntegralIsometry":
         dens = isometry_denominators(problem, cert.detail.get("candidates", []))
-        return all(den not in (None, 1) for den in dens)
+        return all(den not in (None, 1) for den in dens) and _no_integral_isometry(problem)
     if verdict == "ObstructionEq1":
         return problem.det_mismatch is False and not solve_eq1(problem)
     if verdict == "ObstructionDeterminant":

@@ -38,8 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import repeat
+from functools import cached_property, partial
 
 from .errors import ParseError, SuperlatError
 from .forms import GramForm
@@ -50,6 +49,8 @@ from .isometry import (
     SearchResult,
     _integer_grams,
     _integer_matrices,
+    _Memo,
+    _no_integral_isometry,
     _row_texts,
     isometry_denominators,
 )
@@ -346,23 +347,38 @@ def _is_rows(x) -> bool:
     return type(x) is tuple and x != () and all(map(tuple.__instancecheck__, x))
 
 
+def _entries_text(entries: list, pad: str, blocks) -> str | None:
+    """The text of a list of candidate entries {"integral": bool,
+    "matrix": rows (_is_rows)} at the indentation pad, in one pass; None
+    when an item is not such an entry."""
+    inner, deeper = pad + "  ", pad + "    "
+    row_text = blocks[deeper + "  "].__getitem__
+    head = f'{{\n{deeper}"integral": %s,\n{deeper}"matrix": [\n{deeper}  '
+    heads, sep, end = {True: head % "true", False: head % "false"}, f",\n{deeper}  ", f"\n{deeper}]\n{inner}}}"
+    parts = []
+    for entry in entries:
+        if not (
+            type(entry) is dict
+            and len(entry) == 2
+            and type(flag := entry.get("integral")) is bool
+            and _is_rows(rows := entry.get("matrix"))
+        ):
+            return None
+        parts.append(heads[flag] + sep.join(map(row_text, rows)) + end)
+    return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
+
+
 def _json_text(x, pad: str, blocks) -> str:
     """The text of the value x as json.dumps(x, sort_keys=True, indent=2)
     writes it at the indentation pad.  A matrix of entry texts (_is_rows)
-    is one join of its rows' texts from blocks, a cache of _row_block; a
-    candidate entry {"integral": bool, "matrix": such rows} is one string
-    around that join.  Dict keys must be strings, as in every document."""
+    is one join of its rows' texts from blocks[pad], the _row_block
+    texts of its indentation keyed on the row, and a list of candidate
+    entries is written in one pass (_entries_text).  Dict keys must be strings, as in every
+    document."""
     if isinstance(x, str):
         return _quote(x)
     inner = pad + "  "
     if isinstance(x, dict):
-        if len(x) == 2 and type(flag := x.get("integral")) is bool and _is_rows(rows := x.get("matrix")):
-            deeper = inner + "  "
-            return (
-                f'{{\n{inner}"integral": {"true" if flag else "false"},\n{inner}"matrix": [\n{deeper}'
-                + f",\n{deeper}".join(map(blocks, repeat(deeper), rows))
-                + f"\n{inner}]\n{pad}}}"
-            )
         if not x:
             return "{}"
         items = [f"{_quote(key)}: {_json_text(x[key], inner, blocks)}" for key in sorted(x)]
@@ -370,7 +386,9 @@ def _json_text(x, pad: str, blocks) -> str:
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        items = map(blocks, repeat(inner), x) if _is_rows(x) else [_json_text(v, inner, blocks) for v in x]
+        if type(x[0]) is dict and (text := _entries_text(x, pad, blocks)) is not None:
+            return text
+        items = map(blocks[inner].__getitem__, x) if _is_rows(x) else [_json_text(v, inner, blocks) for v in x]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
     if type(x) is int:
         return int.__repr__(x)
@@ -381,8 +399,8 @@ def _json_text(x, pad: str, blocks) -> str:
 
 def document_json(doc: dict) -> str:
     """json.dumps(doc, sort_keys=True, indent=2) + "\\n", each distinct row
-    of entry texts rendered once."""
-    return _json_text(doc, "", cache(_row_block)) + "\n"
+    of entry texts rendered once per indentation."""
+    return _json_text(doc, "", _Memo(lambda pad: _Memo(partial(_row_block, pad)))) + "\n"
 
 
 def load_document(path: str) -> dict:
@@ -405,8 +423,9 @@ def verify_document(doc: dict) -> bool:
     (_integer_matrices): B and B' must be integral, and each candidate
     is re-multiplied (isometry_denominators) with a matching integral
     flag.  A NoIntegralIsometry certificate whose list equals the top-level
-    candidate matrices then holds iff none of them is integral; any other
-    certificate is re-verified against the problem (verify_certificate).
+    candidate matrices then holds iff none of them is integral and the
+    verdict re-derives (_no_integral_isometry); any other certificate is
+    re-verified against the problem (verify_certificate).
     Any discrepancy — including contents too damaged to rebuild the
     problem — returns False.
     """
@@ -429,7 +448,7 @@ def verify_document(doc: dict) -> bool:
                 return False
         if cert.verdict == "NoIntegralIsometry" and cert.detail.get("candidates") == matrices:
             # The certificate lists the isometries just checked.
-            return 1 not in dens
+            return 1 not in dens and _no_integral_isometry(problem)
         return verify_certificate(cert, problem)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, SuperlatError):
         return False

@@ -17,12 +17,24 @@ from hypothesis import strategies as st
 
 from superlat import cli
 from superlat.forms import GramForm
-from superlat.isometry import CandidateIsometry, Certificate, IsometryProblem, SearchResult, SearchStats
+from superlat.isometry import (
+    CandidateIsometry,
+    Certificate,
+    IsometryProblem,
+    SearchResult,
+    SearchStats,
+    find_isometries,
+    verify_certificate,
+)
 from superlat.errors import ParseError
 from superlat.linalg import Mat, Vec, parse_entry, parse_fraction
 from superlat.problem_io import _entry, _integer, certificate_payload, document_json, result_document, verify_document
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402
 
 
 def _factorize(tmp_path, monkeypatch, capsys, *args):
@@ -493,6 +505,13 @@ def test_document_json_equals_json_dumps(wilson_doc, quaternary_doc):
         [{"integral": True, "matrix": (("1", "-1/2"), ("0", "1"))}, {"integral": 1, "matrix": (("1",),)}],
         [{"integral": False, "matrix": [["1"]]}, {"integral": True, "matrix": ()}, {"integral": True, "x": 1}],
         [((), ("a",)), (("a",), "bc"), ("a", ("b",)), {"m": (("1", "2"),), "k": [(("3",),)]}],
+        # Lists of entries, written in one pass, sharing a row under both
+        # flags and at two depths; and lists that turn out not to be
+        # entries after the first item.
+        {"c": [{"integral": False, "matrix": (("1", "2"),)}, {"integral": True, "matrix": (("1", "2"), ("-3", "4"))}],
+         "d": {"c": [{"integral": True, "matrix": (("1", "2"),)}]}},
+        [{"integral": True, "matrix": (("1",),)}, {"integral": False, "matrix": (("2", "3"),)}, 5],
+        [{"integral": True, "matrix": (("1",),)}, {"integral": True, "matrix": (("1",),), "x": 0}],
     ]
     for x in shapes:
         assert document_json(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
@@ -534,11 +553,10 @@ def test_witness_provenance_is_written_from_the_flat_integers(prov, dp, want):
         assert got == [s, list(btilde), list(map(str, atilde)), list(map(list, cs))]
 
 
-@pytest.mark.xfail(strict=True, reason="verify re-checks only the listed candidates, not the verdict (ROADMAP item 1)")
 def test_verify_rejects_a_no_integral_isometry_verdict_with_no_candidates(wilson_doc, tmp_path, capsys):
     # The Wilson pair is isometric, so a NoIntegralIsometry certificate
-    # that lists no candidates is a forgery; all() over no candidates
-    # accepts it today.
+    # that lists no candidates is a forgery: verify re-derives the verdict
+    # from B and B', not from the (empty) list alone.
     doc = copy.deepcopy(wilson_doc)
     doc["certificate"] = {"verdict": "NoIntegralIsometry", "witness": None, "detail": {}}
     doc["candidates"] = []
@@ -547,3 +565,29 @@ def test_verify_rejects_a_no_integral_isometry_verdict_with_no_candidates(wilson
     path.write_text(json.dumps(doc), encoding="utf-8")
     code = cli.main(["verify", str(path)])
     assert (accepted, code, capsys.readouterr().out) == (False, 1, "verification FAILED\n")
+
+
+def test_verify_rejects_a_no_integral_isometry_verdict_over_the_rational_candidates(tmp_path, capsys):
+    # A Kneser-neighbour pair that is isometric: its --all document lists
+    # rational and integral candidates.  Drop the integral ones and relabel
+    # the certificate NoIntegralIsometry over the rest, listed exactly as
+    # the top-level entries.  Every listed candidate still re-multiplies
+    # and none is integral, so only re-deriving the verdict rejects it,
+    # on the shortcut of verify_document as in verify_certificate.
+    pair = gen.neighbour(7, 10, 4)[5]
+    problem = IsometryProblem(GramForm(Mat(pair.gram)), GramForm(Mat(pair.target)), Vec(pair.w))
+    doc = json.loads(document_json(result_document(problem, find_isometries(problem))))
+    assert verify_document(doc) and doc["certificate"]["verdict"] == "IsometricWitness"
+    rational = [entry for entry in doc["candidates"] if not entry["integral"]]
+    assert (len(doc["candidates"]), len(rational)) == (28, 24)
+    doc["candidates"] = rational
+    doc["certificate"] = {
+        "verdict": "NoIntegralIsometry",
+        "witness": None,
+        "detail": {"candidates": [entry["matrix"] for entry in rational], "joint_survivors": 24},
+    }
+    cert = Certificate("NoIntegralIsometry", detail=doc["certificate"]["detail"])
+    assert (verify_document(doc), verify_certificate(cert, problem)) == (False, False)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert (cli.main(["verify", str(path)]), capsys.readouterr().out) == (1, "verification FAILED\n")

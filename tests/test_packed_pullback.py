@@ -13,11 +13,12 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from superlat.cli import main
 from superlat.forms import GramForm
-from superlat.isometry import IsometryProblem, _Pullback
+from superlat.isometry import IsometryProblem, _Pullback, isometry_denominators
 from superlat.linalg import Mat, Vec
 from superlat.problem_io import verify_document
 
@@ -263,13 +264,15 @@ def test_verify_reads_one_row_text_under_two_denominators():
         "den 3 entry moved": [[r, ["2/3", "1/3", "-1/3"], thirds[2]], fifteenths, fifteenths[::-1]],
         "shared text moved": [thirds, [["1/3", "2/3", "1/3"], *fifteenths[1:]], fifteenths[::-1]],
     }
+    # The pair I_3, I_3 is isometric, so no document over it can claim
+    # NoIntegralIsometry; the rows are read through isometry_denominators,
+    # on one problem per order, as verify reads a document's candidates.
+    def problem():
+        return IsometryProblem(GramForm(Mat(identity)), GramForm(Mat(identity)), (1, 0, 0))
+
     for name, matrices in variants.items():
-        expected = all(reference(_fractions(identity), _fractions(identity), _fractions(m), 1) for m in matrices)
-        assert expected is (name == "as built")
-        for listed in (matrices, matrices[::-1]):
-            doc = {
-                "inputs": {"n": 3, "B": identity, "Bprime": identity, "w": [1, 0, 0], "z0": [[0, 1, 0], [0, 0, 1]]},
-                "candidates": [{"matrix": m, "integral": False} for m in matrices],
-                "certificate": {"verdict": "NoIntegralIsometry", "detail": {"candidates": listed}, "witness": None},
-            }
-            assert verify_document(doc) is expected, name
+        holds = [reference(_fractions(identity), _fractions(identity), _fractions(m), 1) for m in matrices]
+        assert all(holds) is (name == "as built")
+        expected = [lcm(*(x.denominator for row in _fractions(m) for x in row)) if h else None for m, h in zip(matrices, holds)]
+        for order in (slice(None), slice(None, None, -1)):
+            assert list(isometry_denominators(problem(), matrices[order])) == expected[order], name

@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import WILSON, rand_pullback_problem, reference_find_isometries
+from helpers import WILSON, rand_pullback_problem, reference_find_isometries, reference_joint_tuples
 from superlat import isometry
 from superlat.forms import GramForm
 from superlat.isometry import (
     IsometryProblem,
     find_isometries,
+    reconstruct,
     solve_eq1,
     solve_eq3_per_z0,
 )
@@ -126,3 +127,35 @@ def test_half_of_the_pairs_are_filtered_and_reconstructed(monkeypatch):
     stats = find_isometries(problem).stats
     assert (stats.eq1_raw, stats.joint_raw) == (48, 384)
     assert calls == {"filter_eq2": 24, "reconstruct": 192}
+
+
+def _quaternary_pair() -> IsometryProblem:
+    pf = load_problem(str(PROBLEMS / "quaternary_pair.txt"))
+    return IsometryProblem(GramForm(pf.gram), GramForm(pf.target), pf.w)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1])), _quaternary_pair],
+    ids=["wilson at (1,1,1,1)", "quaternary_pair"],
+)
+def test_negation_is_the_reconstructed_negated_tuple(make):
+    # -c is built from c directly (rows and texts from the problem's
+    # memo, no gcd); it must be what reconstruct builds from the negated
+    # tuple, down to the entry texts and the hash, and negate back to c.
+    problem = make()
+    assert problem.wnorm > 1 and problem._recon_tables.den > 1
+    twins = reduced = 0
+    for e1, *picks in reference_joint_tuples(problem):
+        cand = reconstruct(problem, e1, tuple(picks))
+        if cand is None:
+            continue
+        want = reconstruct(problem, _negated(e1), tuple(map(_negated, picks)))
+        twin = -cand
+        fields = ("num", "den", "_prov", "_dp", "entry_strings")
+        assert [getattr(twin, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert (twin, hash(twin)) == (want, hash(want))
+        assert -twin == cand and (-twin).entry_strings == cand.entry_strings
+        twins += 1
+        reduced += 1 < cand.den < problem._recon_tables.den
+    assert twins and reduced
