@@ -328,22 +328,6 @@ class _SlotMap:
         return sum(map(mul, z, self.packed), self.off)
 
 
-class _RowSums(dict):
-    """A row's parts of a _SlotMap total, sum_m row_m packed[m], and of its
-    bound, bounds[row] = sum_m |row_m| colmax[m], over the columns of one
-    position of the input; each built once, as plain ints."""
-
-    __slots__ = ("packed", "colmax", "bounds")
-
-    def __init__(self, packed, colmax):
-        self.packed, self.colmax, self.bounds = packed, colmax, {}
-
-    def __missing__(self, row: tuple[int, ...]) -> int:
-        self.bounds[row] = sum(map(mul, map(abs, row), self.colmax))
-        value = self[row] = sum(map(mul, row, self.packed))
-        return value
-
-
 class _ReconTables:
     """The integer map of reconstruct: z -> its outputs for the joint
     tuple z = e1 || pick_1 || ... (n^2 integers).
@@ -367,13 +351,10 @@ class _ReconTables:
     in the kernel slot r of row j, and for m = 0 < j pair[r][j] and
     adj[j][r] in the last slots.  The map is packed at build time with a
     64-bit floor, so that the slots of almost every tuple decode with one
-    struct call.  Rows recur across tuples, so sums[j] keeps the parts of
-    each distinct row at position j (_RowSums), which add up to the total
-    and the bound that _SlotMap.total checks; a repack drops them.  The
-    candidates it builds share one _row_memo.
+    struct call.  The candidates it builds share one _row_memo.
     """
 
-    __slots__ = ("n", "db", "dp", "pair", "den", "map", "unpack", "sums", "bounds", "memo")
+    __slots__ = ("n", "db", "dp", "pair", "den", "map", "unpack", "memo")
 
     def __init__(self, problem: IsometryProblem):
         self.n = n = problem.dim
@@ -403,27 +384,13 @@ class _ReconTables:
                 columns.append((*num, *chain.from_iterable(kernel), *tcols[0 if m else j]))
         self.map = _SlotMap(columns, 64)
         self.unpack = Struct(f"<{self.map.nslots}q").unpack
-        self._drop_sums()
         self.memo = _row_memo()
 
-    def _drop_sums(self) -> None:
-        """Start sums afresh, from the columns as packed now."""
-        n, slots = self.n, self.map
-        cols = [slice(j * n, j * n + n) for j in range(n)]
-        self.sums = [_RowSums(slots.packed[c], slots.colmax[c]) for c in cols]
-        self.bounds = [sums.bounds for sums in self.sums]
-
-    def outputs(self, rows) -> tuple[int, ...]:
-        """The slots of the map at z = rows[0] || rows[1] || ... (n row
-        tuples), exactly: XOR with the offset leaves the two's complement
-        of each slot's value."""
+    def outputs(self, z: tuple[int, ...]) -> tuple[int, ...]:
+        """The slots of the map at z, exactly: XOR with the offset leaves
+        the two's complement of each slot's value."""
         slots = self.map
-        total = sum(map(dict.__getitem__, self.sums, rows), slots.off)
-        if (bound := sum(map(dict.__getitem__, self.bounds, rows))).bit_length() >= slots.width:
-            slots._pack(_slot_width(bound))
-            self._drop_sums()
-            return self.outputs(rows)
-        total ^= slots.off
+        total = slots.total(z) ^ slots.off
         nbytes = slots.width // 8
         raw = total.to_bytes(slots.nslots * nbytes, "little")
         if nbytes == 8:
@@ -441,20 +408,15 @@ def _integer_matrices(matrices):
     few distinct entries and rows many times, so each distinct entry is
     parsed once and each distinct row text read once, as (d, d row) for
     d the lcm of its denominators; a row with d == den enters num as that
-    kept tuple, which _Pullback finds packed, and when every row shares
-    one d the kept tuples are num as they are."""
+    kept tuple, which _Pullback finds packed."""
     parse = cache(parse_entry)
     cleared = cache(lambda row: _cleared_pairs([list(map(parse, row))]))
     for rows in matrices:
         if not all(map(isinstance, rows, repeat((list, tuple)))):
             raise TypeError("a matrix row must be an array")
         parts = list(map(cleared, map(tuple, rows)))
-        ds = {d for d, _ in parts}
-        den = lcm(*ds)
-        if len(ds) == 1:
-            yield den, tuple([row for _, (row,) in parts])
-        else:
-            yield den, tuple([row if d == den else tuple([x * (den // d) for x in row]) for d, (row,) in parts])
+        den = lcm(*(d for d, _ in parts))
+        yield den, tuple([row if d == den else tuple(x * (den // d) for x in row) for d, (row,) in parts])
 
 
 def isometry_denominators(problem: IsometryProblem, matrices):
@@ -466,12 +428,6 @@ def isometry_denominators(problem: IsometryProblem, matrices):
 
 def _neg(v) -> tuple:
     return tuple([-x for x in v])
-
-
-def _lowest(num: tuple, den: int) -> tuple[tuple, int]:
-    """(num, den) in lowest terms, for a tuple of integer row tuples num."""
-    g = gcd(den, *chain.from_iterable(num)) if den > 1 else 1
-    return (num, den) if g == 1 else (tuple(tuple(x // g for x in row) for row in num), den // g)
 
 
 def _row_texts(row: tuple[int, ...], den: int) -> tuple[str, ...]:
@@ -524,21 +480,16 @@ class CandidateIsometry:
     _dp: int
 
     def __init__(self, num, den: int, provenance: tuple = (), dp: int = 1, memo=None):
-        self._fill(*_lowest(tuple(map(tuple, num)), den), provenance, dp, memo or _row_memo())
-
-    def _fill(self, num: tuple, den: int, prov: tuple, dp: int, memo) -> None:
+        g = gcd(den, *chain.from_iterable(num)) if den > 1 else 1
+        if g == 1:
+            num = tuple(map(tuple, num))
+        else:
+            num, den = tuple(tuple(x // g for x in row) for row in num), den // g
         # _memo and entry_strings are no dataclass fields: equality and
         # hashing ignore them.
+        memo = memo or _row_memo()
         strings = tuple(map(memo[0][den].__getitem__, num))
-        self.__dict__.update(num=num, den=den, _prov=prov, _dp=dp, _memo=memo, entry_strings=strings)
-
-    @classmethod
-    def _of_rows(cls, num: tuple, den: int, prov: tuple, dp: int, memo) -> "CandidateIsometry":
-        """The candidate of the row tuples num over den, in lowest terms
-        already, taken as they are."""
-        cand = object.__new__(cls)
-        cand._fill(num, den, prov, dp, memo)
-        return cand
+        self.__dict__.update(num=num, den=den, _prov=provenance, _dp=dp, _memo=memo, entry_strings=strings)
 
     def __reduce__(self):
         # The memo does not pickle; a copy gets its own.
@@ -560,7 +511,7 @@ class CandidateIsometry:
         tuple: every provenance entry negated.  An empty provenance stays
         empty."""
         num = tuple(map(self._memo[1].__getitem__, self.num))
-        return CandidateIsometry._of_rows(num, self.den, _neg(self._prov), self._dp, self._memo)
+        return CandidateIsometry(num, self.den, _neg(self._prov), self._dp, self._memo)
 
     @property
     def integral(self) -> bool:
@@ -842,15 +793,15 @@ def reconstruct(problem: IsometryProblem, e1: tuple[int, ...], picks: tuple) -> 
     tab = problem._recon_tables
     n = tab.n
     n2 = n * n
-    out = tab.outputs((e1, *picks))
+    out = tab.outputs((*e1, *chain.from_iterable(picks)))
     db = tab.db
     if db != 1 and any(v % db for v in out[2 * n2 + n :]):
         return None
-    num = tuple([out[i : i + n] for i in range(0, n2, n)])
+    num = [out[i : i + n] for i in range(0, n2, n)]
     if not problem.pulls_back(num, tab.den):
         return None
     prov = (e1[0], *out[n2 : n2 + n], *out[2 * n2 : 2 * n2 + n], *out[n2 + n : 2 * n2])
-    return CandidateIsometry._of_rows(*_lowest(num, tab.den), prov, tab.dp, tab.memo)
+    return CandidateIsometry(num, tab.den, prov, tab.dp, tab.memo)
 
 
 def find_isometries(
@@ -1076,6 +1027,21 @@ def rank3_family_forms(
     return source, target, Vec([1, 1, 1])
 
 
+def _isometry_blocks(b_rows, bp_rows, bound: int | None = None):
+    """(col_sets, order, blocks) of the search of _isometries: the
+    column shells, their placing order and the _gram_search generator
+    of the integral M whose first placed column is in the first half of
+    its shell."""
+    q, n = PosDefForm(b_rows), len(b_rows)
+    col_sets = [vectors_of_norm(q, t) if t >= 0 else () for t in (bp_rows[j][j] for j in range(n))]
+    if bound is not None:
+        col_sets = [tuple(v for v in cs if max(map(abs, v)) <= bound) for cs in col_sets]
+    if any(cs[::-1] != tuple(map(_neg, cs)) for cs in col_sets):
+        raise ValueError("a column shell is not sign-complete")
+    order = _size_order(col_sets)
+    return col_sets, order, _gram_search(b_rows, bp_rows, col_sets, order)
+
+
 def _isometries(b_rows, bp_rows, bound: int | None = None) -> list[tuple[tuple[int, ...], ...]]:
     """The sorted column tuples of every integral M with M^T B M = B', for
     the integer Gram rows of B (positive definite: NotPositiveDefinite
@@ -1094,15 +1060,9 @@ def _isometries(b_rows, bp_rows, bound: int | None = None) -> list[tuple[tuple[i
     every shell is sorted.  bound keeps only entries |m_ij| <= bound.
     Desk-scale only.
     """
-    q, n = PosDefForm(b_rows), len(b_rows)
-    col_sets = [vectors_of_norm(q, t) if t >= 0 else () for t in (bp_rows[j][j] for j in range(n))]
-    if bound is not None:
-        col_sets = [tuple(v for v in cs if max(map(abs, v)) <= bound) for cs in col_sets]
-    if any(cs[::-1] != tuple(map(_neg, cs)) for cs in col_sets):
-        raise ValueError("a column shell is not sign-complete")
+    col_sets, order, blocks = _isometry_blocks(b_rows, bp_rows, bound)
     neg = {v: u for cs in col_sets for v, u in zip(cs, reversed(cs))}
-    order = _size_order(col_sets)
-    found = [cols for block in _gram_search(b_rows, bp_rows, col_sets, order) for cols in block]
+    found = [cols for block in blocks for cols in block]
     found += [tuple(map(neg.__getitem__, cols)) for cols in found if any(cols[order[0]])]
     found.sort()
     return found
@@ -1121,10 +1081,10 @@ def brute_force_isometries(source: GramForm, target: GramForm, bound: int | None
 def _no_integral_isometry(problem: IsometryProblem) -> bool:
     """Whether the NoIntegralIsometry verdict holds for the problem,
     re-derived from B and B' alone: det B = det B' and the oracle search
-    (_isometries) finds no integral M.  A search that raises a
-    SuperlatError (B not positive definite) rejects."""
+    (_isometry_blocks) finds no integral M; it stops at the first one.  A
+    search that raises a SuperlatError (B not positive definite) rejects."""
     try:
-        return problem.det_mismatch is False and not _isometries(problem._gram, problem._tgram)
+        return problem.det_mismatch is False and not any(_isometry_blocks(problem._gram, problem._tgram)[2])
     except SuperlatError:
         return False
 

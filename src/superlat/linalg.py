@@ -302,8 +302,8 @@ def _cleared_pairs(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(d, d * rows) for rows of entries p/q given as pairs (p, q) in
     lowest terms, q > 0 (as parse_entry gives them): d the lcm of the q,
     so (d, d * rows) is what _cleared gives for the same values."""
-    d = lcm(*[q for row in rows for _, q in row])
-    return d, tuple([tuple([p * (d // q) for p, q in row]) for row in rows])
+    d = lcm(*(q for row in rows for _, q in row))
+    return d, tuple(tuple(p * (d // q) for p, q in row) for row in rows)
 
 
 def _det(rows) -> int:
