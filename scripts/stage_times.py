@@ -18,8 +18,9 @@ from the parsed integer rows), and ``verify_GramForm`` and
 ``verify_IsometryProblem`` the rebuilding of the problem from a
 document's inputs.  ``oracle`` is the integer search the command calls
 (``cli.brute_force_isometries``), ``oracle_listing`` its printed
-listing; the command builds no ``GramForm``.  ``negate``, the one time
-taken outside the calls, is ``-c`` on half the ``--all`` candidates.
+listing; the command builds no ``GramForm``.  ``negate`` is every
+negation of a candidate (``CandidateIsometry.__neg__``) in the ``--all``
+search.
 
 Each stage keeps its best of ``--repeats`` passes.  The output is one JSON
 object: per problem, its stage times in seconds and ``first_column``, the
@@ -38,7 +39,6 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -49,6 +49,7 @@ import spans  # noqa: E402
 
 from superlat import cli  # noqa: E402
 from superlat.forms import GramForm  # noqa: E402
+from superlat.isometry import CandidateIsometry  # noqa: E402
 
 # Problems per workload, as the benchmark draws them (perfbench/run.py).
 WORKLOAD_COUNTS = {"wilson": 7, "pullback": 5, "neighbour": 10}
@@ -64,6 +65,7 @@ STAGES = {  # stage: (command, span name)
     "filter_eq2": (ALL, "isometry.filter_eq2"),
     "reconstruct": (ALL, "isometry.reconstruct"),
     "find_isometries": (ALL, "isometry.assemble"),
+    "negate": (ALL, "isometry.CandidateIsometry.__neg__"),
     "all_listing": (ALL, "cli.matrix_listing"),
     "result_document": (ALL, "problem_io.result_document"),
     "document_json": (ALL, "problem_io.document_json"),
@@ -85,6 +87,7 @@ def traced_pass(text: str) -> tuple[dict[str, float], str | None]:
     tracer.wrap(cli, "matrix_listing", "cli.matrix_listing")
     tracer.wrap(cli, "load_problem", "cli.load_problem")
     tracer.wrap(GramForm, "__init__", "forms.GramForm")
+    tracer.wrap(CandidateIsometry, "__neg__", "isometry.CandidateIsometry.__neg__")
     tracer.wrap(cli, "find_isometries", "cli.find_isometries", lambda counts, r, a, k: results.append(r))
     try:
         with tempfile.TemporaryDirectory() as tmp:
@@ -110,11 +113,7 @@ def traced_pass(text: str) -> tuple[dict[str, float], str | None]:
     if filters := calls.get("isometry.filter_eq2"):
         times["filter_eq2.first"], times["filter_eq2.rest"] = filters[0], sum(filters[1:])
     times["joint_search"] = tracer.self_times(roots[ALL])["isometry.assemble"]
-    candidates, stats = results[0].candidates, results[0].stats
-    start = perf_counter()
-    for c in candidates[: len(candidates) // 2]:
-        -c
-    times["negate"] = perf_counter() - start
+    stats = results[0].stats
     sizes = [stats.eq1_raw, *stats.eq3_per_probe]
     first = sizes.index(min(sizes))
     return times, f"probe{first - 1}" if first else "eq1"

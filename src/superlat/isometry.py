@@ -1078,17 +1078,6 @@ def brute_force_isometries(source: GramForm, target: GramForm, bound: int | None
     return [Mat._of_rows(tuple(map(fractions, zip(*cols)))) for cols in found]
 
 
-def _no_integral_isometry(problem: IsometryProblem) -> bool:
-    """Whether the NoIntegralIsometry verdict holds for the problem,
-    re-derived from B and B' alone: det B = det B' and the oracle search
-    (_isometry_blocks) finds no integral M; it stops at the first one.  A
-    search that raises a SuperlatError (B not positive definite) rejects."""
-    try:
-        return problem.det_mismatch is False and not any(_isometry_blocks(problem._gram, problem._tgram)[2])
-    except SuperlatError:
-        return False
-
-
 # Detail fields of a family certificate that family_obstruction derives
 # from the others.
 _FAMILY_DERIVED = ("kind", "constant", "reduced", "squares")
@@ -1107,7 +1096,10 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     every detail field but the kind must be an int (not bool or float);
     NoIntegralIsometry re-verifies the recorded candidates
     (in integers, each distinct entry parsed once), that none is
-    integral, and then the verdict itself (_no_integral_isometry).
+    integral, and then re-derives the verdict from B and B' alone:
+    det B = det B' and the oracle search (_isometry_blocks) finds no
+    integral M, stopping at the first block holding one; a SuperlatError
+    from it (B not positive definite) rejects.  Only this decides a verdict.
     """
     verdict = cert.verdict
     if problem is None and verdict in ("IsometricWitness", "NoIntegralIsometry", "ObstructionEq1", "ObstructionDeterminant"):
@@ -1119,7 +1111,12 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
         return cert.witness.den == 1 and problem.pulls_back(num, 1) and abs(_det(num)) == 1
     if verdict == "NoIntegralIsometry":
         dens = isometry_denominators(problem, cert.detail.get("candidates", []))
-        return all(den not in (None, 1) for den in dens) and _no_integral_isometry(problem)
+        if not (all(den not in (None, 1) for den in dens) and problem.det_mismatch is False):
+            return False
+        try:
+            return not any(_isometry_blocks(problem._gram, problem._tgram)[2])
+        except SuperlatError:
+            return False
     if verdict == "ObstructionEq1":
         return problem.det_mismatch is False and not solve_eq1(problem)
     if verdict == "ObstructionDeterminant":

@@ -47,10 +47,8 @@ from .isometry import (
     Certificate,
     IsometryProblem,
     SearchResult,
-    _integer_grams,
     _integer_matrices,
     _Memo,
-    _no_integral_isometry,
     _row_texts,
     isometry_denominators,
 )
@@ -301,12 +299,14 @@ def _typed(value, kind: type):
 
 
 def _problem_from_inputs(inputs: dict) -> IsometryProblem:
-    b, t = _integer_grams(*_integer_matrices([inputs["B"], inputs["Bprime"]]))
-    if _typed(inputs["n"], int) != len(b):
+    """The problem of a document's inputs, built as factorize builds it:
+    IsometryProblem checks that B and B' are integral, of one dimension."""
+    source, target = map(GramForm, _integer_matrices([inputs["B"], inputs["Bprime"]]))
+    if _typed(inputs["n"], int) != source.dim:
         raise ParseError("inputs.n: not the dimension of inputs.B")
     w = tuple(_typed(x, int) for x in inputs["w"])
     probes = [tuple(_typed(x, int) for x in z) for z in inputs["z0"]]
-    return IsometryProblem(GramForm((1, b)), GramForm((1, t)), w, probes=probes)
+    return IsometryProblem(source, target, w, probes=probes)
 
 
 def result_document(
@@ -417,17 +417,16 @@ def load_document(path: str) -> dict:
 def verify_document(doc: dict) -> bool:
     """Re-check a result document from its own contents alone.
 
-    The echoed inputs rebuild the problem (inputs.n must be the JSON int
-    n, the dimension of B, and every matrix row a JSON array).  B, B' and
-    every recorded candidate matrix are read once in integers
-    (_integer_matrices): B and B' must be integral, and each candidate
-    is re-multiplied (isometry_denominators) with a matching integral
-    flag.  A NoIntegralIsometry certificate whose list equals the top-level
-    candidate matrices then holds iff none of them is integral and the
-    verdict re-derives (_no_integral_isometry); any other certificate is
-    re-verified against the problem (verify_certificate).
-    Any discrepancy — including contents too damaged to rebuild the
-    problem — returns False.
+    The echoed inputs rebuild the problem (_problem_from_inputs; inputs.n
+    must be the JSON int n, the dimension of B, and every matrix row a
+    JSON array), and each top-level candidate is re-multiplied
+    (isometry_denominators) with a matching integral flag.  When a
+    NoIntegralIsometry certificate lists exactly the top-level matrices,
+    verify_certificate re-multiplies that list, so here every flag need
+    only be false.  The certificate is then re-verified against the
+    problem (verify_certificate), which alone decides the verdict.  Any
+    discrepancy — including contents too damaged to rebuild the problem
+    — returns False.
     """
     # Looked up at call time, so that a wrapper set on
     # isometry.verify_certificate afterwards (perfbench's tracer) is called.
@@ -442,13 +441,14 @@ def verify_document(doc: dict) -> bool:
         problem = _problem_from_inputs(inputs)
         entries = doc.get("candidates", [])
         matrices = [entry["matrix"] for entry in entries]
-        dens = list(isometry_denominators(problem, matrices))
-        for entry, den in zip(entries, dens):
-            if den is None or _typed(entry["integral"], bool) != (den == 1):
-                return False
         if cert.verdict == "NoIntegralIsometry" and cert.detail.get("candidates") == matrices:
-            # The certificate lists the isometries just checked.
-            return 1 not in dens and _no_integral_isometry(problem)
-        return verify_certificate(cert, problem)
+            # verify_certificate multiplies this list and requires den > 1.
+            checked = all(entry["integral"] is False for entry in entries)
+        else:
+            dens = isometry_denominators(problem, matrices)
+            checked = all(
+                den is not None and _typed(entry["integral"], bool) == (den == 1) for entry, den in zip(entries, dens)
+            )
+        return checked and verify_certificate(cert, problem)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, SuperlatError):
         return False

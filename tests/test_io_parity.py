@@ -591,3 +591,21 @@ def test_verify_rejects_a_no_integral_isometry_verdict_over_the_rational_candida
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert (cli.main(["verify", str(path)]), capsys.readouterr().out) == (1, "verification FAILED\n")
+
+
+def test_verify_rejects_a_no_integral_isometry_verdict_on_an_indefinite_form(tmp_path, capsys):
+    # B = B' is indefinite, so the oracle search that re-derives the verdict
+    # raises NotPositiveDefinite, and that rejects the verdict.
+    rows = [["1", "2"], ["2", "1"]]
+    cert = Certificate("NoIntegralIsometry", detail={"candidates": []})
+    doc = {
+        "inputs": {"n": 2, "B": rows, "Bprime": rows, "w": [1, 0], "z0": [[0, 1]]},
+        "candidates": [],
+        "certificate": certificate_payload(cert),
+    }
+    problem = IsometryProblem(GramForm(Mat(rows)), GramForm(Mat(rows)), Vec([1, 0]), probes=[(0, 1)])
+    assert problem.det_mismatch is False
+    assert (verify_document(doc), verify_certificate(cert, problem)) == (False, False)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert (cli.main(["verify", str(path)]), capsys.readouterr().out) == (1, "verification FAILED\n")
