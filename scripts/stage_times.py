@@ -16,8 +16,12 @@ the reading of the problem file (``parse_problem`` its parse),
 ``GramForm`` every construction of a ``superlat.forms.GramForm`` (B and B'
 from the parsed integer rows), and ``verify_GramForm`` and
 ``verify_IsometryProblem`` the rebuilding of the problem from a
-document's inputs.  ``oracle`` is the integer search the command calls
-(``cli.brute_force_isometries``), ``oracle_listing`` its printed
+document's inputs.  ``verify_certificate`` is the certificate's own
+check within ``verify_document``: the witness, or the certificate's
+candidate list and the re-derivation of ``NoIntegralIsometry``;
+``verify_document`` less it is the rebuilding of the problem and the
+top-level candidate list.  ``oracle`` is the integer search the command
+calls (``cli.brute_force_isometries``), ``oracle_listing`` its printed
 listing; the command builds no ``GramForm``.  ``negate`` is every
 negation of a candidate (``CandidateIsometry.__neg__``) in the ``--all``
 search.
@@ -71,6 +75,7 @@ STAGES = {  # stage: (command, span name)
     "document_json": (ALL, "problem_io.document_json"),
     "first_witness": ("factorize", "isometry.assemble"),
     "verify_document": ("verify", "problem_io.verify_document"),
+    "verify_certificate": ("verify", "isometry.verify_certificate"),
     "verify_GramForm": ("verify", "forms.GramForm"),
     "verify_IsometryProblem": ("verify", "isometry.IsometryProblem"),
     "oracle": ("oracle", "isometry.brute_force_isometries"),

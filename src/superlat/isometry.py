@@ -205,10 +205,11 @@ class IsometryProblem:
         _ReconTables)."""
         return _ReconTables(self)
 
-    def pulls_back(self, num, den: int) -> bool:
+    def pulls_back(self, num, den: int, factors=()) -> bool:
         """Whether num^T B num = den^2 B' for integer rows num, i.e.
-        whether num is n x n and M = num / den solves M^T B M = B'."""
-        return self._pullback(num, den)
+        whether num is n x n and M = num / den solves M^T B M = B'; with
+        factors, row a of num is taken as factors[a] num[a]."""
+        return self._pullback(num, den, factors)
 
     def _zhat(self, z0: tuple[int, ...]) -> tuple[int, ...]:
         """N z0 - B(z0, w) w for an integer probe z0 of length n, the
@@ -233,11 +234,13 @@ class _Pullback:
     Each distinct row r is packed once, as P(r) = sum_j r_j 2^(jW) and
     R(r) = sum_i r_i 2^(niW); then sum_a R(num_a) sum_b B_ab P(num_b)
     holds entry (i, j) of num^T B num in slot ni + j, and it must equal
-    den^2 B' packed the same way (kept per den).  W puts
-    max|num|^2 sum|B_ab| and den^2 max|B'_ij|, which bound every slot,
-    below 2^(W-1), so equal integers mean equal matrices.  W only grows:
-    a new row or den that needs more widens it, which drops every pack
-    and target."""
+    den^2 B' packed the same way (kept per den).  Row a may also enter
+    num as f_a num_a, for given factors f: then the packs are scaled,
+    f_a R(num_a) and f_b P(num_b).  W puts max|f_a num_a|^2 sum|B_ab|
+    and den^2 max|B'_ij|, which bound every slot, below 2^(W-1), so equal
+    integers mean equal matrices.  W only grows: a new row or den that
+    needs more widens it, which drops every pack and target, so a list of
+    matrices reserves W for all of its rows and dens first."""
 
     __slots__ = ("gram", "target", "weight", "tmax", "width", "pows", "tpack", "packs", "targets")
 
@@ -247,7 +250,7 @@ class _Pullback:
         self.tmax = max(map(abs, chain.from_iterable(target)))
         self.width, self.packs, self.targets = 0, {}, {}
 
-    def __call__(self, num, den: int) -> bool:
+    def __call__(self, num, den: int, factors=()) -> bool:
         n = len(self.gram)
         if len(num) != n:
             return False
@@ -257,28 +260,33 @@ class _Pullback:
             # A row or den not packed yet, or a row given as a list.
             if [*map(len, num)] != [n] * n:
                 return False
-            packed, target = self._pack([*map(tuple, num)], den)
+            num = [*map(tuple, num)]
+            self.reserve(num, max(factors, default=1), (den,))
+            packed, target = [*map(self.packs.__getitem__, num)], self.targets[den]
         ps, rs = zip(*packed)
+        if factors:
+            ps, rs = [*map(mul, factors, ps)], map(mul, factors, rs)
         return sum(map(mul, rs, [sum(map(mul, brow, ps)) for brow in self.gram])) == target
 
-    def _pack(self, num: list, den: int) -> tuple[list, int]:
-        """The (P, R) of each row of num and the target of den, packing
-        what is not kept yet, after widening W if it is too narrow."""
+    def reserve(self, rows, scale: int, dens) -> None:
+        """Pack each of rows (integer tuples of length n) and den^2 B' for
+        each den of dens, after widening W if it is too narrow for row
+        entries scaled by up to scale and for the largest den."""
         n = len(self.gram)
-        big = max(map(abs, chain.from_iterable(num)))
-        width = _slot_width(max(big * big * self.weight, den * den * self.tmax))
+        big = scale * max(map(abs, chain.from_iterable(rows)), default=0)
+        top = max(dens, default=1)
+        width = _slot_width(max(big * big * self.weight, top * top * self.tmax))
         if width > self.width:
             self.width, self.packs, self.targets = width, {}, {}
             self.pows = [1 << (k * width) for k in range(n * n)]
             self.tpack = sum(map(mul, chain.from_iterable(self.target), self.pows))
-        packs, cols, rows = self.packs, self.pows[:n], self.pows[::n]
-        for row in num:
+        packs, targets, cols, slots = self.packs, self.targets, self.pows[:n], self.pows[::n]
+        for row in rows:
             if row not in packs:
-                packs[row] = sum(map(mul, row, cols)), sum(map(mul, row, rows))
-        target = self.targets.get(den)
-        if target is None:
-            target = self.targets[den] = den * den * self.tpack
-        return [*map(packs.__getitem__, num)], target
+                packs[row] = sum(map(mul, row, cols)), sum(map(mul, row, slots))
+        for den in dens:
+            if den not in targets:
+                targets[den] = den * den * self.tpack
 
 
 class _SlotMap:
@@ -400,30 +408,60 @@ class _ReconTables:
         )
 
 
-def _integer_matrices(matrices):
-    """Read matrices given as rows (lists or tuples, else TypeError) of
-    entries that parse_entry reads: yield, for each, (den, num) with
-    den the lcm of its entry denominators and num the tuple of integer
-    rows of den M, so M is integral iff den == 1.  Candidates repeat a
-    few distinct entries and rows many times, so each distinct entry is
-    parsed once and each distinct row text read once, as (d, d row) for
-    d the lcm of its denominators; a row with d == den enters num as that
-    kept tuple, which _Pullback finds packed."""
+def _row_reader() -> _Memo:
+    """A memo from the entry texts of a row, as a tuple of what
+    parse_entry reads, to (d, d row), d the lcm of the entry
+    denominators.  Candidates repeat a few distinct entries and rows many
+    times, so each distinct entry is parsed once and each distinct row
+    text read once."""
     parse = cache(parse_entry)
-    cleared = cache(lambda row: _cleared_pairs([list(map(parse, row))]))
+
+    def read(texts):
+        d, (row,) = _cleared_pairs([list(map(parse, texts))])
+        return d, row
+
+    return _Memo(read)
+
+
+def _matrix_rows(matrices, read: _Memo):
+    """For each matrix given as rows (lists or tuples, else TypeError),
+    the list of read[texts] (a _row_reader) for its rows."""
     for rows in matrices:
         if not all(map(isinstance, rows, repeat((list, tuple)))):
             raise TypeError("a matrix row must be an array")
-        parts = list(map(cleared, map(tuple, rows)))
+        yield [*map(read.__getitem__, map(tuple, rows))]
+
+
+def _integer_matrices(matrices):
+    """For each matrix M that _matrix_rows reads, (den, num) with den the
+    lcm of its entry denominators and num the tuple of integer rows of
+    den M, so M is integral iff den == 1."""
+    for parts in _matrix_rows(matrices, _row_reader()):
         den = lcm(*(d for d, _ in parts))
-        yield den, tuple([row if d == den else tuple(x * (den // d) for x in row) for d, (row,) in parts])
+        yield den, tuple([row if d == den else tuple(x * (den // d) for x in row) for d, row in parts])
 
 
-def isometry_denominators(problem: IsometryProblem, matrices):
-    """For each matrix M that _integer_matrices reads, yield its
-    denominator den when its rows form an n x n matrix with M^T B M = B'
-    (checked in integers on den M), None otherwise."""
-    return (den if problem.pulls_back(num, den) else None for den, num in _integer_matrices(matrices))
+def isometry_denominators(problem: IsometryProblem, matrices) -> list:
+    """For each matrix M that _matrix_rows reads, its denominator den
+    when its rows form an n x n matrix with M^T B M = B' (checked in
+    integers on den M), None otherwise.
+
+    The whole list is read first, so that one slot width serves it
+    (_Pullback.reserve) and each distinct row is packed once, as read:
+    row a, read as (d_a, d_a M_a), enters den M with the factor
+    den // d_a, and with none when every d_a is den."""
+    n, read = problem.dim, _row_reader()
+    listed, scale = [], 1
+    for parts in _matrix_rows(matrices, read):
+        ds, num = zip(*parts) if parts else ((), ())
+        den, factors = lcm(*ds), ()
+        if ds.count(den) != len(ds):
+            factors = [den // d for d in ds]
+            scale = max(scale, *factors)
+        listed.append((num, den, factors))
+    rows = [row for _, row in read.values() if len(row) == n]
+    problem._pullback.reserve(rows, scale, {den for _, den, _ in listed})
+    return [den if problem.pulls_back(num, den, factors) else None for num, den, factors in listed]
 
 
 def _neg(v) -> tuple:

@@ -431,9 +431,9 @@ def test_verify_checks_a_shared_candidate_list_once(quaternary_doc, monkeypatch)
     calls = []
     real = IsometryProblem.pulls_back
 
-    def counted(self, num, den):
+    def counted(self, num, den, factors=()):
         calls.append(den)
-        return real(self, num, den)
+        return real(self, num, den, factors)
 
     monkeypatch.setattr(IsometryProblem, "pulls_back", counted)
     assert verify_document(quaternary_doc) is True
@@ -467,6 +467,33 @@ def test_verify_checks_both_lists_when_they_differ(where, quaternary_doc):
     doc = copy.deepcopy(quaternary_doc)
     doc["candidates"].pop()
     assert verify_document(doc) is True
+
+
+@pytest.mark.parametrize("where", ["top-level", "certificate", "both"])
+@pytest.mark.parametrize("first", ["non-isometry", "unparsable"])
+@pytest.mark.parametrize("broken", ["1/0", "x"])
+def test_verify_rejects_a_non_isometry_next_to_an_unparsable_entry(where, first, broken, quaternary_doc, tmp_path, capsys):
+    # Each candidate list is read whole before any matrix is checked, so
+    # an entry that does not parse, before or after a matrix that is no
+    # isometry, must still reject the document, with exit 1.
+    doc = copy.deepcopy(quaternary_doc)
+    matrix = doc["candidates"][0]["matrix"]
+    wrong = [["5/7", *matrix[0][1:]], *matrix[1:]]
+    b, bp = (Mat([[Fraction(x) for x in row] for row in doc["inputs"][key]]) for key in ("B", "Bprime"))
+    m = Mat([[Fraction(x) for x in row] for row in wrong])
+    assert m.transpose() @ b @ m != bp
+    pair = [wrong, [[broken, *matrix[0][1:]], *matrix[1:]]]
+    if first == "unparsable":
+        pair.reverse()
+    if where != "certificate":
+        doc["candidates"][:2] = [{"integral": False, "matrix": rows} for rows in pair]
+    if where != "top-level":
+        doc["certificate"]["detail"]["candidates"][:2] = copy.deepcopy(pair)
+    assert verify_document(doc) is False
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == ("verification FAILED\n", "")
 
 
 LIST_SHAPED = {

@@ -5,7 +5,10 @@ boundaries, one-unit perturbations, targets forged to cancel between
 neighbouring slots, and rows of the wrong shape.  One check is kept per
 problem, with each distinct row packed once, so it must also answer a
 sequence of numerators of growing and shrinking size, and verify must
-still see a shared row changed in one candidate only."""
+still see a shared row changed in one candidate only.  A candidate list is
+checked at one width on its rows as read, scaled per row, so rational
+lists with mixed row denominators must get the answers of Fraction
+products."""
 
 from __future__ import annotations
 
@@ -276,3 +279,83 @@ def test_verify_reads_one_row_text_under_two_denominators():
         expected = [lcm(*(x.denominator for row in _fractions(m) for x in row)) if h else None for m, h in zip(matrices, holds)]
         for order in (slice(None), slice(None, None, -1)):
             assert list(isometry_denominators(problem(), matrices[order])) == expected[order], name
+
+
+def _cayley(rng: random.Random, n: int, scale: int) -> Mat:
+    """A rational orthogonal matrix (I - S)(I + S)^-1, for a random
+    skew-symmetric integer S with entries up to scale."""
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            s[i][j] = rng.randint(-scale, scale)
+            s[j][i] = -s[i][j]
+    one = Mat.identity(n)
+    return (one - Mat(s)) @ (one + Mat(s)).inverse()
+
+
+def _texts(m: Mat) -> list[list[str]]:
+    return [[str(x) for x in row] for row in m.rows]
+
+
+def _rational_list(rng: random.Random, n: int):
+    """(B, B', matrices): B = U^T U for a lower unitriangular U, B' = V^T V
+    for an invertible V, and rational matrices, as entry texts, whose
+    isometries are M = U^-1 R Q V for orthogonal Q and R.  R = diag(1, R')
+    keeps row 0 of QV, and U^-1 keeps row 0, so three isometries share
+    that row text under different matrix denominators.  Among them are
+    a moved entry, a long row, an empty matrix and I / 2^60, small
+    numerators over a large denominator; last comes an isometry whose
+    large entries need a wider slot than every earlier matrix."""
+    u = Mat([[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(n)] for i in range(n)])
+    v = Mat.zero(n)
+    while v.determinant() == 0:
+        v = Mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+    uinv, q = u.inverse(), _cayley(rng, n, 3)
+
+    def isometry(m: Mat) -> list[list[str]]:
+        return _texts(uinv @ m @ v)
+
+    def fixing_row_0() -> Mat:
+        return Mat([[1, *[0] * (n - 1)], *([0, *row] for row in _cayley(rng, n - 1, 3).rows)])
+
+    shared = [isometry(fixing_row_0() @ q) for _ in range(3)]
+    moved = [row[:] for row in shared[1]]
+    i, j = rng.randrange(n), rng.randrange(n)
+    moved[i][j] = str(Fraction(moved[i][j]) + Fraction(1, rng.choice((2, 3, 7))))
+    long_row = [row[:] for row in shared[0]]
+    long_row[rng.randrange(n)].append("0")
+    scaled = [[str(Fraction(int(i == j), 2**60)) for j in range(n)] for i in range(n)]
+    matrices = [shared[0], moved, shared[1], long_row, [], scaled, shared[2], isometry(_cayley(rng, n, 2**40))]
+    gram, target = (m.transpose() @ m for m in (u, v))
+    return [list(map(int, row)) for row in gram.rows], [list(map(int, row)) for row in target.rows], matrices
+
+
+def test_isometry_denominators_read_a_rational_list_as_fractions_do():
+    # Each list is checked at one slot width with each distinct row packed
+    # once, in both orders; the answer for every matrix must be the one of
+    # Fraction products: the lcm of its entry denominators for an
+    # isometry, None otherwise.
+    rng = random.Random(SEED + 4)
+    mixed = shared_dens = 0
+    for case in range(40):
+        gram, target, matrices = _rational_list(rng, 3 + case % 2)
+        expected, bound = [], 0
+        weight, tmax = sum(map(abs, sum(gram, []))), max(map(abs, sum(target, [])))
+        for matrix in matrices:
+            rows = _fractions(matrix)
+            den = lcm(*(x.denominator for row in rows for x in row))
+            square = len(rows) == len(gram) and all(len(row) == len(gram) for row in rows)
+            holds = square and reference(gram, target, rows, 1)
+            expected.append(den if holds else None)
+            if square:
+                big = max(abs(den * x) for row in rows for x in row)
+                bound = max(bound, big * big * weight, den * den * tmax)
+            mixed += len({lcm(*(x.denominator for x in row)) for row in rows}) > 1
+        assert [k for k, den in enumerate(expected) if den is None] == [1, 3, 4, 5]
+        shared_dens += len({expected[0], expected[2], expected[6]}) > 1
+        for order in (slice(None), slice(None, None, -1)):
+            problem = IsometryProblem(GramForm(Mat(gram)), GramForm(Mat(target)), Vec.unit(len(gram), 0))
+            assert list(isometry_denominators(problem, matrices[order])) == expected[order]
+            # The one width bounds every slot of every square matrix.
+            assert bound < 1 << (problem._pullback.width - 1)
+    assert mixed > 40 and shared_dens > 20
