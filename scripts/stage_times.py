@@ -16,7 +16,10 @@ the reading of the problem file (``parse_problem`` its parse),
 ``GramForm`` every construction of a ``superlat.forms.GramForm`` (B and B'
 from the parsed integer rows), and ``verify_GramForm`` and
 ``verify_IsometryProblem`` the rebuilding of the problem from a
-document's inputs.  ``verify_certificate`` is the certificate's own
+document's inputs.  ``setup`` is the problem's set-up under ``--all``:
+its construction and the first reads of ``l0_form``, ``pair_targets``
+and ``_recon_tables``, each wrapped from outside as the tracer wraps a
+function.  ``verify_certificate`` is the certificate's own
 check within ``verify_document``: the witness, or the certificate's
 candidate list and the re-derivation of ``NoIntegralIsometry``;
 ``verify_document`` less it is the rebuilding of the problem and the
@@ -53,7 +56,7 @@ import spans  # noqa: E402
 
 from superlat import cli  # noqa: E402
 from superlat.forms import GramForm  # noqa: E402
-from superlat.isometry import CandidateIsometry  # noqa: E402
+from superlat.isometry import CandidateIsometry, IsometryProblem  # noqa: E402
 
 # Problems per workload, as the benchmark draws them (perfbench/run.py).
 WORKLOAD_COUNTS = {"wilson": 7, "pullback": 5, "neighbour": 10}
@@ -82,6 +85,10 @@ STAGES = {  # stage: (command, span name)
     "oracle_shells": ("oracle", "diophantine.vectors_of_norm"),
     "oracle_listing": ("oracle", "cli.matrix_listing"),
 }
+# The set-up of a problem: its construction and the tables that its
+# cached properties build when first read.
+SETUP_TABLES = ("l0_form", "pair_targets", "_recon_tables")
+SETUP = ("isometry.IsometryProblem", *(f"isometry.IsometryProblem.{name}" for name in SETUP_TABLES))
 
 
 def traced_pass(text: str) -> tuple[dict[str, float], str | None]:
@@ -94,6 +101,8 @@ def traced_pass(text: str) -> tuple[dict[str, float], str | None]:
     tracer.wrap(GramForm, "__init__", "forms.GramForm")
     tracer.wrap(CandidateIsometry, "__neg__", "isometry.CandidateIsometry.__neg__")
     tracer.wrap(cli, "find_isometries", "cli.find_isometries", lambda counts, r, a, k: results.append(r))
+    for name in SETUP_TABLES:
+        tracer.wrap(vars(IsometryProblem)[name], "func", f"isometry.IsometryProblem.{name}")
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path, doc = str(Path(tmp) / "problem.txt"), str(Path(tmp) / "result.json")
@@ -118,6 +127,7 @@ def traced_pass(text: str) -> tuple[dict[str, float], str | None]:
     if filters := calls.get("isometry.filter_eq2"):
         times["filter_eq2.first"], times["filter_eq2.rest"] = filters[0], sum(filters[1:])
     times["joint_search"] = tracer.self_times(roots[ALL])["isometry.assemble"]
+    times["setup"] = sum(inclusive[ALL].get(name, 0.0) for name in SETUP)
     stats = results[0].stats
     sizes = [stats.eq1_raw, *stats.eq3_per_probe]
     first = sizes.index(min(sizes))

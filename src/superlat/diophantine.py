@@ -51,6 +51,10 @@ class PosDefForm:
     consecutive leading principal minors in that order, so requiring
     every pivot > 0 is Sylvester's criterion.  _ldl computes those minors
     by one fraction-free integer elimination.
+
+    shells maps each norm c that vectors_of_norm has enumerated on this
+    form to the tuple it returned, so equal norms share one shell.  It
+    lives and dies with the form.
     """
 
     def __init__(self, gram: Mat | tuple[tuple[int, ...], ...]):
@@ -69,6 +73,7 @@ class PosDefForm:
             _ldl(c, rows)
             raise
         self.ldl = _scaled_ldl(c, a, order)
+        self.shells: dict = {}
 
     @property
     def dim(self) -> int:
@@ -162,10 +167,13 @@ def vectors_of_norm(q: PosDefForm, c: int) -> tuple[tuple[int, ...], ...]:
     positive (and 0 when c = 0); their negations complete the shell,
     which is then sorted once.  Negation reverses the lexicographic
     order, so the sorted solutions satisfy v[L-1-j] = -v[j] for
-    L = len(shell).
+    L = len(shell).  A norm enumerated before on q returns the tuple
+    kept in q.shells.
     """
     if c < 0:
         raise NegativeTarget(f"norm target {c} is negative")
+    if (shell := q.shells.get(c)) is not None:
+        return shell
     n = q.dim
     order, lf = q.order, q.ldl
     dl, pivots, low = lf.dl, lf.pivots, lf.low
@@ -258,38 +266,12 @@ def vectors_of_norm(q: PosDefForm, c: int) -> tuple[tuple[int, ...], ...]:
             first(root, (1,))
     sols += [tuple([-a for a in v]) for v in sols if any(v)]
     sols.sort()
-    return tuple(sols)
+    shell = q.shells[c] = tuple(sols)
+    return shell
 
 
-# Sorenson and Webster (2015): every odd composite below _MR_BOUND fails
-# the strong probable-prime test to at least one of the first 13 prime
-# bases.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
-# Odd primes below this are divided out first, so the cofactor left to
-# the tests below exceeds every base.
+# Odd primes below this are divided out first, by trial division.
 _TRIAL_LIMIT = 1000
-
-
-def _strong_probable_prime(n: int) -> bool:
-    """Whether odd n > 41 passes the Miller-Rabin test to every base of
-    _MR_BASES.  False proves n composite; True proves n prime when
-    n < _MR_BOUND."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _pollard_brent(n: int) -> int:
@@ -322,57 +304,65 @@ def _pollard_brent(n: int) -> int:
     raise AssertionError("no factor of a composite")
 
 
-def _smallest_factor(n: int, start: int) -> int:
-    """The smallest factor p >= start of odd n > 1, for start odd and no
-    factor of n below it: trial division, exact at any size."""
-    p = start
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a, out = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
 
 
-def _odd_prime_exponents(n: int) -> dict[int, int]:
-    """The exponent of each prime factor of odd n >= 1.
+def _hermite_serret(m: int) -> bool:
+    """Whether Hermite-Serret finds m = a^2 + b^2, for odd m = 1 (mod 4)
+    that is not a square.
 
-    Primes below _TRIAL_LIMIT are divided out by trial division.  A
-    cofactor left that is a square r^2 is split as r, r.  Any other is
-    proved prime by the strong test when below _MR_BOUND, or proved
-    composite when it fails the test, and then split by Pollard-Brent.
-    A cofactor at or above _MR_BOUND that passes the test is not proved
-    prime by it, so it is split by trial division, which is exact but
-    takes sqrt(cofactor) steps for a prime.
-    """
-    out: dict[int, int] = {}
-    p = 3
-    while p < _TRIAL_LIMIT and p * p <= n:
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
-        p += 2
-    if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
-        # Every factor below _TRIAL_LIMIT is gone, so n is 1 or a prime.
-        if n > 1:
-            out[n] = out.get(n, 0) + 1
-        return out
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        r = isqrt(m)
-        if r * r == m:
-            stack += [r, r]
+    With c the least integer >= 2 of Jacobi symbol (c/m) = -1 and
+    x = c^((m-1)/4) mod m, Euclid's algorithm on (m, x) is run down to
+    the first remainder b with b^2 <= m, and m - b^2 must be a square.
+    That check is exact, so True proves m a sum of two squares whether
+    or not m is prime.  For a prime m, c is a non-residue, x^2 = -1
+    (mod m) and the algorithm always succeeds, so False proves m
+    composite; so does a c < m of symbol 0, met first, which shares a
+    factor with m."""
+    c = 2
+    while (symbol := _jacobi(c, m)) == 1:
+        c += 1
+    if not symbol:
+        return False
+    x = pow(c, (m - 1) // 4, m)
+    if x * x % m != m - 1:
+        return False
+    a, b = m, x
+    while b * b > m:
+        a, b = b, a % b
+    rest = m - b * b
+    return isqrt(rest) ** 2 == rest
+
+
+def _coprime_base(pairs) -> list[tuple[int, int]]:
+    """Pairwise coprime (g, k), every g > 1, with prod g^k = prod f^e over
+    the given pairs (f, e): two parts sharing h = gcd(f, g) > 1 are
+    replaced by h^(e+k), (f/h)^e and (g/h)^k until none does.  The
+    product of the parts drops by h at each step, so this ends."""
+    out, todo = [], list(pairs)
+    while todo:
+        f, e = todo.pop()
+        if f == 1:
             continue
-        if not _strong_probable_prime(m):
-            d = _pollard_brent(m)
-        elif m < _MR_BOUND:
-            d = m
+        for i, (g, k) in enumerate(out):
+            if (h := gcd(f, g)) > 1:
+                del out[i]
+                todo += [(h, e + k), (f // h, e), (g // h, k)]
+                break
         else:
-            d = _smallest_factor(m, _TRIAL_LIMIT + 1)
-        if d == m:
-            out[m] = out.get(m, 0) + 1
-        else:
-            stack += [f for f in (d, m // d) if f > 1]
+            out.append((f, e))
     return out
 
 
@@ -380,11 +370,22 @@ def two_squares_representable(n: int) -> bool:
     """True iff n = a^2 + b^2 has an integer solution.
 
     Fermat: representable iff every prime = 3 (mod 4) divides n to an even
-    power.  The odd part of n is factored by _odd_prime_exponents: trial
-    division by small primes, then the deterministic Miller-Rabin test and
-    Pollard-Brent rho, so a prime near 10^24 is decided in milliseconds.
-    Rho's work grows with the square root of the second-largest prime
-    factor, so a product of two large primes still takes long.
+    power.  Only the parity of those exponents is needed, and most of it
+    without factoring.  The odd primes below _TRIAL_LIMIT are divided out
+    of the odd part of n.  What is left is kept as pairwise coprime parts
+    f^e, each prime of n in exactly one part, and only a part with odd e
+    that is not a square is examined:
+      - f = 3 (mod 4) is no sum of two squares, so some prime = 3 (mod 4)
+        divides f, and n, to an odd power: n is not representable;
+      - f = 1 (mod 4) that _hermite_serret writes as a^2 + b^2 holds no
+        prime = 3 (mod 4) to an odd power;
+      - otherwise f is composite and Pollard-Brent splits it, and the two
+        factors are refined to a coprime base (_coprime_base).
+    A prime near 10^24 is decided by one modular power.  Pollard-Brent
+    runs only on a part where Hermite-Serret fails, as it does on every
+    part = 1 (mod 4) that is no sum of two squares; its work grows with
+    the square root of the part's second-largest prime factor, so a
+    product of two large primes = 3 (mod 4) still takes long.
     """
     if n < 0:
         raise NegativeTarget(f"{n} is negative")
@@ -392,7 +393,26 @@ def two_squares_representable(n: int) -> bool:
         return True
     while n % 2 == 0:
         n //= 2
-    return all(p % 4 != 3 or e % 2 == 0 for p, e in _odd_prime_exponents(n).items())
+    p = 3
+    while p < _TRIAL_LIMIT and p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if p % 4 == 3 and e % 2:
+            return False
+        p += 2
+    parts = _coprime_base([(n, 1)])
+    while parts:
+        f, e = parts.pop()
+        if e % 2 == 0 or isqrt(f) ** 2 == f:
+            continue
+        if f % 4 == 3:
+            return False
+        if not _hermite_serret(f):
+            d = _pollard_brent(f)
+            parts += [(g, k * e) for g, k in _coprime_base([(d, 1), (f // d, 1)])]
+    return True
 
 
 def three_squares_representable(n: int) -> bool:

@@ -99,12 +99,13 @@ class IsometryProblem:
     The default probes are the standard basis vectors with the coordinate
     of largest |w_i| dropped (first such index on ties), which always
     yields a basis.  The constructor validates the problem on B, B', w
-    and the probes read as integer rows once, and derives from them
-    (through _bilinear) N = B(w,w).  The kernel sublattice
-    K = Z^n cap {w}^perp with its integer Gram rows kernel_gram (no rows
-    when n = 1) and the integer constants of the three equations, as one
-    matrix pair_targets, are built when first read: verifying a witness
-    needs none of them.
+    and the probes read as integer rows once (P = (w | z0_1 ...) through
+    its determinant alone), and derives from them B w and N = B(w,w).
+    The kernel sublattice K = Z^n cap {w}^perp with its integer Gram rows
+    kernel_gram (no rows when n = 1), the integer constants of the three
+    equations, as one matrix pair_targets, and the cleared inverse of P
+    (_pinv) are built when first read: verifying a witness needs none of
+    them.
     """
 
     def __init__(self, source: GramForm, target: GramForm, w: Vec | tuple[int, ...], probes: list | None = None):
@@ -118,7 +119,8 @@ class IsometryProblem:
         self.source = source
         self.target = target
         self._pullback = _Pullback(self._gram, self._tgram)
-        self.wnorm = _bilinear(self._gram, self._w, self._w)
+        self._bw = tuple([_dot(row, self._w) for row in self._gram])
+        self.wnorm = _dot(self._w, self._bw)
         if self.wnorm == 0:
             raise IsotropicAnchor("anchor has B(w,w) = 0")
 
@@ -133,9 +135,7 @@ class IsometryProblem:
                 raise DimensionMismatch("probe dimension does not match forms")
             ints.append(_int_tuple(z0, "probes must be integer vectors"))
         self._probes = tuple(ints)
-        # (db, db P^-1) for P = (w | z0_1 ...), which reconstruct maps through.
-        self._pinv = _cleared_inverse(tuple(zip(self._w, *self._probes)))
-        if not self._pinv[0]:
+        if not _det(tuple(zip(self._w, *self._probes))):
             raise DegenerateProbe("anchor and probes do not form a basis")
         self._eq2_table: _Eq2Table | None = None
 
@@ -147,6 +147,12 @@ class IsometryProblem:
     def probes(self) -> list[Vec]:
         return list(map(Vec, self._probes))
 
+    @cached_property
+    def _pinv(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(db, db P^-1) for P = (w | z0_1 ...), which reconstruct maps
+        through."""
+        return _cleared_inverse(tuple(zip(self._w, *self._probes)))
+
     @property
     def det_mismatch(self) -> bool:
         """det B != det B', on the integer determinants of gram_rows."""
@@ -156,12 +162,11 @@ class IsometryProblem:
     def _l0_basis(self) -> tuple[tuple[int, ...], ...]:
         """The rows of E = (w | kernel basis), which maps the L0 row
         (u, kernel coordinates) to u w + k (K's basis from integer_kernel_basis)."""
-        return tuple(zip(self._w, *integer_kernel_basis([_dot(row, self._w) for row in self._gram])))
+        return tuple(zip(self._w, *integer_kernel_basis(self._bw)))
 
     @cached_property
     def kernel_gram(self) -> tuple[tuple[int, ...], ...]:
-        kints = list(zip(*self._l0_basis))[1:]
-        return tuple(tuple(_bilinear(self._gram, ki, kj) for kj in kints) for ki in kints)
+        return _gram_matrix(self._gram, list(zip(*self._l0_basis))[1:])
 
     @cached_property
     def _l0_gram(self) -> tuple[tuple[int, ...], ...]:
@@ -176,8 +181,7 @@ class IsometryProblem:
         the pairing targets of the joint search, with the eq1 target and
         the eq3 targets on the diagonal and the eq2 targets in row 0."""
         basis = (self._w, *map(self._zhat, self._probes))
-        n2 = self.wnorm * self.wnorm
-        return tuple(tuple(n2 * _bilinear(self._tgram, u, v) for v in basis) for u in basis)
+        return _gram_matrix(self._tgram, basis, self.wnorm * self.wnorm)
 
     @cached_property
     def eq1_target(self) -> int:
@@ -214,7 +218,7 @@ class IsometryProblem:
     def _zhat(self, z0: tuple[int, ...]) -> tuple[int, ...]:
         """N z0 - B(z0, w) w for an integer probe z0 of length n, the
         scaled component of z0 orthogonal to w."""
-        beta = _bilinear(self._gram, z0, self._w)
+        beta = _dot(z0, self._bw)
         zh = tuple([self.wnorm * z - beta * x for z, x in zip(z0, self._w)])
         if not any(zh):
             raise DegenerateProbe("probe lies on the anchor line")
@@ -302,7 +306,8 @@ class _SlotMap:
     the largest |coefficient| of z_c, so total first repacks the columns
     when that bound reaches 2^(W-1), at the smallest multiple of 8 above
     it; the width only grows.  The columns are packed at once when a
-    floor width is given, and by the first total call otherwise.
+    floor width is given, and by the first total call otherwise: by
+    _columns, which a subclass may compute from a structure of its own.
     """
 
     __slots__ = ("columns", "colmax", "nslots", "width", "off", "packed")
@@ -319,14 +324,17 @@ class _SlotMap:
         """(Re)pack the columns in slots of at least width bits that also
         hold every coefficient."""
         width = max(width, _slot_width(max(self.colmax)))
-        nbytes, half = width // 8, 1 << (width - 1)
-        self.off = off = int.from_bytes((bytes(nbytes - 1) + b"\x80") * self.nslots, "little")
-        # Each distinct coefficient v is encoded once, as the bytes of
-        # v + 2^(W-1) in [0, 2^W); off taken from a column's bytes leaves
-        # sum_k col[k] 2^(kW).
-        code = {v: (v + half).to_bytes(nbytes, "little") for v in set(chain.from_iterable(self.columns))}
-        self.packed = [int.from_bytes(b"".join(map(code.__getitem__, col)), "little") - off for col in self.columns]
+        self.off = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * self.nslots, "little")
+        self.packed = self._columns(width)
         self.width = width
+
+    def _columns(self, width: int) -> list[int]:
+        """packed at width W.  Each distinct coefficient v is encoded
+        once, as the bytes of v + 2^(W-1) in [0, 2^W); off taken from a
+        column's bytes leaves sum_k col[k] 2^(kW)."""
+        nbytes, half = width // 8, 1 << (width - 1)
+        code = {v: (v + half).to_bytes(nbytes, "little") for v in set(chain.from_iterable(self.columns))}
+        return [int.from_bytes(b"".join(map(code.__getitem__, col)), "little") - self.off for col in self.columns]
 
     def total(self, z) -> int:
         """off + sum_c z_c packed[c], with slots wide enough for z."""
@@ -334,6 +342,47 @@ class _SlotMap:
         if bound.bit_length() >= self.width:
             self._pack(_slot_width(bound))
         return sum(map(mul, z, self.packed), self.off)
+
+
+class _KroneckerMap(_SlotMap):
+    """The _SlotMap of _ReconTables, packed from its factors: E by its
+    columns ecols, A by its rows arows and the t-slots by tcols.
+
+    Its column c = jn + m has E[r][m] A[j][k] in slot rn + k, so its num
+    part is PE[m] PA[j], one big-integer product, for
+    PE[m] = sum_r E[r][m] 2^(rnW) (column m of E at a stride of n slots)
+    and PA[j] = sum_k A[j][k] 2^(kW) (row j of A at a stride of 1).  To
+    it is added column m of E in the kernel slots n^2 + jn ... of row j
+    when m > 0, and tcols[j] in the t-slots 2n^2 ... when m = 0.  So
+    colmax[c] = max(max|E col m| max|A row j|, max|E col m| or, for
+    m = 0, max|tcols[j]|)."""
+
+    __slots__ = ("ecols", "arows", "tcols")
+
+    def __init__(self, ecols, arows, tcols, floor: int):
+        self.ecols, self.arows, self.tcols = ecols, arows, tcols
+        n = len(ecols)
+        emax = [max(map(abs, e)) for e in ecols]
+        self.colmax = [
+            max(em * max(map(abs, arow)), em if m else max(map(abs, tcol), default=0))
+            for arow, tcol in zip(arows, tcols)
+            for m, em in enumerate(emax)
+        ]
+        self.nslots = 2 * n * n + len(tcols[0])
+        self.width = 0
+        self._pack(floor)
+
+    def _columns(self, width: int) -> list[int]:
+        n, n2 = len(self.ecols), len(self.ecols) ** 2
+        pows = [1 << (k * width) for k in range(self.nslots)]
+        pe = [_dot(e, pows[:n2:n]) for e in self.ecols]
+        pk = [_dot(e, pows[:n]) for e in self.ecols]
+        packed = []
+        for j, (arow, tcol) in enumerate(zip(self.arows, self.tcols)):
+            pa, kslot = _dot(arow, pows[:n]), pows[n2 + j * n]
+            packed.append(pe[0] * pa + _dot(tcol, pows[2 * n2 :]))
+            packed += [pe[m] * pa + pk[m] * kslot for m in range(1, n)]
+        return packed
 
 
 class _ReconTables:
@@ -357,40 +406,32 @@ class _ReconTables:
     adj^T (0, t) when db != 1.  The coefficient of z_c = row j, L0
     coordinate m, is E[r][m] A[j][k] in num slot (r, k), E[r][m] (m > 0)
     in the kernel slot r of row j, and for m = 0 < j pair[r][j] and
-    adj[j][r] in the last slots.  The map is packed at build time with a
-    64-bit floor, so that the slots of almost every tuple decode with one
-    struct call.  The candidates it builds share one _row_memo.
+    adj[j][r] in the last slots; _KroneckerMap packs these columns from
+    E, A and the t-slot columns without writing them out.  The map is
+    packed at build time with a 64-bit floor, so that the slots of almost
+    every tuple decode with one struct call.  The candidates it builds
+    share one _row_memo.
     """
 
     __slots__ = ("n", "db", "dp", "pair", "den", "map", "unpack", "memo")
 
     def __init__(self, problem: IsometryProblem):
-        self.n = n = problem.dim
+        self.n = problem.dim
         nint, gram = problem.wnorm, problem._gram
         self.db, adj = problem._pinv
         self.dp, self.pair = _cleared_inverse([[_dot(v, row) for row in gram] for v in (problem._w, *problem._probes)])
         self.den = nint * nint * self.db
-        betas = [_bilinear(gram, z0, problem._w) for z0 in problem._probes]
+        betas = [_dot(z0, problem._bw) for z0 in problem._probes]
         arows = (
             tuple(nint * a + _dot(betas, col[1:]) for a, col in zip(adj[0], zip(*adj))),
             *adj[1:],
         )
-        ecols = tuple(zip(*problem._l0_basis))
         # The t-slots pair (0, t), then adj^T (0, t) when db != 1: tcols[j]
         # holds the coefficients of t_j = z_(jn) for j > 0, and tcols[0],
         # zero, those of s = z_0 and of every kernel coordinate.
         tmat = (*self.pair, *zip(*adj)) if self.db != 1 else self.pair
         tcols = [(0,) * len(tmat), *list(zip(*tmat))[1:]]
-        zeros = (0,) * n
-        columns = []
-        for j, arow in enumerate(arows):
-            for m, e in enumerate(ecols):
-                kernel = [zeros] * n
-                if m:
-                    kernel[j] = e
-                num = [x * a for x in e for a in arow]
-                columns.append((*num, *chain.from_iterable(kernel), *tcols[0 if m else j]))
-        self.map = _SlotMap(columns, 64)
+        self.map = _KroneckerMap(tuple(zip(*problem._l0_basis)), arows, tcols, 64)
         self.unpack = Struct(f"<{self.map.nslots}q").unpack
         self.memo = _row_memo()
 
@@ -596,9 +637,16 @@ def _dot(x: tuple[int, ...], y: tuple[int, ...]) -> int:
     return sum(map(mul, x, y))
 
 
-def _bilinear(gram, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    """u^T gram v for integer rows gram and integer vectors u, v."""
-    return _dot(u, [_dot(row, v) for row in gram])
+def _gram_matrix(gram, vectors, scale: int = 1) -> tuple[tuple[int, ...], ...]:
+    """scale u^T gram v for every two of the integer vectors, under a
+    symmetric integer gram: gram v is formed once per vector, and each
+    entry on or above the diagonal once, then mirrored."""
+    images = [[_dot(row, v) for row in gram] for v in vectors]
+    rows = [[0] * len(vectors) for _ in vectors]
+    for i, u in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            rows[i][j] = rows[j][i] = scale * _dot(u, images[j])
+    return tuple(map(tuple, rows))
 
 
 def solve_eq1(problem: IsometryProblem) -> tuple[tuple[int, ...], ...]:
@@ -622,7 +670,7 @@ def solve_eq3_per_z0(problem: IsometryProblem, z0: Vec | tuple[int, ...]) -> tup
         raise DimensionMismatch("vector dimension does not match form")
     form = problem.l0_form
     zh = problem._zhat(z0)
-    r = problem.wnorm**2 * _bilinear(problem._tgram, zh, zh)
+    r = problem.wnorm**2 * _dot(zh, [_dot(row, zh) for row in problem._tgram])
     return vectors_of_norm(form, r) if r >= 0 else ()
 
 
@@ -1133,9 +1181,9 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     constant and squares alone must equal the recorded one; either way
     every detail field but the kind must be an int (not bool or float);
     NoIntegralIsometry re-verifies the recorded candidates
-    (in integers, each distinct entry parsed once), that none is
-    integral, and then re-derives the verdict from B and B' alone:
-    det B = det B' and the oracle search (_isometry_blocks) finds no
+    (in integers, each distinct entry parsed once; one that does not
+    parse rejects), that none is integral, and then re-derives the
+    verdict from B and B' alone: det B = det B' and the oracle search (_isometry_blocks) finds no
     integral M, stopping at the first block holding one; a SuperlatError
     from it (B not positive definite) rejects.  Only this decides a verdict.
     """
@@ -1148,7 +1196,11 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
         num = cert.witness.num
         return cert.witness.den == 1 and problem.pulls_back(num, 1) and abs(_det(num)) == 1
     if verdict == "NoIntegralIsometry":
-        dens = isometry_denominators(problem, cert.detail.get("candidates", []))
+        try:
+            dens = isometry_denominators(problem, cert.detail.get("candidates", []))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            # A listed entry or row that does not parse.
+            return False
         if not (all(den not in (None, 1) for den in dens) and problem.det_mismatch is False):
             return False
         try:

@@ -5,7 +5,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 from pathlib import Path
 
@@ -521,3 +521,62 @@ def test_two_squares_decides_a_24_digit_prime_within_a_second():
         assert verify_certificate(cert, None)
         assert time.perf_counter() - start < 1.0
 
+
+
+def _primes_3_mod_4(lo: int, hi: int, count: int, rng: random.Random) -> list[int]:
+    """count distinct primes p = 3 (mod 4) drawn from [lo, hi)."""
+    found: set[int] = set()
+    while len(found) < count:
+        p = rng.randrange(lo, hi) | 3
+        if p < hi and all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            found.add(p)
+    return sorted(found)
+
+
+def test_two_squares_agrees_with_trial_division_on_a_seeded_sample():
+    # Random(2341): draws below 10^6, then products of two primes = 3
+    # (mod 4) on both sides of the trial-division limit, which only
+    # Pollard-Brent can split, alone and times the square or cube of one
+    # of them or a prime = 1 (mod 4), so that the split leaves parts
+    # sharing a factor for the coprime base to refine.
+    rng = random.Random(2341)
+    draws = [rng.randrange(1, 10**6) for _ in range(4000)]
+    small, large = _primes_3_mod_4(3, 1000, 4, rng), _primes_3_mod_4(1000, 60000, 8, rng)
+    pairs = [(p, q) for p in small + large for q in large if p < q]
+    draws += [p * q for p, q in pairs]
+    draws += [p * q * k for p, q in rng.sample(pairs, 12) for k in (p, p * p, 1013, 10009)]
+    assert sum(n < 10**6 for n in draws) == 4000
+    verdicts = [two_squares_representable(n) for n in draws]
+    assert verdicts == [trial_division_two_squares(n) for n in draws]
+    assert 500 < sum(verdicts) < len(draws) - 500
+
+
+@pytest.mark.parametrize(
+    "n, verdict",
+    [
+        # The bound of the strong test, 1287836182261 * 2575672364521, both
+        # = 1 (mod 4): Hermite-Serret writes it as a sum of two squares.
+        (3317044064679887385961981, "Inconclusive"),
+        # 2^89 - 1 = 3 (mod 4): no factoring needed.
+        (618970019642690137449562111, "ObstructionTwoSquares"),
+        (10000000000000000000000013, "Inconclusive"),
+    ],
+)
+def test_two_squares_decides_large_constants_within_a_second(n, verdict):
+    start = time.perf_counter()
+    cert = squares_certificate(n, 2)
+    assert cert.verdict == verdict and verify_certificate(cert, None)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_coprime_base_keeps_the_product():
+    rng = random.Random(7)
+    for _ in range(200):
+        pairs = [(rng.choice((1, 2, 3, 6, 9, 10, 15, 35, 49, 77)) * rng.randint(1, 30), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        base = diophantine._coprime_base(pairs)
+        product = 1
+        for f, e in base:
+            assert f > 1 and e > 0
+            product *= f**e
+        assert product == prod(f**e for f, e in pairs)
+        assert all(gcd(f, g) == 1 for i, (f, _) in enumerate(base) for g, _ in base[i + 1 :])

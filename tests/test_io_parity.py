@@ -28,7 +28,7 @@ from superlat.isometry import (
 )
 from superlat.errors import ParseError
 from superlat.linalg import Mat, Vec, parse_entry, parse_fraction
-from superlat.problem_io import _entry, _integer, certificate_payload, document_json, result_document, verify_document
+from superlat.problem_io import _entry, _integer, certificate_payload, document_json, load_problem, result_document, verify_document
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -636,3 +636,16 @@ def test_verify_rejects_a_no_integral_isometry_verdict_on_an_indefinite_form(tmp
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert (cli.main(["verify", str(path)]), capsys.readouterr().out) == (1, "verification FAILED\n")
+
+
+@pytest.mark.parametrize("broken", [["x", "0", "0", "0"], ["1/0", "0", "0", "0"], ["nan", "0", "0", "0"], "0 0 0 0", [["1"], "0", "0", "0"]])
+def test_verify_certificate_rejects_an_unparsable_listed_entry(broken, quaternary_doc):
+    # verify_certificate is public: a NoIntegralIsometry certificate whose
+    # list holds an entry or row that does not parse is false, and the
+    # check returns False instead of raising, as verify_document does.
+    pf = load_problem(str(PROBLEMS / "quaternary_pair.txt"))
+    problem = IsometryProblem(GramForm(pf.gram), GramForm(pf.target), pf.w)
+    detail = copy.deepcopy(quaternary_doc["certificate"]["detail"])
+    assert verify_certificate(Certificate("NoIntegralIsometry", detail=detail), problem) is True
+    detail["candidates"].insert(0, [broken] * 4)
+    assert verify_certificate(Certificate("NoIntegralIsometry", detail=detail), problem) is False

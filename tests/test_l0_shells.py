@@ -218,3 +218,26 @@ def test_indefinite_source_is_unsupported(tmp_path, capsys, source, bprime, w):
     for z0 in problem.probes:
         with pytest.raises(NotPositiveDefinite, match="^search requires positive definite B$"):
             solve_eq3_per_z0(problem, z0)
+
+
+def test_equal_norms_share_one_shell_per_form():
+    # Wilson's eq3 targets are 10, 10, 10 and its B' diagonal 5, 10, 10,
+    # 10: the form that owns the shells enumerates each norm once, so
+    # equal norms return one tuple.  Another problem's form starts cold.
+    pf = load_problem(str(PROBLEMS / "wilson.txt"))
+
+    def make():
+        return IsometryProblem(GramForm(pf.gram), GramForm(pf.target), pf.w)
+
+    problem = make()
+    assert [problem.pair_targets[i][i] for i in range(1, 4)] == [10, 10, 10]
+    shells = [solve_eq3_per_z0(problem, z0) for z0 in problem._probes]
+    assert shells[0] is shells[1] is shells[2] and len(shells[0]) == 144
+    assert problem.l0_form.shells == {10: shells[0]}
+    assert solve_eq1(problem) is problem.l0_form.shells[problem.eq1_target]
+    other = solve_eq3_per_z0(make(), problem._probes[0])
+    assert other == shells[0] and other is not shells[0]
+    assert [problem._tgram[j][j] for j in range(4)] == [5, 10, 10, 10]
+    columns = isometry._isometry_blocks(problem._gram, problem._tgram)[0]
+    assert columns[1] is columns[2] is columns[3] and columns[0] is not columns[1]
+    assert isometry._isometry_blocks(problem._gram, problem._tgram)[0][1] is not columns[1]

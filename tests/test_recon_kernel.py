@@ -9,7 +9,9 @@ Fractions), on every assembled tuple of the example problems, Wilson at
 test_sign_halving; and every slot of the map must equal its formula.
 Rows whose outputs lie at the 64-bit edge or near 2^70 take the wide
 decode path and must agree too, and a numerator changed in any one slot
-must fail the exact check that still runs.
+must fail the exact check that still runs.  The map is packed from E, A
+and the t-slot columns as Kronecker products; on seeded problems of
+n = 1 ... 6 it must equal those columns packed one coefficient at a time.
 """
 
 from __future__ import annotations
@@ -23,12 +25,23 @@ from pathlib import Path
 
 import pytest
 
-from helpers import WILSON, _ambient, _reference_recon_tables, leibniz_det, reference_joint_tuples, reference_reconstruct
+from helpers import (
+    WILSON,
+    _ambient,
+    _reference_recon_tables,
+    leibniz_det,
+    rand_pd_gram,
+    rand_sym_nondegenerate,
+    reference_joint_tuples,
+    reference_reconstruct,
+)
 from superlat.forms import GramForm
 from superlat.isometry import (
     CandidateIsometry,
     IsometryProblem,
     _dot,
+    _ReconTables,
+    _SlotMap,
     reconstruct,
 )
 from superlat.linalg import Mat, Vec, _cleared_inverse
@@ -219,3 +232,58 @@ def test_perturbed_numerator_is_rejected():
                 packed[c] = saved
             checked += 1
     assert checked == 384 * 16
+
+
+def _seeded_problem(n: int, probes: str, rng: random.Random) -> IsometryProblem:
+    """A problem on a random positive definite B and a random
+    nondegenerate B' of dimension n, with the default probes or with
+    random ones that make P = (w | z0_1 ...) non-unimodular (db != 1);
+    for n = 1, P = (w) with |w| > 1."""
+    while True:
+        gram = rand_pd_gram(rng, n, bound=2)
+        w = [rng.randint(-3, 3) for _ in range(n)]
+        if n == 1 and probes != "default":
+            w = [rng.choice((-3, -2, 2, 3))]
+        if not any(w):
+            continue
+        chosen = None
+        if probes != "default":
+            chosen = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n - 1)]
+            if abs(leibniz_det([w, *chosen])) < 2:
+                continue
+        problem = IsometryProblem(GramForm(gram), GramForm(rand_sym_nondegenerate(rng, n, 3)), Vec(w), chosen)
+        if probes == "default" or problem._recon_tables.db != 1:
+            return problem
+
+
+@pytest.mark.parametrize("probes", ["default", "non-unimodular"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kronecker_map_equals_the_plain_products(n, probes):
+    # For random integer z the packed map gives the plain E Z A, kernel
+    # and t-values of _expected_outputs, built from
+    # helpers._reference_recon_tables.  Its columns are those values at
+    # the unit vectors z = e_c, and packed from them one coefficient at a
+    # time they give the same big integers, colmax and width.  One z near
+    # 2^70 then forces the map past 64-bit slots, and the repacked map
+    # still agrees.
+    rng = random.Random(41 * n + len(probes))
+    problem = _seeded_problem(n, probes, rng)
+    tab = _ReconTables(problem)
+    assert tab.db != 1 or probes == "default"
+    n2 = n * n
+    columns = [_expected_outputs(problem, tuple(int(i == c) for i in range(n2))) for c in range(n2)]
+    plain = _SlotMap(columns, 64)
+    assert (tab.map.nslots, tab.map.colmax, tab.map.width) == (plain.nslots, plain.colmax, 64)
+    assert tab.map.packed == plain.packed
+    for bound in (1, 9, 1000):
+        for _ in range(30):
+            z = tuple(rng.randint(-bound, bound) for _ in range(n2))
+            assert tab.outputs(z) == _expected_outputs(problem, z)
+    assert tab.map.width == 64
+    big = tuple(rng.choice((1, -1)) * (2**70 + rng.randint(0, 99)) for _ in range(n2))
+    assert tab.outputs(big) == _expected_outputs(problem, big)
+    assert tab.map.width > 64
+    plain._pack(tab.map.width)
+    assert tab.map.packed == plain.packed
+    z = tuple(rng.randint(-9, 9) for _ in range(n2))
+    assert tab.outputs(z) == _expected_outputs(problem, z)
