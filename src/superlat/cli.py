@@ -29,7 +29,7 @@ import time
 from .errors import NotPositiveDefinite, ParseError, SuperlatError
 from .forms import GramForm, gram_rows
 from .grading import GradedContext, even_basis, full_decomposition, odd_basis
-from .isometry import IsometryProblem, _integer_grams, family_obstruction, find_isometries, squares_certificate
+from .isometry import IsometryProblem, _integer_grams, find_isometries, obstruction_certificate
 # The integer core, under the name that perfbench/spans.py traces.
 from .isometry import _isometries as brute_force_isometries
 from .linalg import Mat, Vec
@@ -182,16 +182,14 @@ def cmd_obstruct(args) -> int:
             if any(params[key] is not None for key in ("alpha", "beta", "gamma")):
                 raise ParseError("give all of --alpha, --beta, --gamma or none")
             params = {"m": args.m}
-        kind = {"rank2": "two_squares_rank2", "rank3": "three_squares_rank3"}[args.family]
-        cert = family_obstruction(kind, **params)
         params = {"family": args.family, **params}
     elif args.N is not None:
         if args.squares is None:
             raise ParseError("--N requires --squares 2|3")
-        cert = squares_certificate(args.N, args.squares)
         params = {"N": args.N, "squares": args.squares}
     else:
         raise ParseError("give either --family ... or --N ... --squares ...")
+    cert = obstruction_certificate(params)
 
     print(f"certificate: {cert.verdict}")
     for key in sorted(cert.detail):

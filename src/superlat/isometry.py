@@ -102,10 +102,9 @@ class IsometryProblem:
     and the probes read as integer rows once (P = (w | z0_1 ...) through
     its determinant alone), and derives from them B w and N = B(w,w).
     The kernel sublattice K = Z^n cap {w}^perp with its integer Gram rows
-    kernel_gram (no rows when n = 1), the integer constants of the three
-    equations, as one matrix pair_targets, and the cleared inverse of P
-    (_pinv) are built when first read: verifying a witness needs none of
-    them.
+    kernel_gram (no rows when n = 1) and the integer constants of the
+    three equations, as one matrix pair_targets, are built when first
+    read: verifying a witness needs none of them.
     """
 
     def __init__(self, source: GramForm, target: GramForm, w: Vec | tuple[int, ...], probes: list | None = None):
@@ -146,12 +145,6 @@ class IsometryProblem:
     @cached_property
     def probes(self) -> list[Vec]:
         return list(map(Vec, self._probes))
-
-    @cached_property
-    def _pinv(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(db, db P^-1) for P = (w | z0_1 ...), which reconstruct maps
-        through."""
-        return _cleared_inverse(tuple(zip(self._w, *self._probes)))
 
     @property
     def det_mismatch(self) -> bool:
@@ -305,20 +298,18 @@ class _SlotMap:
     Output k is at most sum_c |z_c| colmax[c] in absolute value, colmax[c]
     the largest |coefficient| of z_c, so total first repacks the columns
     when that bound reaches 2^(W-1), at the smallest multiple of 8 above
-    it; the width only grows.  The columns are packed at once when a
-    floor width is given, and by the first total call otherwise: by
-    _columns, which a subclass may compute from a structure of its own.
+    it; the width only grows.  The first total call packs the columns,
+    through _columns, which a subclass may compute from a structure of
+    its own.
     """
 
     __slots__ = ("columns", "colmax", "nslots", "width", "off", "packed")
 
-    def __init__(self, columns, floor: int = 0):
+    def __init__(self, columns):
         self.columns = columns
         self.colmax = [max(map(abs, col), default=0) for col in columns]
         self.nslots = len(columns[0])
         self.width = 0
-        if floor:
-            self._pack(floor)
 
     def _pack(self, width: int) -> None:
         """(Re)pack the columns in slots of at least width bits that also
@@ -390,7 +381,7 @@ class _ReconTables:
     tuple z = e1 || pick_1 || ... (n^2 integers).
 
     With P = (w | z0_1 ...), db the lcm of the denominators of P^-1 and
-    adj = db P^-1 (IsometryProblem._pinv), a candidate is
+    adj = db P^-1, a candidate is
     M = num / den for den = N^2 db and num = E Z A: E = (w | kernel
     basis), Z has the columns e1, pick_1, ..., and A has the rows
     N adj_0 + sum_i beta_i adj_i, adj_1, ... for beta_i = B(z0_i, w)
@@ -418,7 +409,7 @@ class _ReconTables:
     def __init__(self, problem: IsometryProblem):
         self.n = problem.dim
         nint, gram = problem.wnorm, problem._gram
-        self.db, adj = problem._pinv
+        self.db, adj = _cleared_inverse(tuple(zip(problem._w, *problem._probes)))
         self.dp, self.pair = _cleared_inverse([[_dot(v, row) for row in gram] for v in (problem._w, *problem._probes)])
         self.den = nint * nint * self.db
         betas = [_dot(z0, problem._bw) for z0 in problem._probes]
@@ -639,14 +630,9 @@ def _dot(x: tuple[int, ...], y: tuple[int, ...]) -> int:
 
 def _gram_matrix(gram, vectors, scale: int = 1) -> tuple[tuple[int, ...], ...]:
     """scale u^T gram v for every two of the integer vectors, under a
-    symmetric integer gram: gram v is formed once per vector, and each
-    entry on or above the diagonal once, then mirrored."""
+    symmetric integer gram, with gram v formed once per vector."""
     images = [[_dot(row, v) for row in gram] for v in vectors]
-    rows = [[0] * len(vectors) for _ in vectors]
-    for i, u in enumerate(vectors):
-        for j in range(i, len(vectors)):
-            rows[i][j] = rows[j][i] = scale * _dot(u, images[j])
-    return tuple(map(tuple, rows))
+    return tuple([tuple([scale * _dot(u, image) for image in images]) for u in vectors])
 
 
 def solve_eq1(problem: IsometryProblem) -> tuple[tuple[int, ...], ...]:
@@ -739,8 +725,6 @@ def _survivors(table: _Eq2Table, g) -> list[list[tuple[int, ...]]]:
     order, as the row tuples of the shell.
     """
     shells, offsets = table.shells, table.offsets
-    if not offsets[-1]:
-        return [[] for _ in shells]
     total = table.map.total((*g, 1))
     width = table.map.width
     nbytes, half = width // 8, 1 << (width - 1)
@@ -932,25 +916,10 @@ def find_isometries(
     yields an integral witness (stats are then partial).
     """
     if problem.det_mismatch:
-        cert = Certificate(
-            "ObstructionDeterminant",
-            detail={
-                "det_source": str(problem.source._det),
-                "det_target": str(problem.target._det),
-            },
-        )
-        return SearchResult([], cert, SearchStats())
+        return SearchResult([], _determinant_obstruction(problem), SearchStats())
     e1s = solve_eq1(problem)
     if not e1s:
-        cert = Certificate(
-            "ObstructionEq1",
-            detail={
-                "norm": problem.wnorm,
-                "target": problem.eq1_target,
-                "kernel_gram": [list(row) for row in problem.kernel_gram],
-            },
-        )
-        return SearchResult([], cert, SearchStats())
+        return SearchResult([], _eq1_obstruction(problem), SearchStats())
     per_probe = [solve_eq3_per_z0(problem, z0) for z0 in problem._probes]
     shells = (e1s, *per_probe)
     order = _size_order(shells) if all_solutions else range(len(shells))
@@ -1012,6 +981,22 @@ def find_isometries(
     if integral_only:
         candidates = [c for c in candidates if c.integral]
     return SearchResult(candidates, cert, stats)
+
+
+def _determinant_obstruction(problem: IsometryProblem) -> Certificate:
+    """The ObstructionDeterminant certificate of a problem, with the
+    integer determinants of B and B' as texts."""
+    detail = {"det_source": str(problem.source._det), "det_target": str(problem.target._det)}
+    return Certificate("ObstructionDeterminant", detail=detail)
+
+
+def _eq1_obstruction(problem: IsometryProblem) -> Certificate:
+    """The ObstructionEq1 certificate of a problem: N, the eq1 target
+    N^2 B'(w,w) and the Gram rows G_K of K, so that diag(N, G_K) is the
+    form with no vector of that norm."""
+    kernel = [list(row) for row in problem.kernel_gram]
+    detail = {"norm": problem.wnorm, "target": problem.eq1_target, "kernel_gram": kernel}
+    return Certificate("ObstructionEq1", detail=detail)
 
 
 def family_obstruction(kind: str, **params) -> Certificate:
@@ -1079,6 +1064,16 @@ def squares_certificate(constant: int, squares: int) -> Certificate:
     """
     verdict = squares_verdict(constant, squares)
     return Certificate(verdict, detail={"constant": constant, "squares": squares})
+
+
+def obstruction_certificate(params: dict) -> Certificate:
+    """The certificate of obstruct's parameters: {"family": "rank2" or
+    "rank3", "m", ...} through family_obstruction, {"N", "squares"}
+    through squares_certificate.  An unknown family raises KeyError."""
+    if "family" in params:
+        kind = {"rank2": "two_squares_rank2", "rank3": "three_squares_rank3"}[params["family"]]
+        return family_obstruction(kind, **{k: v for k, v in params.items() if k != "family"})
+    return squares_certificate(params["N"], params["squares"])
 
 
 def rank2_family_forms(
@@ -1172,15 +1167,21 @@ _FAMILY_DERIVED = ("kind", "constant", "reduced", "squares")
 def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bool:
     """Re-check a certificate against its problem without re-searching.
 
-    A witness must be integral, pull B' back (num^T B num = B', in
-    integers) and be unimodular, |det M| = 1 (from _det);
-    ObstructionEq1 re-runs only the eq1 enumeration; a squares obstruction or Inconclusive whose detail names
-    a family `kind` holds only when family_obstruction, run on the
-    detail's integer parameters, gives the same verdict and the same
-    detail; without a kind, the verdict re-derived from the stated
-    constant and squares alone must equal the recorded one; either way
-    every detail field but the kind must be an int (not bool or float);
-    NoIntegralIsometry re-verifies the recorded candidates
+    A squares verdict states a fact about its own detail, so it is
+    checked with no problem (None) and fails with one; every other
+    verdict needs its problem.  A witness must be integral, pull B' back
+    (num^T B num = B', in integers) and be unimodular, |det M| = 1 (from
+    _det).  A verdict
+    that needs no search holds only when its certificate, rebuilt, equals
+    the given one (verdict, witness and detail): ObstructionDeterminant
+    needs det B != det B' and is rebuilt by _determinant_obstruction;
+    ObstructionEq1 needs det B = det B', re-runs only the eq1 enumeration
+    and is rebuilt by _eq1_obstruction; a squares obstruction or
+    Inconclusive is rebuilt by family_obstruction, run on the detail's
+    integer parameters, when its detail names a family `kind`, and by
+    squares_certificate on the stated constant and squares otherwise;
+    either way every detail field but the kind must be an int (not bool
+    or float).  NoIntegralIsometry re-verifies the recorded candidates
     (in integers, each distinct entry parsed once; one that does not
     parse rejects), that none is integral, and then re-derives the
     verdict from B and B' alone: det B = det B' and the oracle search (_isometry_blocks) finds no
@@ -1188,7 +1189,7 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     from it (B not positive definite) rejects.  Only this decides a verdict.
     """
     verdict = cert.verdict
-    if problem is None and verdict in ("IsometricWitness", "NoIntegralIsometry", "ObstructionEq1", "ObstructionDeterminant"):
+    if (problem is None) == (verdict in ("IsometricWitness", "NoIntegralIsometry", "ObstructionEq1", "ObstructionDeterminant")):
         return False
     if verdict == "IsometricWitness":
         if cert.witness is None:
@@ -1208,23 +1209,18 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
         except SuperlatError:
             return False
     if verdict == "ObstructionEq1":
-        return problem.det_mismatch is False and not solve_eq1(problem)
+        return problem.det_mismatch is False and not solve_eq1(problem) and cert == _eq1_obstruction(problem)
     if verdict == "ObstructionDeterminant":
-        return problem.det_mismatch
+        return problem.det_mismatch and cert == _determinant_obstruction(problem)
     if verdict in ("ObstructionTwoSquares", "ObstructionThreeSquares", "Inconclusive"):
         # 3.0 == 3 and True == 1, so only the type rejects such a field.
         if not all(type(v) is int for k, v in cert.detail.items() if k != "kind"):
             return False
-        if "kind" in cert.detail:
-            params = {k: v for k, v in cert.detail.items() if k not in _FAMILY_DERIVED}
-            try:
-                rebuilt = family_obstruction(cert.detail["kind"], **params)
-            except (BadFamilyParams, KeyError):
-                return False
-            return rebuilt.verdict == verdict and rebuilt.detail == cert.detail
-        constant = cert.detail.get("constant")
-        squares = cert.detail.get("squares")
-        if constant is None or squares not in (2, 3):
+        try:
+            if "kind" in cert.detail:
+                params = {k: v for k, v in cert.detail.items() if k not in _FAMILY_DERIVED}
+                return cert == family_obstruction(cert.detail["kind"], **params)
+            return cert == squares_certificate(cert.detail["constant"], cert.detail["squares"])
+        except (BadFamilyParams, KeyError):
             return False
-        return verdict == squares_verdict(constant, squares)
     return False

@@ -51,6 +51,7 @@ from .isometry import (
     _Memo,
     _row_texts,
     isometry_denominators,
+    obstruction_certificate,
 )
 from .linalg import Mat, Vec, _cleared_pairs, parse_entry
 
@@ -417,9 +418,11 @@ def load_document(path: str) -> dict:
 def verify_document(doc: dict) -> bool:
     """Re-check a result document from its own contents alone.
 
-    The echoed inputs rebuild the problem (_problem_from_inputs; inputs.n
-    must be the JSON int n, the dimension of B, and every matrix row a
-    JSON array), and each top-level candidate is re-multiplied
+    An obstruct document (no inputs) must hold the certificate that its
+    params, JSON ints but the family, rebuild (obstruction_certificate).
+    Otherwise the echoed inputs rebuild the problem (_problem_from_inputs;
+    inputs.n must be the JSON int n, the dimension of B, and every matrix
+    row a JSON array), and each top-level candidate is re-multiplied
     (isometry_denominators) with a matching integral flag.  When a
     NoIntegralIsometry certificate lists exactly the top-level matrices,
     verify_certificate re-multiplies that list, so here every flag need
@@ -437,7 +440,9 @@ def verify_document(doc: dict) -> bool:
 
         inputs = doc.get("inputs")
         if not (inputs and "B" in inputs and "Bprime" in inputs and "w" in inputs):
-            return verify_certificate(cert, None)
+            params = _typed(doc["params"], dict)
+            ints = all(type(v) is int for k, v in params.items() if k != "family")
+            return ints and cert == obstruction_certificate(params) and verify_certificate(cert, None)
         problem = _problem_from_inputs(inputs)
         entries = doc.get("candidates", [])
         matrices = [entry["matrix"] for entry in entries]

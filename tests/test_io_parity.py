@@ -23,6 +23,7 @@ from superlat.isometry import (
     IsometryProblem,
     SearchResult,
     SearchStats,
+    family_obstruction,
     find_isometries,
     verify_certificate,
 )
@@ -649,3 +650,71 @@ def test_verify_certificate_rejects_an_unparsable_listed_entry(broken, quaternar
     assert verify_certificate(Certificate("NoIntegralIsometry", detail=detail), problem) is True
     detail["candidates"].insert(0, [broken] * 4)
     assert verify_certificate(Certificate("NoIntegralIsometry", detail=detail), problem) is False
+
+
+# B = I2 against B' = diag(2, 1) at the anchor (1, 0).
+DETERMINANT_PROBLEM = "n 2\nB\n1 0\n0 1\nBprime\n2 0\n0 1\nw 1 0\n"
+
+# The command lines of the search-free documents, each run with --json,
+# and the verdict each writes; None stands for the determinant problem's
+# file.
+SEARCH_FREE = {
+    "determinant": (["factorize", None], "ObstructionDeterminant"),
+    "binary_pair": (["factorize", str(PROBLEMS / "binary_pair.txt")], "ObstructionEq1"),
+    "rank3": (["obstruct", "--family", "rank3", "--m", "3"], "ObstructionThreeSquares"),
+    "squares": (["obstruct", "--N", "7", "--squares", "3"], "ObstructionThreeSquares"),
+}
+
+
+@pytest.mark.parametrize(
+    "source, edit",
+    [
+        ("determinant", _put(("certificate", "detail", "det_source"), "5")),
+        ("determinant", _put(("certificate", "detail"), {})),
+        ("determinant", _put(("inputs", "Bprime", 0, 0), "3")),
+        ("binary_pair", _put(("certificate", "detail", "norm"), 99)),
+        ("binary_pair", _put(("certificate", "detail", "target"), -5)),
+        ("binary_pair", _put(("certificate", "detail", "kernel_gram"), [[1000]])),
+        ("binary_pair", _put(("certificate", "detail"), {})),
+        ("binary_pair", _put(("certificate", "witness"), {"matrix": [["7", "0"], ["0", "7"]], "integral": True,
+                                                          "provenance": []})),
+        ("rank3", _put(("params", "m"), 4)),
+        ("rank3", _put(("params", "family"), "rank2")),
+        ("squares", _put(("params", "N"), 8)),
+        ("squares", _put(("params", "squares"), 2)),
+    ],
+    ids=["det_source-5", "determinant-empty-detail", "Bprime00-3", "norm-99", "target--5", "kernel_gram-1000",
+         "eq1-empty-detail", "eq1-witness-7I", "params-m-4", "params-family-rank2", "params-N-8", "params-squares-2"],
+)
+def test_verify_rebuilds_a_search_free_certificate(source, edit, tmp_path, capsys):
+    # Each of these documents needs no search: verify rebuilds its whole
+    # certificate, from the inputs or from obstruct's params, and compares.
+    # A changed detail, a stray witness or params that no longer give the
+    # certificate each fail, although the verdict itself still holds.
+    problem = tmp_path / "det.txt"
+    problem.write_text(DETERMINANT_PROBLEM, encoding="utf-8")
+    argv, verdict = SEARCH_FREE[source]
+    path = tmp_path / "doc.json"
+    cli.main([str(problem) if arg is None else arg for arg in argv] + ["--json", str(path)])
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert verify_document(doc) and doc["certificate"]["verdict"] == verdict
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert (verify_document(doc), cli.main(["verify", str(path)])) == (False, 1)
+    assert capsys.readouterr().out == "verification FAILED\n"
+
+
+@pytest.mark.parametrize("which", ["wilson", "quaternary"])
+def test_verify_rejects_a_squares_certificate_in_a_factorize_document(which, wilson_doc, quaternary_doc, tmp_path, capsys):
+    # A squares certificate states a fact about its own parameters, not
+    # about the document's B and B': in a factorize document it would
+    # claim an obstruction of the pair, and it fails.
+    doc = copy.deepcopy(wilson_doc if which == "wilson" else quaternary_doc)
+    cert = family_obstruction("three_squares_rank3", m=3)
+    assert verify_certificate(cert, None)
+    doc["candidates"], doc["certificate"] = [], certificate_payload(cert)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert (verify_document(doc), cli.main(["verify", str(path)])) == (False, 1)
+    assert capsys.readouterr().out == "verification FAILED\n"
