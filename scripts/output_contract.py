@@ -12,7 +12,12 @@ process, through ``superlat.cli.main``:
 * ``verify`` on each of the three documents,
 * ``oracle FILE`` and ``oracle FILE --bound 1``.
 
-It also runs ``obstruct ... --json DOC`` on a few parameter sets of the
+For every example problem and Wilson's matrix anchored at (1,1,1,1) it
+also runs ``grade-basis FILE``, ``decompose FILE`` (identity map) and
+``decompose FILE --phi PHI`` with a fixed n x n rational matrix PHI
+written to the temporary directory.
+
+It runs ``obstruct ... --json DOC`` on a few parameter sets of the
 rank-2 and rank-3 families (the rank-3 family with default and explicit
 alpha, beta, gamma) and on single constants with ``--squares 2`` and
 ``--squares 3``, and ``verify DOC`` on every document written.
@@ -54,6 +59,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 
 from superlat.cli import main as superlat_main  # noqa: E402
+from superlat.problem_io import load_problem  # noqa: E402
 
 # Problems per workload, as the benchmark draws them (perfbench/run.py).
 WORKLOAD_COUNTS = {"wilson": 7, "pullback": 5, "neighbour": 10}
@@ -95,10 +101,22 @@ def _document(path: Path) -> str | None:
     return _sha(text[: text.find('"timing"')])
 
 
-def _cases(tmp: Path) -> list[tuple[str, list[str]]]:
-    """(case name, factorize arguments after the file name's position)."""
+def _phi_text(n: int) -> str:
+    """A fixed n x n matrix of rationals of both signs, as a --phi file holds it."""
+    rows = ([f"{(3 * i + j) % 5 - 2}/{1 + (i + j) % 3}" for j in range(n)] for i in range(n))
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+def _example_cases() -> list[tuple[str, list[str]]]:
+    """(case name, arguments from the file name on) of the example problems."""
     cases = [(f"problems/{p.name}", [str(p)]) for p in sorted(PROBLEMS.glob("*.txt"))]
     cases.append(("problems/wilson.txt --w 1,1,1,1", [str(PROBLEMS / "wilson.txt"), "--w", "1,1,1,1"]))
+    return cases
+
+
+def _cases(tmp: Path) -> list[tuple[str, list[str]]]:
+    """(case name, factorize arguments from the file name on)."""
+    cases = _example_cases()
     for workload, count in WORKLOAD_COUNTS.items():
         for seed in PROBE_SEEDS:
             directory = tmp / f"{workload}-{seed}"
@@ -126,6 +144,12 @@ def contract() -> dict:
             for extra in ([], ["--bound", "1"]):
                 code, stdout = _run(["oracle", args[0], *extra], name)
                 out[" ".join([case, "oracle", *extra])] = {"exit": code, "stdout": _sha(stdout)}
+        for case, args in _example_cases():
+            phi = tmp / f"phi-{Path(args[0]).name}"
+            phi.write_text(_phi_text(load_problem(args[0]).n), encoding="utf-8")
+            for mode, extra in (("grade-basis", []), ("decompose", []), ("decompose --phi", ["--phi", str(phi)])):
+                code, stdout = _run([mode.split()[0], *args, *extra], name)
+                out[f"{case} {mode}"] = {"exit": code, "stdout": _sha(stdout)}
         for k, case in enumerate(OBSTRUCT_CASES):
             doc = tmp / f"obstruct{k}.json"
             code, stdout = _run(["obstruct", *case.split(), "--json", str(doc)], name)

@@ -1,14 +1,14 @@
 """The anchored Z/2-grading of End(V) induced by a form and a vector.
 
-Fixing a nondegenerate symmetric form B and an anchor w with B(w,w) != 0
-splits V as Kw + {w}^perp and End(V) into an even part (maps preserving
-the split, acting on the line by a scalar weight) and an odd part (maps
-exchanging the two summands).  The pieces multiply like a superalgebra:
-even*even and odd*odd land in even, mixed products in odd.
+Fixing a symmetric form B and an anchor w with B(w,w) != 0 splits V as
+Kw + {w}^perp and End(V) into an even part (maps preserving the split,
+acting on the line by a scalar weight) and an odd part (maps exchanging
+the two summands).  The pieces multiply like a superalgebra: even*even and
+odd*odd land in even, mixed products in odd.
 
-Everything here is constructive: membership tests quantify over a fixed
-basis of {w}^perp, and the four-term decomposition of an arbitrary map is
-read off from its action on w and its adjoint's action on w.
+Membership, the split and the four-term decomposition are all read off
+the rank-one projection P = outer(w,w)/B(w,w) onto Kw along {w}^perp: the
+odd part of phi is P phi + phi P - 2 P phi P.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, IsotropicAnchor, NotEven, ZeroVector
 from .forms import Endo, GramForm, adjoint, ortho_complement_basis, outer
-from .linalg import Vec
+from .linalg import Mat, Vec
 
 
 class GradedContext:
-    """A form B and anchor w with B(w,w) != 0, plus a fixed perp basis.
+    """A form B, an anchor w with B(w,w) != 0, the projection line onto Kw
+    along {w}^perp, and a fixed perp basis.
 
     Immutable after construction; all grading operations take the context
     as their first argument.
@@ -38,6 +39,7 @@ class GradedContext:
         self.wnorm: Fraction = form.norm(w)
         if self.wnorm == 0:
             raise IsotropicAnchor("anchor has B(w,w) = 0")
+        self.line: Endo = (1 / self.wnorm) * outer(form, w, w)
         self.perp_basis: list[Vec] = ortho_complement_basis(form, w)
 
     @property
@@ -46,33 +48,13 @@ class GradedContext:
 
 
 def is_even(ctx: GradedContext, phi: Endo) -> bool:
-    """Whether phi maps Kw to Kw and {w}^perp to {w}^perp.
-
-    Tested as B(u, phi w) = B(w, phi u) = 0 for every perp-basis u;
-    bilinearity extends the test to all of {w}^perp.
-    """
-    _check(ctx, phi)
-    b, w = ctx.form, ctx.w
-    phw = phi @ w
-    return all(
-        b.evaluate(u, phw) == 0 and b.evaluate(w, phi @ u) == 0
-        for u in ctx.perp_basis
-    )
+    """Whether phi maps Kw to Kw and {w}^perp to {w}^perp: its odd part is zero."""
+    return split(ctx, phi)[1] == Mat.zero(ctx.dim)
 
 
 def is_odd(ctx: GradedContext, phi: Endo) -> bool:
-    """Whether phi exchanges Kw and {w}^perp.
-
-    Tested as B(u, phi v) = 0 on all perp-basis pairs plus B(w, phi w) = 0.
-    """
-    _check(ctx, phi)
-    b, w = ctx.form, ctx.w
-    if b.evaluate(w, phi @ w) != 0:
-        return False
-    images = [phi @ v for v in ctx.perp_basis]
-    return all(
-        b.evaluate(u, img) == 0 for u in ctx.perp_basis for img in images
-    )
+    """Whether phi exchanges Kw and {w}^perp: its even part is zero."""
+    return split(ctx, phi)[0] == Mat.zero(ctx.dim)
 
 
 def even_basis(ctx: GradedContext) -> list[Endo]:
@@ -100,25 +82,17 @@ def weight(ctx: GradedContext, phi: Endo) -> Fraction:
     return ctx.form.evaluate(ctx.w, phi @ ctx.w) / ctx.wnorm
 
 
-def _odd_vectors(ctx: GradedContext, phi: Endo) -> tuple[Vec, Vec]:
-    """The unique (a, b) perp to w with odd part outer(w,a) + outer(b,w).
-
-    b is the perp component of phi(w)/B(w,w); a the perp component of
-    adjoint(phi)(w)/B(w,w).
-    """
-    b_form, w, n = ctx.form, ctx.w, ctx.wnorm
-    phw = phi @ w
-    bvec = (1 / n) * (phw - (b_form.evaluate(w, phw) / n) * w)
-    dgw = adjoint(b_form, phi) @ w
-    avec = (1 / n) * (dgw - (b_form.evaluate(w, dgw) / n) * w)
-    return avec, bvec
-
-
 def split(ctx: GradedContext, phi: Endo) -> tuple[Endo, Endo]:
-    """Decompose phi = even + odd along the grading."""
+    """Decompose phi = even + odd along the grading.
+
+    With P = ctx.line, odd = P phi + phi P - 2 wt P, wt = B(w, phi w)/B(w,w),
+    since P phi P = wt P for the rank-one P.  Needs only B(w,w) != 0, so a
+    degenerate form splits too.
+    """
     _check(ctx, phi)
-    avec, bvec = _odd_vectors(ctx, phi)
-    odd = outer(ctx.form, ctx.w, avec) + outer(ctx.form, bvec, ctx.w)
+    p = ctx.line
+    wt = ctx.form.evaluate(ctx.w, phi @ ctx.w) / ctx.wnorm
+    odd = p @ phi + phi @ p - (2 * wt) * p
     return phi - odd, odd
 
 
@@ -144,14 +118,14 @@ class GradedDecomposition:
 
 
 def full_decomposition(ctx: GradedContext, phi: Endo) -> GradedDecomposition:
-    """Split phi into weight-zero even part, weight term and odd vectors."""
-    _check(ctx, phi)
-    avec, bvec = _odd_vectors(ctx, phi)
-    odd = outer(ctx.form, ctx.w, avec) + outer(ctx.form, bvec, ctx.w)
-    even = phi - odd
-    wt = weight(ctx, even)
-    phi0 = even - (wt / ctx.wnorm) * outer(ctx.form, ctx.w, ctx.w)
-    return GradedDecomposition(phi0, wt, avec, bvec)
+    """Split phi into weight-zero even part, weight term and odd vectors:
+    b = odd(w)/B(w,w), a = adjoint(odd)(w)/B(w,w).  a is unique only for a
+    nondegenerate B; on a degenerate one the adjoint raises SingularMatrix."""
+    even, odd = split(ctx, phi)
+    w, n = ctx.w, ctx.wnorm
+    wt = ctx.form.evaluate(w, even @ w) / n
+    a = (1 / n) * (adjoint(ctx.form, odd) @ w)
+    return GradedDecomposition(even - wt * ctx.line, wt, a, (1 / n) * (odd @ w))
 
 
 def conjugate_transport(

@@ -11,7 +11,7 @@ from operator import mul
 
 from superlat.diophantine import PosDefForm, _ldl, _scaled_ldl, vectors_of_norm
 from superlat.errors import NotPositiveDefinite
-from superlat.forms import GramForm
+from superlat.forms import GramForm, adjoint, outer
 from superlat.isometry import (
     Certificate,
     SearchResult,
@@ -308,6 +308,53 @@ def rand_anchor(rng: random.Random, gram: Mat, bound: int = 3) -> Vec:
         w = Vec([rng.randint(-bound, bound) for _ in range(n)])
         if not w.is_zero() and (gram @ w).dot(w) != 0:
             return w
+
+
+def rand_rational_form(rng: random.Random, n: int, definite: bool) -> GramForm:
+    """Random nondegenerate rational form P^T D P, P rational invertible and
+    D diagonal with positive entries, or, unless definite, with both signs
+    (so an indefinite form, for n >= 2)."""
+    signs = [1] * n if definite else [-1] + [rng.choice([-1, 1]) for _ in range(n - 2)] + [1]
+    d = Mat.diagonal([s * Fraction(rng.randint(1, 4), rng.randint(1, 3)) for s in signs])
+    p = rand_rational_invertible(rng, n)
+    return GramForm(p.transpose() @ d @ p)
+
+
+def reference_is_even(ctx, phi: Mat) -> bool:
+    """is_even on a nondegenerate form by pairings over the perp basis:
+    B(u, phi w) = B(w, phi u) = 0 for every u of ctx.perp_basis."""
+    b, w = ctx.form, ctx.w
+    phw = phi @ w
+    return all(b.evaluate(u, phw) == 0 and b.evaluate(w, phi @ u) == 0 for u in ctx.perp_basis)
+
+
+def reference_is_odd(ctx, phi: Mat) -> bool:
+    """is_odd on a nondegenerate form by pairings: B(w, phi w) = 0 and
+    B(u, phi v) = 0 for every pair u, v of ctx.perp_basis."""
+    b, w = ctx.form, ctx.w
+    if b.evaluate(w, phi @ w) != 0:
+        return False
+    images = [phi @ v for v in ctx.perp_basis]
+    return all(b.evaluate(u, img) == 0 for u in ctx.perp_basis for img in images)
+
+
+def reference_odd_vectors(ctx, phi: Mat) -> tuple[Vec, Vec]:
+    """The (a, b) perp to w with odd part outer(w,a) + outer(b,w) on a
+    nondegenerate form: b the perp component of phi(w)/B(w,w), a that of
+    adjoint(phi)(w)/B(w,w)."""
+    b_form, w, n = ctx.form, ctx.w, ctx.wnorm
+    phw = phi @ w
+    bvec = (1 / n) * (phw - (b_form.evaluate(w, phw) / n) * w)
+    dgw = adjoint(b_form, phi) @ w
+    avec = (1 / n) * (dgw - (b_form.evaluate(w, dgw) / n) * w)
+    return avec, bvec
+
+
+def reference_split(ctx, phi: Mat) -> tuple[Mat, Mat]:
+    """(even, odd) with odd = outer(w,a) + outer(b,w) from reference_odd_vectors."""
+    avec, bvec = reference_odd_vectors(ctx, phi)
+    odd = outer(ctx.form, ctx.w, avec) + outer(ctx.form, bvec, ctx.w)
+    return phi - odd, odd
 
 
 def rand_pullback_problem(

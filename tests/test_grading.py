@@ -9,11 +9,17 @@ from helpers import (
     rand_anchor,
     rand_invertible,
     rand_matrix,
+    rand_rational_form,
+    rand_rational_invertible,
     rand_sym_nondegenerate,
     rand_unimodular,
     rank,
+    reference_is_even,
+    reference_is_odd,
+    reference_odd_vectors,
+    reference_split,
 )
-from superlat.errors import IsotropicAnchor, NotEven, ZeroVector
+from superlat.errors import IsotropicAnchor, NotEven, SingularMatrix, ZeroVector
 from superlat.forms import (
     GramForm,
     adjoint,
@@ -211,6 +217,48 @@ def test_split_random_properties():
         assert is_odd(ctx, od)
         # Idempotence: the even part has no odd component left.
         assert split(ctx, ev)[1] == Mat.zero(ctx.dim)
+
+
+@pytest.mark.parametrize("definite", [True, False], ids=["definite", "indefinite"])
+def test_grading_matches_the_pairing_references(definite):
+    # The references in helpers test membership by pairings over the perp
+    # basis and take (a, b) as perpendicular components, independently of
+    # the projection that split uses.
+    rng = random.Random(53 if definite else 59)
+    for n in range(2, 6):
+        for _ in range(8):
+            form = rand_rational_form(rng, n, definite)
+            ctx = GradedContext(form, rand_anchor(rng, form.gram))
+            mixed = rand_rational_invertible(rng, n)
+            ev, od = reference_split(ctx, mixed)
+            assert reference_is_even(ctx, ev) and reference_is_odd(ctx, od)
+            for phi in (ev, od, mixed):
+                assert split(ctx, phi) == reference_split(ctx, phi)
+                assert is_even(ctx, phi) == reference_is_even(ctx, phi)
+                assert is_odd(ctx, phi) == reference_is_odd(ctx, phi)
+                dec = full_decomposition(ctx, phi)
+                assert (dec.a, dec.b) == reference_odd_vectors(ctx, phi)
+                assert dec.wt == form.evaluate(ctx.w, phi @ ctx.w) / ctx.wnorm
+                even = reference_split(ctx, phi)[0]
+                assert dec.phi0 == even - (dec.wt / ctx.wnorm) * outer(form, ctx.w, ctx.w)
+
+
+def test_degenerate_form_grades_each_map_once():
+    # B = diag(1, 0), w = e1: split needs only B(w,w) != 0, and its parts
+    # are the diagonal and off-diagonal blocks.  a is not unique on a
+    # degenerate form, so full_decomposition raises.
+    ctx = GradedContext(GramForm(Mat.diagonal([1, 0]), allow_degenerate=True), Vec([1, 0]))
+    for rows in ([[0, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [1, 0]], [[1, 2], [3, 4]]):
+        phi = Mat(rows)
+        ev, od = split(ctx, phi)
+        assert ev == Mat([[rows[0][0], 0], [0, rows[1][1]]])
+        assert od == Mat([[0, rows[0][1]], [rows[1][0], 0]])
+        if Mat.zero(2) in (ev, od):
+            assert is_even(ctx, phi) != is_odd(ctx, phi)
+        else:
+            assert not is_even(ctx, phi) and not is_odd(ctx, phi)
+    with pytest.raises(SingularMatrix):
+        full_decomposition(ctx, Mat.identity(2))
 
 
 def test_split_semi_magic():
