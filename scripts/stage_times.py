@@ -27,12 +27,16 @@ top-level candidate list.  ``oracle`` is the integer search the command
 calls (``cli.brute_force_isometries``), ``oracle_listing`` its printed
 listing; the command builds no ``GramForm``.  ``negate`` is every
 negation of a candidate (``CandidateIsometry.__neg__``) in the ``--all``
-search.
+search, and ``orbit_images`` every call that builds the candidates of an
+orbit's other members (``isometry._orbit_images``).
 
 Each stage keeps its best of ``--repeats`` passes.  The output is one JSON
-object: per problem, its stage times in seconds and ``first_column``, the
+object: per problem, its stage times in seconds, ``first_column``, the
 shell ``--all`` places first (least of ``stats.eq1_raw`` and
-``stats.eq3_per_probe``, eq1 on ties); and a ``total`` per stage::
+``stats.eq3_per_probe``, eq1 on ties), and ``automorphisms``, the number
+|G| of signed permutations that fix B and the anchor (``--all`` takes the
+orbit path when it is above 1 and every shell is non-empty); and a
+``total`` per stage::
 
     PYTHONPATH=src python3 scripts/stage_times.py --repeats 5
 """
@@ -54,7 +58,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 import spans  # noqa: E402
 
-from superlat import cli  # noqa: E402
+from superlat import cli, isometry  # noqa: E402
 from superlat.forms import GramForm  # noqa: E402
 from superlat.isometry import CandidateIsometry, IsometryProblem  # noqa: E402
 
@@ -73,6 +77,7 @@ STAGES = {  # stage: (command, span name)
     "reconstruct": (ALL, "isometry.reconstruct"),
     "find_isometries": (ALL, "isometry.assemble"),
     "negate": (ALL, "isometry.CandidateIsometry.__neg__"),
+    "orbit_images": (ALL, "isometry._orbit_images"),
     "all_listing": (ALL, "cli.matrix_listing"),
     "result_document": (ALL, "problem_io.result_document"),
     "document_json": (ALL, "problem_io.document_json"),
@@ -91,16 +96,17 @@ SETUP_TABLES = ("l0_form", "pair_targets", "_recon_tables")
 SETUP = ("isometry.IsometryProblem", *(f"isometry.IsometryProblem.{name}" for name in SETUP_TABLES))
 
 
-def traced_pass(text: str) -> tuple[dict[str, float], str | None]:
-    """The stage times and the first column of one pass over the problem
-    in text; ({}, None) when ``factorize`` rejects the file."""
-    tracer, results = spans.Tracer(), []  # results[0]: the --all run's SearchResult
+def traced_pass(text: str) -> tuple[dict[str, float], str | None, int | None]:
+    """The stage times, the first column and |G| of one pass over the
+    problem in text; ({}, None, None) when ``factorize`` rejects the file."""
+    tracer, results = spans.Tracer(), []  # results[0]: the --all run's (problem, SearchResult)
     spans.install(tracer)
     tracer.wrap(cli, "matrix_listing", "cli.matrix_listing")
     tracer.wrap(cli, "load_problem", "cli.load_problem")
     tracer.wrap(GramForm, "__init__", "forms.GramForm")
     tracer.wrap(CandidateIsometry, "__neg__", "isometry.CandidateIsometry.__neg__")
-    tracer.wrap(cli, "find_isometries", "cli.find_isometries", lambda counts, r, a, k: results.append(r))
+    tracer.wrap(isometry, "_orbit_images", "isometry._orbit_images")
+    tracer.wrap(cli, "find_isometries", "cli.find_isometries", lambda counts, r, a, k: results.append((a[0], r)))
     for name in SETUP_TABLES:
         tracer.wrap(vars(IsometryProblem)[name], "func", f"isometry.IsometryProblem.{name}")
     try:
@@ -114,7 +120,7 @@ def traced_pass(text: str) -> tuple[dict[str, float], str | None]:
     finally:
         tracer.uninstall()
     if codes[ALL] not in (0, 1):
-        return {}, None
+        return {}, None, None
 
     roots = {name[len("cli.main["):-1]: members for name, members in tracer.by_root().items()}
     inclusive = {command: tracer.inclusive_times(members) for command, members in roots.items()}
@@ -128,15 +134,10 @@ def traced_pass(text: str) -> tuple[dict[str, float], str | None]:
         times["filter_eq2.first"], times["filter_eq2.rest"] = filters[0], sum(filters[1:])
     times["joint_search"] = tracer.self_times(roots[ALL])["isometry.assemble"]
     times["setup"] = sum(inclusive[ALL].get(name, 0.0) for name in SETUP)
-    stats = results[0].stats
-    sizes = [stats.eq1_raw, *stats.eq3_per_probe]
+    problem, result = results[0]
+    sizes = [result.stats.eq1_raw, *result.stats.eq3_per_probe]
     first = sizes.index(min(sizes))
-    return times, f"probe{first - 1}" if first else "eq1"
-
-
-def one_pass(text: str) -> dict[str, float]:
-    """The stage times of one pass over the problem in text."""
-    return traced_pass(text)[0]
+    return times, f"probe{first - 1}" if first else "eq1", len(isometry._signed_automorphisms(problem))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -152,9 +153,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, text in texts:
         runs = [traced_pass(text) for _ in range(args.repeats)]
         if runs[0][1] is not None:
-            out[name] = {stage: round(min(times[stage] for times, _ in runs), 6) for stage in runs[0][0]}
-            out[name]["first_column"] = runs[0][1]
-    stages = dict.fromkeys(s for t in sorted(out.values(), key=len, reverse=True) for s in t if s != "first_column")
+            out[name] = {stage: round(min(times[stage] for times, _, _ in runs), 6) for stage in runs[0][0]}
+            out[name]["first_column"], out[name]["automorphisms"] = runs[0][1:]
+    stages = dict.fromkeys(s for t in sorted(out.values(), key=len, reverse=True) for s in t if s not in ("first_column", "automorphisms"))
     out["total"] = {stage: round(sum(times.get(stage, 0.0) for times in out.values()), 6) for stage in stages}
     print(json.dumps(out, indent=1))
     return 0

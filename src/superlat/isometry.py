@@ -23,7 +23,11 @@ target: one joint search (_gram_search) places a row of each shell with
 forward checking, every placed row narrowing the open shells (the first
 one on a packed table of all their rows at once), and reconstruct maps
 each joint tuple to ambient vectors through E = (w | kernel basis),
-builds the candidate matrix and verifies it exactly.
+builds the candidate matrix and verifies it exactly.  A signed
+permutation U with U^T B U = B and U w = w maps joint tuples to joint
+tuples and a candidate M to U M, so a search for all solutions places
+one first row per orbit of these U and builds the candidates of the
+orbit's other members by permuting and negating rows.
 
 The module also houses the infinite-family obstructions (two- and
 three-squares) and a brute-force oracle used to validate the pipeline at
@@ -771,10 +775,11 @@ def _size_order(shells) -> list[int]:
     return sorted(range(len(shells)), key=lambda c: len(shells[c]))
 
 
-def _gram_search(gram, targets, shells, order, narrow=None):
-    """Yield, for each row r of the first half of shells[order[0]] and
-    then for its zero middle row (odd length only), the list of tuples
-    whose column order[0] holds r.
+def _gram_search(gram, targets, shells, order, narrow=None, rows=None):
+    """Yield, for each row r of rows, the list of tuples whose column
+    order[0] holds r.  rows are rows of shells[order[0]], by default its
+    first half and then its zero middle row (odd length only);
+    find_isometries passes one row per orbit of a symmetry group.
 
     gram holds the integer Gram rows of a form and shells one sorted,
     sign-complete shell of that form per column.  A tuple holds one row
@@ -799,7 +804,7 @@ def _gram_search(gram, targets, shells, order, narrow=None):
         return
     n, first = len(shells), order[0]
     shell = shells[first]
-    half = shell[: (len(shell) + 1) // 2]
+    half = shell[: (len(shell) + 1) // 2] if rows is None else rows
     if n == 1:
         yield from ([(r,)] for r in half)
         return
@@ -874,6 +879,85 @@ def reconstruct(problem: IsometryProblem, e1: tuple[int, ...], picks: tuple) -> 
     return CandidateIsometry(num, tab.den, prov, tab.dp, tab.memo)
 
 
+def _signed_automorphisms(problem: IsometryProblem) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The signed permutations U with U^T B U = B and U w = w, each as
+    (perm, signs) with (U v)_i = signs[i] v[perm[i]], the identity first.
+
+    Such a U holds B_(perm i)(perm l) = signs[i] signs[l] B_il and
+    signs[i] w_(perm i) = w_i, so one backtracking over the coordinates i
+    places perm[i] and signs[i] on B's diagonal, on w and on the pairings
+    with the coordinates placed before it."""
+    b, w, n = problem._gram, problem._w, problem.dim
+    perm, signs, found = [0] * n, [0] * n, []
+
+    def place(i: int, free: list[int]) -> None:
+        if i == n:
+            found.append((tuple(perm), tuple(signs)))
+            return
+        bi = b[i]
+        for j in free:
+            bj = b[j]
+            if bj[j] != bi[i]:
+                continue
+            for s in (1, -1):
+                if s * w[j] == w[i] and all(bj[perm[m]] == s * signs[m] * bi[m] for m in range(i)):
+                    perm[i], signs[i] = j, s
+                    place(i + 1, [k for k in free if k != j])
+
+    place(0, list(range(n)))
+    return found
+
+
+def _orbits(problem: IsometryProblem, group, shell) -> tuple[list, list]:
+    """(rows, images): one row r of the first half of the sorted,
+    sign-complete shell per orbit of <group, -1>, in shell order, and for
+    each r the elements U, identity left out, that map it to the other
+    members of its group orbit, one U per member and one member per
+    +-pair.  The group acts on r through its ambient vector E r."""
+    basis = problem._l0_basis
+    rows, images, covered = [], [], set()
+    for r in shell[: (len(shell) + 1) // 2]:
+        a = tuple([_dot(e, r) for e in basis])
+        if a in covered:
+            continue
+        members = {}
+        for perm, signs in group:
+            v = tuple([s * a[p] for p, s in zip(perm, signs)])
+            if v not in members and _neg(v) not in members:
+                members[v] = perm, signs
+        covered.update(members, map(_neg, members))
+        rows.append(r)
+        images.append(list(members.values())[1:])
+    return rows, images
+
+
+def _orbit_images(problem: IsometryProblem, found: list, elements) -> list[CandidateIsometry]:
+    """The candidates U M for each (perm, signs) U of elements and each
+    candidate M of found, U by U, that pass the pullback test.
+
+    U M solves M^T B M = B' with M since U^T B U = B, and it is what
+    reconstruct builds from the tuple of M mapped by U: its rows are rows
+    of M, permuted and negated (their texts from the problem's memo), and
+    its provenance is (s, U btilde, dp atilde, U c_1, ...), since U fixes
+    w and so every t_i and atilde."""
+    n, out = problem.dim, []
+    negs = problem._recon_tables.memo[1]
+    for perm, signs in elements:
+        # The flat index and sign, in M's provenance, of each entry of U M's.
+        src, sgn = [0], [1]
+        for at in range(1, n * n + n + 1, n):
+            fixed = at == n + 1  # dp atilde
+            src += [at + i if fixed else at + p for i, p in enumerate(perm)]
+            sgn += [1] * n if fixed else signs
+        for cand in found:
+            rows = cand.num
+            num = tuple([rows[p] if s > 0 else negs[rows[p]] for p, s in zip(perm, signs)])
+            if problem.pulls_back(num, cand.den):
+                prov = tuple(map(mul, sgn, map(cand._prov.__getitem__, src)))
+                out.append(CandidateIsometry(num, cand.den, prov, cand._dp, cand._memo))
+    return out
+
+
 def find_isometries(
     problem: IsometryProblem,
     all_solutions: bool = True,
@@ -909,6 +993,15 @@ def find_isometries(
     tuple is its own negation.  Integrality is invariant under negation,
     so the first witness always comes from a searched row.
 
+    With all_solutions=True and every shell non-empty, the signed
+    permutations U with U^T B U = B and U w = w (_signed_automorphisms)
+    map the tuples with a first row r to those with U r.  When there is
+    more than the identity, one row r per orbit (_orbits) is searched, and
+    the candidates of each other member U r are U M for those M of r
+    (_orbit_images), counted in joint_raw once per member: the stats,
+    certificate and sorted candidates are those of the plain search.
+    The first-witness scan stops early, in scan order, and searches plainly.
+
     The certificate is ObstructionDeterminant on determinant mismatch,
     ObstructionEq1 when eq1 has no solutions, IsometricWitness when an
     integral candidate exists, NoIntegralIsometry otherwise.  With
@@ -925,19 +1018,27 @@ def find_isometries(
     order = _size_order(shells) if all_solutions else range(len(shells))
     # filter_eq2 is looked up at call time, so that a wrapper sees it.
     narrow = (lambda e1: filter_eq2(problem, e1, per_probe)) if order[0] == 0 else None
+    rows = images = None
+    if all_solutions and all(shells):
+        group = _signed_automorphisms(problem)
+        if len(group) > 1:
+            rows, images = _orbits(problem, group, shells[order[0]])
 
     candidates: list[CandidateIsometry] = []
     # A scan that stops early counts no canonical tuple: it searches only
     # the first half of the sorted eq1 shell, whose rows lead with a
     # negative entry.
     joint_raw = joint_canonical = 0
-    for tuples in _gram_search(problem._l0_gram, problem.pair_targets, shells, order, narrow):
+    for k, tuples in enumerate(_gram_search(problem._l0_gram, problem.pair_targets, shells, order, narrow, rows)):
         start = len(candidates)
         joint_raw += len(tuples)
         for cols in tuples:
             cand = reconstruct(problem, cols[0], cols[1:])
             if cand is not None:
                 candidates.append(cand)
+        if images:
+            candidates += _orbit_images(problem, candidates[start:], images[k])
+            joint_raw += len(tuples) * len(images[k])
         if not all_solutions and any(c.integral for c in candidates[start:]):
             break
     else:

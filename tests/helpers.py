@@ -16,6 +16,7 @@ from superlat.isometry import (
     Certificate,
     SearchResult,
     CandidateIsometry,
+    IsometryProblem,
     SearchStats,
     _dot,
     filter_eq2,
@@ -62,6 +63,47 @@ WILSON_FACTOR = Mat([
     [0, 0, 1, 2],
     [0, 0, 1, 1],
 ])
+
+# A unimodular U.  The problem (U^T B U, U^T B' U, U^-1 w) with probes
+# U^-1 z0 is (B, B', w, z0) in other coordinates: its L0 lattice, shells
+# and pairing targets are isometric to those of (B, B', w, z0), so the
+# search does the same work, and its solutions are U^-1 M U.
+TWIST = Mat([
+    [1, 1, 1, 1],
+    [0, 1, 1, 0],
+    [0, 0, 1, 1],
+    [0, 0, 0, 1],
+])
+
+
+def twisted_inputs(target: Mat, w) -> tuple[Mat, Mat, Vec, list[Vec]]:
+    """(U^T U, U^T B' U, U^-1 w, [U^-1 z0 for the default probes z0 of
+    w]) for U = TWIST: the problem (I_4, B', w) in TWIST's coordinates.
+    The only signed permutation that fixes U^T U and U^-1 e_1 or
+    U^-1 (1,1,1,1) is the identity."""
+    w = Vec(w)
+    drop = max(range(4), key=lambda i: (abs(w[i]), -i))
+    inverse = TWIST.inverse()
+    probes = [inverse @ Vec.unit(4, i) for i in range(4) if i != drop]
+    return TWIST.transpose() @ TWIST, TWIST.transpose() @ target @ TWIST, inverse @ w, probes
+
+
+def twisted_problem(target: Mat, w) -> IsometryProblem:
+    """The IsometryProblem of twisted_inputs(target, w)."""
+    gram, bprime, anchor, probes = twisted_inputs(target, w)
+    return IsometryProblem(GramForm(gram), GramForm(bprime), anchor, probes)
+
+
+def twisted_problem_text(target: Mat, w) -> str:
+    """The problem file of twisted_inputs(target, w)."""
+    gram, bprime, anchor, probes = twisted_inputs(target, w)
+
+    def rows(vectors) -> list[str]:
+        return [" ".join(str(int(x)) for x in v) for v in vectors]
+
+    lines = ["n 4", "B", *rows(gram.rows), "Bprime", *rows(bprime.rows), "w " + rows([anchor])[0], "z0", *rows(probes)]
+    return "\n".join(lines) + "\n"
+
 
 # A pair of even quaternary Gram matrices of determinant 24 that are
 # rationally equivalent but admit no integral isometry.

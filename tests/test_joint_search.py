@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import WILSON, rand_pullback_problem, reference_joint_tuples
+from helpers import WILSON, rand_pullback_problem, reference_joint_tuples, twisted_problem
 from superlat import isometry
 from superlat.forms import GramForm
 from superlat.isometry import (
@@ -137,12 +137,9 @@ def test_empty_eq3_shell_gives_no_tuples():
     assert (result.stats.eq1_raw, result.stats.joint_raw, result.candidates) == (1, 0, [])
 
 
-def test_wilson_1111_narrows_half_of_the_smallest_shell(monkeypatch):
-    # The eq1 shell has 3456 rows and the first probe's eq3 shell 576, so
-    # --all places that probe first and narrows through one packed table
-    # for each of its 288 direct rows; the eq1-first loop made 1728
-    # filter_eq2 calls.
-    problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1]))
+def _narrowings(monkeypatch, problem):
+    """The stats of find_isometries on problem and its calls of
+    filter_eq2 and _survivors."""
     shells = _shells(problem)
     assert [len(s) for s in shells] == [3456, 576, 576, 768]
     assert _size_order(shells)[0] == 1
@@ -155,6 +152,25 @@ def test_wilson_1111_narrows_half_of_the_smallest_shell(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(isometry, name, counted)
-    stats = find_isometries(problem).stats
+    return find_isometries(problem).stats, calls
+
+
+def test_wilson_1111_narrows_half_of_the_smallest_shell(monkeypatch):
+    # The eq1 shell has 3456 rows and the first probe's eq3 shell 576, so
+    # --all places that probe first and narrows through one packed table;
+    # the eq1-first loop made 1728 filter_eq2 calls.  The 24 permutations
+    # that fix (1,1,1,1) join the probe shell's 288 +-pairs into 18
+    # orbits, so 18 rows are narrowed (288 without the orbits,
+    # test_plain_path_narrows_every_row_of_the_half).
+    problem = IsometryProblem(GramForm(Mat.identity(4)), GramForm(WILSON), Vec([1, 1, 1, 1]))
+    stats, calls = _narrowings(monkeypatch, problem)
+    assert calls == {"filter_eq2": 0, "_survivors": 18}
+    assert (stats.joint_raw, stats.integral) == (1152, 384)
+
+
+def test_plain_path_narrows_every_row_of_the_half(monkeypatch):
+    # In TWIST's coordinates no signed permutation but the identity fixes
+    # B and the anchor, so each of the 288 rows is narrowed.
+    stats, calls = _narrowings(monkeypatch, twisted_problem(WILSON, (1, 1, 1, 1)))
     assert calls == {"filter_eq2": 0, "_survivors": 288}
     assert (stats.joint_raw, stats.integral) == (1152, 384)

@@ -52,10 +52,12 @@ def test_output_contract_is_unchanged():
 
 def test_stage_times_runs_every_stage_on_wilson():
     stage_times = _load("stage_times")
-    times = stage_times.one_pass((stage_times.PROBLEMS / "wilson.txt").read_text(encoding="utf-8"))
-    assert {"solve_eq1", "filter_eq2", "reconstruct", "negate", "setup", "verify_document", "verify_certificate", "oracle", "oracle_listing", "oracle_shells"} <= set(times)
+    times, first, automorphisms = stage_times.traced_pass((stage_times.PROBLEMS / "wilson.txt").read_text(encoding="utf-8"))
+    assert {"solve_eq1", "filter_eq2", "reconstruct", "negate", "orbit_images", "setup", "verify_document", "verify_certificate", "oracle", "oracle_listing", "oracle_shells"} <= set(times)
     assert all(t >= 0 for t in times.values())
-    # The 192 negations of the --all search are timed where they run.
-    assert times["negate"] > 0
+    # The 192 negations of the --all search and the orbit images of its
+    # 48 signed permutations are timed where they run.
+    assert (first, automorphisms) == ("eq1", 48)
+    assert times["negate"] > 0 and times["orbit_images"] > 0
     # Set-up holds the problem's construction and the tables first read.
     assert times["setup"] > times["IsometryProblem"] > 0
