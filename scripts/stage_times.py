@@ -33,10 +33,12 @@ orbit's other members (``isometry._orbit_images``).
 Each stage keeps its best of ``--repeats`` passes.  The output is one JSON
 object: per problem, its stage times in seconds, ``first_column``, the
 shell ``--all`` places first (least of ``stats.eq1_raw`` and
-``stats.eq3_per_probe``, eq1 on ties), and ``automorphisms``, the number
+``stats.eq3_per_probe``, eq1 on ties), ``automorphisms``, the number
 |G| of signed permutations that fix B and the anchor (``--all`` takes the
-orbit path when it is above 1 and every shell is non-empty); and a
-``total`` per stage::
+orbit path when it is above 1 and every shell is non-empty, and ``verify``
+multiplies one listed candidate per orbit of <G, -1>), and
+``verify_pulls_back``, the number of M^T B M = B' tests that ``verify``
+made (``IsometryProblem.pulls_back`` calls); and a ``total`` per stage::
 
     PYTHONPATH=src python3 scripts/stage_times.py --repeats 5
 """
@@ -90,17 +92,29 @@ STAGES = {  # stage: (command, span name)
     "oracle_shells": ("oracle", "diophantine.vectors_of_norm"),
     "oracle_listing": ("oracle", "cli.matrix_listing"),
 }
+# The per-problem fields that are not stage times.
+FIELDS = ("first_column", "automorphisms", "verify_pulls_back")
 # The set-up of a problem: its construction and the tables that its
 # cached properties build when first read.
 SETUP_TABLES = ("l0_form", "pair_targets", "_recon_tables")
 SETUP = ("isometry.IsometryProblem", *(f"isometry.IsometryProblem.{name}" for name in SETUP_TABLES))
 
 
-def traced_pass(text: str) -> tuple[dict[str, float], str | None, int | None]:
-    """The stage times, the first column and |G| of one pass over the
-    problem in text; ({}, None, None) when ``factorize`` rejects the file."""
+def traced_pass(text: str) -> tuple[dict[str, float], str | None, int | None, int | None]:
+    """The stage times, the first column, |G| and the pullback tests of
+    ``verify`` of one pass over the problem in text; ({}, None, None, None)
+    when ``factorize`` rejects the file."""
     tracer, results = spans.Tracer(), []  # results[0]: the --all run's (problem, SearchResult)
     spans.install(tracer)
+    # Counted per command, not traced: a span per test would weigh on the
+    # stages that make them.
+    pullback_tests, command, pulls_back = dict.fromkeys((ALL, "factorize", "verify", "oracle"), 0), [ALL], IsometryProblem.pulls_back
+
+    def counted(self, *args):
+        pullback_tests[command[0]] += 1
+        return pulls_back(self, *args)
+
+    IsometryProblem.pulls_back = counted
     tracer.wrap(cli, "matrix_listing", "cli.matrix_listing")
     tracer.wrap(cli, "load_problem", "cli.load_problem")
     tracer.wrap(GramForm, "__init__", "forms.GramForm")
@@ -115,12 +129,16 @@ def traced_pass(text: str) -> tuple[dict[str, float], str | None, int | None]:
             Path(path).write_text(text, encoding="utf-8")
             argvs = {ALL: ["factorize", path, "--all", "--json", doc], "factorize": ["factorize", path],
                      "verify": ["verify", doc], "oracle": ["oracle", path]}
+            codes = {}
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                codes = {c: tracer.span(f"cli.main[{c}]", cli.main, argv) for c, argv in argvs.items()}
+                for c, argv in argvs.items():
+                    command[0] = c
+                    codes[c] = tracer.span(f"cli.main[{c}]", cli.main, argv)
     finally:
         tracer.uninstall()
+        IsometryProblem.pulls_back = pulls_back
     if codes[ALL] not in (0, 1):
-        return {}, None, None
+        return {}, None, None, None
 
     roots = {name[len("cli.main["):-1]: members for name, members in tracer.by_root().items()}
     inclusive = {command: tracer.inclusive_times(members) for command, members in roots.items()}
@@ -137,7 +155,7 @@ def traced_pass(text: str) -> tuple[dict[str, float], str | None, int | None]:
     problem, result = results[0]
     sizes = [result.stats.eq1_raw, *result.stats.eq3_per_probe]
     first = sizes.index(min(sizes))
-    return times, f"probe{first - 1}" if first else "eq1", len(isometry._signed_automorphisms(problem))
+    return times, f"probe{first - 1}" if first else "eq1", len(isometry._signed_automorphisms(problem)), pullback_tests["verify"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -153,9 +171,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, text in texts:
         runs = [traced_pass(text) for _ in range(args.repeats)]
         if runs[0][1] is not None:
-            out[name] = {stage: round(min(times[stage] for times, _, _ in runs), 6) for stage in runs[0][0]}
-            out[name]["first_column"], out[name]["automorphisms"] = runs[0][1:]
-    stages = dict.fromkeys(s for t in sorted(out.values(), key=len, reverse=True) for s in t if s not in ("first_column", "automorphisms"))
+            out[name] = {stage: round(min(run[0][stage] for run in runs), 6) for stage in runs[0][0]}
+            out[name].update(zip(FIELDS, runs[0][1:]))
+    stages = dict.fromkeys(s for t in sorted(out.values(), key=len, reverse=True) for s in t if s not in FIELDS)
     out["total"] = {stage: round(sum(times.get(stage, 0.0) for times in out.values()), 6) for stage in stages}
     print(json.dumps(out, indent=1))
     return 0

@@ -27,7 +27,8 @@ builds the candidate matrix and verifies it exactly.  A signed
 permutation U with U^T B U = B and U w = w maps joint tuples to joint
 tuples and a candidate M to U M, so a search for all solutions places
 one first row per orbit of these U and builds the candidates of the
-orbit's other members by permuting and negating rows.
+orbit's other members by permuting and negating rows, and the check of a
+listed candidate list multiplies one matrix per orbit.
 
 The module also houses the infinite-family obstructions (two- and
 three-squares) and a brute-force oracle used to validate the pipeline at
@@ -44,7 +45,7 @@ from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
-from operator import is_, mul, neg
+from operator import is_, itemgetter, mul, neg
 from struct import Struct
 
 from .diophantine import (
@@ -461,11 +462,11 @@ def _row_reader() -> _Memo:
 
 def _matrix_rows(matrices, read: _Memo):
     """For each matrix given as rows (lists or tuples, else TypeError),
-    the list of read[texts] (a _row_reader) for its rows."""
+    the tuple of read[texts] (a _row_reader) for its rows."""
     for rows in matrices:
         if not all(map(isinstance, rows, repeat((list, tuple)))):
             raise TypeError("a matrix row must be an array")
-        yield [*map(read.__getitem__, map(tuple, rows))]
+        yield tuple(map(read.__getitem__, map(tuple, rows)))
 
 
 def _integer_matrices(matrices):
@@ -477,7 +478,7 @@ def _integer_matrices(matrices):
         yield den, tuple([row if d == den else tuple(x * (den // d) for x in row) for d, row in parts])
 
 
-def isometry_denominators(problem: IsometryProblem, matrices) -> list:
+def isometry_denominators(problem: IsometryProblem, matrices, whole_orbits: bool = False) -> list:
     """For each matrix M that _matrix_rows reads, its denominator den
     when its rows form an n x n matrix with M^T B M = B' (checked in
     integers on den M), None otherwise.
@@ -485,23 +486,86 @@ def isometry_denominators(problem: IsometryProblem, matrices) -> list:
     The whole list is read first, so that one slot width serves it
     (_Pullback.reserve) and each distinct row is packed once, as read:
     row a, read as (d_a, d_a M_a), enters den M with the factor
-    den // d_a, and with none when every d_a is den."""
+    den // d_a, and with none when every d_a is den.
+
+    With two or more matrices and more than the identity in the group G
+    of signed permutations U with U^T B U = B and U w = w
+    (_signed_automorphisms), one matrix per orbit of <G, -1> is
+    multiplied (_listed_orbits), and every listed member of its orbit
+    takes its answer: U M's rows are M's rows, permuted and negated, so
+    it has M's den, and (U M)^T B (U M) = M^T B M by U^T B U = B alone.
+    So the answers are those of multiplying every matrix.  With
+    whole_orbits, the members of an orbit that is not wholly listed give
+    None: every list that factorize writes holds whole orbits, since the
+    search maps each candidate to its images and integrality is kept."""
     n, read = problem.dim, _row_reader()
-    listed, scale = [], 1
-    for parts in _matrix_rows(matrices, read):
+    listed = [*_matrix_rows(matrices, read)]
+    group = _signed_automorphisms(problem) if len(listed) > 1 else ()
+    orbits = _listed_orbits(listed, group, n, whole_orbits) if len(group) > 1 else None
+    checks, scale = [], 1
+    for parts in listed if orbits is None else [parts for parts, _ in orbits]:
+        if parts is None:
+            checks.append(None)
+            continue
         ds, num = zip(*parts) if parts else ((), ())
         den, factors = lcm(*ds), ()
         if ds.count(den) != len(ds):
             factors = [den // d for d in ds]
             scale = max(scale, *factors)
-        listed.append((num, den, factors))
+        checks.append((num, den, factors))
     rows = [row for _, row in read.values() if len(row) == n]
-    problem._pullback.reserve(rows, scale, {den for _, den, _ in listed})
-    return [den if problem.pulls_back(num, den, factors) else None for num, den, factors in listed]
+    problem._pullback.reserve(rows, scale, {check[1] for check in checks if check})
+    dens = [check[1] if check and problem.pulls_back(*check) else None for check in checks]
+    if orbits is None:
+        return dens
+    out = [None] * len(listed)
+    for (_, members), den in zip(orbits, dens):
+        for k in members:
+            out[k] = den
+    return out
+
+
+def _listed_orbits(listed: list, group, n: int, whole: bool) -> list:
+    """The matrices of listed (tuples of (d, row) pairs, as _matrix_rows
+    reads them) by orbits of <group, -1>, in list order: for each matrix
+    that no matrix before it has in its orbit, (its rows, the indices of
+    the listed members of its orbit), each listed matrix equal, as
+    values, to U M or -U M for U in group.  A matrix without n rows is
+    an orbit of its own.  With whole, an orbit not wholly listed has
+    None for its rows."""
+    where = {}
+    for k, parts in enumerate(listed):
+        where.setdefault(parts, []).append(k)
+    picks = [_signed_rows(perm, sgn) for perm, signs in group for sgn in (signs, _neg(signs))]
+    negs = _Memo(lambda part: (part[0], _neg(part[1])))
+    orbits, covered = [], [False] * len(listed)
+    for k, parts in enumerate(listed):
+        if covered[k]:
+            continue
+        if len(parts) != n:
+            orbits.append((parts, (k,)))
+            continue
+        rows = parts + tuple(map(negs.__getitem__, parts))
+        found = [where.get(pick(rows)) for pick in picks]
+        members = [*chain.from_iterable(filter(None, found))]
+        for j in members:
+            covered[j] = True
+        orbits.append((None if whole and None in found else parts, members))
+    return orbits
 
 
 def _neg(v) -> tuple:
     return tuple([-x for x in v])
+
+
+def _signed_rows(perm, signs) -> itemgetter:
+    """For the signed permutation U = (perm, signs) of n >= 2 coordinates,
+    the map from the rows of M followed by their negations (2n rows) to
+    the rows of U M: row i is signs[i] M[perm[i]].  (For n = 1 an
+    itemgetter would give a row, not a tuple; there only the identity
+    fixes w.)"""
+    n = len(perm)
+    return itemgetter(*[p if s > 0 else n + p for p, s in zip(perm, signs)])
 
 
 def _row_texts(row: tuple[int, ...], den: int) -> tuple[str, ...]:
@@ -933,28 +997,29 @@ def _orbits(problem: IsometryProblem, group, shell) -> tuple[list, list]:
 
 def _orbit_images(problem: IsometryProblem, found: list, elements) -> list[CandidateIsometry]:
     """The candidates U M for each (perm, signs) U of elements and each
-    candidate M of found, U by U, that pass the pullback test.
+    candidate M of found, U by U.
 
-    U M solves M^T B M = B' with M since U^T B U = B, and it is what
-    reconstruct builds from the tuple of M mapped by U: its rows are rows
-    of M, permuted and negated (their texts from the problem's memo), and
-    its provenance is (s, U btilde, dp atilde, U c_1, ...), since U fixes
-    w and so every t_i and atilde."""
+    U M solves M^T B M = B' with M, since U^T B U = B, so it is not
+    multiplied again; and it is what reconstruct builds from the tuple of
+    M mapped by U: its rows are rows of M, permuted and negated
+    (_signed_rows, their texts from the problem's memo), and its
+    provenance is (s, U btilde, dp atilde, U c_1, ...), since U fixes w
+    and so every t_i and atilde."""
     n, out = problem.dim, []
     negs = problem._recon_tables.memo[1]
+    both = [cand.num + tuple(map(negs.__getitem__, cand.num)) for cand in found]
     for perm, signs in elements:
+        pick = _signed_rows(perm, signs)
         # The flat index and sign, in M's provenance, of each entry of U M's.
         src, sgn = [0], [1]
         for at in range(1, n * n + n + 1, n):
             fixed = at == n + 1  # dp atilde
             src += [at + i if fixed else at + p for i, p in enumerate(perm)]
             sgn += [1] * n if fixed else signs
-        for cand in found:
-            rows = cand.num
-            num = tuple([rows[p] if s > 0 else negs[rows[p]] for p, s in zip(perm, signs)])
-            if problem.pulls_back(num, cand.den):
-                prov = tuple(map(mul, sgn, map(cand._prov.__getitem__, src)))
-                out.append(CandidateIsometry(num, cand.den, prov, cand._dp, cand._memo))
+        for cand, rows in zip(found, both):
+            num = pick(rows)
+            prov = tuple(map(mul, sgn, map(cand._prov.__getitem__, src)))
+            out.append(CandidateIsometry(num, cand.den, prov, cand._dp, cand._memo))
     return out
 
 
@@ -1284,7 +1349,8 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
     either way every detail field but the kind must be an int (not bool
     or float).  NoIntegralIsometry re-verifies the recorded candidates
     (in integers, each distinct entry parsed once; one that does not
-    parse rejects), that none is integral, and then re-derives the
+    parse rejects; one product per orbit, and the list must hold whole
+    orbits: isometry_denominators), that none is integral, and then re-derives the
     verdict from B and B' alone: det B = det B' and the oracle search (_isometry_blocks) finds no
     integral M, stopping at the first block holding one; a SuperlatError
     from it (B not positive definite) rejects.  Only this decides a verdict.
@@ -1299,7 +1365,7 @@ def verify_certificate(cert: Certificate, problem: IsometryProblem | None) -> bo
         return cert.witness.den == 1 and problem.pulls_back(num, 1) and abs(_det(num)) == 1
     if verdict == "NoIntegralIsometry":
         try:
-            dens = isometry_denominators(problem, cert.detail.get("candidates", []))
+            dens = isometry_denominators(problem, cert.detail.get("candidates", []), whole_orbits=True)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             # A listed entry or row that does not parse.
             return False

@@ -415,6 +415,16 @@ def load_document(path: str) -> dict:
         raise ParseError(f"{path}: invalid JSON ({exc})")
 
 
+def _lists_witness(witness: CandidateIsometry, entries: list) -> bool:
+    """Whether a candidate entry with a checked integral flag of true holds
+    the witness (which must be integral): by the witness's entry texts
+    first, as factorize writes them, and else as values."""
+    integral = [entry["matrix"] for entry in entries if entry["integral"] is True]
+    if any(tuple(map(tuple, matrix)) == witness.entry_strings for matrix in integral):
+        return True
+    return (witness.den, witness.num) in _integer_matrices(integral)
+
+
 def verify_document(doc: dict) -> bool:
     """Re-check a result document from its own contents alone.
 
@@ -423,11 +433,16 @@ def verify_document(doc: dict) -> bool:
     Otherwise the echoed inputs rebuild the problem (_problem_from_inputs;
     inputs.n must be the JSON int n, the dimension of B, and every matrix
     row a JSON array), and each top-level candidate is re-multiplied
-    (isometry_denominators) with a matching integral flag.  When a
-    NoIntegralIsometry certificate lists exactly the top-level matrices,
-    verify_certificate re-multiplies that list, so here every flag need
-    only be false.  The certificate is then re-verified against the
-    problem (verify_certificate), which alone decides the verdict.  Any
+    (isometry_denominators, one product per orbit of the signed
+    permutations that fix B and w, with -1) with a matching integral
+    flag.  The top-level list must hold whole orbits unless the verdict
+    is NoIntegralIsometry, whose certificate's own list must
+    (verify_certificate), and an IsometricWitness witness must be one of
+    the top-level candidates, as values.  When a NoIntegralIsometry
+    certificate lists exactly the top-level matrices, verify_certificate
+    re-multiplies that list, so here every flag need only be false.  The
+    certificate is then re-verified against the problem
+    (verify_certificate), which alone decides the verdict.  Any
     discrepancy — including contents too damaged to rebuild the problem
     — returns False.
     """
@@ -450,10 +465,15 @@ def verify_document(doc: dict) -> bool:
             # verify_certificate multiplies this list and requires den > 1.
             checked = all(entry["integral"] is False for entry in entries)
         else:
-            dens = isometry_denominators(problem, matrices)
+            # A NoIntegralIsometry certificate's own list is the one held
+            # to whole orbits (verify_certificate).
+            whole = cert.verdict != "NoIntegralIsometry"
+            dens = isometry_denominators(problem, matrices, whole_orbits=whole)
             checked = all(
                 den is not None and _typed(entry["integral"], bool) == (den == 1) for entry, den in zip(entries, dens)
             )
+        if checked and cert.verdict == "IsometricWitness" and cert.witness is not None:
+            checked = _lists_witness(cert.witness, entries)
         return checked and verify_certificate(cert, problem)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, SuperlatError):
         return False

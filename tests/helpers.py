@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations, product
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from operator import mul
 
 from superlat.diophantine import PosDefForm, _ldl, _scaled_ldl, vectors_of_norm
@@ -19,6 +19,8 @@ from superlat.isometry import (
     IsometryProblem,
     SearchStats,
     _dot,
+    _matrix_rows,
+    _row_reader,
     filter_eq2,
     reconstruct,
     solve_eq1,
@@ -76,21 +78,22 @@ TWIST = Mat([
 ])
 
 
-def twisted_inputs(target: Mat, w) -> tuple[Mat, Mat, Vec, list[Vec]]:
-    """(U^T U, U^T B' U, U^-1 w, [U^-1 z0 for the default probes z0 of
-    w]) for U = TWIST: the problem (I_4, B', w) in TWIST's coordinates.
-    The only signed permutation that fixes U^T U and U^-1 e_1 or
-    U^-1 (1,1,1,1) is the identity."""
-    w = Vec(w)
+def twisted_inputs(target: Mat, w, source: Mat | None = None) -> tuple[Mat, Mat, Vec, list[Vec]]:
+    """(U^T B U, U^T B' U, U^-1 w, [U^-1 z0 for the default probes z0 of
+    w]) for U = TWIST and B = source, I_4 by default: the problem (B, B',
+    w) in TWIST's coordinates.  The only signed permutation that fixes
+    U^T U and U^-1 e_1 or U^-1 (1,1,1,1), or U^T B U and U^-1 e_1 for
+    quaternary_pair's B, is the identity."""
+    w, source = Vec(w), source or Mat.identity(4)
     drop = max(range(4), key=lambda i: (abs(w[i]), -i))
     inverse = TWIST.inverse()
     probes = [inverse @ Vec.unit(4, i) for i in range(4) if i != drop]
-    return TWIST.transpose() @ TWIST, TWIST.transpose() @ target @ TWIST, inverse @ w, probes
+    return TWIST.transpose() @ source @ TWIST, TWIST.transpose() @ target @ TWIST, inverse @ w, probes
 
 
-def twisted_problem(target: Mat, w) -> IsometryProblem:
-    """The IsometryProblem of twisted_inputs(target, w)."""
-    gram, bprime, anchor, probes = twisted_inputs(target, w)
+def twisted_problem(target: Mat, w, source: Mat | None = None) -> IsometryProblem:
+    """The IsometryProblem of twisted_inputs(target, w, source)."""
+    gram, bprime, anchor, probes = twisted_inputs(target, w, source)
     return IsometryProblem(GramForm(gram), GramForm(bprime), anchor, probes)
 
 
@@ -185,6 +188,75 @@ def _sign_canonical(v) -> bool:
         if x:
             return x > 0
     return True
+
+
+@lru_cache(maxsize=None)
+def _signed_permutation_rows(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The integer rows of each matrix of signed_permutations(n)."""
+    return [tuple(tuple(map(int, row)) for row in u.rows) for u in signed_permutations(n)]
+
+
+def signed_automorphisms_by_products(gram: Mat, w) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The signed permutations U with U^T B U = B and U w = w, as (perm,
+    signs) with (U v)_i = signs[i] v[perm[i]], by integer matrix products
+    over every signed permutation."""
+    b = [tuple(map(int, row)) for row in gram.rows]
+    n, out = len(b), set()
+    for u in _signed_permutation_rows(n):
+        bu = [[sum(b[i][k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        utbu = [tuple(sum(u[k][i] * bu[k][j] for k in range(n)) for j in range(n)) for i in range(n)]
+        if utbu == b and tuple(sum(map(mul, row, w)) for row in u) == tuple(w):
+            perm = tuple(next(j for j, x in enumerate(row) if x) for row in u)
+            out.add((perm, tuple(row[j] for row, j in zip(u, perm))))
+    return out
+
+
+def matrix_values(matrices) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
+    """Each matrix of matrices (rows of entry texts) as rows of the
+    (numerator, denominator) pairs of its entries' Fractions."""
+    rows = {}
+    for m in matrices:
+        for row in map(tuple, m):
+            if row not in rows:
+                rows[row] = tuple(Fraction(x).as_integer_ratio() for x in row)
+    return [tuple(rows[tuple(row)] for row in m) for m in matrices]
+
+
+def reference_whole_orbits(group, matrices, orbits: dict) -> list[bool]:
+    """For each square matrix of matrices (rows of entry texts), whether
+    every U M and -U M, U = (perm, signs) in group, is listed, matrices
+    compared as their matrix_values.  orbits maps a matrix value to its
+    orbit and keeps every orbit met, so that calls over one group share
+    them."""
+    values = matrix_values(matrices)
+    for v in set(values) - set(orbits):
+        orbit = frozenset(
+            tuple(tuple((t * s * p, q) for p, q in v[i]) for i, s in zip(perm, signs))
+            for perm, signs in group
+            for t in (1, -1)
+        )
+        orbits.update(dict.fromkeys(orbit, orbit))
+    listed = set(values)
+    whole = {orbit: orbit <= listed for orbit in {orbits[v] for v in listed}}
+    return [whole[orbits[v]] for v in values]
+
+
+def reference_isometry_denominators(problem, matrices) -> list:
+    """isometry.isometry_denominators with one packed product per matrix:
+    the check that the orbit path of verify replaced, kept as its
+    reference."""
+    n, read = problem.dim, _row_reader()
+    listed, scale = [], 1
+    for parts in _matrix_rows(matrices, read):
+        ds, num = zip(*parts) if parts else ((), ())
+        den, factors = lcm(*ds), ()
+        if ds.count(den) != len(ds):
+            factors = [den // d for d in ds]
+            scale = max(scale, *factors)
+        listed.append((num, den, factors))
+    rows = [row for _, row in read.values() if len(row) == n]
+    problem._pullback.reserve(rows, scale, {den for _, den, _ in listed})
+    return [den if problem.pulls_back(num, den, factors) else None for num, den, factors in listed]
 
 
 def mat_from_cols(cols) -> Mat:

@@ -23,19 +23,30 @@ from superlat.isometry import (
     IsometryProblem,
     SearchResult,
     SearchStats,
+    _signed_automorphisms,
     family_obstruction,
     find_isometries,
     verify_certificate,
 )
 from superlat.errors import ParseError
 from superlat.linalg import Mat, Vec, parse_entry, parse_fraction
-from superlat.problem_io import _entry, _integer, certificate_payload, document_json, load_problem, result_document, verify_document
+from superlat.problem_io import (
+    _entry,
+    _integer,
+    _problem_from_inputs,
+    certificate_payload,
+    document_json,
+    load_problem,
+    result_document,
+    verify_document,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
+from helpers import twisted_problem  # noqa: E402
 
 
 def _factorize(tmp_path, monkeypatch, capsys, *args):
@@ -423,12 +434,9 @@ def test_verify_rejects_extra_row_in_certificate_list(quaternary_doc):
     assert verify_document(doc) is False
 
 
-def test_verify_checks_a_shared_candidate_list_once(quaternary_doc, monkeypatch):
-    # The certificate of a NoIntegralIsometry document lists the same
-    # matrices as its top-level candidates; each is multiplied once.
-    assert quaternary_doc["certificate"]["detail"]["candidates"] == [
-        entry["matrix"] for entry in quaternary_doc["candidates"]
-    ]
+def _products(monkeypatch, doc) -> int:
+    """The number of pullback tests that verify_document(doc) makes; it
+    must accept doc."""
     calls = []
     real = IsometryProblem.pulls_back
 
@@ -437,8 +445,33 @@ def test_verify_checks_a_shared_candidate_list_once(quaternary_doc, monkeypatch)
         return real(self, num, den, factors)
 
     monkeypatch.setattr(IsometryProblem, "pulls_back", counted)
-    assert verify_document(quaternary_doc) is True
-    assert len(calls) == len(quaternary_doc["candidates"]) == 224
+    assert verify_document(doc) is True
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_verify_checks_a_shared_candidate_list_once(quaternary_doc, monkeypatch):
+    # The certificate of a NoIntegralIsometry document lists the same
+    # matrices as its top-level candidates; the list is checked once, with
+    # one product per orbit of <G, -1>: |<G, -1>| = 8 here, so 28 products
+    # for 224 candidates (one per candidate, 224, before verify used G).
+    assert quaternary_doc["certificate"]["detail"]["candidates"] == [
+        entry["matrix"] for entry in quaternary_doc["candidates"]
+    ]
+    assert len(_signed_automorphisms(_problem_from_inputs(quaternary_doc["inputs"]))) == 4
+    assert (_products(monkeypatch, quaternary_doc), len(quaternary_doc["candidates"])) == (28, 224)
+
+
+def test_verify_checks_each_candidate_once_when_only_the_identity_fixes_b_and_w(monkeypatch):
+    # quaternary_pair in the coordinates of helpers.TWIST: the same 224
+    # candidates up to the change of basis, but G is the identity alone,
+    # so the shared list is checked once with one product per candidate.
+    pf = load_problem(str(PROBLEMS / "quaternary_pair.txt"))
+    problem = twisted_problem(pf.target, pf.w, pf.gram)
+    doc = json.loads(document_json(result_document(problem, find_isometries(problem))))
+    assert doc["certificate"]["verdict"] == "NoIntegralIsometry"
+    assert len(_signed_automorphisms(_problem_from_inputs(doc["inputs"]))) == 1
+    assert (_products(monkeypatch, doc), len(doc["candidates"])) == (224, 224)
 
 
 def test_verify_rejects_integral_isometries_in_a_shared_list(wilson_doc):

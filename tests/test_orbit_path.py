@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import random
 import time
-from functools import cache
-from operator import mul
 
 import pytest
 
-from helpers import rand_unimodular, reference_find_isometries, signed_permutations
+from helpers import rand_unimodular, reference_find_isometries, signed_automorphisms_by_products
 from superlat import isometry
 from superlat.forms import GramForm
 from superlat.isometry import (
@@ -111,26 +109,6 @@ def test_the_cases_take_the_orbit_path_and_cover_every_kind():
     assert max(orbit_sizes) > 0 and negated
 
 
-@cache
-def _signed_permutations(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The integer rows of each matrix of helpers.signed_permutations(n)."""
-    return [tuple(tuple(map(int, row)) for row in u.rows) for u in signed_permutations(n)]
-
-
-def _brute_force_group(gram: Mat, w) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The signed permutations U with U^T B U = B and U w = w, as (perm,
-    signs) with (U v)_i = signs[i] v[perm[i]], by integer matrix products."""
-    b = [tuple(map(int, row)) for row in gram.rows]
-    n, out = len(b), set()
-    for u in _signed_permutations(n):
-        bu = [[sum(b[i][k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        utbu = [tuple(sum(u[k][i] * bu[k][j] for k in range(n)) for j in range(n)) for i in range(n)]
-        if utbu == b and tuple(sum(map(mul, row, w)) for row in u) == tuple(w):
-            perm = tuple(next(j for j, x in enumerate(row) if x) for row in u)
-            out.add((perm, tuple(row[j] for row, j in zip(u, perm))))
-    return out
-
-
 SMALL = [case for case in CASES if len(case[3]) <= 4]
 
 
@@ -139,7 +117,7 @@ def test_group_is_every_signed_permutation_fixing_b_and_w(name, gram, target, w,
     group = _signed_automorphisms(_problem(gram, target, w, probes))
     assert group[0] == (tuple(range(len(w))), (1,) * len(w))
     assert len(set(group)) == len(group)
-    assert set(group) == _brute_force_group(gram, w)
+    assert set(group) == signed_automorphisms_by_products(gram, w)
 
 
 def test_identity_6_at_e1_has_3840_elements():
