@@ -25,18 +25,19 @@ candidate list and the re-derivation of ``NoIntegralIsometry``;
 ``verify_document`` less it is the rebuilding of the problem and the
 top-level candidate list.  ``oracle`` is the integer search the command
 calls (``cli.brute_force_isometries``), ``oracle_listing`` its printed
-listing; the command builds no ``GramForm``.  ``negate`` is every
-negation of a candidate (``CandidateIsometry.__neg__``) in the ``--all``
-search, and ``orbit_images`` every call that builds the candidates of an
-orbit's other members (``isometry._orbit_images``).
+listing; the command builds no ``GramForm``.  ``orbit_images`` is every
+call in the ``--all`` search that builds candidates by permuting and
+negating rows (``isometry._orbit_images``): those of an orbit's other
+members and the closing negation of every candidate.
 
 Each stage keeps its best of ``--repeats`` passes.  The output is one JSON
 object: per problem, its stage times in seconds, ``first_column``, the
 shell ``--all`` places first (least of ``stats.eq1_raw`` and
 ``stats.eq3_per_probe``, eq1 on ties), ``automorphisms``, the number
-|G| of signed permutations that fix B and the anchor (``--all`` takes the
-orbit path when it is above 1 and every shell is non-empty, and ``verify``
-multiplies one listed candidate per orbit of <G, -1>), and
+|G| of signed permutations that fix B and the anchor (``--all`` searches
+one first row per orbit of <G, -1> once every shell is non-empty, and
+``verify`` multiplies one candidate per orbit of <G, -1> of a list of
+two or more), and
 ``verify_pulls_back``, the number of M^T B M = B' tests that ``verify``
 made (``IsometryProblem.pulls_back`` calls); and a ``total`` per stage::
 
@@ -62,7 +63,7 @@ import spans  # noqa: E402
 
 from superlat import cli, isometry  # noqa: E402
 from superlat.forms import GramForm  # noqa: E402
-from superlat.isometry import CandidateIsometry, IsometryProblem  # noqa: E402
+from superlat.isometry import IsometryProblem  # noqa: E402
 
 # Problems per workload, as the benchmark draws them (perfbench/run.py).
 WORKLOAD_COUNTS = {"wilson": 7, "pullback": 5, "neighbour": 10}
@@ -78,7 +79,6 @@ STAGES = {  # stage: (command, span name)
     "filter_eq2": (ALL, "isometry.filter_eq2"),
     "reconstruct": (ALL, "isometry.reconstruct"),
     "find_isometries": (ALL, "isometry.assemble"),
-    "negate": (ALL, "isometry.CandidateIsometry.__neg__"),
     "orbit_images": (ALL, "isometry._orbit_images"),
     "all_listing": (ALL, "cli.matrix_listing"),
     "result_document": (ALL, "problem_io.result_document"),
@@ -118,7 +118,6 @@ def traced_pass(text: str) -> tuple[dict[str, float], str | None, int | None, in
     tracer.wrap(cli, "matrix_listing", "cli.matrix_listing")
     tracer.wrap(cli, "load_problem", "cli.load_problem")
     tracer.wrap(GramForm, "__init__", "forms.GramForm")
-    tracer.wrap(CandidateIsometry, "__neg__", "isometry.CandidateIsometry.__neg__")
     tracer.wrap(isometry, "_orbit_images", "isometry._orbit_images")
     tracer.wrap(cli, "find_isometries", "cli.find_isometries", lambda counts, r, a, k: results.append((a[0], r)))
     for name in SETUP_TABLES:

@@ -25,10 +25,12 @@ one on a packed table of all their rows at once), and reconstruct maps
 each joint tuple to ambient vectors through E = (w | kernel basis),
 builds the candidate matrix and verifies it exactly.  A signed
 permutation U with U^T B U = B and U w = w maps joint tuples to joint
-tuples and a candidate M to U M, so a search for all solutions places
-one first row per orbit of these U and builds the candidates of the
-orbit's other members by permuting and negating rows, and the check of a
-listed candidate list multiplies one matrix per orbit.
+tuples and a candidate M to U M, and so does -1, since the equations are
+homogeneous of degree 2.  So the search places one first row per orbit of
+the group of these U and -1 (with the identity alone as U for a
+first-witness scan) and builds the candidates of the orbit's other
+members by permuting and negating rows, and the check of a listed
+candidate list multiplies one matrix per orbit.
 
 The module also houses the infinite-family obstructions (two- and
 three-squares) and a brute-force oracle used to validate the pipeline at
@@ -488,22 +490,25 @@ def isometry_denominators(problem: IsometryProblem, matrices, whole_orbits: bool
     row a, read as (d_a, d_a M_a), enters den M with the factor
     den // d_a, and with none when every d_a is den.
 
-    With two or more matrices and more than the identity in the group G
-    of signed permutations U with U^T B U = B and U w = w
-    (_signed_automorphisms), one matrix per orbit of <G, -1> is
-    multiplied (_listed_orbits), and every listed member of its orbit
-    takes its answer: U M's rows are M's rows, permuted and negated, so
-    it has M's den, and (U M)^T B (U M) = M^T B M by U^T B U = B alone.
-    So the answers are those of multiplying every matrix.  With
-    whole_orbits, the members of an orbit that is not wholly listed give
-    None: every list that factorize writes holds whole orbits, since the
-    search maps each candidate to its images and integrality is kept."""
+    With two or more matrices, one matrix per orbit of <G, -1> is
+    multiplied (_listed_orbits), G the group of signed permutations U with
+    U^T B U = B and U w = w (_signed_automorphisms), and every listed
+    member of its orbit takes its answer: U M's rows are M's rows,
+    permuted and negated, so it has M's den, and (U M)^T B (U M) =
+    M^T B M by U^T B U = B alone.  When G is the identity alone, that is
+    one product per +-pair.  So the answers are those of multiplying
+    every matrix.  With whole_orbits, the members of an orbit that is not
+    wholly listed give None: every list of two or more that factorize
+    writes holds whole orbits, since the search maps each candidate to its
+    images and integrality is kept."""
     n, read = problem.dim, _row_reader()
     listed = [*_matrix_rows(matrices, read)]
-    group = _signed_automorphisms(problem) if len(listed) > 1 else ()
-    orbits = _listed_orbits(listed, group, n, whole_orbits) if len(group) > 1 else None
+    if len(listed) > 1:
+        orbits = _listed_orbits(listed, _signed_automorphisms(problem), n, whole_orbits)
+    else:
+        orbits = [(parts, (0,)) for parts in listed]
     checks, scale = [], 1
-    for parts in listed if orbits is None else [parts for parts, _ in orbits]:
+    for parts, _ in orbits:
         if parts is None:
             checks.append(None)
             continue
@@ -516,8 +521,6 @@ def isometry_denominators(problem: IsometryProblem, matrices, whole_orbits: bool
     rows = [row for _, row in read.values() if len(row) == n]
     problem._pullback.reserve(rows, scale, {check[1] for check in checks if check})
     dens = [check[1] if check and problem.pulls_back(*check) else None for check in checks]
-    if orbits is None:
-        return dens
     out = [None] * len(listed)
     for (_, members), den in zip(orbits, dens):
         for k in members:
@@ -559,13 +562,13 @@ def _neg(v) -> tuple:
 
 
 def _signed_rows(perm, signs) -> itemgetter:
-    """For the signed permutation U = (perm, signs) of n >= 2 coordinates,
-    the map from the rows of M followed by their negations (2n rows) to
-    the rows of U M: row i is signs[i] M[perm[i]].  (For n = 1 an
-    itemgetter would give a row, not a tuple; there only the identity
-    fixes w.)"""
+    """For the signed permutation U = (perm, signs), the map from the rows
+    of M followed by their negations (a tuple of 2n rows) to the tuple of
+    rows of U M: row i is signs[i] M[perm[i]]."""
     n = len(perm)
-    return itemgetter(*[p if s > 0 else n + p for p, s in zip(perm, signs)])
+    at = [p if s > 0 else n + p for p, s in zip(perm, signs)]
+    # An itemgetter of one index gives the row itself, not a tuple.
+    return itemgetter(*at) if n > 1 else itemgetter(slice(at[0], at[0] + 1))
 
 
 def _row_texts(row: tuple[int, ...], den: int) -> tuple[str, ...]:
@@ -607,9 +610,9 @@ class CandidateIsometry:
     have fixed lengths, so it sorts as its nested view .provenance (atilde
     as Fractions) does.  That view and .matrix, the Mat, are built when read.
     .entry_strings, set on construction, holds the rows of M as the texts
-    str(Fraction(x, den)), read from memo (a new _row_memo by default):
-    the candidates of one problem's reconstruct and their negations share
-    one, so each distinct row, its negation and their texts are built once.
+    str(Fraction(x, den)), read from memo (a _row_memo; a new one by
+    default): the candidates of one problem's search share its
+    _recon_tables.memo, so each distinct row's texts are built once.
     """
 
     num: tuple[tuple[int, ...], ...]
@@ -623,15 +626,9 @@ class CandidateIsometry:
             num = tuple(map(tuple, num))
         else:
             num, den = tuple(tuple(x // g for x in row) for row in num), den // g
-        # _memo and entry_strings are no dataclass fields: equality and
-        # hashing ignore them.
-        memo = memo or _row_memo()
-        strings = tuple(map(memo[0][den].__getitem__, num))
-        self.__dict__.update(num=num, den=den, _prov=provenance, _dp=dp, _memo=memo, entry_strings=strings)
-
-    def __reduce__(self):
-        # The memo does not pickle; a copy gets its own.
-        return CandidateIsometry, (self.num, self.den, self._prov, self._dp)
+        # entry_strings is no dataclass field: equality and hashing ignore it.
+        strings = tuple(map((memo or _row_memo())[0][den].__getitem__, num))
+        self.__dict__.update(num=num, den=den, _prov=provenance, _dp=dp, entry_strings=strings)
 
     @cached_property
     def provenance(self) -> tuple:
@@ -641,15 +638,6 @@ class CandidateIsometry:
             return ()
         atilde = tuple(Fraction(a, self._dp) for a in prov[n + 1 : 2 * n + 1])
         return prov[0], prov[1 : n + 1], atilde, tuple(prov[i : i + n] for i in range(2 * n + 1, len(prov), n))
-
-    def __neg__(self) -> "CandidateIsometry":
-        """-M, with den unchanged (negation keeps lowest terms) and the
-        rows and their texts from the shared memo.  For a candidate built
-        by reconstruct this is what reconstruct gives for the negated
-        tuple: every provenance entry negated.  An empty provenance stays
-        empty."""
-        num = tuple(map(self._memo[1].__getitem__, self.num))
-        return CandidateIsometry(num, self.den, _neg(self._prov), self._dp, self._memo)
 
     @property
     def integral(self) -> bool:
@@ -842,8 +830,8 @@ def _size_order(shells) -> list[int]:
 def _gram_search(gram, targets, shells, order, narrow=None, rows=None):
     """Yield, for each row r of rows, the list of tuples whose column
     order[0] holds r.  rows are rows of shells[order[0]], by default its
-    first half and then its zero middle row (odd length only);
-    find_isometries passes one row per orbit of a symmetry group.
+    first half and then its zero middle row (odd length only), as the
+    oracle searches; find_isometries passes one row per orbit (_orbits).
 
     gram holds the integer Gram rows of a form and shells one sorted,
     sign-complete shell of that form per column.  A tuple holds one row
@@ -860,9 +848,9 @@ def _gram_search(gram, targets, shells, order, narrow=None, rows=None):
     order, so the tuples with r come in the lexicographic order of their
     rows' shell positions, taken in column order.
 
-    The targets are homogeneous of degree 2, so the tuples with -r in
-    column order[0] are those with r negated; the caller derives them.
-    Nothing is yielded when a shell is empty.
+    The caller derives the tuples of the rows not searched (the targets
+    are homogeneous of degree 2, so those with -r are those with r
+    negated).  Nothing is yielded when a shell is empty.
     """
     if not all(shells):
         return
@@ -975,12 +963,17 @@ def _signed_automorphisms(problem: IsometryProblem) -> list[tuple[tuple[int, ...
 def _orbits(problem: IsometryProblem, group, shell) -> tuple[list, list]:
     """(rows, images): one row r of the first half of the sorted,
     sign-complete shell per orbit of <group, -1>, in shell order, and for
-    each r the elements U, identity left out, that map it to the other
-    members of its group orbit, one U per member and one member per
-    +-pair.  The group acts on r through its ambient vector E r."""
+    each r the elements of group, identity left out, that map it to the
+    other members of its group orbit, one per member and one member per
+    +-pair, as _orbit_images takes them (global sign 1).  The group acts
+    on r through its ambient vector E r; for the identity alone, every row
+    of the half is an orbit and no ambient vector is formed."""
+    half = shell[: (len(shell) + 1) // 2]
+    if len(group) == 1:
+        return half, [()] * len(half)
     basis = problem._l0_basis
     rows, images, covered = [], [], set()
-    for r in shell[: (len(shell) + 1) // 2]:
+    for r in half:
         a = tuple([_dot(e, r) for e in basis])
         if a in covered:
             continue
@@ -988,7 +981,7 @@ def _orbits(problem: IsometryProblem, group, shell) -> tuple[list, list]:
         for perm, signs in group:
             v = tuple([s * a[p] for p, s in zip(perm, signs)])
             if v not in members and _neg(v) not in members:
-                members[v] = perm, signs
+                members[v] = perm, signs, 1
         covered.update(members, map(_neg, members))
         rows.append(r)
         images.append(list(members.values())[1:])
@@ -996,30 +989,34 @@ def _orbits(problem: IsometryProblem, group, shell) -> tuple[list, list]:
 
 
 def _orbit_images(problem: IsometryProblem, found: list, elements) -> list[CandidateIsometry]:
-    """The candidates U M for each (perm, signs) U of elements and each
-    candidate M of found, U by U.
+    """The candidates V M for each element V = (perm, signs, sign) and
+    each candidate M of found, V by V.  V is the signed permutation
+    (V v)_i = signs[i] v[perm[i]], and V = sign U for some U in the group
+    G of _signed_automorphisms, so V w = sign w; -1 is (identity, -1...,
+    -1).
 
-    U M solves M^T B M = B' with M, since U^T B U = B, so it is not
+    V M solves M^T B M = B' with M, since V^T B V = B, so it is not
     multiplied again; and it is what reconstruct builds from the tuple of
-    M mapped by U: its rows are rows of M, permuted and negated
+    M mapped by V: its rows are rows of M, permuted and negated
     (_signed_rows, their texts from the problem's memo), and its
-    provenance is (s, U btilde, dp atilde, U c_1, ...), since U fixes w
-    and so every t_i and atilde."""
-    n, out = problem.dim, []
-    negs = problem._recon_tables.memo[1]
-    both = [cand.num + tuple(map(negs.__getitem__, cand.num)) for cand in found]
-    for perm, signs in elements:
+    provenance is (sign s, V btilde, sign dp atilde, V c_1, ...), since U
+    fixes w and so every t_i and atilde.  No elements, no work."""
+    if not elements:
+        return []
+    n, out, memo = problem.dim, [], problem._recon_tables.memo
+    both = [cand.num + tuple(map(memo[1].__getitem__, cand.num)) for cand in found]
+    for perm, signs, sign in elements:
         pick = _signed_rows(perm, signs)
-        # The flat index and sign, in M's provenance, of each entry of U M's.
-        src, sgn = [0], [1]
+        # The flat index and sign, in M's provenance, of each entry of V M's.
+        src, sgn = [0], [sign]
         for at in range(1, n * n + n + 1, n):
             fixed = at == n + 1  # dp atilde
             src += [at + i if fixed else at + p for i, p in enumerate(perm)]
-            sgn += [1] * n if fixed else signs
+            sgn += [sign] * n if fixed else signs
+        get = itemgetter(*src)
         for cand, rows in zip(found, both):
-            num = pick(rows)
-            prov = tuple(map(mul, sgn, map(cand._prov.__getitem__, src)))
-            out.append(CandidateIsometry(num, cand.den, prov, cand._dp, cand._memo))
+            prov = tuple(map(mul, sgn, get(cand._prov)))
+            out.append(CandidateIsometry(pick(rows), cand.den, prov, cand._dp, memo))
     return out
 
 
@@ -1045,27 +1042,25 @@ def find_isometries(
     probe 1, ...), which meets the tuples in the order of the eq1-first
     scan.
 
-    The equations are homogeneous of degree 2 and the shells are
-    sign-complete with entry L-1-j = -entry j, so only the first half of
-    the first placed shell and its zero middle row (odd length) are
-    searched.  The tuples with -r in the first placed column are those
-    with r negated; reconstruct is linear in the tuple and its test
-    num^T B num = den^2 B' is even in num, so the search's candidates
-    are followed by their negations in reverse order.  No joint tuple
-    holds a zero row: the pairing targets form N^2 times the Gram matrix
-    of B' in the basis (w, zhat_1, ...), which is nonsingular because
-    det B' = det B > 0 here, so the middle row yields nothing and no
-    tuple is its own negation.  Integrality is invariant under negation,
-    so the first witness always comes from a searched row.
-
-    With all_solutions=True and every shell non-empty, the signed
-    permutations U with U^T B U = B and U w = w (_signed_automorphisms)
-    map the tuples with a first row r to those with U r.  When there is
-    more than the identity, one row r per orbit (_orbits) is searched, and
-    the candidates of each other member U r are U M for those M of r
-    (_orbit_images), counted in joint_raw once per member: the stats,
-    certificate and sorted candidates are those of the plain search.
-    The first-witness scan stops early, in scan order, and searches plainly.
+    The equations are homogeneous of degree 2, and a signed permutation U
+    with U^T B U = B and U w = w maps the tuples with a first row r to
+    those with U r; reconstruct is linear in the tuple, so the candidates
+    of -U r are -U M for the M of r.  G is every such U
+    (_signed_automorphisms) with all_solutions=True once every shell is
+    non-empty, and the identity alone for the first-witness scan.  One
+    row r per orbit of <G, -1> is searched (_orbits: the first placed
+    shell is sign-complete with entry L-1-j = -entry j, and r lies in its
+    first half or is its zero middle row).  The candidates of each other
+    member U r, one per +-pair, are U M (_orbit_images), and joint_raw
+    counts each member; unless the scan stops early, the candidates are
+    then followed by their images under -1 in reverse order.  No joint
+    tuple holds a zero row: the pairing targets form N^2 times the Gram
+    matrix of B' in the basis (w, zhat_1, ...), which is nonsingular
+    because det B' = det B > 0 here, so the middle row yields nothing and
+    no tuple is its own negation.  The stats, certificate and sorted
+    candidates are those of a search of every tuple, and since
+    integrality is invariant under +-U, the first witness always comes
+    from a searched row.
 
     The certificate is ObstructionDeterminant on determinant mismatch,
     ObstructionEq1 when eq1 has no solutions, IsometricWitness when an
@@ -1083,34 +1078,31 @@ def find_isometries(
     order = _size_order(shells) if all_solutions else range(len(shells))
     # filter_eq2 is looked up at call time, so that a wrapper sees it.
     narrow = (lambda e1: filter_eq2(problem, e1, per_probe)) if order[0] == 0 else None
-    rows = images = None
-    if all_solutions and all(shells):
-        group = _signed_automorphisms(problem)
-        if len(group) > 1:
-            rows, images = _orbits(problem, group, shells[order[0]])
+    identity = tuple(range(problem.dim))
+    group = _signed_automorphisms(problem) if all_solutions and all(shells) else [(identity, (1,) * problem.dim)]
+    rows, images = _orbits(problem, group, shells[order[0]])
 
     candidates: list[CandidateIsometry] = []
     # A scan that stops early counts no canonical tuple: it searches only
     # the first half of the sorted eq1 shell, whose rows lead with a
     # negative entry.
     joint_raw = joint_canonical = 0
-    for k, tuples in enumerate(_gram_search(problem._l0_gram, problem.pair_targets, shells, order, narrow, rows)):
+    searched = _gram_search(problem._l0_gram, problem.pair_targets, shells, order, narrow, rows)
+    for tuples, elements in zip(searched, images):
         start = len(candidates)
-        joint_raw += len(tuples)
         for cols in tuples:
             cand = reconstruct(problem, cols[0], cols[1:])
             if cand is not None:
                 candidates.append(cand)
-        if images:
-            candidates += _orbit_images(problem, candidates[start:], images[k])
-            joint_raw += len(tuples) * len(images[k])
+        candidates += _orbit_images(problem, candidates[start:], elements)
+        joint_raw += len(tuples) * (1 + len(elements))
         if not all_solutions and any(c.integral for c in candidates[start:]):
             break
     else:
         # The tuples not searched are those found, negated; no tuple is
         # its own negation, so one of each pair is canonical.
         joint_raw, joint_canonical = 2 * joint_raw, joint_raw
-        candidates += [-c for c in reversed(candidates)]
+        candidates += _orbit_images(problem, candidates[::-1], [(identity, (-1,) * problem.dim, -1)])
     if all_solutions:
         # Each atilde is an integer row over the one dp > 0 and every flat
         # field has one length, so this is the order of the nested Fractions.

@@ -91,6 +91,12 @@ def twisted_inputs(target: Mat, w, source: Mat | None = None) -> tuple[Mat, Mat,
     return TWIST.transpose() @ source @ TWIST, TWIST.transpose() @ target @ TWIST, inverse @ w, probes
 
 
+def negated_candidate(cand: CandidateIsometry) -> CandidateIsometry:
+    """-M with den unchanged and every provenance entry negated: what
+    reconstruct builds from the negated joint tuple."""
+    return CandidateIsometry([[-x for x in row] for row in cand.num], cand.den, tuple(-x for x in cand._prov), cand._dp)
+
+
 def twisted_problem(target: Mat, w, source: Mat | None = None) -> IsometryProblem:
     """The IsometryProblem of twisted_inputs(target, w, source)."""
     gram, bprime, anchor, probes = twisted_inputs(target, w, source)

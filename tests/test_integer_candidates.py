@@ -170,18 +170,6 @@ def test_candidate_from_matrix():
     assert CandidateIsometry([[2, -3], [0, 8]], 4).provenance == ()
 
 
-def test_negating_a_candidate_without_provenance():
-    # A document's witness is read back with provenance ().
-    m = Mat([[Fraction(1, 2), Fraction(-3, 4)], [0, 2]])
-    neg = -CandidateIsometry([[2, -3], [0, 8]], 4)
-    assert (neg.matrix, neg.den, neg.provenance) == (-m, 4, ())
-    assert -neg == CandidateIsometry([[2, -3], [0, 8]], 4)
-    given = (1, 2, 0, 1, 0, 0, 1)
-    assert (-CandidateIsometry([[2, -3], [0, 8]], 4, given, 2)).provenance == (
-        -1, (-2, 0), (Fraction(-1, 2), 0), ((0, -1),)
-    )
-
-
 @pytest.mark.parametrize(
     "x", [0, -7, 2**70, True, False, Fraction(-3, 6), Fraction(5), 0.5, -2.0, "3/6", " 4 "]
 )

@@ -46,7 +46,7 @@ PROBLEMS = ROOT / "problems"
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
-from helpers import twisted_problem  # noqa: E402
+from helpers import negated_candidate, twisted_problem  # noqa: E402
 
 
 def _factorize(tmp_path, monkeypatch, capsys, *args):
@@ -465,13 +465,13 @@ def test_verify_checks_a_shared_candidate_list_once(quaternary_doc, monkeypatch)
 def test_verify_checks_each_candidate_once_when_only_the_identity_fixes_b_and_w(monkeypatch):
     # quaternary_pair in the coordinates of helpers.TWIST: the same 224
     # candidates up to the change of basis, but G is the identity alone,
-    # so the shared list is checked once with one product per candidate.
+    # so the shared list is checked once with one product per +-pair.
     pf = load_problem(str(PROBLEMS / "quaternary_pair.txt"))
     problem = twisted_problem(pf.target, pf.w, pf.gram)
     doc = json.loads(document_json(result_document(problem, find_isometries(problem))))
     assert doc["certificate"]["verdict"] == "NoIntegralIsometry"
     assert len(_signed_automorphisms(_problem_from_inputs(doc["inputs"]))) == 1
-    assert (_products(monkeypatch, doc), len(doc["candidates"])) == (224, 224)
+    assert (_products(monkeypatch, doc), len(doc["candidates"])) == (112, 224)
 
 
 def test_verify_rejects_integral_isometries_in_a_shared_list(wilson_doc):
@@ -581,14 +581,14 @@ def test_document_json_equals_json_dumps(wilson_doc, quaternary_doc):
     # atilde = -2/3 as a numerator over dp = 3.
     problem = IsometryProblem(GramForm(Mat.identity(2)), GramForm(Mat.identity(2)), Vec([1, 0]))
     half = CandidateIsometry([[-3, 4], [3, -4]], 8)
-    rational = [half, -half, CandidateIsometry([[-3, 0], [10, -42]], 6)]
+    rational = [half, negated_candidate(half), CandidateIsometry([[-3, 0], [10, -42]], 6)]
     for cand in rational:
         assert cand.entry_strings == tuple(tuple(str(x) for x in row) for row in cand.matrix.rows)
     witness = CandidateIsometry([[0, -1], [1, 0]], 1, (1, 0, 0, -2, 0, 1, 0), 3)
     assert witness.provenance[2] == (Fraction(-2, 3), 0)
     for cands, cert in [
         (rational, Certificate("NoIntegralIsometry", detail={"candidates": [c.entry_strings for c in rational]})),
-        ([witness, -witness], Certificate("IsometricWitness", witness=witness, detail={"integral_count": 2})),
+        ([witness, negated_candidate(witness)], Certificate("IsometricWitness", witness=witness, detail={"integral_count": 2})),
     ]:
         doc = result_document(problem, SearchResult(cands, cert, SearchStats()), options={"all": True, "x": None})
         assert document_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -42,6 +42,7 @@ from superlat.linalg import Mat, Vec
 
 from helpers import (
     _ambient,
+    negated_candidate,
     cartesian_brute_force_isometries,
     EVEN24_B,
     EVEN24_BPRIME,
@@ -172,17 +173,20 @@ class TestOptionsAndDeterminism:
     def test_candidates_sorted_by_provenance(self):
         # even24 has dp = 12 and non-integral atilde; the A3 problem has
         # db = 3, so its slot outputs end in residue slots after the
-        # provenance slots.  btilde, atilde and every c_i lie in w^perp.
+        # provenance slots.  btilde, atilde and every c_i lie in w^perp,
+        # and the list holds each candidate's negation.
         a3 = GramForm(Mat([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
         for problem, total in [(even24_problem(), 224), (IsometryProblem(a3, a3, Vec([2, 1, 3])), 280)]:
             cands = find_isometries(problem).candidates
             provs = [c.provenance for c in cands]
             assert len(cands) == total and provs == sorted(provs)
+            listed = set(cands)
             for c in cands:
                 s, btilde, atilde, cs = c.provenance
                 assert all(problem.source.evaluate(Vec(v), problem.w) == 0 for v in (btilde, atilde, *cs))
                 negated = tuple(tuple(-x for x in v) for v in (btilde, atilde, *cs))
-                assert (-c).provenance == (-s, *negated[:2], negated[2:])
+                neg = negated_candidate(c)
+                assert neg in listed and neg.provenance == (-s, *negated[:2], negated[2:])
 
     def test_determinant_mismatch_short_circuits(self):
         problem = IsometryProblem(

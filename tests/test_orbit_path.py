@@ -1,10 +1,11 @@
 """find_isometries(all_solutions=True) searches one first row per orbit of
 the signed permutations U with U^T B U = B and U w = w (with -1), and
-takes the other candidates of each orbit as U M.  Its candidates (num,
-den, provenance, entry texts), stats and certificate must equal those of
-helpers.reference_find_isometries, which reconstructs every joint tuple
-of both signs.  The group itself is checked against a filter of every
-signed permutation.
+takes the other candidates of each orbit as U M; the first-witness scan
+goes through the same orbit routine with the identity alone.  In both
+modes its candidates (num, den, provenance, entry texts), stats and
+certificate must equal those of helpers.reference_find_isometries, which
+reconstructs every joint tuple of both signs.  The group itself is
+checked against a filter of every signed permutation.
 
 Selection rule: Random(4507) draws one target U^T U per identity problem,
 then one U per diag(1,1,2,2) target U^T D U (the non-isometric one last),
@@ -79,11 +80,12 @@ def _fields(candidates):
 
 @pytest.mark.parametrize("name,gram,target,w,probes", CASES, ids=[case[0] for case in CASES])
 def test_orbit_path_matches_the_reference(name, gram, target, w, probes):
-    got = find_isometries(_problem(gram, target, w, probes))
-    want = reference_find_isometries(_problem(gram, target, w, probes))
-    assert got.stats == want.stats
-    assert got.certificate == want.certificate
-    assert _fields(got.candidates) == _fields(want.candidates)
+    for all_solutions in (True, False):
+        got = find_isometries(_problem(gram, target, w, probes), all_solutions=all_solutions)
+        want = reference_find_isometries(_problem(gram, target, w, probes), all_solutions=all_solutions)
+        assert got.stats == want.stats, all_solutions
+        assert got.certificate == want.certificate, all_solutions
+        assert _fields(got.candidates) == _fields(want.candidates), all_solutions
 
 
 def test_the_cases_take_the_orbit_path_and_cover_every_kind():

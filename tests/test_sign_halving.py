@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import WILSON, rand_pullback_problem, reference_find_isometries, reference_joint_tuples
+from helpers import WILSON, negated_candidate, rand_pullback_problem, reference_find_isometries, reference_joint_tuples
 from superlat import isometry
 from superlat.forms import GramForm
 from superlat.isometry import (
     IsometryProblem,
+    _orbit_images,
     find_isometries,
     reconstruct,
     solve_eq1,
@@ -110,7 +111,7 @@ def test_solution_lists_are_mirrored():
     for z0 in problem.probes:
         _assert_mirrored(solve_eq3_per_z0(problem, z0))
     result = find_isometries(problem)
-    assert {-c for c in result.candidates} == set(result.candidates)
+    assert set(map(negated_candidate, result.candidates)) == set(result.candidates)
 
 
 def test_half_of_the_pairs_are_filtered_and_reconstructed(monkeypatch):
@@ -144,22 +145,24 @@ def _quaternary_pair() -> IsometryProblem:
     ids=["wilson at (1,1,1,1)", "quaternary_pair"],
 )
 def test_negation_is_the_reconstructed_negated_tuple(make):
-    # -c is built from c directly (rows and texts from the problem's
-    # memo, no gcd); it must be what reconstruct builds from the negated
-    # tuple, down to the entry texts and the hash, and negate back to c.
+    # -c is _orbit_images under -1 (rows and texts from the problem's
+    # memo); it must be what reconstruct builds from the negated tuple,
+    # down to the entry texts and the hash, and negate back to c.
     problem = make()
     assert problem.wnorm > 1 and problem._recon_tables.den > 1
+    minus = [(tuple(range(problem.dim)), (-1,) * problem.dim, -1)]
     twins = reduced = 0
     for e1, *picks in reference_joint_tuples(problem):
         cand = reconstruct(problem, e1, tuple(picks))
         if cand is None:
             continue
         want = reconstruct(problem, _negated(e1), tuple(map(_negated, picks)))
-        twin = -cand
+        (twin,) = _orbit_images(problem, [cand], minus)
         fields = ("num", "den", "_prov", "_dp", "entry_strings")
         assert [getattr(twin, f) for f in fields] == [getattr(want, f) for f in fields]
         assert (twin, hash(twin)) == (want, hash(want))
-        assert -twin == cand and (-twin).entry_strings == cand.entry_strings
+        (back,) = _orbit_images(problem, [twin], minus)
+        assert back == cand and back.entry_strings == cand.entry_strings
         twins += 1
         reduced += 1 < cand.den < problem._recon_tables.den
     assert twins and reduced

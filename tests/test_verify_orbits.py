@@ -31,6 +31,7 @@ from helpers import (
 )
 from superlat.forms import GramForm
 from superlat.isometry import IsometryProblem, _signed_automorphisms, find_isometries, isometry_denominators
+from superlat.linalg import Mat, Vec
 from superlat.problem_io import document_json, load_problem, result_document, verify_document
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -153,3 +154,14 @@ def test_verify_rejects_a_cut_no_integral_isometry_list(documents):
     doc["certificate"]["detail"]["candidates"] = [entry["matrix"] for entry in doc["candidates"]]
     assert verify_document(documents["quaternary_pair"]) is True
     assert verify_document(doc) is False
+
+
+def test_verify_accepts_the_all_document_of_dimension_1():
+    # B = B' = [1] at w = 1: only the identity fixes w, so the two
+    # candidates, 1 and -1, are one orbit of <G, -1>, read through a
+    # signed permutation of one row.
+    problem = IsometryProblem(GramForm(Mat([[1]])), GramForm(Mat([[1]])), Vec([1]))
+    doc = json.loads(document_json(result_document(problem, find_isometries(problem))))
+    assert len(_signed_automorphisms(problem)) == 1
+    assert sorted(entry["matrix"] for entry in doc["candidates"]) == [[["-1"]], [["1"]]]
+    assert verify_document(doc) is True
